@@ -50,7 +50,7 @@ pub struct ParSession {
 impl ParSession {
     /// Session configured from parsed CLI args.
     pub fn new(args: &Args) -> ParSession {
-        let mut s = ParSession::with(args.effective_jobs(), args.tracing_requested());
+        let mut s = ParSession::with(args.effective_jobs(), args.trace);
         s.obs = args.obs_report.is_some();
         s
     }

@@ -33,8 +33,6 @@ pub mod wallclock;
 
 use std::fmt::Write as _;
 
-use xemem::trace_layer;
-
 /// Minimal CLI options shared by the figure binaries.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -66,7 +64,8 @@ pub struct Args {
 
 impl Args {
     /// Parse from `std::env::args`. Recognized: `--smoke`, `--runs N`,
-    /// `--json`, `--trace`, `--trace-out PATH`, `--jobs N`.
+    /// `--json`, `--trace`, `--trace-out PATH`, `--obs-report PATH`,
+    /// `--jobs N`, `--lanes N`.
     pub fn parse() -> Args {
         let mut out = Args::default();
         let mut it = std::env::args().skip(1);
@@ -109,11 +108,6 @@ impl Args {
             }
         }
         out
-    }
-
-    /// Whether tracing was requested via flags or `XEMEM_TRACE=1`.
-    pub fn tracing_requested(&self) -> bool {
-        self.trace || self.trace_out.is_some() || trace_layer::env_requested()
     }
 
     /// Effective worker count: `--jobs N`, defaulting to the host's

@@ -32,7 +32,7 @@
 //! `pdes-determinism` jobs diff exactly that.
 
 use serde::Serialize;
-use xemem::trace_layer::{Ctx, SpanKind, Timeline};
+use xemem::trace_layer::{Ctx, ShardCounter, SpanKind, Timeline};
 use xemem::{
     FaultPlan, LanePart, ProcessRef, Segid, System, SystemBuilder, TraceHandle, VirtAddr,
     XememError,
@@ -65,7 +65,9 @@ pub struct ChaosRow {
     pub failed_ops: u64,
     /// Leader failovers observed across the unit's shards.
     pub failovers: u64,
-    /// Registrations lost to failovers (unreplicated at leader death).
+    /// Registrations lost to failovers (unreplicated at leader death),
+    /// summed from the unit tracer's per-shard counters — so 0 when the
+    /// unit runs untraced.
     pub lost_registrations: u64,
     /// Lookups at or after a removal's completed virtual time that
     /// still returned the revoked segid (the suite asserts this is
@@ -594,13 +596,8 @@ pub fn run_unit(
 
     let ns = sys.name_service();
     let failovers = (0..ns.shard_count()).map(|s| ns.failover_count(s)).sum();
-    // `ns:failover:shard{s}:lost{n}` marks n registrations dropped as
-    // unreplicated when shard s's leader died.
-    let lost_registrations: u64 = sys
-        .events()
-        .with_prefix("ns:failover:shard")
-        .filter_map(|e| e.label.split(":lost").nth(1))
-        .filter_map(|n| n.parse::<u64>().ok())
+    let lost_registrations: u64 = (0..ns.shard_count())
+        .map(|s| tracer.shard_counter(s, ShardCounter::LostRegistrations))
         .sum();
 
     Ok(ChaosRow {
@@ -643,14 +640,15 @@ mod tests {
 
     /// The tentpole determinism claim, unit-sized: one chaos unit run
     /// at lanes {2, 5, 8} reproduces the lanes=1 reference row — every
-    /// counter, every clock reading — bit for bit.
+    /// counter, every clock reading — bit for bit. Each run gets its own
+    /// enabled tracer, so the lost-registration column is compared too.
     #[test]
     fn lanes_replay_the_reference_unit_bit_for_bit() {
         let seed = xemem_sim::split_seed(ROOT_SEED, 1);
-        let reference = run_unit(1, seed, true, 1, &TraceHandle::disabled()).unwrap();
+        let reference = run_unit(1, seed, true, 1, &TraceHandle::enabled()).unwrap();
         assert!(reference.ok_ops > 0);
         for lanes in [2usize, 5, 8] {
-            let row = run_unit(1, seed, true, lanes, &TraceHandle::disabled()).unwrap();
+            let row = run_unit(1, seed, true, lanes, &TraceHandle::enabled()).unwrap();
             assert_eq!(row, reference, "lanes={lanes} diverged from the reference");
         }
     }

@@ -103,9 +103,9 @@ pub struct ApidRecord {
 ///   Live ──(Revoke received)──▶ Revoking ──(reaper unmapped)──▶ Reaped
 /// ```
 ///
-/// `Revoking` is transient within one synchronous revocation round; it is
-/// observable in the event trace. Data access through a `Reaped`
-/// attachment fails with [`crate::XememError::SourceGone`].
+/// `Revoking` is transient within one synchronous revocation round. Data
+/// access through a `Reaped` attachment fails with
+/// [`crate::XememError::SourceGone`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttachState {
     /// Mapped and backed by the exporter's frames.
@@ -163,8 +163,9 @@ pub struct Slot {
     /// touching a dead slot fails with `EnclaveDead`.
     pub alive: bool,
     /// Leased name → segid cache, fed by routed lookups; served while
-    /// live and epoch-current (traced as `ns:lease:search:*`), revoked
-    /// by removal and fenced by failover.
+    /// live and epoch-current (each serve counts as
+    /// `ShardCounter::LeaseServes`), revoked by removal and fenced by
+    /// failover.
     pub name_leases: HashMap<String, Lease<Segid>>,
     /// Leased segid → owning-enclave cache (same protocol).
     pub owner_leases: HashMap<Segid, Lease<EnclaveId>>,

@@ -33,7 +33,6 @@ use xemem_mem::{
 };
 use xemem_palacios::{MemoryMapKind, Vmm};
 use xemem_pisces::{Core0Handler, IpiChannel, NodeResources};
-use xemem_sim::trace::Trace;
 use xemem_sim::{
     Clock, CostModel, FaultInjector, FaultKind, FaultPlan, MemTier, SimDuration, SimTime,
     TierPolicy,
@@ -168,9 +167,6 @@ pub struct System {
     zones: Vec<u32>,
     /// Deterministic fault injector (None when no plan is armed).
     injector: Option<FaultInjector>,
-    /// Failure/teardown event log (labels: `crash:…`, `revoke:…`,
-    /// `reap:…`, `ns:…`, `fault:…`).
-    events: Trace,
     /// (owner slot, segid) → remote attachment sites; fed by every
     /// successful attach, consumed by the revocation protocol.
     attachers: HashMap<(usize, Segid), Vec<AttachSite>>,
@@ -206,9 +202,11 @@ impl System {
     }
 
     /// The observability handle this system charges spans and metrics
-    /// to (disabled unless set via [`SystemBuilder::with_tracer`] or a
-    /// process-global install). Experiment drivers use it to frame
-    /// detached-timeline ops and to run the conservation auditor.
+    /// to (disabled unless set via [`SystemBuilder::with_tracer`]). Its
+    /// counters and op counts are the only record of crashes,
+    /// revocations, reaps, name-service retries, lease serves and
+    /// failovers. Experiment drivers use it to frame detached-timeline
+    /// ops and to run the conservation auditor.
     pub fn tracer(&self) -> &TraceHandle {
         &self.tracer
     }
@@ -271,13 +269,6 @@ impl System {
             EnclaveKind::Vm(vmm) => Some(vmm),
             EnclaveKind::Native(_) => None,
         }
-    }
-
-    /// The failure/teardown event log: crashes, revocations, reaps,
-    /// name-service outages/retries/lease serves/failovers, message
-    /// faults.
-    pub fn events(&self) -> &Trace {
-        &self.events
     }
 
     /// The name service: shard layout, leadership, epochs and failover
@@ -343,23 +334,18 @@ impl System {
         let due = injector.due_events(now);
         for ev in due {
             match ev.kind {
-                FaultKind::NameServerOutage { duration, shard } => {
-                    let label = match shard {
-                        Some(s) => format!("ns:outage:shard{s}"),
-                        None => "ns:outage".to_string(),
-                    };
-                    self.events.record(ev.at, duration, label);
-                }
+                // Outage windows (name service and tiers) need no
+                // delivery: the injector tracks their horizons, and
+                // name-service calls back off and migrations into a dark
+                // tier fail until they pass.
+                FaultKind::NameServerOutage { .. } | FaultKind::TierOutage { .. } => {}
                 FaultKind::EnclaveCrash { slot } | FaultKind::PoolConsumerCrash { slot, .. } => {
                     let slot = slot % self.slots.len();
-                    if self.name_service.is_sole_replica(slot) {
-                        // A shard with no surviving replica loses its
-                        // slice of the namespace for good, so the last
-                        // replica's failure mode is the bounded outage
-                        // (scheduled separately), not a crash.
-                        self.events
-                            .record(ev.at, SimDuration::ZERO, "crash:skipped-ns-slot");
-                    } else if self.slots[slot].alive {
+                    // A shard with no surviving replica would lose its
+                    // slice of the namespace for good, so the last
+                    // replica's failure mode is the bounded outage
+                    // (scheduled separately), not a crash.
+                    if !self.name_service.is_sole_replica(slot) && self.slots[slot].alive {
                         // Injected crashes run between operations; their
                         // teardown cost lives on the detached timeline so
                         // the clock audit still balances exactly.
@@ -372,18 +358,6 @@ impl System {
                         let end = self.crash_enclave_internal(slot, ev.at);
                         self.tracer.commit_op(end);
                     }
-                }
-                FaultKind::TierOutage {
-                    slot,
-                    tier,
-                    duration,
-                } => {
-                    // The injector tracks the outage horizon; migration
-                    // attempts into the tier fail until it passes. The
-                    // event log keeps the window visible to audits.
-                    let slot = slot % self.slots.len();
-                    self.events
-                        .record(ev.at, duration, format!("tier:outage:slot{slot}:{tier}"));
                 }
                 FaultKind::ProcessKill { slot, pid } => {
                     let slot = slot % self.slots.len();
@@ -398,16 +372,10 @@ impl System {
                             Ctx::proc(slot, pid),
                             Timeline::Detached,
                         );
+                        // Killing a pid that does not exist is a no-op.
                         match self.crash_process_internal(p, ev.at) {
                             Ok(end) => self.tracer.commit_op(end),
-                            Err(_) => {
-                                self.tracer.abort_op();
-                                self.events.record(
-                                    ev.at,
-                                    SimDuration::ZERO,
-                                    "crash:no-such-process",
-                                );
-                            }
+                            Err(_) => self.tracer.abort_op(),
                         }
                     }
                 }
@@ -431,13 +399,12 @@ impl System {
     /// exponential backoff in virtual time: attempt `k` sleeps
     /// `ns_retry_base_ns << k`. Returns the time the shard answered, or
     /// `NameServerUnavailable` — attributed to the shard — once the
-    /// retry budget is exhausted. Every retry lands in the event trace
-    /// and in the shard's retry/backoff counters.
+    /// retry budget is exhausted. Every retry lands in the retry/backoff
+    /// counters, service-wide and per shard.
     fn ns_backoff(&mut self, shard: usize, mut at: SimTime) -> Result<SimTime, XememError> {
         if self.ns_shard_available(shard, at) {
             return Ok(at);
         }
-        let sharded = self.name_service.shard_count() > 1;
         let ctx_slot = self.name_service.leader_slot(shard).unwrap_or(self.ns_slot);
         let mut total = SimDuration::ZERO;
         for k in 0..self.cost.ns_retry_max_attempts {
@@ -453,12 +420,6 @@ impl System {
             );
             at += wait;
             total += wait;
-            let label = if sharded {
-                format!("ns:retry:shard{shard}:{k}")
-            } else {
-                format!("ns:retry:{k}")
-            };
-            self.events.record(at, wait, label);
             if self.ns_shard_available(shard, at) {
                 self.tracer.count(Counter::NsRetries, u64::from(k) + 1);
                 self.tracer.count(Counter::NsBackoffNs, total.as_nanos());
@@ -479,12 +440,6 @@ impl System {
             .count_shard(shard, ShardCounter::Retries, u64::from(attempts));
         self.tracer
             .count_shard(shard, ShardCounter::BackoffNs, total.as_nanos());
-        let label = if sharded {
-            format!("ns:unavailable:shard{shard}")
-        } else {
-            "ns:unavailable".to_string()
-        };
-        self.events.record(at, SimDuration::ZERO, label);
         Err(XememError::NameServerUnavailable {
             shard,
             attempts,
@@ -526,11 +481,6 @@ impl System {
                 .retain(|_, l| l.value != segid);
             self.tracer
                 .count_shard(shard, ShardCounter::LeaseRevocations, 1);
-            self.events.record(
-                at,
-                SimDuration::ZERO,
-                format!("ns:lease-revoke:{segid}:slot{holder}"),
-            );
             if holder != leader && self.slots[holder].alive {
                 if let Some(path) = self.notify_path(leader, holder) {
                     let revoked_at =
@@ -610,7 +560,7 @@ impl System {
         //    the dying process *before* the kernel frees its memory, then
         //    run the revocation protocol.
         let my_id = self.slots[slot_idx].id;
-        // Sorted so teardown order (and thus the event trace and any
+        // Sorted so teardown order (and thus the trace and any
         // RNG-dependent hop decisions) never depends on map iteration.
         let mut segids: Vec<Segid> = self.slots[slot_idx]
             .segs
@@ -619,11 +569,6 @@ impl System {
             .map(|(s, _)| *s)
             .collect();
         segids.sort();
-        self.events.record(
-            at,
-            SimDuration::ZERO,
-            format!("crash:process:slot{slot_idx}:pid{}", p.pid.0),
-        );
         self.crash_notices.push(CrashNotice {
             slot: slot_idx,
             pid: Some(p.pid.0),
@@ -679,7 +624,7 @@ impl System {
             .collect();
         held.sort_by_key(|(va, _)| *va);
         for (va, rec) in held {
-            self.drop_site(slot_idx, p.pid, va, rec, t);
+            self.drop_site(slot_idx, p.pid, va, rec);
         }
         // 3. Permits: drop the exporter-side grant refcounts they pinned.
         let mut permits: Vec<(Apid, Segid, EnclaveId)> = self.slots[slot_idx]
@@ -762,11 +707,6 @@ impl System {
                 t = self.crash_enclave_internal(c, t);
             }
         }
-        self.events.record(
-            t,
-            SimDuration::ZERO,
-            format!("crash:enclave:{}", self.slots[slot_idx].name),
-        );
         self.crash_notices.push(CrashNotice {
             slot: slot_idx,
             pid: None,
@@ -779,11 +719,6 @@ impl System {
         // goes dark for the election timeout.
         let reports = self.name_service.on_slot_dead(slot_idx, t);
         for r in &reports {
-            self.events.record(
-                t,
-                SimDuration::ZERO,
-                format!("ns:failover:shard{}:epoch{}", r.shard, r.epoch),
-            );
             self.tracer.count_shard(r.shard, ShardCounter::Failovers, 1);
             self.tracer.count_shard(
                 r.shard,
@@ -807,13 +742,6 @@ impl System {
                 Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64),
                 Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64),
             );
-            if r.lost_registrations > 0 {
-                self.events.record(
-                    t,
-                    SimDuration::ZERO,
-                    format!("ns:failover:shard{}:lost{}", r.shard, r.lost_registrations),
-                );
-            }
         }
         // Revoke every segment this enclave exported. Its partition is
         // retired wholesale, so there is nothing to quarantine — remote
@@ -824,15 +752,7 @@ impl System {
             for segid in segids {
                 // A registration may already be gone: a failover above
                 // (or earlier in the run) dropped it as unreplicated.
-                if self.name_service.remove_segid(segid, id, t).is_err()
-                    && self.name_service.is_distributed()
-                {
-                    self.events.record(
-                        t,
-                        SimDuration::ZERO,
-                        format!("ns:lost-registration:{segid}"),
-                    );
-                }
+                let _ = self.name_service.remove_segid(segid, id, t);
                 t = self.revoke_leases(segid, t);
                 self.slots[slot_idx].segs.remove(&segid);
                 self.grants.remove(&(slot_idx, segid));
@@ -849,7 +769,7 @@ impl System {
             .collect();
         held.sort_by_key(|(pid, va, _)| (*pid, *va));
         for (pid, va, rec) in held {
-            self.drop_site(slot_idx, pid, va, rec, t);
+            self.drop_site(slot_idx, pid, va, rec);
         }
         // Permits: drop the exporter-side grant refcounts.
         let mut permits: Vec<(Segid, EnclaveId)> = self.slots[slot_idx]
@@ -883,11 +803,6 @@ impl System {
             .remove(&(owner_slot, segid))
             .unwrap_or_default();
         if let Some(frames) = loan_frames {
-            self.events.record(
-                at,
-                SimDuration::ZERO,
-                format!("revoke:quarantine:{segid}:{}pages", frames.pages()),
-            );
             self.loans.push(Loan {
                 owner_slot,
                 segid,
@@ -896,14 +811,9 @@ impl System {
             });
         }
         if sites.is_empty() {
-            self.settle_loan(owner_slot, segid, at);
+            self.settle_loan(owner_slot, segid);
             return at;
         }
-        self.events.record(
-            at,
-            SimDuration::ZERO,
-            format!("revoke:{segid}:{}sites", sites.len()),
-        );
         // A dead owner cannot send; the segment's shard leader (which
         // observed the death when the registration was withdrawn)
         // notifies instead.
@@ -947,7 +857,7 @@ impl System {
                 loan.refs = loan.refs.saturating_sub(1);
             }
         }
-        self.settle_loan(owner_slot, segid, at);
+        self.settle_loan(owner_slot, segid);
         at
     }
 
@@ -986,18 +896,13 @@ impl System {
             Ctx::proc(site.slot, site.pid.0),
         );
         self.tracer.count(Counter::Reaps, 1);
-        self.events.record(
-            end,
-            unmap,
-            format!("reap:slot{}:pid{}", site.slot, site.pid.0),
-        );
         end
     }
 
     /// Resolve a loan whose refcount drained: hand the quarantined frames
     /// back to the owner's allocator, or retire them with the owner's
     /// partition when the owner enclave itself is gone.
-    fn settle_loan(&mut self, owner_slot: usize, segid: Segid, at: SimTime) {
+    fn settle_loan(&mut self, owner_slot: usize, segid: Segid) {
         let Some(pos) = self
             .loans
             .iter()
@@ -1019,33 +924,16 @@ impl System {
                 // break bit-identical virtual time with tracing off.
                 self.tracer
                     .count(Counter::FramesReturned, loan.frames.pages());
-                self.events.record(
-                    at,
-                    SimDuration::ZERO,
-                    format!("reap:frames-returned:{segid}:{}pages", loan.frames.pages()),
-                );
             }
         } else {
             self.tracer
                 .count(Counter::FramesRetired, loan.frames.pages());
-            self.events.record(
-                at,
-                SimDuration::ZERO,
-                format!("reap:frames-retired:{segid}"),
-            );
         }
     }
 
     /// Remove one attachment site from the exporter-side index and drop
     /// its loan refcount (attacher-side teardown: detach, exit, crash).
-    fn drop_site(
-        &mut self,
-        slot_idx: usize,
-        pid: Pid,
-        va: u64,
-        rec: crate::enclave::AttachRecord,
-        at: SimTime,
-    ) {
+    fn drop_site(&mut self, slot_idx: usize, pid: Pid, va: u64, rec: crate::enclave::AttachRecord) {
         if let Some(&owner_slot) = self.id_to_slot.get(&rec.owner) {
             if let Some(sites) = self.attachers.get_mut(&(owner_slot, rec.segid)) {
                 sites.retain(|s| !(s.slot == slot_idx && s.pid == pid && s.va == va));
@@ -1060,7 +948,7 @@ impl System {
             {
                 loan.refs = loan.refs.saturating_sub(1);
             }
-            self.settle_loan(owner_slot, rec.segid, at);
+            self.settle_loan(owner_slot, rec.segid);
         }
         self.slots[slot_idx].attachments.remove(&(pid, va));
         self.slots[slot_idx].detached.insert((pid, va));
@@ -1694,11 +1582,6 @@ impl System {
             .count(Counter::TierBytesCopied, pages * PAGE_SIZE);
         self.tracer
             .observe(Hist::MigrateNs, t.duration_since(at).as_nanos());
-        self.events.record(
-            at,
-            t.duration_since(at),
-            format!("tier:migrate:{segid}:{dst}"),
-        );
         Ok((pages, t))
     }
 
@@ -1822,23 +1705,13 @@ impl System {
                         });
                         t = end;
                     }
-                    // An injected tier outage defers the move; the
-                    // streak holds and the next tick retries.
-                    Err(XememError::TierUnavailable { .. }) => {
-                        self.events.record(
-                            t,
-                            SimDuration::ZERO,
-                            format!("tier:migrate-deferred:{segid}:{dst}"),
-                        );
-                    }
-                    // A full destination tier likewise defers.
-                    Err(XememError::Kernel(KernelError::Mem(MemError::OutOfFrames { .. }))) => {
-                        self.events.record(
-                            t,
-                            SimDuration::ZERO,
-                            format!("tier:migrate-nospace:{segid}:{dst}"),
-                        );
-                    }
+                    // An injected tier outage or a full destination
+                    // tier defers the move; the streak holds and the
+                    // next tick retries.
+                    Err(
+                        XememError::TierUnavailable { .. }
+                        | XememError::Kernel(KernelError::Mem(MemError::OutOfFrames { .. })),
+                    ) => {}
                     Err(e) => return Err(e),
                 }
             }
@@ -1939,8 +1812,6 @@ impl System {
                     self.tracer
                         .leaf(SpanKind::Retransmit, at - lost, lost, Ctx::seg(a, 0, seg));
                     self.tracer.count(Counter::Retransmits, u64::from(dropped));
-                    self.events
-                        .record(at, lost, format!("fault:drop:{dropped}"));
                 }
             }
             if self.trace_enabled {
@@ -1961,7 +1832,6 @@ impl System {
                 .as_mut()
                 .is_some_and(|i| i.should_duplicate(at))
             {
-                self.events.record(at, SimDuration::ZERO, "fault:dup");
                 self.tracer.count(Counter::DupDeliveries, 1);
                 at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
             }
@@ -2191,21 +2061,15 @@ impl System {
             .expect("an available shard has a leader");
         // A failover may have dropped the registration as unreplicated;
         // the local export teardown still has to run, so tolerate the
-        // already-gone case (traced) instead of failing the remove.
-        let lost = |sys: &mut Self, t: SimTime, e: XememError| match e {
-            XememError::UnknownSegid(_) if sys.name_service.is_distributed() => {
-                sys.events.record(
-                    t,
-                    SimDuration::ZERO,
-                    format!("ns:lost-registration:{segid}"),
-                );
-                Ok(())
-            }
+        // already-gone case instead of failing the remove.
+        let distributed = self.name_service.is_distributed();
+        let tolerate_lost = |e: XememError| match e {
+            XememError::UnknownSegid(_) if distributed => Ok(()),
             other => Err(other),
         };
         let t = if slot_idx == leader {
             if let Err(e) = self.name_service.remove_segid(segid, my_id, at) {
-                lost(self, at, e)?;
+                tolerate_lost(e)?;
             }
             let ns = SimDuration::from_nanos(self.cost.name_server_ns);
             self.tracer
@@ -2222,7 +2086,7 @@ impl System {
                 leader,
             );
             if let Err(e) = self.name_service.remove_segid(segid, my_id, t) {
-                lost(self, t, e)?;
+                tolerate_lost(e)?;
             }
             t
         };
@@ -2265,16 +2129,11 @@ impl System {
             // lease via the epoch even before it expires.
             if let Some(lease) = self.slots[slot_idx].name_leases.get(name).copied() {
                 if lease.expires > at && lease.epoch == self.name_service.epoch(lease.shard) {
-                    return Ok(self.serve_name_lease(slot_idx, p.pid, name, lease, at));
+                    return Ok(self.serve_name_lease(slot_idx, p.pid, lease, at));
                 }
                 self.slots[slot_idx].name_leases.remove(name);
                 self.tracer
                     .count_shard(lease.shard, ShardCounter::LeaseExpirations, 1);
-                self.events.record(
-                    at,
-                    SimDuration::ZERO,
-                    format!("ns:lease-expired:search:{name}"),
-                );
             }
         }
         let at = self.charge_shard_route(slot_idx, at);
@@ -2329,7 +2188,6 @@ impl System {
         &mut self,
         slot_idx: usize,
         pid: Pid,
-        name: &str,
         lease: Lease<Segid>,
         at: SimTime,
     ) -> (Segid, SimTime) {
@@ -2345,8 +2203,6 @@ impl System {
             .count_shard(lease.shard, ShardCounter::Lookups, 1);
         self.tracer
             .observe_shard_lookup(lease.shard, (check + bk).as_nanos());
-        self.events
-            .record(at, SimDuration::ZERO, format!("ns:lease:search:{name}"));
         (lease.value, at + check + bk)
     }
 
@@ -2445,8 +2301,6 @@ impl System {
                 .count_shard(lease.shard, ShardCounter::Lookups, 1);
             self.tracer
                 .observe_shard_lookup(lease.shard, (check + bk).as_nanos());
-            self.events
-                .record(at, SimDuration::ZERO, format!("ns:lease:get:{segid}"));
             (lease.value, at + check + bk)
         } else {
             if let Some(lease) = cached_lease {
@@ -2455,11 +2309,6 @@ impl System {
                 self.slots[slot_idx].owner_leases.remove(&segid);
                 self.tracer
                     .count_shard(lease.shard, ShardCounter::LeaseExpirations, 1);
-                self.events.record(
-                    at,
-                    SimDuration::ZERO,
-                    format!("ns:lease-expired:get:{segid}"),
-                );
             }
             let at = self.charge_shard_route(slot_idx, at);
             let at = self.ns_backoff(shard, at)?;
@@ -2968,7 +2817,7 @@ impl System {
             cost,
             Ctx::seg(slot_idx, p.pid.0, rec.segid.0),
         );
-        self.drop_site(slot_idx, p.pid, va.0, rec, at);
+        self.drop_site(slot_idx, p.pid, va.0, rec);
         Ok(at + cost)
     }
 
@@ -3489,7 +3338,7 @@ pub struct SystemBuilder {
     next_zone: u32,
     hugepage_attach: bool,
     fault_plan: Option<(FaultPlan, u64)>,
-    tracer: Option<TraceHandle>,
+    tracer: TraceHandle,
     ns_shards: Option<(usize, usize)>,
     next_tiers: Vec<(MemTier, u64)>,
     tier_policy: TierPolicy,
@@ -3515,7 +3364,7 @@ impl SystemBuilder {
             next_zone: 0,
             hugepage_attach: false,
             fault_plan: None,
-            tracer: None,
+            tracer: TraceHandle::disabled(),
             ns_shards: None,
             next_tiers: Vec::new(),
             tier_policy: TierPolicy::disabled(),
@@ -3608,11 +3457,11 @@ impl SystemBuilder {
 
     /// Attach a virtual-time tracer: every charged nanosecond in this
     /// system (and its kernels, including VM guests) is attributed to
-    /// spans/metrics on the handle. Defaults to the process-global
-    /// handle ([`xemem_trace::global`]), which is disabled unless
-    /// something called [`xemem_trace::install_global`].
+    /// spans/metrics on the handle, and its counters are the system's
+    /// record of failure and teardown history. Defaults to a disabled
+    /// handle.
     pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
-        self.tracer = Some(tracer);
+        self.tracer = tracer;
         self
     }
 
@@ -3721,7 +3570,7 @@ impl SystemBuilder {
                 "node too small for declared enclaves".into(),
             ));
         }
-        let tracer = self.tracer.clone().unwrap_or_else(xemem_trace::global);
+        let tracer = self.tracer.clone();
         let frames = node_mem / PAGE_SIZE;
         // Split memory evenly across the configured NUMA zones.
         let per_zone = frames / self.numa_zones as u64;
@@ -3943,7 +3792,6 @@ impl SystemBuilder {
             last_vm_breakdown: None,
             zones,
             injector,
-            events: Trace::new(),
             attachers: HashMap::new(),
             grants: HashMap::new(),
             loans: Vec::new(),

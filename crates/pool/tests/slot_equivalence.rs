@@ -60,7 +60,6 @@ struct Outcome {
     free_slots: usize,
     consumers_alive: Vec<bool>,
     clock_ns: u64,
-    n_events: usize,
     metrics: Option<MetricsSnapshot>,
     sums: ConservationSums,
 }
@@ -365,7 +364,6 @@ fn run_config(seed: u64, lanes: usize, workers: usize) -> Outcome {
         free_slots: pool.free_slots(),
         consumers_alive,
         clock_ns: sys.clock().now().as_nanos(),
-        n_events: sys.events().len(),
         metrics: tracer.metrics_snapshot(),
         sums: tracer.audit().expect("conservation audit"),
     }

@@ -1,20 +1,16 @@
-//! Minimal discrete-event helpers.
+//! Shared-resource contention.
 //!
 //! The scalability experiments (paper Fig. 6) simulate many enclaves
 //! concurrently performing attachments while contending for shared
 //! hardware — most importantly the Pisces IPI channel, whose interrupt
-//! handling is pinned to core 0 of the management enclave. Two small pieces
-//! suffice to model this faithfully:
-//!
-//! * [`Resource`] — a single-server queue with a busy calendar: each
-//!   request books the earliest sufficient gap at or after its arrival.
-//! * [`run_actors`] — a worklist loop that repeatedly steps whichever actor
-//!   has the earliest next-event time, so independent actors interleave in
-//!   correct global time order.
+//! handling is pinned to core 0 of the management enclave. [`Resource`]
+//! models such hardware: a single-server queue with a busy calendar, where
+//! each request books the earliest sufficient gap at or after its arrival.
+//! Interleaving the actors that contend for it in global time order is the
+//! job of the [`crate::pdes`] engine.
 
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// A single-server resource (e.g. the core-0 IPI handler) with a busy
 /// calendar.
@@ -171,38 +167,6 @@ impl Resource {
     }
 }
 
-/// A steppable simulation actor.
-///
-/// `step` performs the actor's next unit of work beginning at `now` and
-/// returns the absolute time at which the actor next becomes runnable, or
-/// `None` when it has finished. Returned times must be ≥ `now`.
-pub trait Actor {
-    /// Execute one step; see the trait docs.
-    fn step(&mut self, now: SimTime) -> Option<SimTime>;
-}
-
-/// Run a set of actors to completion, always stepping the actor with the
-/// earliest next-event time. Returns the virtual time at which the last
-/// actor finished.
-///
-/// Ties are broken by actor index, so runs are deterministic.
-pub fn run_actors(actors: &mut [&mut dyn Actor]) -> SimTime {
-    let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = (0..actors.len())
-        .map(|i| Reverse((SimTime::ZERO, i)))
-        .collect();
-    let mut end = SimTime::ZERO;
-    while let Some(Reverse((now, idx))) = heap.pop() {
-        match actors[idx].step(now) {
-            Some(next) => {
-                debug_assert!(next >= now, "actor {idx} scheduled into the past");
-                heap.push(Reverse((next.max(now), idx)));
-            }
-            None => end = end.max(now),
-        }
-    }
-    end
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,68 +188,6 @@ mod tests {
         assert_eq!(r.grants(), 3);
         assert_eq!(r.total_busy().as_nanos(), 21);
         assert_eq!(r.total_wait().as_nanos(), 5);
-    }
-
-    /// An actor that performs `n` units of `work`, each gated by a shared
-    /// resource acquisition of `service` time.
-    struct Looper<'a> {
-        resource: &'a std::cell::RefCell<Resource>,
-        service: SimDuration,
-        work: SimDuration,
-        remaining: u32,
-        finished_at: SimTime,
-    }
-
-    impl Actor for Looper<'_> {
-        fn step(&mut self, now: SimTime) -> Option<SimTime> {
-            if self.remaining == 0 {
-                self.finished_at = now;
-                return None;
-            }
-            self.remaining -= 1;
-            let grant = self.resource.borrow_mut().acquire(now, self.service);
-            Some(grant.end + self.work)
-        }
-    }
-
-    #[test]
-    fn actors_interleave_in_time_order() {
-        // Two actors, each needing the shared resource for 10 ns per
-        // iteration with 0 private work: the resource fully serializes
-        // them, so 2 actors × 3 iterations × 10 ns = 60 ns.
-        let resource = std::cell::RefCell::new(Resource::new());
-        let mk = || Looper {
-            resource: &resource,
-            service: SimDuration::from_nanos(10),
-            work: SimDuration::ZERO,
-            remaining: 3,
-            finished_at: SimTime::ZERO,
-        };
-        let (mut a, mut b) = (mk(), mk());
-        let end = run_actors(&mut [&mut a, &mut b]);
-        assert_eq!(end.as_nanos(), 60);
-    }
-
-    #[test]
-    fn private_work_overlaps() {
-        // Service 1 ns, private work 99 ns: the resource is almost never
-        // contended, so both actors finish in ~3 × 100 ns, not 600 ns.
-        let resource = std::cell::RefCell::new(Resource::new());
-        let mk = || Looper {
-            resource: &resource,
-            service: SimDuration::from_nanos(1),
-            work: SimDuration::from_nanos(99),
-            remaining: 3,
-            finished_at: SimTime::ZERO,
-        };
-        let (mut a, mut b) = (mk(), mk());
-        let end = run_actors(&mut [&mut a, &mut b]);
-        assert!(end.as_nanos() <= 305, "end = {}", end.as_nanos());
-    }
-
-    #[test]
-    fn run_actors_handles_empty_set() {
-        assert_eq!(run_actors(&mut []), SimTime::ZERO);
     }
 }
 

@@ -12,7 +12,7 @@
 //! * [`Clock`] — a shared, cheaply clonable virtual clock.
 //! * [`CostModel`] — every calibrated constant used by the simulators, with
 //!   the calibration source documented on each field.
-//! * [`des`] — a FIFO [`des::Resource`] and a worklist actor runner used to
+//! * [`des`] — a FIFO [`des::Resource`] with a busy calendar, used to
 //!   simulate concurrent enclaves contending for shared hardware (e.g. the
 //!   core-0 IPI handler of the Pisces channel).
 //! * [`noise`] — composable OS-noise generators (Kitten hardware detours,
@@ -32,7 +32,6 @@
 //!   (figure sweep points, fault schedules) across host workers with
 //!   scheduling-independent split RNG streams and plan-order aggregation,
 //!   so `-j1` and `-jN` produce bit-identical results.
-//! * [`trace`] — timestamped event recording for detour profiles.
 //! * [`fault`] — deterministic fault injection: scheduled enclave crashes,
 //!   process kills, name-server outages and message drop/duplication
 //!   windows, driven by a seeded [`FaultInjector`].
@@ -48,7 +47,6 @@ pub mod run;
 pub mod stats;
 pub mod tier;
 pub mod time;
-pub mod trace;
 
 pub use clock::Clock;
 pub use cost::CostModel;

@@ -55,7 +55,7 @@
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::thread::ThreadId;
 use xemem_sim::{SimDuration, SimTime};
 
@@ -2116,31 +2116,6 @@ fn push_obs_hist(out: &mut String, prefix: &str, s: &HistSnapshot) {
         out.push_str(&format!(" {b}"));
     }
     out.push('\n');
-}
-
-// ----------------------------------------------------------------------
-// Global handle
-// ----------------------------------------------------------------------
-
-static GLOBAL: OnceLock<TraceHandle> = OnceLock::new();
-
-/// Install a process-wide handle picked up by systems built without an
-/// explicit tracer. Returns false if one was already installed.
-pub fn install_global(handle: TraceHandle) -> bool {
-    GLOBAL.set(handle).is_ok()
-}
-
-/// The installed global handle, or a disabled one.
-pub fn global() -> TraceHandle {
-    GLOBAL.get().cloned().unwrap_or_default()
-}
-
-/// Whether the `XEMEM_TRACE` environment variable requests tracing
-/// (any value except `0` / empty).
-pub fn env_requested() -> bool {
-    std::env::var("XEMEM_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

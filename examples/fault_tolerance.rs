@@ -15,16 +15,18 @@
 //!   of returning stale bytes, and the quarantined frames return to the
 //!   owner enclave's allocator once the last reference drops.
 //!
+//! The run is always traced: the tracer's counters (retries,
+//! retransmits, quarantined and returned frames, reaps, …) are the
+//! system's record of the failure history, and the conservation
+//! auditor verifies every charged nanosecond was attributed.
+//!
 //! Run with: `cargo run --example fault_tolerance`
 //!
-//! Pass `--trace-out <path>` (or set `XEMEM_TRACE=1`) to record the
-//! run with the tracing layer: the failure handling below — backoff
-//! leaves, retransmissions, the revocation/reap spans — lands in a
-//! chrome://tracing JSON you can open in a browser, and the
-//! conservation auditor verifies every charged nanosecond was
-//! attributed.
+//! Pass `--trace-out <path>` to also write the spans — backoff leaves,
+//! retransmissions, the revocation/reap spans — as a chrome://tracing
+//! JSON you can open in a browser.
 
-use xemem::trace_layer;
+use xemem::trace_layer::Counter;
 use xemem::{FaultPlan, SimDuration, SimTime, SystemBuilder, TraceHandle, XememError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -36,11 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             other => panic!("unknown argument: {other} (expected --trace-out PATH)"),
         }
     }
-    let tracer = if trace_out.is_some() || trace_layer::env_requested() {
-        TraceHandle::enabled()
-    } else {
-        TraceHandle::disabled()
-    };
+    let tracer = TraceHandle::enabled();
 
     // The failure schedule, in virtual time:
     //   2 ms  name server goes dark for 150 µs
@@ -105,30 +103,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(sys.free_frames_of(kitten).unwrap(), frames_before);
     sys.xpmem_detach(analytics, va)?; // bookkeeping-only on a reaped mapping
 
-    // The whole failure history is in the event trace.
-    println!("\nfailure/teardown event trace:");
-    for ev in sys.events().events() {
-        println!("  {:>12}  {}", ev.at.to_string(), ev.label);
-    }
     let _ = sim;
 
-    if tracer.is_enabled() {
-        // Leaf spans must tile their op roots exactly (the clock-tiling
-        // variant doesn't apply here: the manual `advance_to` walks
-        // above spend idle time no operation pays for).
-        let sums = tracer.audit().expect("conservation audit");
-        println!(
-            "\ntracing: {} attributed ns, {} name-server retries, {} reaps",
-            sums.total_attributed_ns(),
-            tracer.counter(trace_layer::Counter::NsRetries),
-            tracer.counter(trace_layer::Counter::Reaps),
-        );
-        print!("{}", tracer.metrics_summary());
-        if let Some(path) = trace_out {
-            std::fs::write(&path, tracer.chrome_trace_json())?;
-            std::fs::write(format!("{path}.folded"), tracer.folded_stacks())?;
-            println!("tracing: wrote {path} and {path}.folded");
-        }
+    // Leaf spans must tile their op roots exactly (the clock-tiling
+    // variant doesn't apply here: the manual `advance_to` walks above
+    // spend idle time no operation pays for).
+    let sums = tracer.audit().expect("conservation audit");
+    println!(
+        "\ntracing: {} attributed ns, {} name-server retries, {} reaps",
+        sums.total_attributed_ns(),
+        tracer.counter(Counter::NsRetries),
+        tracer.counter(Counter::Reaps),
+    );
+    // The whole failure history is in the tracer's metrics.
+    print!("{}", tracer.metrics_summary());
+    if let Some(path) = trace_out {
+        std::fs::write(&path, tracer.chrome_trace_json())?;
+        std::fs::write(format!("{path}.folded"), tracer.folded_stacks())?;
+        println!("tracing: wrote {path} and {path}.folded");
     }
     Ok(())
 }

@@ -3,7 +3,7 @@
 //! real OS threads, plus determinism checks — equal seeds must produce
 //! bit-identical experiment results.
 
-use crossbeam::thread;
+use std::thread;
 use xemem::SystemBuilder;
 use xemem_mem::{Pfn, PhysAddr, PhysicalMemory};
 use xemem_sim::{Clock, RunDriver, RunPlan, SimDuration};
@@ -17,7 +17,7 @@ fn physical_memory_is_thread_safe_under_mixed_load() {
         // Writers on disjoint frame ranges.
         for t in 0..8u64 {
             let phys = &phys;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let pattern = [t as u8 + 1; 4096];
                 for round in 0..50u64 {
                     let frame = t * 512 + (round % 512);
@@ -28,15 +28,14 @@ fn physical_memory_is_thread_safe_under_mixed_load() {
         // Concurrent readers over everything.
         for _ in 0..4 {
             let phys = &phys;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut buf = [0u8; 4096];
                 for frame in 0..4096u64 {
                     phys.read(Pfn(frame).base(), &mut buf).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     // Every written frame holds exactly its writer's pattern.
     let mut buf = [0u8; 4096];
     for t in 0..8u64 {
@@ -54,7 +53,7 @@ fn clock_is_monotonic_across_threads() {
     thread::scope(|s| {
         for _ in 0..8 {
             let clock = clock.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut last = clock.now();
                 for _ in 0..10_000 {
                     let now = clock.advance(SimDuration::from_nanos(3));
@@ -63,8 +62,7 @@ fn clock_is_monotonic_across_threads() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert_eq!(clock.now().as_nanos(), 8 * 10_000 * 3);
 }
 

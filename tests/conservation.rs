@@ -35,7 +35,6 @@ struct RunResult {
     clock_ns: u64,
     ok_ops: u32,
     failed_ops: u32,
-    n_events: usize,
 }
 
 /// Drive the `fault_proptest` workload template under `tracer`,
@@ -154,7 +153,6 @@ fn run_schedule(seed: u64, tracer: &TraceHandle) -> (RunResult, SimDuration) {
         clock_ns: sys.clock().now().as_nanos(),
         ok_ops,
         failed_ops,
-        n_events: sys.events().len(),
     };
     (result, idle)
 }

@@ -1,8 +1,10 @@
 //! Integration tests: failure injection across the full stack — resource
 //! exhaustion, stale identifiers, invalid windows, permission violations
-//! and teardown ordering.
+//! and teardown ordering. Systems run traced, and the tracer's typed
+//! counters and op counts are what the tests read the failure history
+//! from.
 
-use xemem::trace_layer::ShardCounter;
+use xemem::trace_layer::{Counter, ShardCounter, SpanKind};
 use xemem::{
     CostModel, FaultPlan, GuestOs, MemoryMapKind, SimDuration, SimTime, SystemBuilder, TraceHandle,
     VirtAddr, XememError,
@@ -15,6 +17,7 @@ fn sys2() -> xemem::System {
     SystemBuilder::new()
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten", 1, 128 * MIB)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap()
 }
@@ -198,21 +201,15 @@ fn exporter_crash_revokes_attachment_and_reader_gets_source_gone() {
         sys.write(attacher, va, b"x"),
         Err(XememError::SourceGone)
     ));
-    // The revocation round and the reaper both left trace evidence...
-    assert!(sys.events().with_prefix("crash:process").next().is_some());
-    assert!(sys
-        .events()
-        .with_prefix("revoke:quarantine")
-        .next()
-        .is_some());
-    assert!(sys.events().with_prefix("reap:slot").next().is_some());
+    // The crash quarantined the exported MiB and the reaper ran once...
+    let tracer = sys.tracer();
+    assert_eq!(tracer.op_count(SpanKind::CrashProcess), 1);
+    assert_eq!(tracer.counter(Counter::FramesQuarantined), 256);
+    assert_eq!(tracer.counter(Counter::RevokeNotices), 1);
+    assert_eq!(tracer.counter(Counter::Reaps), 1);
     // ...the loan drained, and the quarantined frames went home: no leak.
     assert_eq!(sys.outstanding_loans(), 0);
-    assert!(sys
-        .events()
-        .with_prefix("reap:frames-returned")
-        .next()
-        .is_some());
+    assert_eq!(tracer.counter(Counter::FramesReturned), 256);
     assert_eq!(sys.free_frames_of(kitten).unwrap(), baseline);
     // The reaped mapping detaches cleanly (bookkeeping only); a second
     // detach reports the tombstone.
@@ -244,9 +241,11 @@ fn remove_revokes_remote_attachments_but_exporter_keeps_frames() {
         sys.read(attacher, va, &mut b),
         Err(XememError::SourceGone)
     ));
-    assert!(sys.events().with_prefix("revoke:").next().is_some());
+    assert_eq!(sys.tracer().counter(Counter::RevokeNotices), 1);
+    assert_eq!(sys.tracer().counter(Counter::Reaps), 1);
     // The exporter is alive and keeps its frames — no loan was needed.
     assert_eq!(sys.outstanding_loans(), 0);
+    assert_eq!(sys.tracer().counter(Counter::FramesQuarantined), 0);
     sys.read(exporter, buf, &mut b).unwrap();
     assert_eq!(&b, b"v1");
     // It can re-export the same buffer immediately.
@@ -328,6 +327,7 @@ fn destroy_enclave_cascades_to_hosted_vms_and_protects_name_server() {
             MemoryMapKind::RbTree,
             GuestOs::Lwk,
         )
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let linux = sys.enclave_by_name("linux").unwrap();
@@ -351,11 +351,8 @@ fn destroy_enclave_cascades_to_hosted_vms_and_protects_name_server() {
     sys.destroy_enclave(kitten).unwrap();
     assert!(!sys.enclave_alive(kitten));
     assert!(!sys.enclave_alive(vm));
-    assert!(sys
-        .events()
-        .with_prefix("crash:enclave:vm")
-        .next()
-        .is_some());
+    assert_eq!(sys.tracer().op_count(SpanKind::DestroyEnclave), 1);
+    assert_eq!(sys.tracer().counter(Counter::Reaps), 1);
     let mut b = [0u8; 1];
     assert!(matches!(
         sys.read(reader, va, &mut b),
@@ -424,6 +421,7 @@ fn injected_exporter_kill_mid_attach_fails_cleanly() {
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten", 1, 128 * MIB)
         .with_fault_plan(plan, 42)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let kitten = sys.enclave_by_name("kitten").unwrap();
@@ -445,7 +443,7 @@ fn injected_exporter_kill_mid_attach_fails_cleanly() {
         sys.xpmem_attach(attacher, apid, 0, MIB),
         Err(XememError::UnknownSegid(_) | XememError::EnclaveDead(_))
     ));
-    assert!(sys.events().with_prefix("crash:process").next().is_some());
+    assert_eq!(sys.tracer().op_count(SpanKind::InjectedKill), 1);
     assert_eq!(sys.outstanding_loans(), 0);
     assert_eq!(sys.free_frames_of(kitten).unwrap(), baseline);
 
@@ -469,6 +467,7 @@ fn injected_enclave_crash_mid_attach_reports_dead_enclave() {
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten", 1, 128 * MIB)
         .with_fault_plan(plan, 42)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let kitten = sys.enclave_by_name("kitten").unwrap();
@@ -485,11 +484,7 @@ fn injected_enclave_crash_mid_attach_reports_dead_enclave() {
         sys.xpmem_attach(attacher, apid, 0, MIB),
         Err(XememError::EnclaveDead(_) | XememError::UnknownSegid(_))
     ));
-    assert!(sys
-        .events()
-        .with_prefix("crash:enclave:kitten")
-        .next()
-        .is_some());
+    assert_eq!(sys.tracer().op_count(SpanKind::InjectedCrash), 1);
     assert!(!sys.enclave_alive(kitten));
     assert!(matches!(
         sys.spawn_process(kitten, MIB),
@@ -499,6 +494,78 @@ fn injected_enclave_crash_mid_attach_reports_dead_enclave() {
     let p = sys.spawn_process(linux, 8 * MIB).unwrap();
     let b2 = sys.alloc_buffer(p, MIB).unwrap();
     assert!(sys.xpmem_make(p, b2, MIB, Some("post-crash")).is_ok());
+}
+
+/// An injected crash aimed at the slot hosting the sole name-server
+/// replica is not delivered: the last replica's failure mode is the
+/// bounded outage, so the enclave lives on and the namespace keeps
+/// answering.
+#[test]
+fn injected_crash_of_the_sole_name_server_slot_is_skipped() {
+    const T: u64 = 1_000_000;
+    let plan = FaultPlan::new().crash_enclave(SimTime::from_nanos(T), 0);
+    let mut sys = SystemBuilder::new()
+        .linux_management("linux", 4, 256 * MIB)
+        .kitten_cokernel("kitten", 1, 128 * MIB)
+        .with_fault_plan(plan, 42)
+        .with_tracer(TraceHandle::enabled())
+        .build()
+        .unwrap();
+    let linux = sys.enclave_by_name("linux").unwrap();
+    let kitten = sys.enclave_by_name("kitten").unwrap();
+    assert_eq!(linux.0, 0, "plan targets the name-server slot");
+    let exporter = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let reader = sys.spawn_process(linux, 16 * MIB).unwrap();
+
+    sys.clock().advance_to(SimTime::from_nanos(T + 1));
+    sys.deliver_pending_faults();
+    assert!(sys.enclave_alive(linux));
+    assert_eq!(sys.tracer().op_count(SpanKind::InjectedCrash), 0);
+
+    // Registration and lookup still run through the name server.
+    let buf = sys.alloc_buffer(exporter, MIB).unwrap();
+    let segid = sys.xpmem_make(exporter, buf, MIB, Some("after")).unwrap();
+    assert_eq!(sys.xpmem_search(reader, "after").unwrap(), segid);
+}
+
+/// An injected kill of a pid that does not exist is a no-op: no
+/// teardown op commits, and live processes, attachments and frame books
+/// are untouched.
+#[test]
+fn injected_kill_of_a_missing_pid_disturbs_nothing() {
+    const T: u64 = 1_000_000;
+    let plan = FaultPlan::new().kill_process(SimTime::from_nanos(T), 1, 99);
+    let mut sys = SystemBuilder::new()
+        .linux_management("linux", 4, 256 * MIB)
+        .kitten_cokernel("kitten", 1, 128 * MIB)
+        .with_fault_plan(plan, 42)
+        .with_tracer(TraceHandle::enabled())
+        .build()
+        .unwrap();
+    let kitten = sys.enclave_by_name("kitten").unwrap();
+    let linux = sys.enclave_by_name("linux").unwrap();
+    assert_eq!(kitten.0, 1, "plan targets the kitten slot");
+    let exporter = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let attacher = sys.spawn_process(linux, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(exporter, MIB).unwrap();
+    sys.write(exporter, buf, b"intact").unwrap();
+    let segid = sys.xpmem_make(exporter, buf, MIB, None).unwrap();
+    let apid = sys.xpmem_get(attacher, segid).unwrap();
+    let va = sys.xpmem_attach(attacher, apid, 0, MIB).unwrap();
+    let frames = sys.free_frames_of(kitten).unwrap();
+
+    sys.clock().advance_to(SimTime::from_nanos(T + 1));
+    sys.deliver_pending_faults();
+    let tracer = sys.tracer();
+    assert_eq!(tracer.op_count(SpanKind::InjectedKill), 0);
+    assert_eq!(tracer.counter(Counter::RevokeNotices), 0);
+    assert_eq!(tracer.counter(Counter::Reaps), 0);
+    assert!(sys.enclave_alive(kitten));
+    assert_eq!(sys.free_frames_of(kitten).unwrap(), frames);
+    assert_eq!(sys.outstanding_grants(kitten, segid), 1);
+    let mut got = [0u8; 6];
+    sys.read(attacher, va, &mut got).unwrap();
+    assert_eq!(&got, b"intact");
 }
 
 #[test]
@@ -511,6 +578,7 @@ fn name_server_outage_lease_serves_and_backoff_recovery() {
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten", 1, 128 * MIB)
         .with_fault_plan(plan, 9)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let kitten = sys.enclave_by_name("kitten").unwrap();
@@ -533,15 +601,17 @@ fn name_server_outage_lease_serves_and_backoff_recovery() {
     sys.clock().advance_to(SimTime::from_nanos(START + 1_000));
 
     // Lookups within the lease term never touch the dead server...
+    let tracer = sys.tracer().clone();
+    assert_eq!(tracer.counter(Counter::NsLeaseServes), 0);
     assert_eq!(sys.xpmem_search(consumer, "field").unwrap(), segid);
-    assert!(sys.events().with_prefix("ns:lease:search").next().is_some());
+    assert_eq!(tracer.counter(Counter::NsLeaseServes), 1);
     let apid = sys.xpmem_get(consumer, segid).unwrap();
-    assert!(sys.events().with_prefix("ns:lease:get").next().is_some());
+    assert_eq!(tracer.counter(Counter::NsLeaseServes), 2);
+    assert_eq!(tracer.counter(Counter::NsRetries), 0);
 
     // ...while mutations ride out the outage with exponential backoff.
     let segid2 = sys.xpmem_make(consumer, cbuf, MIB, Some("late")).unwrap();
-    assert!(sys.events().with_prefix("ns:outage").next().is_some());
-    assert!(sys.events().with_prefix("ns:retry:").next().is_some());
+    assert!(tracer.counter(Counter::NsRetries) > 0);
     assert!(
         sys.clock().now() >= SimTime::from_nanos(START + DUR),
         "backoff waited out the outage"
@@ -572,6 +642,7 @@ fn name_server_outage_exhausts_bounded_retry_budget() {
         .kitten_cokernel("kitten", 1, 128 * MIB)
         .with_cost(cost)
         .with_fault_plan(plan, 1)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let kitten = sys.enclave_by_name("kitten").unwrap();
@@ -591,7 +662,8 @@ fn name_server_outage_exhausts_bounded_retry_budget() {
         }
         other => panic!("expected NameServerUnavailable, got {other:?}"),
     }
-    assert!(sys.events().with_prefix("ns:unavailable").next().is_some());
+    assert_eq!(sys.tracer().counter(Counter::NsRetries), 3);
+    assert_eq!(sys.tracer().shard_counter(0, ShardCounter::Retries), 3);
     // An uncached lookup during the outage fails the same way.
     assert!(matches!(
         sys.xpmem_search(p, "nothing-cached"),
@@ -616,6 +688,7 @@ fn lossy_links_retransmit_and_duplicate_without_breaking_protocol() {
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten", 1, 128 * MIB)
         .with_fault_plan(plan, 1234)
+        .with_tracer(TraceHandle::enabled())
         .build()
         .unwrap();
     let kitten = sys.enclave_by_name("kitten").unwrap();
@@ -634,25 +707,23 @@ fn lossy_links_retransmit_and_duplicate_without_breaking_protocol() {
     let mut got = [0u8; 5];
     sys.read(attacher, va, &mut got).unwrap();
     assert_eq!(&got, b"lossy");
-    assert!(sys.events().with_prefix("fault:dup").next().is_some());
-    assert!(sys.events().with_prefix("fault:drop:").next().is_some());
+    assert!(sys.tracer().counter(Counter::DupDeliveries) > 0);
+    assert!(sys.tracer().counter(Counter::Retransmits) > 0);
 }
 
 /// Four enclaves with the namespace sharded 2 × 2: shard 0 is led by
 /// slot 0 (linux, the name-server slot) with follower slot 2, shard 1
 /// by slot 1 (kitten0) with follower slot 3 (kitten2).
-fn sharded4(plan: Option<FaultPlan>, tracer: Option<TraceHandle>) -> xemem::System {
+fn sharded4(plan: Option<FaultPlan>) -> xemem::System {
     let mut b = SystemBuilder::new()
         .linux_management("linux", 4, 256 * MIB)
         .kitten_cokernel("kitten0", 1, 64 * MIB)
         .kitten_cokernel("kitten1", 1, 64 * MIB)
         .kitten_cokernel("kitten2", 1, 64 * MIB)
-        .name_service_shards(2, 2);
+        .name_service_shards(2, 2)
+        .with_tracer(TraceHandle::enabled());
     if let Some(plan) = plan {
         b = b.with_fault_plan(plan, 7);
-    }
-    if let Some(tracer) = tracer {
-        b = b.with_tracer(tracer);
     }
     b.build().unwrap()
 }
@@ -671,13 +742,13 @@ fn name_on_shard(sys: &xemem::System, shard: usize, tag: &str) -> String {
 fn shard_scoped_outage_only_stalls_its_own_shard() {
     const START: u64 = 1_000_000;
     const DUR: u64 = 100_000;
-    let tracer = TraceHandle::enabled();
     let plan = FaultPlan::new().name_server_shard_outage(
         SimTime::from_nanos(START),
         1,
         SimDuration::from_nanos(DUR),
     );
-    let mut sys = sharded4(Some(plan), Some(tracer.clone()));
+    let mut sys = sharded4(Some(plan));
+    let tracer = sys.tracer().clone();
     let linux = sys.enclave_by_name("linux").unwrap();
     let kitten1 = sys.enclave_by_name("kitten1").unwrap();
     let name0 = name_on_shard(&sys, 0, "a");
@@ -699,20 +770,9 @@ fn shard_scoped_outage_only_stalls_its_own_shard() {
     );
     // ...while the sibling shard keeps answering without a single retry.
     assert_eq!(sys.xpmem_search(consumer, &name0).unwrap(), seg0);
-    assert!(sys
-        .events()
-        .with_prefix("ns:outage:shard1")
-        .next()
-        .is_some());
-    assert!(sys
-        .events()
-        .with_prefix("ns:retry:shard1:")
-        .next()
-        .is_some());
-    assert!(sys.events().with_prefix("ns:retry:shard0").next().is_none());
 
-    // Satellite: retry/backoff accounting is attributed to the sick
-    // shard in the metrics registry, not smeared service-wide.
+    // Retry/backoff accounting is attributed to the sick shard in the
+    // metrics registry, not smeared service-wide.
     assert!(tracer.shard_counter(1, ShardCounter::Retries) > 0);
     assert_eq!(tracer.shard_counter(0, ShardCounter::Retries), 0);
     assert!(tracer.shard_counter(1, ShardCounter::BackoffNs) > 0);
@@ -721,7 +781,8 @@ fn shard_scoped_outage_only_stalls_its_own_shard() {
 
 #[test]
 fn leader_crash_fails_over_and_fences_outstanding_leases() {
-    let mut sys = sharded4(None, None);
+    let mut sys = sharded4(None);
+    let tracer = sys.tracer().clone();
     let linux = sys.enclave_by_name("linux").unwrap();
     let kitten0 = sys.enclave_by_name("kitten0").unwrap();
     let kitten1 = sys.enclave_by_name("kitten1").unwrap();
@@ -741,11 +802,7 @@ fn leader_crash_fails_over_and_fences_outstanding_leases() {
     let t = sys.clock().now();
     sys.clock().advance_to(t + SimDuration::from_nanos(50_000));
     sys.destroy_enclave(kitten0).unwrap();
-    assert!(sys
-        .events()
-        .with_prefix("ns:failover:shard1:epoch1")
-        .next()
-        .is_some());
+    assert_eq!(tracer.shard_counter(1, ShardCounter::Failovers), 1);
     assert_eq!(sys.name_service().epoch(1), 1);
     assert_eq!(sys.name_service().failover_count(1), 1);
     assert_eq!(sys.name_service().leader_slot(1), Some(3));
@@ -755,22 +812,14 @@ fn leader_crash_fails_over_and_fences_outstanding_leases() {
     // re-routes, waits out the election, and gets the answer from the
     // replicated map on the new leader.
     assert_eq!(sys.xpmem_search(consumer, &name).unwrap(), segid);
-    assert!(sys
-        .events()
-        .with_prefix("ns:lease-expired:search")
-        .next()
-        .is_some());
-    assert!(sys
-        .events()
-        .with_prefix("ns:retry:shard1:")
-        .next()
-        .is_some());
-    assert!(sys.events().with_prefix("ns:lease:search").next().is_none());
+    assert_eq!(tracer.shard_counter(1, ShardCounter::LeaseExpirations), 1);
+    assert!(tracer.shard_counter(1, ShardCounter::Retries) > 0);
+    assert_eq!(tracer.counter(Counter::NsLeaseServes), 0);
 }
 
 #[test]
 fn dead_leader_loses_unreplicated_registrations() {
-    let mut sys = sharded4(None, None);
+    let mut sys = sharded4(None);
     let linux = sys.enclave_by_name("linux").unwrap();
     let kitten0 = sys.enclave_by_name("kitten0").unwrap();
     let kitten1 = sys.enclave_by_name("kitten1").unwrap();
@@ -784,11 +833,11 @@ fn dead_leader_loses_unreplicated_registrations() {
     // horizon passes: the insert never reached the follower and is lost
     // in the failover.
     sys.destroy_enclave(kitten0).unwrap();
-    assert!(sys
-        .events()
-        .with_prefix("ns:failover:shard1:lost")
-        .next()
-        .is_some());
+    assert_eq!(
+        sys.tracer()
+            .shard_counter(1, ShardCounter::LostRegistrations),
+        1
+    );
 
     // After the election the new leader simply does not know the name.
     let t = sys.clock().now();
@@ -797,21 +846,16 @@ fn dead_leader_loses_unreplicated_registrations() {
         sys.xpmem_search(consumer, &name),
         Err(XememError::UnknownName(_))
     ));
-    // The exporter's withdrawal of the lost registration is tolerated
-    // (and traced), not an error: the exporter keeps its frames and the
-    // segment is gone everywhere.
+    // The exporter's withdrawal of the lost registration is tolerated,
+    // not an error: the exporter keeps its frames and the segment is
+    // gone everywhere.
     sys.xpmem_remove(exporter, segid).unwrap();
-    assert!(sys
-        .events()
-        .with_prefix("ns:lost-registration:")
-        .next()
-        .is_some());
     assert_eq!(sys.outstanding_loans(), 0);
 }
 
 #[test]
 fn remove_revokes_live_leases_before_expiry() {
-    let mut sys = sharded4(None, None);
+    let mut sys = sharded4(None);
     let linux = sys.enclave_by_name("linux").unwrap();
     let kitten1 = sys.enclave_by_name("kitten1").unwrap();
     let name = name_on_shard(&sys, 0, "rm");
@@ -830,11 +874,12 @@ fn remove_revokes_live_leases_before_expiry() {
     // so the leader revokes them eagerly rather than letting them run
     // out.
     sys.xpmem_remove(exporter, segid).unwrap();
-    assert!(sys
-        .events()
-        .with_prefix(&format!("ns:lease-revoke:{segid}:slot{}", kitten1.0))
-        .next()
-        .is_some());
+    let shard = sys.name_service().shard_of_segid(segid).unwrap();
+    assert_eq!(
+        sys.tracer()
+            .shard_counter(shard, ShardCounter::LeaseRevocations),
+        1
+    );
 
     // Within what would have been the lease window, neither lookup
     // serves the revoked cache entry.
@@ -846,7 +891,7 @@ fn remove_revokes_live_leases_before_expiry() {
         sys.xpmem_get(consumer, segid),
         Err(XememError::UnknownSegid(_))
     ));
-    assert!(sys.events().with_prefix("ns:lease:").next().is_none());
+    assert_eq!(sys.tracer().counter(Counter::NsLeaseServes), 0);
 }
 
 #[test]
@@ -921,11 +966,7 @@ fn pool_consumer_crash_sweeps_outstanding_slots_exactly_once() {
     sys.clock().advance_to(SimTime::from_nanos(600_000).max(t));
     sys.deliver_pending_faults();
     assert!(!sys.enclave_alive(k0));
-    assert!(sys
-        .events()
-        .with_prefix("crash:enclave:kitten0")
-        .next()
-        .is_some());
+    assert_eq!(tracer.op_count(SpanKind::InjectedCrash), 1);
 
     // One sweep reclaims both of the dead consumer's references…
     let now = sys.clock().now();

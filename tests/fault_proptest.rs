@@ -11,7 +11,8 @@
 //! fewer means a leak, more means a double-free.
 
 use proptest::prelude::*;
-use xemem::{EnclaveRef, FaultPlan, ProcessRef, SimTime, SystemBuilder, XememError};
+use xemem::trace_layer::MetricsSnapshot;
+use xemem::{EnclaveRef, FaultPlan, ProcessRef, SimTime, SystemBuilder, TraceHandle, XememError};
 use xemem_sim::SimRng;
 
 const MIB: u64 = 1 << 20;
@@ -29,9 +30,17 @@ struct Outcome {
     free_frames: Vec<Option<u64>>,
     outstanding_loans: usize,
     clock_ns: u64,
-    n_events: usize,
+    /// Every counter, op count and histogram of the run's tracer: the
+    /// failure and teardown history, typed.
+    metrics: Option<MetricsSnapshot>,
     ok_ops: u32,
     failed_ops: u32,
+}
+
+/// An enabled tracer whose rings are kept tiny: the outcomes compare
+/// its metrics, which are exact whatever the ring size.
+fn metrics_tracer() -> TraceHandle {
+    TraceHandle::with_capacity(64, 1)
 }
 
 fn run_schedule(seed: u64) -> Outcome {
@@ -69,7 +78,12 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
             .kitten_cokernel("kitten2", 1, 128 * MIB)
             .name_service_shards(2, 2);
     }
-    let mut sys = b.with_fault_plan(plan, seed).build().unwrap();
+    let tracer = metrics_tracer();
+    let mut sys = b
+        .with_fault_plan(plan, seed)
+        .with_tracer(tracer.clone())
+        .build()
+        .unwrap();
     let names: &[&str] = if sharded {
         &["linux", "kitten0", "kitten1", "kitten2"]
     } else {
@@ -227,7 +241,7 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
         free_frames,
         outstanding_loans: sys.outstanding_loans(),
         clock_ns: sys.clock().now().as_nanos(),
-        n_events: sys.events().len(),
+        metrics: tracer.metrics_snapshot(),
         ok_ops,
         failed_ops,
     }
@@ -240,8 +254,8 @@ proptest! {
     fn no_fault_schedule_leaks_frames_and_runs_are_deterministic(seed in any::<u64>()) {
         let first = run_schedule(seed);
         // Re-running the identical seed rebuilds the system from scratch
-        // and must reproduce the run exactly: same clock, same event
-        // count, same op outcomes, same allocator states.
+        // and must reproduce the run exactly: same clock, same metrics,
+        // same op outcomes, same allocator states.
         let second = run_schedule(seed);
         prop_assert_eq!(first, second);
     }
@@ -344,7 +358,7 @@ struct PoolOutcome {
     ok_ops: u32,
     failed_ops: u32,
     clock_ns: u64,
-    n_events: usize,
+    metrics: Option<MetricsSnapshot>,
 }
 
 /// A serial producer/consumer pool workload under a random
@@ -370,7 +384,12 @@ fn run_pool_schedule(seed: u64) -> PoolOutcome {
     for i in 0..CONSUMERS {
         b = b.kitten_cokernel(&format!("pk{i}"), 1, 64 * MIB);
     }
-    let mut sys = b.with_fault_plan(plan, seed).build().unwrap();
+    let tracer = metrics_tracer();
+    let mut sys = b
+        .with_fault_plan(plan, seed)
+        .with_tracer(tracer.clone())
+        .build()
+        .unwrap();
     let mut ok_ops = 0u32;
     let mut failed_ops = 0u32;
 
@@ -490,7 +509,7 @@ fn run_pool_schedule(seed: u64) -> PoolOutcome {
         ok_ops,
         failed_ops,
         clock_ns: sys.clock().now().as_nanos(),
-        n_events: sys.events().len(),
+        metrics: tracer.metrics_snapshot(),
     }
 }
 

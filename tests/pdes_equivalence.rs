@@ -14,7 +14,7 @@
 //! exactly:
 //!
 //! * equal results — op tallies, live/removed key books, final clock,
-//!   per-enclave free-frame counts, event-log length;
+//!   per-enclave free-frame counts;
 //! * bit-identical metrics snapshots — every counter and histogram the
 //!   per-run tracer collected;
 //! * equal conservation sums — the audited leaf/root span totals
@@ -54,7 +54,6 @@ struct Outcome {
     live_keys: Vec<(Segid, String)>,
     removed_keys: Vec<(String, Segid, u64)>,
     clock_ns: u64,
-    n_events: usize,
     /// Per-slot free frames (None for crashed enclaves).
     free_frames: Vec<Option<u64>>,
     /// The tracer's full metrics state: counters, op counts, latency
@@ -431,7 +430,6 @@ fn run_config(seed: u64, lanes: usize, workers: usize) -> Outcome {
             .map(|(n, s, t)| (n, s, t.as_nanos()))
             .collect(),
         clock_ns: sys.clock().now().as_nanos(),
-        n_events: sys.events().len(),
         free_frames,
         metrics: tracer.metrics_snapshot(),
         sums: tracer.audit().expect("conservation audit"),

@@ -35,7 +35,6 @@ struct Outcome {
     ok_ops: u64,
     read_sum: u64,
     clock_ns: u64,
-    n_events: usize,
     free_frames: Vec<u64>,
     nvm_free: u64,
     placements: Vec<Option<MemTier>>,
@@ -172,7 +171,6 @@ fn run_schedule(seed: u64, policy: TierPolicy, tick: bool) -> Outcome {
         ok_ops,
         read_sum,
         clock_ns: f.sys.clock().now().as_nanos(),
-        n_events: f.sys.events().len(),
         nvm_free: f.sys.tier_free_frames(linux, MemTier::Nvm).unwrap(),
         free_frames,
         placements,
