@@ -182,13 +182,18 @@ impl Fwk {
                 let batch = remaining.min((vma_end.0 - page.0) / PAGE_SIZE);
                 match backing {
                     Backing::Anon => {
-                        // Allocate in VA order (preserving first-fit
-                        // frame selection), then install in one call.
-                        let mut frames = PfnList::new();
-                        for _ in 0..batch {
-                            let pfn = self.alloc.alloc()?;
-                            self.procs.get_mut(&pid).unwrap().owned.push_run(pfn, 1);
-                            frames.push_run(pfn, 1);
+                        // The frames `batch` single-frame faults would
+                        // take, in VA order, then one install. A shortfall
+                        // keeps what it got (owned, so freed at exit) and
+                        // fails as the fault that found no frame would.
+                        let frames = self.alloc.alloc_upto(batch);
+                        self.procs.get_mut(&pid).unwrap().owned.extend(&frames);
+                        if frames.pages() < batch {
+                            return Err(MemError::OutOfFrames {
+                                requested: 1,
+                                available: 0,
+                            }
+                            .into());
                         }
                         let by_tier = self.alloc.pages_by_tier(&frames);
                         for t in MemTier::ALL {
@@ -552,7 +557,7 @@ impl MappingKernel for Fwk {
             ));
         }
         let moved = old.pages();
-        let new = PfnList::from_pages(self.alloc.alloc_pages_in(dst_tier, moved)?);
+        let new = self.alloc.alloc_pages_in(dst_tier, moved)?;
         self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
         let moved_by_tier = self.alloc.pages_by_tier(&old);
         let proc = self.procs.get_mut(&pid).expect("checked above");

@@ -402,7 +402,7 @@ impl MappingKernel for Kitten {
         {
             return Err(KernelError::Unsupported("range ends inside a large page"));
         }
-        let new = PfnList::from_pages(self.alloc.alloc_pages_in(dst_tier, pages)?);
+        let new = self.alloc.alloc_pages_in(dst_tier, pages)?;
         self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
         let moved_by_tier = self.alloc.pages_by_tier(&old);
         let proc = self.procs.get_mut(&pid).expect("checked above");

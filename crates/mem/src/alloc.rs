@@ -22,6 +22,7 @@
 //! so single-range allocators behave exactly as they always did.
 
 use crate::error::MemError;
+use crate::pfn_list::PfnList;
 use crate::types::Pfn;
 use xemem_sim::MemTier;
 
@@ -46,10 +47,10 @@ struct RangeAlloc {
     bitmap: Vec<u64>,
     free: u64,
     policy: Placement,
-    /// Rotating cursor: next-fit start position (also drives scatter
-    /// placement). Keeps single-frame allocation O(1) amortized instead
-    /// of rescanning the bitmap from zero (first-fit) once the front of
-    /// the range fills up.
+    /// Scan start. First-fit keeps it at or below the lowest free frame
+    /// (allocation moves it past what it took, frees pull it back), so a
+    /// scan from it finds the lowest free frame without rescanning the
+    /// full front of the range. Scatter jumps it by a fixed stride.
     cursor: u64,
 }
 
@@ -72,19 +73,62 @@ impl RangeAlloc {
         pfn.0 >= self.base.0 && pfn.0 - self.base.0 < self.frames
     }
 
-    #[inline]
-    fn is_set(&self, idx: u64) -> bool {
-        self.bitmap[(idx / 64) as usize] & (1 << (idx % 64)) != 0
+    /// The bitmap words covering frames `[idx, idx + len)`, as
+    /// `(word index, mask of the covered bits)` pairs.
+    fn word_masks(idx: u64, len: u64) -> impl Iterator<Item = (usize, u64)> {
+        let end = idx + len;
+        let mut i = idx;
+        std::iter::from_fn(move || {
+            if i >= end {
+                return None;
+            }
+            let bit = i % 64;
+            let span = (64 - bit).min(end - i);
+            let mask = if span == 64 {
+                !0u64
+            } else {
+                ((1u64 << span) - 1) << bit
+            };
+            let word = (i / 64) as usize;
+            i += span;
+            Some((word, mask))
+        })
     }
 
-    #[inline]
-    fn set(&mut self, idx: u64) {
-        self.bitmap[(idx / 64) as usize] |= 1 << (idx % 64);
+    /// Mark frames `[idx, idx + len)` allocated, word-wise.
+    fn set_run(&mut self, idx: u64, len: u64) {
+        for (word, mask) in Self::word_masks(idx, len) {
+            self.bitmap[word] |= mask;
+        }
     }
 
-    #[inline]
-    fn clear(&mut self, idx: u64) {
-        self.bitmap[(idx / 64) as usize] &= !(1 << (idx % 64));
+    /// First free frame index in `[from, to)`: all-allocated words are
+    /// skipped whole, a mixed word is resolved by a trailing-zero count.
+    fn next_free(&self, from: u64, to: u64) -> Option<u64> {
+        let mut i = from;
+        while i < to {
+            let free = !self.bitmap[(i / 64) as usize] >> (i % 64);
+            if free != 0 {
+                let at = i + u64::from(free.trailing_zeros());
+                return (at < to).then_some(at);
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        None
+    }
+
+    /// First allocated frame index in `[from, to)`, or `to`: the mirror of
+    /// [`RangeAlloc::next_free`], skipping all-free words.
+    fn next_used(&self, from: u64, to: u64) -> u64 {
+        let mut i = from;
+        while i < to {
+            let used = self.bitmap[(i / 64) as usize] >> (i % 64);
+            if used != 0 {
+                return (i + u64::from(used.trailing_zeros())).min(to);
+            }
+            i = (i / 64 + 1) * 64;
+        }
+        to
     }
 
     fn alloc(&mut self) -> Result<Pfn, MemError> {
@@ -94,32 +138,55 @@ impl RangeAlloc {
                 available: 0,
             });
         }
-        let start = match self.policy {
-            Placement::FirstFit => self.cursor,
-            Placement::Scatter => {
-                // Jump the cursor by a large odd stride co-prime with most
-                // range sizes so consecutive allocations land far apart.
-                self.cursor = (self.cursor + 2_654_435_761) % self.frames;
-                self.cursor
-            }
-        };
-        for probe in 0..self.frames {
-            let idx = (start + probe) % self.frames;
-            if !self.is_set(idx) {
-                self.set(idx);
-                self.free -= 1;
-                if self.policy == Placement::FirstFit {
-                    self.cursor = (idx + 1) % self.frames;
-                }
-                return Ok(self.base.offset(idx));
-            }
+        if self.policy == Placement::Scatter {
+            // Jump the cursor by a large odd stride co-prime with most
+            // range sizes so consecutive allocations land far apart.
+            self.cursor = (self.cursor + 2_654_435_761) % self.frames;
         }
-        Err(MemError::OutOfFrames {
-            requested: 1,
-            available: 0,
-        })
+        let idx = self
+            .next_free(self.cursor, self.frames)
+            .or_else(|| self.next_free(0, self.cursor))
+            .expect("free count said a frame was available");
+        self.set_run(idx, 1);
+        self.free -= 1;
+        if self.policy == Placement::FirstFit {
+            self.cursor = (idx + 1) % self.frames;
+        }
+        Ok(self.base.offset(idx))
     }
 
+    /// Allocate up to `n` frames — exactly those, in exactly the order,
+    /// that `n` successive [`RangeAlloc::alloc`] calls would return, and
+    /// leaving the same cursor — appending them to `out`. Returns how many
+    /// were taken (fewer than `n` only when the range runs dry). First-fit
+    /// takes the lowest free stretches from the cursor, whole; scatter
+    /// keeps its frame-at-a-time stride.
+    fn alloc_upto(&mut self, n: u64, out: &mut PfnList) -> u64 {
+        let want = n.min(self.free);
+        if self.policy == Placement::Scatter {
+            for _ in 0..want {
+                let pfn = self.alloc().expect("free count said a frame was available");
+                out.push_run(pfn, 1);
+            }
+            return want;
+        }
+        let mut taken = 0;
+        while taken < want {
+            let s = self
+                .next_free(self.cursor, self.frames)
+                .expect("no free frame lies below the first-fit cursor");
+            let e = self.next_used(s, self.frames.min(s + (want - taken)));
+            self.set_run(s, e - s);
+            out.push_run(self.base.offset(s), e - s);
+            taken += e - s;
+            self.cursor = e % self.frames;
+        }
+        self.free -= taken;
+        taken
+    }
+
+    /// The lowest-addressed run of `n` free frames (first fit), found a
+    /// free stretch at a time.
     fn alloc_contiguous(&mut self, n: u64) -> Result<Pfn, MemError> {
         if self.free < n {
             return Err(MemError::OutOfFrames {
@@ -127,24 +194,18 @@ impl RangeAlloc {
                 available: self.free,
             });
         }
-        let mut run_start = 0u64;
-        let mut run_len = 0u64;
-        for idx in 0..self.frames {
-            if self.is_set(idx) {
-                run_len = 0;
-                continue;
+        let mut at = 0;
+        while let Some(s) = self.next_free(at, self.frames) {
+            if s + n > self.frames {
+                break;
             }
-            if run_len == 0 {
-                run_start = idx;
-            }
-            run_len += 1;
-            if run_len == n {
-                for i in run_start..run_start + n {
-                    self.set(i);
-                }
+            let e = self.next_used(s, s + n);
+            if e - s == n {
+                self.set_run(s, n);
                 self.free -= n;
-                return Ok(self.base.offset(run_start));
+                return Ok(self.base.offset(s));
             }
+            at = e;
         }
         Err(MemError::OutOfFrames {
             requested: n,
@@ -152,40 +213,15 @@ impl RangeAlloc {
         })
     }
 
-    fn free_one(&mut self, pfn: Pfn) -> Result<(), MemError> {
-        let idx = pfn.0 - self.base.0;
-        if !self.is_set(idx) {
-            return Err(MemError::BadFree(pfn));
-        }
-        self.clear(idx);
-        self.free += 1;
-        if self.policy == Placement::FirstFit && idx < self.cursor {
-            self.cursor = idx;
-        }
-        Ok(())
-    }
-
     /// Verify that `len` frames from `start` (all inside this range) are
     /// allocated, word-wise. Errors name the first offending frame.
     fn check_run(&self, start: Pfn, len: u64) -> Result<(), MemError> {
-        let idx = start.0 - self.base.0;
-        let mut i = idx;
-        let end = idx + len;
-        while i < end {
-            let word = (i / 64) as usize;
-            let bit = i % 64;
-            let span = (64 - bit).min(end - i);
-            let mask = if span == 64 {
-                !0u64
-            } else {
-                ((1u64 << span) - 1) << bit
-            };
+        for (word, mask) in Self::word_masks(start.0 - self.base.0, len) {
             let missing = !self.bitmap[word] & mask;
             if missing != 0 {
-                let first = word as u64 * 64 + missing.trailing_zeros() as u64;
-                return Err(MemError::BadFree(Pfn(self.base.0 + first)));
+                let first = word as u64 * 64 + u64::from(missing.trailing_zeros());
+                return Err(MemError::BadFree(self.base.offset(first)));
             }
-            i += span;
         }
         Ok(())
     }
@@ -193,19 +229,8 @@ impl RangeAlloc {
     /// Clear a validated run, word-wise.
     fn clear_run(&mut self, start: Pfn, len: u64) {
         let idx = start.0 - self.base.0;
-        let mut i = idx;
-        let end = idx + len;
-        while i < end {
-            let word = (i / 64) as usize;
-            let bit = i % 64;
-            let span = (64 - bit).min(end - i);
-            let mask = if span == 64 {
-                !0u64
-            } else {
-                ((1u64 << span) - 1) << bit
-            };
+        for (word, mask) in Self::word_masks(idx, len) {
             self.bitmap[word] &= !mask;
-            i += span;
         }
         self.free += len;
         if self.policy == Placement::FirstFit && idx < self.cursor {
@@ -214,7 +239,8 @@ impl RangeAlloc {
     }
 
     fn is_allocated(&self, pfn: Pfn) -> bool {
-        self.is_set(pfn.0 - self.base.0)
+        let idx = pfn.0 - self.base.0;
+        self.bitmap[(idx / 64) as usize] & (1 << (idx % 64)) != 0
     }
 }
 
@@ -323,20 +349,28 @@ impl FrameAllocator {
         })
     }
 
+    /// Allocate up to `n` frames — the frames `n` successive
+    /// [`FrameAllocator::alloc`] calls would return, in the same order and
+    /// leaving the same cursors — as runs. Returns fewer than `n` frames
+    /// only when every range ran dry.
+    pub fn alloc_upto(&mut self, n: u64) -> PfnList {
+        let mut out = PfnList::new();
+        for r in &mut self.ranges {
+            r.alloc_upto(n - out.pages(), &mut out);
+        }
+        out
+    }
+
     /// Allocate `n` frames, not necessarily contiguous, in allocation
-    /// order.
-    pub fn alloc_pages(&mut self, n: u64) -> Result<Vec<Pfn>, MemError> {
+    /// order; all or nothing.
+    pub fn alloc_pages(&mut self, n: u64) -> Result<PfnList, MemError> {
         if self.free_frames() < n {
             return Err(MemError::OutOfFrames {
                 requested: n,
                 available: self.free_frames(),
             });
         }
-        let mut out = Vec::with_capacity(n as usize);
-        for _ in 0..n {
-            out.push(self.alloc().expect("free count said frames were available"));
-        }
-        Ok(out)
+        Ok(self.alloc_upto(n))
     }
 
     /// Allocate `n` *contiguous* frames (first-fit over runs, any
@@ -362,11 +396,12 @@ impl FrameAllocator {
         }))
     }
 
-    /// Allocate `n` frames from ranges of `tier` only, preferring one
-    /// contiguous run (falling back to frame-at-a-time when the tier is
-    /// fragmented). The run form is what keeps `migrate_extent`
-    /// O(extents) on the host side.
-    pub fn alloc_pages_in(&mut self, tier: MemTier, n: u64) -> Result<Vec<Pfn>, MemError> {
+    /// Allocate `n` frames from ranges of `tier` only: one contiguous run
+    /// when the tier has one (first fit, ranges in order), otherwise the
+    /// frames successive single-frame allocations would pick, range by
+    /// range. Either way the result is a handful of runs, which is what
+    /// keeps `migrate_extent` O(extents) on the host side.
+    pub fn alloc_pages_in(&mut self, tier: MemTier, n: u64) -> Result<PfnList, MemError> {
         let available = self.free_frames_in(tier);
         if available < n || n == 0 {
             return Err(MemError::OutOfFrames {
@@ -374,41 +409,24 @@ impl FrameAllocator {
                 available,
             });
         }
-        // One contiguous grab first: a single bitmap scan, one run out.
-        for r in &mut self.ranges {
-            if r.tier == tier {
-                if let Ok(p) = r.alloc_contiguous(n) {
-                    return Ok((0..n).map(|i| Pfn(p.0 + i)).collect());
-                }
-            }
+        let mut out = PfnList::new();
+        let run = (self.ranges.iter_mut())
+            .filter(|r| r.tier == tier)
+            .find_map(|r| r.alloc_contiguous(n).ok());
+        if let Some(start) = run {
+            out.push_run(start, n);
+            return Ok(out);
         }
-        let mut out = Vec::with_capacity(n as usize);
-        for r in &mut self.ranges {
-            if r.tier != tier {
-                continue;
-            }
-            while (out.len() as u64) < n && r.free > 0 {
-                out.push(r.alloc().expect("free count said frames were available"));
-            }
+        for r in self.ranges.iter_mut().filter(|r| r.tier == tier) {
+            r.alloc_upto(n - out.pages(), &mut out);
         }
-        debug_assert_eq!(out.len() as u64, n);
+        debug_assert_eq!(out.pages(), n);
         Ok(out)
     }
 
     /// Free a previously allocated frame.
     pub fn free(&mut self, pfn: Pfn) -> Result<(), MemError> {
-        match self.ranges.iter_mut().find(|r| r.contains(pfn)) {
-            Some(r) => r.free_one(pfn),
-            None => Err(MemError::BadFree(pfn)),
-        }
-    }
-
-    /// Free a set of frames.
-    pub fn free_pages(&mut self, pfns: &[Pfn]) -> Result<(), MemError> {
-        for &p in pfns {
-            self.free(p)?;
-        }
-        Ok(())
+        self.free_run(pfn, 1)
     }
 
     /// Free `len` consecutive frames starting at `start`, operating on
@@ -424,7 +442,7 @@ impl FrameAllocator {
     /// Free every frame of a run-length-encoded list. Validate-then-commit
     /// across the *whole* list (including a check that no frame appears
     /// twice): on error nothing has been freed.
-    pub fn free_list(&mut self, list: &crate::pfn_list::PfnList) -> Result<(), MemError> {
+    pub fn free_list(&mut self, list: &PfnList) -> Result<(), MemError> {
         // Reject duplicate frames across runs up front — committed runs
         // would otherwise corrupt the free count.
         let mut spans: Vec<(u64, u64)> = list
@@ -505,7 +523,7 @@ impl FrameAllocator {
     /// ranges), never per page. Pages this allocator does not manage are
     /// counted under the home tier (callers only classify frames they
     /// own, so this is a defensive default, not a real case).
-    pub fn pages_by_tier(&self, list: &crate::pfn_list::PfnList) -> [u64; MemTier::COUNT] {
+    pub fn pages_by_tier(&self, list: &PfnList) -> [u64; MemTier::COUNT] {
         let mut out = [0u64; MemTier::COUNT];
         for run in list.runs() {
             let mut at = run.start;
@@ -541,19 +559,26 @@ impl FrameAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pfn_list::PfnRun;
 
     #[test]
     fn first_fit_allocates_contiguously() {
         let mut a = FrameAllocator::new(Pfn(100), 32);
         let pages = a.alloc_pages(4).unwrap();
-        assert_eq!(pages, vec![Pfn(100), Pfn(101), Pfn(102), Pfn(103)]);
+        assert_eq!(
+            pages.runs(),
+            [PfnRun {
+                start: Pfn(100),
+                len: 4
+            }]
+        );
         assert_eq!(a.free_frames(), 28);
     }
 
     #[test]
     fn scatter_allocates_non_adjacent() {
         let mut a = FrameAllocator::with_policy(Pfn(0), 1024, Placement::Scatter);
-        let pages = a.alloc_pages(8).unwrap();
+        let pages: Vec<Pfn> = a.alloc_pages(8).unwrap().iter_pages().collect();
         let adjacent = pages.windows(2).filter(|w| w[1].0 == w[0].0 + 1).count();
         assert!(adjacent < 2, "scatter produced contiguous run: {pages:?}");
     }
@@ -561,8 +586,8 @@ mod tests {
     #[test]
     fn contiguous_skips_holes() {
         let mut a = FrameAllocator::new(Pfn(0), 16);
-        let first = a.alloc_pages(3).unwrap(); // frames 0,1,2
-        a.free(first[1]).unwrap(); // hole at 1
+        a.alloc_pages(3).unwrap(); // frames 0,1,2
+        a.free(Pfn(1)).unwrap(); // hole at 1
         let run = a.alloc_contiguous(4).unwrap();
         assert_eq!(run, Pfn(3), "run must start after the fragmented prefix");
         assert!(a.is_allocated(Pfn(6)));
@@ -598,10 +623,10 @@ mod tests {
     fn free_then_realloc_reuses_frames() {
         let mut a = FrameAllocator::new(Pfn(0), 4);
         let pages = a.alloc_pages(4).unwrap();
-        a.free_pages(&pages).unwrap();
+        a.free_list(&pages).unwrap();
         assert_eq!(a.free_frames(), 4);
         let again = a.alloc_pages(4).unwrap();
-        assert_eq!(again.len(), 4);
+        assert_eq!(again, pages);
     }
 
     #[test]
@@ -625,7 +650,6 @@ mod tests {
 
     #[test]
     fn free_list_frees_all_runs_or_nothing() {
-        use crate::pfn_list::PfnList;
         let mut a = FrameAllocator::new(Pfn(0), 128);
         a.alloc_pages(64).unwrap();
         let mut list = PfnList::new();
@@ -681,12 +705,18 @@ mod tests {
         assert_eq!(a.free_frames_in(MemTier::Nvm), 32);
         assert_eq!(a.tier_of(Pfn(1010)), Some(MemTier::Nvm));
         let got = a.alloc_pages_in(MemTier::Nvm, 8).unwrap();
-        assert_eq!(got[0], Pfn(1000));
-        assert!(got.windows(2).all(|w| w[1].0 == w[0].0 + 1), "one run");
+        assert_eq!(
+            got.runs(),
+            [PfnRun {
+                start: Pfn(1000),
+                len: 8
+            }],
+            "one run"
+        );
         assert_eq!(a.free_frames_in(MemTier::Nvm), 24);
         assert_eq!(a.free_frames_in(MemTier::LocalDram), 64);
         // Frees route back to the owning range.
-        for p in got {
+        for p in got.iter_pages() {
             a.free(p).unwrap();
         }
         assert_eq!(a.free_frames_in(MemTier::Nvm), 32);
@@ -709,13 +739,23 @@ mod tests {
         let mut a = FrameAllocator::new(Pfn(0), 4);
         a.push_range(MemTier::Cxl, Pfn(100), 4);
         let pages = a.alloc_pages(6).unwrap();
-        assert_eq!(&pages[..4], &[Pfn(0), Pfn(1), Pfn(2), Pfn(3)]);
-        assert_eq!(&pages[4..], &[Pfn(100), Pfn(101)]);
+        assert_eq!(
+            pages.runs(),
+            [
+                PfnRun {
+                    start: Pfn(0),
+                    len: 4
+                },
+                PfnRun {
+                    start: Pfn(100),
+                    len: 2
+                }
+            ]
+        );
     }
 
     #[test]
     fn free_list_spanning_tiers_routes_per_range() {
-        use crate::pfn_list::PfnList;
         // Adjacent ranges: a run in a PfnList could legitimately cross
         // the boundary after migration coalescing; the free must split.
         let mut a = FrameAllocator::new(Pfn(0), 64);
@@ -740,13 +780,13 @@ mod tests {
         a.push_range(MemTier::Nvm, Pfn(100), 8);
         let run = a.alloc_pages_in(MemTier::Nvm, 8).unwrap();
         // Free alternating frames, then ask for 4: no contiguous run
-        // exists, the fallback hands out singles.
-        for p in run.iter().step_by(2) {
-            a.free(*p).unwrap();
+        // exists, the fallback hands out the freed singles in order.
+        for p in run.iter_pages().step_by(2) {
+            a.free(p).unwrap();
         }
         let got = a.alloc_pages_in(MemTier::Nvm, 4).unwrap();
-        assert_eq!(got.len(), 4);
-        assert!(got.iter().all(|p| a.tier_of(*p) == Some(MemTier::Nvm)));
+        let frames: Vec<Pfn> = got.iter_pages().collect();
+        assert_eq!(frames, [Pfn(100), Pfn(102), Pfn(104), Pfn(106)]);
         assert_eq!(a.free_frames_in(MemTier::Nvm), 0);
     }
 }

@@ -6,27 +6,32 @@
 //! attachments install 4 KiB mappings one frame at a time, which is exactly
 //! the per-page work the paper's throughput numbers measure.
 //!
-//! # Extent fast path
+//! # Run-list chunks
 //!
 //! The *virtual-time* model charges per page — that is the paper's result —
-//! but the *host* should not pay a full four-level descent per 4 KiB frame.
-//! The batched entry points ([`PageTable::map_extent`],
-//! [`PageTable::map_list`], [`PageTable::unmap_pages`],
-//! [`PageTable::unmap_resident`], [`PageTable::walk_range`]) descend once
-//! per 2 MiB-aligned chunk and operate on whole runs. A run of contiguous
-//! 4 KiB mappings within one chunk is stored as a single [`Entry::LeafRun`]
-//! rather than 512 discrete level-0 entries; every observable query
-//! (`translate`, `walk_range` output and [`WalkStats`], error values,
-//! `leaf_count`) is identical to the discrete representation, which the
-//! equivalence property tests in `tests/extent_equivalence.rs` pin down.
-//! Single-page operations that punch into a run convert the affected chunk
-//! back to a discrete level-0 table (bounded, ≤ 512 entries).
+//! but the *host* pays per extent. Level-0 tables are never materialized:
+//! the 4 KiB leaves of a 2 MiB chunk live in the chunk's level-1 entry as
+//! its sorted, disjoint, maximally merged runs (`LeafRun`s), where two runs
+//! are merged exactly when their slots and frames are contiguous and their
+//! flags are equal. A chunk whose last page is unmapped goes back to an
+//! empty entry. The representation is therefore a function of the current
+//! mapping alone, never of the calls that produced it — no sequence of
+//! unaligned, fragmented or partial operations leaves a chunk that later
+//! calls pay for.
 //!
-//! The table tracks how many leaf entries and intermediate tables exist so
-//! kernels can charge virtual time for real structural work performed.
+//! Every operation descends once per 2 MiB chunk it touches. Inside a
+//! chunk of `r` runs a read costs O(log r) plus O(1) per run it returns,
+//! and a write rebuilds the chunk in O(r) — a lone run, the common case,
+//! is stored inline, so it allocates nothing. An operation over `p` pages
+//! therefore costs O(p / 512 + runs in the chunks it touches) host time,
+//! never O(p).
+//! Every observable — translations, `walk_range` output and
+//! [`WalkStats`], freed-frame order, error values and addresses,
+//! `leaf_count` — is that of one discrete leaf per 4 KiB page, which
+//! `tests/extent_equivalence.rs` checks against a per-page model.
 
 use crate::error::MemError;
-use crate::pfn_list::PfnList;
+use crate::pfn_list::{PfnList, PfnRun};
 use crate::types::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
 
@@ -68,7 +73,7 @@ impl PteFlags {
     }
 }
 
-/// A leaf mapping.
+/// A large-page leaf mapping (2 MiB at level 1, 1 GiB at level 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Leaf {
     pfn: Pfn,
@@ -76,10 +81,8 @@ struct Leaf {
     size: PageSize,
 }
 
-/// A run of contiguous 4 KiB leaf mappings within one 2 MiB chunk, stored
-/// as a single level-1 entry: level-0 slot `first + i` maps frame
-/// `start + i` for `i < len`. Observationally identical to `len` discrete
-/// [`Leaf`] entries in a level-0 table.
+/// A run of contiguous 4 KiB leaf mappings within one 2 MiB chunk:
+/// level-0 slot `first + i` maps frame `start + i` for `i < len`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LeafRun {
     /// First covered level-0 slot (0..512).
@@ -96,35 +99,146 @@ impl LeafRun {
         self.first + self.len
     }
 
-    fn covers(&self, slot: u16) -> bool {
-        slot >= self.first && slot < self.end()
+    /// True when `next` continues this run: adjacent slots, adjacent
+    /// frames, equal flags.
+    fn merges_with(&self, next: &LeafRun) -> bool {
+        self.end() == next.first
+            && self.start.0 + u64::from(self.len) == next.start.0
+            && self.flags == next.flags
     }
 
-    fn pfn_at(&self, slot: u16) -> Pfn {
-        Pfn(self.start.0 + (slot - self.first) as u64)
+    /// The part of this run inside slots `[s, e)`, if any.
+    fn clip(&self, s: u16, e: u16) -> Option<LeafRun> {
+        let lo = self.first.max(s);
+        let hi = self.end().min(e);
+        (lo < hi).then(|| LeafRun {
+            first: lo,
+            len: hi - lo,
+            start: self.start.offset(u64::from(lo - self.first)),
+            flags: self.flags,
+        })
     }
+}
 
-    /// Expand into an equivalent discrete level-0 table.
-    fn to_table(self) -> Box<Level> {
-        let mut table = Level::new();
-        for i in 0..self.len {
-            table.entries[(self.first + i) as usize] = Some(Entry::Leaf(Leaf {
-                pfn: Pfn(self.start.0 + i as u64),
-                flags: self.flags,
-                size: PageSize::Size4K,
-            }));
+/// Level-0 slots per 2 MiB chunk.
+const CHUNK_SLOTS: u16 = 512;
+
+/// The 4 KiB leaves of one 2 MiB chunk in canonical form: runs sorted by
+/// slot, disjoint, and maximally merged (no run `merges_with` its
+/// successor). A lone run — the common case — is stored inline; an empty
+/// chunk is not stored at all.
+#[derive(Debug)]
+enum Chunk {
+    One(LeafRun),
+    /// Two or more runs.
+    Many(Vec<LeafRun>),
+}
+
+impl Chunk {
+    fn runs(&self) -> &[LeafRun] {
+        match self {
+            Chunk::One(run) => std::slice::from_ref(run),
+            Chunk::Many(runs) => runs,
         }
-        table
     }
+
+    /// The mapped parts of slots `[s, e)`, in slot order.
+    fn clipped(&self, s: u16, e: u16) -> impl Iterator<Item = LeafRun> + '_ {
+        let runs = self.runs();
+        runs[runs.partition_point(|r| r.end() <= s)..]
+            .iter()
+            .map_while(move |r| r.clip(s, e))
+    }
+
+    /// The run mapping `slot`, if any.
+    fn run_at(&self, slot: u16) -> Option<LeafRun> {
+        self.clipped(slot, slot + 1).next()
+    }
+
+    /// First mapped slot in `[s, e)`.
+    fn first_mapped(&self, s: u16, e: u16) -> Option<u16> {
+        self.clipped(s, e).next().map(|r| r.first)
+    }
+
+    /// First unmapped slot in `[s, e)`.
+    fn first_hole(&self, s: u16, e: u16) -> Option<u16> {
+        let mut at = s;
+        for r in self.clipped(s, e) {
+            if r.first > at {
+                break;
+            }
+            at = r.end();
+        }
+        (at < e).then_some(at)
+    }
+}
+
+/// Append `run` after every run of `chunk`, merging when it continues the
+/// last one — so pushing any runs in slot order builds a canonical chunk.
+fn push_run(chunk: &mut Option<Chunk>, run: LeafRun) {
+    match chunk {
+        None => *chunk = Some(Chunk::One(run)),
+        Some(Chunk::One(last)) if last.merges_with(&run) => last.len += run.len,
+        Some(Chunk::One(last)) => *chunk = Some(Chunk::Many(vec![*last, run])),
+        Some(Chunk::Many(runs)) => match runs.last_mut() {
+            Some(last) if last.merges_with(&run) => last.len += run.len,
+            _ => runs.push(run),
+        },
+    }
+}
+
+/// Replace slots `[s, e)` of the chunk in the level-1 entry `slot` (runs,
+/// or empty) with `fill` — runs in slot order tiling the range, or
+/// nothing — handing the frames of every page it unmaps to `freed` in
+/// slot order. The chunk is rebuilt canonically in O(runs); one left with
+/// no page empties the entry. Returns the pages unmapped.
+fn splice_chunk(
+    slot: &mut Option<Entry>,
+    s: u16,
+    e: u16,
+    fill: impl IntoIterator<Item = LeafRun>,
+    mut freed: impl FnMut(Pfn, u64),
+) -> u64 {
+    let old = match slot.take() {
+        None => None,
+        Some(Entry::Runs(chunk)) => Some(chunk),
+        Some(_) => unreachable!("splice into a chunk of 4 KiB leaves"),
+    };
+    let runs = old.as_ref().map_or(&[][..], Chunk::runs);
+    let (before, rest) = runs.split_at(runs.partition_point(|r| r.end() <= s));
+    let (cut, after) = rest.split_at(rest.partition_point(|r| r.first < e));
+    let mut new = None;
+    for &run in before {
+        push_run(&mut new, run);
+    }
+    if let Some(left) = cut.first().and_then(|r| r.clip(0, s)) {
+        push_run(&mut new, left);
+    }
+    let mut unmapped = 0;
+    for run in cut.iter().filter_map(|r| r.clip(s, e)) {
+        freed(run.start, u64::from(run.len));
+        unmapped += u64::from(run.len);
+    }
+    for run in fill {
+        push_run(&mut new, run);
+    }
+    if let Some(right) = cut.last().and_then(|r| r.clip(e, CHUNK_SLOTS)) {
+        push_run(&mut new, right);
+    }
+    for &run in after {
+        push_run(&mut new, run);
+    }
+    *slot = new.map(Entry::Runs);
+    unmapped
 }
 
 #[derive(Debug)]
 enum Entry {
     Table(Box<Level>),
+    /// A 2 MiB (level 1) or 1 GiB (level 2) leaf.
     Leaf(Leaf),
-    /// Extent fast path: contiguous 4 KiB leaves compressed into one
-    /// level-1 entry. Never present at other levels.
-    LeafRun(LeafRun),
+    /// The 4 KiB leaves of a 2 MiB chunk. Level 1 only.
+    Runs(Chunk),
 }
 
 #[derive(Debug)]
@@ -147,58 +261,73 @@ pub struct WalkStats {
     /// 4 KiB page translations produced.
     pub pages: u64,
     /// Leaf PTEs actually visited (a 2 MiB leaf covers 512 pages but is
-    /// one visit; a [`LeafRun`] counts one visit per covered page, exactly
-    /// like the discrete 4 KiB leaves it stands for).
+    /// one visit; a run of 4 KiB leaves counts one visit per covered
+    /// page, exactly like the discrete leaves it stands for).
     pub leaves_visited: u64,
 }
 
-/// Level-0 slots per 2 MiB chunk.
-const CHUNK_SLOTS: u64 = 512;
-
 /// What occupies the 2 MiB chunk containing a given address.
 enum ChunkRef<'a> {
-    /// No table path down to level 1 — at least the whole chunk is
-    /// unmapped (possibly a much larger region).
+    /// No table path down to level 1, or an empty level-1 entry — at
+    /// least the whole chunk is unmapped.
     Hole,
     /// A 1 GiB leaf at level 2 covers this chunk.
     Giant(&'a Leaf),
     /// A 2 MiB leaf occupies exactly this chunk.
     Large(&'a Leaf),
-    /// A compressed run of 4 KiB leaves.
-    Run(&'a LeafRun),
-    /// A discrete level-0 table.
-    Table0(&'a Level),
+    /// 4 KiB leaves.
+    Runs(&'a Chunk),
+}
+
+/// Split pages `[first, end)` at 2 MiB chunk boundaries, yielding each
+/// chunk's first page and the slots `[s, e)` of it inside the range.
+fn chunks(first: u64, end: u64) -> impl Iterator<Item = (u64, u16, u16)> {
+    let per = u64::from(CHUNK_SLOTS);
+    let last = if end > first { end.div_ceil(per) } else { 0 };
+    (first / per..last).map(move |c| {
+        let base = c * per;
+        let s = first.max(base) - base;
+        let e = end.min(base + per) - base;
+        (base, s as u16, e as u16)
+    })
+}
+
+/// The address of page number `page`.
+fn page_va(page: u64) -> VirtAddr {
+    VirtAddr(page * PAGE_SIZE)
 }
 
 /// Descend to the level-`target` table containing `va`, creating
-/// intermediate tables as needed. Free function so callers can keep using
-/// the other `PageTable` counters while the returned borrow is live.
-fn table_for<'a>(
-    root: &'a mut Level,
-    table_count: &mut u64,
-    va: VirtAddr,
-    target: u8,
-) -> Result<&'a mut Level, MemError> {
+/// intermediate tables as needed.
+fn table_for(root: &mut Level, va: VirtAddr, target: u8) -> Result<&mut Level, MemError> {
     let mut level = root;
     let mut lvl = 3u8;
     while lvl > target {
-        let idx = va.pt_index(lvl);
-        let slot = &mut level.entries[idx];
-        match slot {
-            None => {
-                *slot = Some(Entry::Table(Level::new()));
-                *table_count += 1;
-            }
-            Some(Entry::Table(_)) => {}
-            Some(_) => return Err(MemError::MappingConflict(va)),
+        let slot = &mut level.entries[va.pt_index(lvl)];
+        if slot.is_none() {
+            *slot = Some(Entry::Table(Level::new()));
         }
         level = match slot {
             Some(Entry::Table(t)) => t,
-            _ => unreachable!("slot was just ensured to be a table"),
+            _ => return Err(MemError::MappingConflict(va)),
         };
         lvl -= 1;
     }
     Ok(level)
+}
+
+/// Unmap what is resident in slots `[s, e)` of a chunk's entry — a large
+/// leaf goes whole — handing the freed frames to `freed` in address
+/// order. Returns the leaves cleared.
+fn clear_entry(slot: &mut Option<Entry>, s: u16, e: u16, mut freed: impl FnMut(Pfn, u64)) -> u64 {
+    match slot {
+        Some(Entry::Leaf(leaf)) => {
+            freed(leaf.pfn, leaf.size.frames());
+            *slot = None;
+            1
+        }
+        _ => splice_chunk(slot, s, e, std::iter::empty(), freed),
+    }
 }
 
 /// A four-level page table.
@@ -206,7 +335,6 @@ fn table_for<'a>(
 pub struct PageTable {
     root: Box<Level>,
     leaf_count: u64,
-    table_count: u64,
 }
 
 impl Default for PageTable {
@@ -221,19 +349,13 @@ impl PageTable {
         PageTable {
             root: Level::new(),
             leaf_count: 0,
-            table_count: 1,
         }
     }
 
-    /// Number of leaf mappings installed (a [`LeafRun`] counts one per
-    /// covered page, exactly like the discrete leaves it stands for).
+    /// Number of leaf mappings installed (one per 4 KiB page, one per
+    /// large-page leaf).
     pub fn leaf_count(&self) -> u64 {
         self.leaf_count
-    }
-
-    /// Number of intermediate tables (including the root).
-    pub fn table_count(&self) -> u64 {
-        self.table_count
     }
 
     /// Resolve the chunk containing `va` without creating tables.
@@ -243,16 +365,44 @@ impl PageTable {
             match level.entries[va.pt_index(lvl)].as_ref() {
                 None => return ChunkRef::Hole,
                 Some(Entry::Leaf(l)) => return ChunkRef::Giant(l),
-                Some(Entry::LeafRun(_)) => unreachable!("LeafRun above level 1"),
+                Some(Entry::Runs(_)) => unreachable!("runs above level 1"),
                 Some(Entry::Table(t)) => level = t,
             }
         }
         match level.entries[va.pt_index(1)].as_ref() {
             None => ChunkRef::Hole,
             Some(Entry::Leaf(l)) => ChunkRef::Large(l),
-            Some(Entry::LeafRun(r)) => ChunkRef::Run(r),
-            Some(Entry::Table(t)) => ChunkRef::Table0(t),
+            Some(Entry::Runs(c)) => ChunkRef::Runs(c),
+            Some(Entry::Table(_)) => unreachable!("table below level 1"),
         }
+    }
+
+    /// The entry mapping the chunk containing `va` — the level-2 slot of
+    /// a 1 GiB leaf, otherwise the level-1 slot — without creating
+    /// tables. `None` when no table path reaches level 1.
+    fn chunk_slot_mut(&mut self, va: VirtAddr) -> Option<&mut Option<Entry>> {
+        let Some(Entry::Table(l2)) = &mut self.root.entries[va.pt_index(3)] else {
+            return None;
+        };
+        let slot = &mut l2.entries[va.pt_index(2)];
+        if matches!(slot, Some(Entry::Leaf(_))) {
+            return Some(slot);
+        }
+        match slot {
+            Some(Entry::Table(l1)) => Some(&mut l1.entries[va.pt_index(1)]),
+            _ => None,
+        }
+    }
+
+    /// Unmap what is resident in slots `[s, e)` of the chunk containing
+    /// `va` — a large leaf covering it goes whole — appending the freed
+    /// frames to `out`. Returns the leaves cleared.
+    fn clear_chunk(&mut self, va: VirtAddr, s: u16, e: u16, out: &mut PfnList) -> u64 {
+        let cleared = self.chunk_slot_mut(va).map_or(0, |slot| {
+            clear_entry(slot, s, e, |pfn, len| out.push_run(pfn, len))
+        });
+        self.leaf_count -= cleared;
+        cleared
     }
 
     /// Install a mapping of the given size.
@@ -266,54 +416,36 @@ impl PageTable {
         if !va.is_aligned(size) {
             return Err(MemError::Misaligned(va, size));
         }
-        let leaf_level = size.leaf_level();
-        let mut level = &mut self.root;
-        let mut lvl = 3u8;
-        loop {
-            let idx = va.pt_index(lvl);
-            if lvl == leaf_level {
-                match &level.entries[idx] {
-                    None => {
-                        level.entries[idx] = Some(Entry::Leaf(Leaf { pfn, flags, size }));
-                        self.leaf_count += 1;
-                        return Ok(());
-                    }
-                    Some(Entry::Leaf(_)) => return Err(MemError::AlreadyMapped(va)),
-                    // A run of 4 KiB leaves blocks a 2 MiB leaf exactly
-                    // like the discrete level-0 table it stands for.
-                    Some(Entry::LeafRun(_)) | Some(Entry::Table(_)) => {
-                        return Err(MemError::MappingConflict(va))
-                    }
-                }
-            }
-            // Descend, creating intermediate tables as needed.
-            let slot = &mut level.entries[idx];
+        let level = size.leaf_level().max(1);
+        let slot = &mut table_for(&mut self.root, va, level)?.entries[va.pt_index(level)];
+        if size != PageSize::Size4K {
             match slot {
-                None => {
-                    *slot = Some(Entry::Table(Level::new()));
-                    self.table_count += 1;
-                }
-                Some(Entry::Leaf(_)) => return Err(MemError::MappingConflict(va)),
-                Some(Entry::LeafRun(r)) => {
-                    // Only reachable at level 1 heading for a 4 KiB
-                    // install. Inside the run: the page is already
-                    // mapped. Outside: expand to a discrete table and
-                    // fall through to the level-0 install.
-                    if r.covers(va.pt_index(0) as u16) {
-                        return Err(MemError::AlreadyMapped(va));
-                    }
-                    let run = *r;
-                    *slot = Some(Entry::Table(run.to_table()));
-                    self.table_count += 1;
-                }
-                Some(Entry::Table(_)) => {}
+                None => *slot = Some(Entry::Leaf(Leaf { pfn, flags, size })),
+                Some(Entry::Leaf(_)) => return Err(MemError::AlreadyMapped(va)),
+                // 4 KiB leaves, or a lower-level table, in the way.
+                Some(_) => return Err(MemError::MappingConflict(va)),
             }
-            level = match slot {
-                Some(Entry::Table(t)) => t,
-                _ => unreachable!("slot was just ensured to be a table"),
-            };
-            lvl -= 1;
+        } else {
+            let slot0 = va.pt_index(0) as u16;
+            match slot {
+                Some(Entry::Runs(c)) if c.run_at(slot0).is_some() => {
+                    return Err(MemError::AlreadyMapped(va));
+                }
+                None | Some(Entry::Runs(_)) => {
+                    let run = LeafRun {
+                        first: slot0,
+                        len: 1,
+                        start: pfn,
+                        flags,
+                    };
+                    splice_chunk(slot, slot0, slot0 + 1, [run], |_, _| {});
+                }
+                // A 2 MiB leaf covers the page.
+                Some(_) => return Err(MemError::MappingConflict(va)),
+            }
         }
+        self.leaf_count += 1;
+        Ok(())
     }
 
     /// Map `pfns.len()` 4 KiB pages starting at `va`, one frame per page,
@@ -332,39 +464,37 @@ impl PageTable {
     }
 
     /// Map a whole PFN list at `va` with one table descent per 2 MiB
-    /// chunk per run: the extent fast path behind every XEMEM attach.
-    /// Validate-then-commit — on error nothing was installed. Returns the
-    /// number of (4 KiB) PTEs written.
+    /// chunk: the extent fast path behind every XEMEM attach.
+    /// Validate-then-commit — on error nothing was installed, and the
+    /// error is the one the per-page [`PageTable::map`] loop would hit
+    /// first. Returns the number of (4 KiB) PTEs written.
     pub fn map_list(
         &mut self,
         va: VirtAddr,
         list: &PfnList,
         flags: PteFlags,
     ) -> Result<u64, MemError> {
-        if list.pages() > 0 && !va.is_aligned(PageSize::Size4K) {
-            return Err(MemError::Misaligned(va, PageSize::Size4K));
-        }
-        let mut off = 0u64;
-        for run in list.runs() {
-            self.validate_extent(va + off * PAGE_SIZE, run.len)?;
-            off += run.len;
-        }
-        let mut off = 0u64;
-        let mut written = 0u64;
-        for run in list.runs() {
-            written += self.commit_extent(va + off * PAGE_SIZE, run.start, run.len, flags);
-            off += run.len;
-        }
-        Ok(written)
+        self.map_runs(va, list.runs(), list.pages(), flags)
     }
 
     /// Map `pages` physically contiguous 4 KiB frames starting at
-    /// (`va`, `start`). One L4→L1 descent per 2 MiB chunk; whole-chunk
-    /// coverage installs a single compressed entry. Validate-then-commit.
+    /// (`va`, `start`), like [`PageTable::map_list`] with a one-run list.
     pub fn map_extent(
         &mut self,
         va: VirtAddr,
         start: Pfn,
+        pages: u64,
+        flags: PteFlags,
+    ) -> Result<u64, MemError> {
+        self.map_runs(va, &[PfnRun { start, len: pages }], pages, flags)
+    }
+
+    /// Map the frames of `runs` (`pages` in all) at consecutive pages from
+    /// `va`. Validate-then-commit.
+    fn map_runs(
+        &mut self,
+        va: VirtAddr,
+        runs: &[PfnRun],
         pages: u64,
         flags: PteFlags,
     ) -> Result<u64, MemError> {
@@ -374,359 +504,129 @@ impl PageTable {
         if !va.is_aligned(PageSize::Size4K) {
             return Err(MemError::Misaligned(va, PageSize::Size4K));
         }
-        self.validate_extent(va, pages)?;
-        Ok(self.commit_extent(va, start, pages, flags))
-    }
-
-    /// Check that `pages` 4 KiB installs starting at `va` would all
-    /// succeed, reporting the same error (and error address) the per-page
-    /// [`PageTable::map`] loop would hit first.
-    fn validate_extent(&self, va: VirtAddr, pages: u64) -> Result<(), MemError> {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
+        let first = va.0 / PAGE_SIZE;
+        for (base, s, e) in chunks(first, first + pages) {
+            let cur = page_va(base + u64::from(s));
             match self.chunk_ref(cur) {
                 ChunkRef::Hole => {}
                 ChunkRef::Giant(_) | ChunkRef::Large(_) => {
                     return Err(MemError::MappingConflict(cur));
                 }
-                ChunkRef::Run(r) => {
-                    let s = (page % CHUNK_SLOTS) as u16;
-                    let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-                    let lo = s.max(r.first);
-                    let hi = e.min(r.end());
-                    if lo < hi {
-                        let clash = page + (lo - s) as u64;
-                        return Err(MemError::AlreadyMapped(VirtAddr(clash << 12)));
-                    }
-                }
-                ChunkRef::Table0(t) => {
-                    for p in page..seg_end {
-                        if t.entries[(p % CHUNK_SLOTS) as usize].is_some() {
-                            return Err(MemError::AlreadyMapped(VirtAddr(p << 12)));
-                        }
+                ChunkRef::Runs(c) => {
+                    if let Some(slot) = c.first_mapped(s, e) {
+                        return Err(MemError::AlreadyMapped(page_va(base + u64::from(slot))));
                     }
                 }
             }
-            page = seg_end;
         }
-        Ok(())
-    }
-
-    /// Install a validated extent. Returns the number of PTEs written.
-    fn commit_extent(&mut self, va: VirtAddr, start: Pfn, pages: u64, flags: PteFlags) -> u64 {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
-        let mut page = first_page;
-        let mut pfn = start.0;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let n = (seg_end - page) as u16;
-            let s = (page % CHUNK_SLOTS) as u16;
-            let cur = VirtAddr(page << 12);
-            let l1 = table_for(&mut self.root, &mut self.table_count, cur, 1)
-                .expect("extent was validated");
-            let slot = &mut l1.entries[cur.pt_index(1)];
-            match slot {
-                None => {
-                    *slot = Some(Entry::LeafRun(LeafRun {
-                        first: s,
-                        len: n,
-                        start: Pfn(pfn),
-                        flags,
-                    }));
+        // Commit: feed each chunk the pieces of `runs` that land in it.
+        let mut runs = runs.iter();
+        let mut run = runs.next();
+        let mut used = 0u64;
+        for (base, s, e) in chunks(first, first + pages) {
+            let cur = page_va(base);
+            let slot = &mut table_for(&mut self.root, cur, 1)
+                .expect("range was validated")
+                .entries[cur.pt_index(1)];
+            let mut at = s;
+            let pieces = std::iter::from_fn(|| {
+                if at == e {
+                    return None;
                 }
-                Some(Entry::LeafRun(r)) => {
-                    // Disjoint by validation; merge when the new piece
-                    // extends the run contiguously, otherwise expand.
-                    if r.flags == flags && s == r.end() && pfn == r.start.0 + r.len as u64 {
-                        r.len += n;
-                    } else if r.flags == flags && s + n == r.first && pfn + n as u64 == r.start.0 {
-                        r.first = s;
-                        r.start = Pfn(pfn);
-                        r.len += n;
-                    } else {
-                        let mut table = r.to_table();
-                        for i in 0..n {
-                            table.entries[(s + i) as usize] = Some(Entry::Leaf(Leaf {
-                                pfn: Pfn(pfn + i as u64),
-                                flags,
-                                size: PageSize::Size4K,
-                            }));
-                        }
-                        *slot = Some(Entry::Table(table));
-                        self.table_count += 1;
-                    }
+                let r = run.expect("runs cover the range");
+                let len = (r.len - used).min(u64::from(e - at)) as u16;
+                let piece = LeafRun {
+                    first: at,
+                    len,
+                    start: r.start.offset(used),
+                    flags,
+                };
+                at += len;
+                used += u64::from(len);
+                if used == r.len {
+                    run = runs.next();
+                    used = 0;
                 }
-                Some(Entry::Table(t)) => {
-                    for i in 0..n {
-                        t.entries[(s + i) as usize] = Some(Entry::Leaf(Leaf {
-                            pfn: Pfn(pfn + i as u64),
-                            flags,
-                            size: PageSize::Size4K,
-                        }));
-                    }
-                }
-                Some(Entry::Leaf(_)) => unreachable!("extent was validated"),
-            }
-            self.leaf_count += n as u64;
-            pfn += n as u64;
-            page = seg_end;
+                Some(piece)
+            });
+            splice_chunk(slot, s, e, pieces, |_, _| {});
+            self.leaf_count += u64::from(e - s);
         }
-        pages
+        Ok(pages)
     }
 
     /// Remove the mapping containing `va`. Returns the leaf's frame and
     /// size.
     pub fn unmap(&mut self, va: VirtAddr) -> Result<(Pfn, PageSize), MemError> {
-        let mut level = &mut self.root;
-        let mut lvl = 3u8;
-        loop {
-            let idx = va.pt_index(lvl);
-            let slot = &mut level.entries[idx];
-            match slot {
-                None => return Err(MemError::NotMapped(va)),
-                Some(Entry::Leaf(_)) => {
-                    let Some(Entry::Leaf(leaf)) = slot.take() else {
-                        unreachable!()
-                    };
-                    self.leaf_count -= 1;
-                    return Ok((leaf.pfn, leaf.size));
-                }
-                Some(Entry::LeafRun(_)) => {
-                    let Some(Entry::LeafRun(mut r)) = slot.take() else {
-                        unreachable!()
-                    };
-                    let idx0 = va.pt_index(0) as u16;
-                    if !r.covers(idx0) {
-                        *slot = Some(Entry::LeafRun(r));
-                        return Err(MemError::NotMapped(va));
-                    }
-                    let pfn = r.pfn_at(idx0);
-                    self.leaf_count -= 1;
-                    if r.len == 1 {
-                        // Run fully consumed; slot stays empty.
-                    } else if idx0 == r.first {
-                        r.first += 1;
-                        r.start = Pfn(r.start.0 + 1);
-                        r.len -= 1;
-                        *slot = Some(Entry::LeafRun(r));
-                    } else if idx0 + 1 == r.end() {
-                        r.len -= 1;
-                        *slot = Some(Entry::LeafRun(r));
-                    } else {
-                        // Punching a hole in the middle: expand to a
-                        // discrete table minus the removed page.
-                        let mut table = r.to_table();
-                        table.entries[idx0 as usize] = None;
-                        *slot = Some(Entry::Table(table));
-                        self.table_count += 1;
-                    }
-                    return Ok((pfn, PageSize::Size4K));
-                }
-                Some(Entry::Table(_)) => {
-                    if lvl == 0 {
-                        // Tables never sit at level 0.
-                        return Err(MemError::MappingConflict(va));
-                    }
-                    let Some(Entry::Table(t)) = slot else {
-                        unreachable!()
-                    };
-                    level = t;
-                    lvl -= 1;
-                }
-            }
+        let slot0 = va.pt_index(0) as u16;
+        let slot = self.chunk_slot_mut(va).ok_or(MemError::NotMapped(va))?;
+        let found = match slot {
+            Some(Entry::Leaf(leaf)) => Some((leaf.pfn, leaf.size)),
+            Some(Entry::Runs(c)) => c.run_at(slot0).map(|r| (r.start, PageSize::Size4K)),
+            _ => None,
         }
+        .ok_or(MemError::NotMapped(va))?;
+        clear_entry(slot, slot0, slot0 + 1, |_, _| {});
+        self.leaf_count -= 1;
+        Ok(found)
     }
 
     /// Unmap `pages` consecutive 4 KiB pages starting at `va`, returning
     /// the freed frames in address order. Validate-then-commit: on error
     /// (a hole, or a large-page leaf in the range) nothing has been
-    /// unmapped. Whole compressed runs are removed in O(1).
+    /// unmapped.
     pub fn unmap_pages(&mut self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
-        // Validation: every page must be covered by a 4 KiB mapping.
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
+        let first = va.0 / PAGE_SIZE;
+        for (base, s, e) in chunks(first, first + pages) {
+            let cur = page_va(base + u64::from(s));
             match self.chunk_ref(cur) {
                 ChunkRef::Hole => return Err(MemError::NotMapped(cur)),
                 ChunkRef::Giant(_) | ChunkRef::Large(_) => {
                     return Err(MemError::MappingConflict(cur));
                 }
-                ChunkRef::Run(r) => {
-                    let s = (page % CHUNK_SLOTS) as u16;
-                    let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-                    if s < r.first || e > r.end() {
-                        let missing = if s < r.first {
-                            page
-                        } else {
-                            page + (r.end() - s) as u64
-                        };
-                        return Err(MemError::NotMapped(VirtAddr(missing << 12)));
-                    }
-                }
-                ChunkRef::Table0(t) => {
-                    for p in page..seg_end {
-                        if t.entries[(p % CHUNK_SLOTS) as usize].is_none() {
-                            return Err(MemError::NotMapped(VirtAddr(p << 12)));
-                        }
+                ChunkRef::Runs(c) => {
+                    if let Some(slot) = c.first_hole(s, e) {
+                        return Err(MemError::NotMapped(page_va(base + u64::from(slot))));
                     }
                 }
             }
-            page = seg_end;
         }
-        // Commit.
         let mut out = PfnList::new();
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
-            let s = (page % CHUNK_SLOTS) as u16;
-            let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-            self.remove_run_from_chunk(cur, s, e, &mut out);
-            page = seg_end;
+        for (base, s, e) in chunks(first, first + pages) {
+            self.clear_chunk(page_va(base), s, e, &mut out);
         }
         Ok(out)
     }
 
-    /// Remove the 4 KiB mappings at slots `[s, e)` of the chunk holding
-    /// `va`, appending the freed frames. Caller guarantees they exist.
-    fn remove_run_from_chunk(&mut self, va: VirtAddr, s: u16, e: u16, out: &mut PfnList) {
-        let n = (e - s) as u64;
-        let l1 =
-            table_for(&mut self.root, &mut self.table_count, va, 1).expect("range was validated");
-        let slot = &mut l1.entries[va.pt_index(1)];
-        match slot {
-            Some(Entry::LeafRun(_)) => {
-                let Some(Entry::LeafRun(mut r)) = slot.take() else {
-                    unreachable!()
-                };
-                out.push_run(r.pfn_at(s), n);
-                if s == r.first && e == r.end() {
-                    // Whole run gone; slot stays empty.
-                } else if s == r.first {
-                    r.start = Pfn(r.start.0 + n);
-                    r.first = e;
-                    r.len -= n as u16;
-                    *slot = Some(Entry::LeafRun(r));
-                } else if e == r.end() {
-                    r.len -= n as u16;
-                    *slot = Some(Entry::LeafRun(r));
-                } else {
-                    let mut table = r.to_table();
-                    for i in s..e {
-                        table.entries[i as usize] = None;
-                    }
-                    *slot = Some(Entry::Table(table));
-                    self.table_count += 1;
-                }
-            }
-            Some(Entry::Table(t)) => {
-                for i in s..e {
-                    let Some(Entry::Leaf(leaf)) = t.entries[i as usize].take() else {
-                        unreachable!("range was validated");
-                    };
-                    out.push_run(leaf.pfn, 1);
-                }
-            }
-            _ => unreachable!("range was validated"),
-        }
-        self.leaf_count -= n;
-    }
-
     /// Unmap whatever is resident in `[va, va + pages * 4 KiB)`, skipping
-    /// holes — the teardown/reaper path, O(extents). Returns the freed
-    /// frames and the number of *leaves* cleared (one per 4 KiB page, one
-    /// per large-page leaf — the count the per-page translate-then-unmap
-    /// loop used to produce). A large-page leaf overlapping the range is
-    /// removed whole and all of its frames are reported.
+    /// holes — the teardown/reaper path. Returns the freed frames and the
+    /// number of *leaves* cleared (one per 4 KiB page, one per large-page
+    /// leaf — the count the per-page translate-then-unmap loop would
+    /// produce). A large-page leaf overlapping the range is removed whole
+    /// and all of its frames are reported.
     pub fn unmap_resident(&mut self, va: VirtAddr, pages: u64) -> (PfnList, u64) {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
+        let first = va.0 / PAGE_SIZE;
         let mut out = PfnList::new();
         let mut cleared = 0u64;
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => {
-                    page = seg_end;
-                    continue;
-                }
-                ChunkRef::Giant(_) | ChunkRef::Large(_) => {
-                    // Remove the whole leaf (what per-page unmap did) and
-                    // skip the rest of its span.
-                    let (pfn, size) = self.unmap(cur).expect("leaf just observed");
-                    out.push_run(pfn, size.frames());
-                    cleared += 1;
-                    let leaf_end_page = ((cur.0 & !(size.bytes() - 1)) + size.bytes()) >> 12;
-                    page = end_page.min(leaf_end_page.max(seg_end));
-                    continue;
-                }
-                ChunkRef::Run(r) => {
-                    let s = (page % CHUNK_SLOTS) as u16;
-                    let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-                    let lo = s.max(r.first);
-                    let hi = e.min(r.end());
-                    if lo < hi {
-                        let seg_base = VirtAddr((page - s as u64) << 12);
-                        self.remove_run_from_chunk(seg_base, lo, hi, &mut out);
-                        cleared += (hi - lo) as u64;
-                    }
-                }
-                ChunkRef::Table0(_) => {
-                    // Discrete chunk: per-slot removal (bounded by 512).
-                    for p in page..seg_end {
-                        if let Ok((pfn, _)) = self.unmap(VirtAddr(p << 12)) {
-                            out.push_run(pfn, 1);
-                            cleared += 1;
-                        }
-                    }
-                }
-            }
-            page = seg_end;
+        for (base, s, e) in chunks(first, first + pages) {
+            cleared += self.clear_chunk(page_va(base), s, e, &mut out);
         }
         (out, cleared)
     }
 
     /// Translate a virtual address to (physical address, flags, leaf size).
     pub fn translate(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags, PageSize)> {
-        let mut level = &self.root;
-        let mut lvl = 3u8;
-        loop {
-            let idx = va.pt_index(lvl);
-            match level.entries[idx].as_ref()? {
-                Entry::Leaf(leaf) => {
-                    let within = va.0 & (leaf.size.bytes() - 1);
-                    return Some((leaf.pfn.base() + within, leaf.flags, leaf.size));
-                }
-                Entry::LeafRun(r) => {
-                    let idx0 = va.pt_index(0) as u16;
-                    if !r.covers(idx0) {
-                        return None;
-                    }
-                    let within = va.0 & (PAGE_SIZE - 1);
-                    return Some((r.pfn_at(idx0).base() + within, r.flags, PageSize::Size4K));
-                }
-                Entry::Table(t) => {
-                    if lvl == 0 {
-                        return None;
-                    }
-                    level = t;
-                    lvl -= 1;
-                }
+        match self.chunk_ref(va) {
+            ChunkRef::Hole => None,
+            ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
+                let within = va.0 & (leaf.size.bytes() - 1);
+                Some((leaf.pfn.base() + within, leaf.flags, leaf.size))
+            }
+            ChunkRef::Runs(c) => {
+                let slot = va.pt_index(0) as u16;
+                let r = c.run_at(slot)?;
+                let within = va.0 & (PAGE_SIZE - 1);
+                Some((r.start.base() + within, r.flags, PageSize::Size4K))
             }
         }
     }
@@ -734,7 +634,7 @@ impl PageTable {
     /// Produce the PFN list for `[va, va + len)` — the export-side
     /// operation of the XEMEM protocol. Every 4 KiB page in the range must
     /// be mapped. Returns the list and the real structural work performed.
-    /// One chunk lookup per 2 MiB (or per discrete leaf), not per page;
+    /// One chunk lookup per 2 MiB (or per large leaf), not per page;
     /// the [`WalkStats`] are computed arithmetically and match the
     /// per-page walk exactly.
     pub fn walk_range(&self, va: VirtAddr, len: u64) -> Result<(PfnList, WalkStats), MemError> {
@@ -743,6 +643,7 @@ impl PageTable {
         let mut off = 0u64;
         while off < len {
             let cur = va + off;
+            let pages_remaining = (len - off).div_ceil(PAGE_SIZE);
             match self.chunk_ref(cur) {
                 ChunkRef::Hole => return Err(MemError::NotMapped(cur)),
                 ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
@@ -751,42 +652,24 @@ impl PageTable {
                     let leaf_remaining = bytes - within;
                     let take = leaf_remaining.min(len - off);
                     let frames = take.div_ceil(PAGE_SIZE);
-                    list.push_run(Pfn(leaf.pfn.0 + (within >> 12)), frames);
+                    list.push_run(leaf.pfn.offset(within / PAGE_SIZE), frames);
                     stats.pages += frames;
                     stats.leaves_visited += 1;
                     off += frames * PAGE_SIZE;
                 }
-                ChunkRef::Run(r) => {
-                    let idx0 = cur.pt_index(0) as u16;
-                    if !r.covers(idx0) {
-                        return Err(MemError::NotMapped(cur));
+                ChunkRef::Runs(c) => {
+                    let s = cur.pt_index(0) as u16;
+                    let e = u64::from(CHUNK_SLOTS).min(u64::from(s) + pages_remaining) as u16;
+                    if let Some(hole) = c.first_hole(s, e) {
+                        return Err(MemError::NotMapped(cur + u64::from(hole - s) * PAGE_SIZE));
                     }
-                    let pages_remaining = (len - off).div_ceil(PAGE_SIZE);
-                    let frames = ((r.end() - idx0) as u64).min(pages_remaining);
-                    list.push_run(r.pfn_at(idx0), frames);
+                    for r in c.clipped(s, e) {
+                        list.push_run(r.start, u64::from(r.len));
+                    }
+                    let frames = u64::from(e - s);
                     stats.pages += frames;
                     stats.leaves_visited += frames;
                     off += frames * PAGE_SIZE;
-                }
-                ChunkRef::Table0(t) => {
-                    // Discrete chunk: per-slot scan to the chunk (or
-                    // range) end, erroring at the first hole like the
-                    // per-page walk.
-                    let idx0 = cur.pt_index(0) as u16;
-                    let pages_remaining = (len - off).div_ceil(PAGE_SIZE);
-                    let span = (CHUNK_SLOTS - idx0 as u64).min(pages_remaining);
-                    for i in 0..span {
-                        let pva = cur + i * PAGE_SIZE;
-                        match t.entries[(idx0 as u64 + i) as usize].as_ref() {
-                            Some(Entry::Leaf(leaf)) => {
-                                list.push_run(leaf.pfn, 1);
-                                stats.pages += 1;
-                                stats.leaves_visited += 1;
-                            }
-                            _ => return Err(MemError::NotMapped(pva)),
-                        }
-                    }
-                    off += span * PAGE_SIZE;
                 }
             }
         }
@@ -794,153 +677,103 @@ impl PageTable {
     }
 
     /// Frames backing the resident pages of `[va, va + pages * 4 KiB)`,
-    /// in address order, skipping holes — the frame-retention walk,
-    /// O(extents).
+    /// in address order, skipping holes — the frame-retention walk.
     pub fn walk_resident(&self, va: VirtAddr, pages: u64) -> PfnList {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
+        let first = va.0 / PAGE_SIZE;
         let mut out = PfnList::new();
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
+        for (base, s, e) in chunks(first, first + pages) {
+            let cur = page_va(base + u64::from(s));
             match self.chunk_ref(cur) {
                 ChunkRef::Hole => {}
                 ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
-                    let within = (cur.0 & (leaf.size.bytes() - 1)) >> 12;
-                    out.push_run(Pfn(leaf.pfn.0 + within), seg_end - page);
+                    let within = (cur.0 & (leaf.size.bytes() - 1)) / PAGE_SIZE;
+                    out.push_run(leaf.pfn.offset(within), u64::from(e - s));
                 }
-                ChunkRef::Run(r) => {
-                    let s = (page % CHUNK_SLOTS) as u16;
-                    let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-                    let lo = s.max(r.first);
-                    let hi = e.min(r.end());
-                    if lo < hi {
-                        out.push_run(r.pfn_at(lo), (hi - lo) as u64);
-                    }
-                }
-                ChunkRef::Table0(t) => {
-                    for p in page..seg_end {
-                        if let Some(Entry::Leaf(leaf)) =
-                            t.entries[(p % CHUNK_SLOTS) as usize].as_ref()
-                        {
-                            out.push_run(leaf.pfn, 1);
-                        }
+                ChunkRef::Runs(c) => {
+                    for r in c.clipped(s, e) {
+                        out.push_run(r.start, u64::from(r.len));
                     }
                 }
             }
-            page = seg_end;
         }
         out
     }
 
     /// The unmapped sub-ranges of `[va, va + pages * 4 KiB)`, as
     /// `(page_offset_from_va, run_length)` pairs in address order —
-    /// the demand-fault hole finder, O(extents).
+    /// the demand-fault hole finder.
     pub fn find_unmapped(&self, va: VirtAddr, pages: u64) -> Vec<(u64, u64)> {
-        let first_page = va.0 >> 12;
-        let end_page = first_page + pages;
+        let first = va.0 / PAGE_SIZE;
         let mut out: Vec<(u64, u64)> = Vec::new();
-        let push = |out: &mut Vec<(u64, u64)>, off: u64, len: u64| {
+        let mut push = |off: u64, len: u64| {
             if len == 0 {
                 return;
             }
-            if let Some(last) = out.last_mut() {
-                if last.0 + last.1 == off {
-                    last.1 += len;
-                    return;
-                }
+            match out.last_mut() {
+                Some(last) if last.0 + last.1 == off => last.1 += len,
+                _ => out.push((off, len)),
             }
-            out.push((off, len));
         };
-        let mut page = first_page;
-        while page < end_page {
-            let chunk_end = (page / CHUNK_SLOTS + 1) * CHUNK_SLOTS;
-            let seg_end = end_page.min(chunk_end);
-            let cur = VirtAddr(page << 12);
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => push(&mut out, page - first_page, seg_end - page),
+        for (base, s, e) in chunks(first, first + pages) {
+            let at_page = |slot: u16| base + u64::from(slot) - first;
+            match self.chunk_ref(page_va(base + u64::from(s))) {
+                ChunkRef::Hole => push(at_page(s), u64::from(e - s)),
                 ChunkRef::Giant(_) | ChunkRef::Large(_) => {}
-                ChunkRef::Run(r) => {
-                    let s = (page % CHUNK_SLOTS) as u16;
-                    let e = ((seg_end - 1) % CHUNK_SLOTS) as u16 + 1;
-                    // Everything outside [first, end) is a hole.
-                    let mapped_lo = s.max(r.first);
-                    let mapped_hi = e.min(r.end());
-                    if mapped_lo >= mapped_hi {
-                        push(&mut out, page - first_page, seg_end - page);
-                    } else {
-                        push(&mut out, page - first_page, (mapped_lo - s) as u64);
-                        push(
-                            &mut out,
-                            page - first_page + (mapped_hi - s) as u64,
-                            (e - mapped_hi) as u64,
-                        );
+                ChunkRef::Runs(c) => {
+                    let mut at = s;
+                    for r in c.clipped(s, e) {
+                        push(at_page(at), u64::from(r.first - at));
+                        at = r.end();
                     }
-                }
-                ChunkRef::Table0(t) => {
-                    for p in page..seg_end {
-                        if t.entries[(p % CHUNK_SLOTS) as usize].is_none() {
-                            push(&mut out, p - first_page, 1);
-                        }
-                    }
+                    push(at_page(at), u64::from(e - at));
                 }
             }
-            page = seg_end;
         }
         out
     }
 
     /// Change the flags on the leaf containing `va`.
     pub fn protect(&mut self, va: VirtAddr, flags: PteFlags) -> Result<(), MemError> {
-        let mut level = &mut self.root;
-        let mut lvl = 3u8;
-        loop {
-            let idx = va.pt_index(lvl);
-            let slot = &mut level.entries[idx];
-            match slot {
-                None => return Err(MemError::NotMapped(va)),
-                Some(Entry::Leaf(leaf)) => {
-                    leaf.flags = flags;
-                    return Ok(());
-                }
-                Some(Entry::LeafRun(_)) => {
-                    let Some(Entry::LeafRun(mut r)) = slot.take() else {
-                        unreachable!()
-                    };
-                    let idx0 = va.pt_index(0) as u16;
-                    if !r.covers(idx0) {
-                        *slot = Some(Entry::LeafRun(r));
-                        return Err(MemError::NotMapped(va));
-                    }
-                    if r.len == 1 {
-                        r.flags = flags;
-                        *slot = Some(Entry::LeafRun(r));
-                    } else {
-                        // One page diverges from the run's flags: expand
-                        // to a discrete table and edit that leaf.
-                        let mut table = r.to_table();
-                        if let Some(Entry::Leaf(leaf)) = table.entries[idx0 as usize].as_mut() {
-                            leaf.flags = flags;
-                        }
-                        *slot = Some(Entry::Table(table));
-                        self.table_count += 1;
-                    }
-                    return Ok(());
-                }
-                Some(Entry::Table(_)) => {
-                    if lvl == 0 {
-                        return Err(MemError::MappingConflict(va));
-                    }
-                    let Some(Entry::Table(t)) = slot else {
-                        unreachable!()
-                    };
-                    level = t;
-                    lvl -= 1;
-                }
+        let slot0 = va.pt_index(0) as u16;
+        let slot = self.chunk_slot_mut(va).ok_or(MemError::NotMapped(va))?;
+        let start = match slot {
+            Some(Entry::Leaf(leaf)) => {
+                leaf.flags = flags;
+                return Ok(());
             }
-        }
+            Some(Entry::Runs(c)) => c.run_at(slot0).ok_or(MemError::NotMapped(va))?.start,
+            _ => return Err(MemError::NotMapped(va)),
+        };
+        let run = LeafRun {
+            first: slot0,
+            len: 1,
+            start,
+            flags,
+        };
+        splice_chunk(slot, slot0, slot0 + 1, [run], |_, _| {});
+        Ok(())
+    }
+
+    /// The runs of 4 KiB leaves stored for the 2 MiB chunk containing
+    /// `va`, in address order, as `(address of the run's first page,
+    /// frames, flags)`; empty unless the chunk holds 4 KiB mappings.
+    /// Chunks are canonical (see the module docs), so two tables with the
+    /// same mappings report the same runs, however they were built.
+    pub fn chunk_runs(&self, va: VirtAddr) -> Vec<(VirtAddr, PfnRun, PteFlags)> {
+        let ChunkRef::Runs(c) = self.chunk_ref(va) else {
+            return Vec::new();
+        };
+        let base = va.0 / PAGE_SIZE / u64::from(CHUNK_SLOTS) * u64::from(CHUNK_SLOTS);
+        c.runs()
+            .iter()
+            .map(|r| {
+                let run = PfnRun {
+                    start: r.start,
+                    len: u64::from(r.len),
+                };
+                (page_va(base + u64::from(r.first)), run, r.flags)
+            })
+            .collect()
     }
 }
 
@@ -1178,6 +1011,7 @@ mod tests {
             let (pa, _, _) = pt.translate(VirtAddr(i * K4)).unwrap();
             assert_eq!(pa.pfn(), Pfn(100 + i));
         }
+        assert_eq!(pt.chunk_runs(VirtAddr(0)).len(), 2);
     }
 
     #[test]
@@ -1305,24 +1139,59 @@ mod tests {
         let (_, flags, _) = pt.translate(VirtAddr(K4)).unwrap();
         assert!(flags.writable());
         assert_eq!(pt.leaf_count(), 4);
+        assert_eq!(pt.chunk_runs(VirtAddr(0)).len(), 3);
+        // Restoring the flags merges the chunk back into one run.
+        pt.protect(VirtAddr(2 * K4), PteFlags::rw_user()).unwrap();
+        assert_eq!(
+            pt.chunk_runs(VirtAddr(0)),
+            vec![(
+                VirtAddr(0),
+                PfnRun {
+                    start: Pfn(40),
+                    len: 4
+                },
+                PteFlags::rw_user()
+            )]
+        );
     }
 
     #[test]
-    fn table_count_grows_with_sparse_mappings() {
+    fn chunk_forgets_its_history() {
+        // A two-run list 8 pages past a 2 MiB boundary, torn down, then a
+        // one-run list at the same address: the chunk must hold exactly
+        // that one run, as if the first list had never been mapped.
         let mut pt = PageTable::new();
-        assert_eq!(pt.table_count(), 1);
-        pt.map(VirtAddr(0), Pfn(1), PageSize::Size4K, PteFlags::rw_user())
-            .unwrap();
-        // Root + L2 + L1 + L0.
-        assert_eq!(pt.table_count(), 4);
-        // Far-away mapping adds three more tables.
+        let va = VirtAddr(M2 + 8 * K4);
+        let mut two = PfnList::new();
+        two.push_run(Pfn(100), 4);
+        two.push_run(Pfn(300), 4);
+        pt.map_list(va, &two, PteFlags::rw_user()).unwrap();
+        assert_eq!(pt.chunk_runs(va).len(), 2);
+        assert_eq!(pt.unmap_resident(va, 8), (two, 8));
+        // The emptied chunk is gone: a 2 MiB leaf fits there again.
+        assert!(pt.chunk_runs(va).is_empty());
         pt.map(
-            VirtAddr(1 << 40),
-            Pfn(2),
-            PageSize::Size4K,
+            VirtAddr(M2),
+            Pfn(0x400),
+            PageSize::Size2M,
             PteFlags::rw_user(),
         )
         .unwrap();
-        assert_eq!(pt.table_count(), 7);
+        assert_eq!(pt.unmap(VirtAddr(M2)), Ok((Pfn(0x400), PageSize::Size2M)));
+        let mut one = PfnList::new();
+        one.push_run(Pfn(500), 8);
+        pt.map_list(va, &one, PteFlags::rw_user()).unwrap();
+        assert_eq!(
+            pt.chunk_runs(va),
+            vec![(
+                va,
+                PfnRun {
+                    start: Pfn(500),
+                    len: 8
+                },
+                PteFlags::rw_user()
+            )]
+        );
+        assert_eq!(pt.leaf_count(), 8);
     }
 }

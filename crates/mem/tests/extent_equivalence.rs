@@ -10,10 +10,16 @@
 //! one table with the batched paths and a reference table with per-page
 //! `map`/`unmap`/`translate` loops over randomized layouts — including
 //! runs crossing 2 MiB chunk boundaries and ranges butting against holes
-//! — and require the two to be indistinguishable.
+//! — and require the two to be indistinguishable. A last property drives
+//! long mixed histories (multi-run lists at unaligned, overlapping bases,
+//! resident and strict unmaps, protection changes) against a per-page
+//! `HashMap` model and requires every chunk to hold exactly the runs the
+//! model's mapping implies, however it was built.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use xemem_mem::page_table::WalkStats;
+use xemem_mem::pfn_list::PfnRun;
 use xemem_mem::{MemError, PageSize, PageTable, Pfn, PfnList, PteFlags, VirtAddr, PAGE_SIZE};
 use xemem_sim::{CostModel, SimDuration};
 
@@ -98,8 +104,227 @@ fn assert_same_translations(fast: &PageTable, slow: &PageTable, lo_page: u64, hi
     }
 }
 
+/// Pages the mixed-history property works in: three 2 MiB chunks.
+const WINDOW: u64 = 3 * 512;
+
+/// One step of a mixed page-table history.
+#[derive(Debug, Clone)]
+enum PtStep {
+    /// `map_list` at page `base` of a list whose runs are `(len, family)`
+    /// pairs: a run's frames are its pages' numbers offset by its family,
+    /// so runs of one family mapped side by side are frame-contiguous and
+    /// must merge across calls.
+    MapList {
+        base: u64,
+        runs: Vec<(u64, u64)>,
+    },
+    UnmapResident {
+        base: u64,
+        pages: u64,
+    },
+    UnmapPages {
+        base: u64,
+        pages: u64,
+    },
+    Protect {
+        page: u64,
+        read_only: bool,
+    },
+    Unmap {
+        page: u64,
+    },
+}
+
+fn pt_step() -> impl Strategy<Value = PtStep> {
+    let page = 0u64..WINDOW;
+    prop_oneof![
+        (
+            0u64..WINDOW - 8,
+            prop::collection::vec((1u64..300, 0u64..3), 1..5)
+        )
+            .prop_map(|(base, runs)| PtStep::MapList { base, runs }),
+        (
+            0u64..WINDOW - 8,
+            prop::collection::vec((1u64..300, 0u64..3), 1..5)
+        )
+            .prop_map(|(base, runs)| PtStep::MapList { base, runs }),
+        (0u64..WINDOW, 1u64..600).prop_map(|(base, pages)| PtStep::UnmapResident { base, pages }),
+        (0u64..WINDOW, 1u64..40).prop_map(|(base, pages)| PtStep::UnmapPages { base, pages }),
+        (page.clone(), any::<bool>())
+            .prop_map(|(page, read_only)| PtStep::Protect { page, read_only }),
+        page.prop_map(|page| PtStep::Unmap { page }),
+    ]
+}
+
+/// The per-page model: page → (frame, flags).
+type PageModel = HashMap<u64, (u64, PteFlags)>;
+
+fn va_of(page: u64) -> VirtAddr {
+    VirtAddr(page * PAGE_SIZE)
+}
+
+/// Every observable of `pt` over the window equals the model's, and each
+/// chunk holds the canonical runs rebuilt from the model.
+fn assert_matches_model(pt: &PageTable, model: &PageModel) {
+    assert_eq!(pt.leaf_count(), model.len() as u64, "leaf_count");
+    for page in 0..WINDOW {
+        let off = (page * 131) % PAGE_SIZE;
+        let expect = model
+            .get(&page)
+            .map(|&(pfn, flags)| (Pfn(pfn).base() + off, flags, PageSize::Size4K));
+        assert_eq!(pt.translate(va_of(page) + off), expect, "page {page}");
+    }
+    // Holes, resident frames, and a strict walk of every mapped segment
+    // and of the whole window.
+    let mut holes = Vec::new();
+    let mut resident = PfnList::new();
+    for page in 0..WINDOW {
+        match model.get(&page) {
+            Some(&(pfn, _)) => resident.push_run(Pfn(pfn), 1),
+            None => match holes.last_mut() {
+                Some((at, n)) if *at + *n == page => *n += 1,
+                _ => holes.push((page, 1)),
+            },
+        }
+    }
+    assert_eq!(pt.find_unmapped(va_of(0), WINDOW), holes);
+    assert_eq!(pt.walk_resident(va_of(0), WINDOW), resident);
+    let mut at = 0;
+    for &(hole, n) in holes.iter().chain([&(WINDOW, 0)]) {
+        if hole > at {
+            let pages = hole - at;
+            let (list, stats) = pt.walk_range(va_of(at), pages * PAGE_SIZE).unwrap();
+            let expect: PfnList = (at..hole).map(|p| Pfn(model[&p].0)).collect();
+            assert_eq!(list, expect);
+            assert_eq!(
+                stats,
+                WalkStats {
+                    pages,
+                    leaves_visited: pages
+                }
+            );
+        }
+        at = hole + n;
+    }
+    let whole = pt.walk_range(va_of(0), WINDOW * PAGE_SIZE).err();
+    assert_eq!(
+        whole,
+        holes.first().map(|&(p, _)| MemError::NotMapped(va_of(p)))
+    );
+    // Canonical chunks: maximal runs of slot- and frame-contiguous pages
+    // with equal flags.
+    for chunk in 0..WINDOW / 512 {
+        let mut runs: Vec<(VirtAddr, PfnRun, PteFlags)> = Vec::new();
+        for page in chunk * 512..(chunk + 1) * 512 {
+            let Some(&(pfn, flags)) = model.get(&page) else {
+                continue;
+            };
+            match runs.last_mut() {
+                Some((va, run, f))
+                    if *f == flags
+                        && va.0 / PAGE_SIZE + run.len == page
+                        && run.start.0 + run.len == pfn =>
+                {
+                    run.len += 1
+                }
+                _ => runs.push((
+                    va_of(page),
+                    PfnRun {
+                        start: Pfn(pfn),
+                        len: 1,
+                    },
+                    flags,
+                )),
+            }
+        }
+        assert_eq!(pt.chunk_runs(va_of(chunk * 512)), runs, "chunk {chunk}");
+    }
+}
+
+/// Apply one step to the table and the model, requiring the same result.
+fn apply_step(pt: &mut PageTable, model: &mut PageModel, step: PtStep) {
+    let rw = PteFlags::rw_user();
+    match step {
+        PtStep::MapList { base, runs } => {
+            let mut list = PfnList::new();
+            let mut page = base;
+            for (len, family) in runs {
+                let len = len.min(WINDOW - page);
+                list.push_run(Pfn(page + (family + 1) * 100_000), len);
+                page += len;
+            }
+            let clash = (base..base + list.pages()).find(|p| model.contains_key(p));
+            let got = pt.map_list(va_of(base), &list, rw);
+            match clash {
+                Some(p) => assert_eq!(got, Err(MemError::AlreadyMapped(va_of(p)))),
+                None => {
+                    assert_eq!(got, Ok(list.pages()));
+                    for (i, pfn) in list.iter_pages().enumerate() {
+                        model.insert(base + i as u64, (pfn.0, rw));
+                    }
+                }
+            }
+        }
+        PtStep::UnmapResident { base, pages } => {
+            let mut freed = PfnList::new();
+            for p in base..base + pages {
+                if let Some((pfn, _)) = model.remove(&p) {
+                    freed.push_run(Pfn(pfn), 1);
+                }
+            }
+            let cleared = freed.pages();
+            assert_eq!(pt.unmap_resident(va_of(base), pages), (freed, cleared));
+        }
+        PtStep::UnmapPages { base, pages } => {
+            let got = pt.unmap_pages(va_of(base), pages);
+            match (base..base + pages).find(|p| !model.contains_key(p)) {
+                Some(p) => assert_eq!(got, Err(MemError::NotMapped(va_of(p)))),
+                None => {
+                    let freed: PfnList = (base..base + pages)
+                        .map(|p| Pfn(model.remove(&p).expect("checked").0))
+                        .collect();
+                    assert_eq!(got, Ok(freed));
+                }
+            }
+        }
+        PtStep::Protect { page, read_only } => {
+            let flags = if read_only { PteFlags::ro_user() } else { rw };
+            let got = pt.protect(va_of(page), flags);
+            match model.get_mut(&page) {
+                Some(entry) => {
+                    assert_eq!(got, Ok(()));
+                    entry.1 = flags;
+                }
+                None => assert_eq!(got, Err(MemError::NotMapped(va_of(page)))),
+            }
+        }
+        PtStep::Unmap { page } => {
+            let expect = match model.remove(&page) {
+                Some((pfn, _)) => Ok((Pfn(pfn), PageSize::Size4K)),
+                None => Err(MemError::NotMapped(va_of(page))),
+            };
+            assert_eq!(pt.unmap(va_of(page)), expect);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Mixed histories match the per-page model after every step, and
+    /// every chunk's runs are the canonical runs of the current mapping —
+    /// nothing an earlier step did survives in the representation.
+    #[test]
+    fn mixed_histories_match_per_page_model_and_stay_canonical(
+        steps in prop::collection::vec(pt_step(), 1..40)
+    ) {
+        let mut pt = PageTable::new();
+        let mut model = PageModel::new();
+        for step in steps {
+            apply_step(&mut pt, &mut model, step);
+            assert_matches_model(&pt, &model);
+        }
+    }
 
     /// `map_extent` produces a table indistinguishable from the per-page
     /// `map` loop: same translations, same leaf count, same `walk_range`

@@ -585,9 +585,9 @@ mod tests {
         let (mut vmm, phys, mut host_alloc) = launch(MemoryMapKind::RbTree);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
         // Host-side frames (e.g. exported by a Kitten process).
-        let host_frames = host_alloc.alloc_pages(8).unwrap();
-        let list = PfnList::from_pages(host_frames.clone());
-        phys.write(host_frames[3].base(), b"host data").unwrap();
+        let list = host_alloc.alloc_pages(8).unwrap();
+        let frame3 = list.page(3).unwrap();
+        phys.write(frame3.base(), b"host data").unwrap();
         let entries_before = vmm.map_entries();
         let breakdown = vmm.guest_attach(pid, &list).unwrap();
         // Paper behaviour: one new map entry per page.
@@ -604,7 +604,7 @@ mod tests {
             .write(pid, breakdown.va + 3 * 4096, b"GUEST OUT")
             .unwrap();
         let mut host_view = [0u8; 9];
-        phys.read(host_frames[3].base(), &mut host_view).unwrap();
+        phys.read(frame3.base(), &mut host_view).unwrap();
         assert_eq!(&host_view, b"GUEST OUT");
     }
 
@@ -615,8 +615,7 @@ mod tests {
         // removing structure time speeds things up ~2.2x.
         let (mut vmm, _, mut host_alloc) = launch(MemoryMapKind::RbTree);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
-        let frames = host_alloc.alloc_pages(16_384).unwrap(); // 64 MiB
-        let list = PfnList::from_pages(frames);
+        let list = host_alloc.alloc_pages(16_384).unwrap(); // 64 MiB
         let b = vmm.guest_attach(pid, &list).unwrap();
         let frac = b.map_update_fraction();
         assert!((0.6..0.95).contains(&frac), "map-update fraction = {frac}");
@@ -633,8 +632,8 @@ mod tests {
         let (mut rx_vmm, _, mut a2) = launch(MemoryMapKind::Radix);
         let p1 = rb_vmm.guest_mut().spawn(1 << 20).unwrap().value;
         let p2 = rx_vmm.guest_mut().spawn(1 << 20).unwrap().value;
-        let l1 = PfnList::from_pages(a1.alloc_pages(8192).unwrap());
-        let l2 = PfnList::from_pages(a2.alloc_pages(8192).unwrap());
+        let l1 = a1.alloc_pages(8192).unwrap();
+        let l2 = a2.alloc_pages(8192).unwrap();
         let b1 = rb_vmm.guest_attach(p1, &l1).unwrap();
         let b2 = rx_vmm.guest_attach(p2, &l2).unwrap();
         assert!(
@@ -683,7 +682,7 @@ mod tests {
     fn guest_detach_shrinks_the_map() {
         let (mut vmm, _, mut host_alloc) = launch(MemoryMapKind::RbTree);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
-        let list = PfnList::from_pages(host_alloc.alloc_pages(32).unwrap());
+        let list = host_alloc.alloc_pages(32).unwrap();
         let before = vmm.map_entries();
         let b = vmm.guest_attach(pid, &list).unwrap();
         assert_eq!(vmm.map_entries(), before + 32);
@@ -699,7 +698,7 @@ mod tests {
         let (mut vmm, _, mut host_alloc) = launch(MemoryMapKind::RbTree);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
         let pages = 16_384u64;
-        let list = PfnList::from_pages(host_alloc.alloc_pages(pages).unwrap());
+        let list = host_alloc.alloc_pages(pages).unwrap();
         let b = vmm.guest_attach(pid, &list).unwrap();
         let gbps = (pages * 4096) as f64 / b.total.as_secs_f64() / 1e9;
         assert!((3.5..6.0).contains(&gbps), "guest attach = {gbps} GB/s");
@@ -749,10 +748,9 @@ mod more_tests {
         let (mut vmm, phys, mut host_alloc) = launch_with(MemoryMapKind::Radix, false);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
         let frames = host_alloc.alloc_pages(4).unwrap();
-        phys.write(frames[2].base(), b"radix path").unwrap();
-        let b = vmm
-            .guest_attach(pid, &PfnList::from_pages(frames.clone()))
+        phys.write(frames.page(2).unwrap().base(), b"radix path")
             .unwrap();
+        let b = vmm.guest_attach(pid, &frames).unwrap();
         let mut got = [0u8; 10];
         vmm.guest_mut()
             .read(pid, b.va + 2 * 4096, &mut got)
@@ -760,7 +758,8 @@ mod more_tests {
         assert_eq!(&got, b"radix path");
         vmm.guest_mut().write(pid, b.va, b"back at ya").unwrap();
         let mut host_view = [0u8; 10];
-        phys.read(frames[0].base(), &mut host_view).unwrap();
+        phys.read(frames.page(0).unwrap().base(), &mut host_view)
+            .unwrap();
         assert_eq!(&host_view, b"back at ya");
     }
 
@@ -770,7 +769,7 @@ mod more_tests {
         let (mut vmm, _, mut host_alloc) = launch_with(MemoryMapKind::RbTree, true);
         let pid = vmm.guest_mut().spawn(4 << 20).unwrap().value;
         let frames = host_alloc.alloc_pages(8).unwrap();
-        let b = vmm.guest_attach(pid, &PfnList::from_pages(frames)).unwrap();
+        let b = vmm.guest_attach(pid, &frames).unwrap();
         let mut probe = [0u8; 1];
         vmm.guest_mut().read(pid, b.va, &mut probe).unwrap();
         // Export back out of the LWK guest.
@@ -787,7 +786,7 @@ mod more_tests {
         assert_eq!(vmm.pci().hypercalls(), 0);
         for i in 0..3 {
             let frames = host_alloc.alloc_pages(2).unwrap();
-            let b = vmm.guest_attach(pid, &PfnList::from_pages(frames)).unwrap();
+            let b = vmm.guest_attach(pid, &frames).unwrap();
             assert_eq!(vmm.pci().irqs_raised(), i + 1);
             vmm.guest_detach(pid, b.va).unwrap();
         }
@@ -800,7 +799,7 @@ mod more_tests {
     fn detach_then_reattach_reuses_cleanly() {
         let (mut vmm, _, mut host_alloc) = launch_with(MemoryMapKind::RbTree, false);
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
-        let frames = PfnList::from_pages(host_alloc.alloc_pages(16).unwrap());
+        let frames = host_alloc.alloc_pages(16).unwrap();
         let baseline = vmm.map_entries();
         for _ in 0..10 {
             let b = vmm.guest_attach(pid, &frames).unwrap();

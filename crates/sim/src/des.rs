@@ -23,12 +23,13 @@ use std::collections::VecDeque;
 /// do, where each actor books its whole operation before the next actor
 /// runs) and still get a correct contention model.
 ///
-/// Long-running drivers call [`Resource::retire_before`] as virtual time
-/// advances: intervals that end at or before the low-water mark can never
-/// affect a future booking (the scan in `acquire` skips them unexamined),
-/// so pruning them keeps the per-acquire scan over the *pending* horizon
-/// instead of the whole history — without it, a chaos run's calendar
-/// grows linearly and each acquire is O(grants), an O(n²) total.
+/// `acquire` binary-searches past the intervals that ended by the arrival
+/// and then walks only the pending ones it must queue behind: O(log n +
+/// intervals skipped) per grant. Long-running drivers also call
+/// [`Resource::retire_before`] as virtual time advances: intervals that
+/// end at or before the low-water mark can never affect a future booking,
+/// so pruning them bounds the calendar's memory by the *pending* horizon
+/// instead of the whole history.
 #[derive(Debug, Clone, Default)]
 pub struct Resource {
     /// Booked intervals, sorted by start time. Non-overlapping, so also
@@ -80,31 +81,23 @@ impl Resource {
             at.as_nanos(),
             self.low_water.as_nanos()
         );
-        // Find the insertion region: skip intervals that end at or before
-        // the candidate, shifting the candidate past overlapping ones,
-        // until a gap of `service` opens up.
+        // Intervals ending at or before the arrival never constrain it;
+        // they are a prefix because the calendar is also sorted by end.
+        // From there, walk the pending intervals until a gap of `service`
+        // opens up before one of them (insert there) or they run out
+        // (append: every interval then ends by `start`).
         let mut candidate = at;
         let mut insert_pos = self.calendar.len();
-        for (i, &(s, e)) in self.calendar.iter().enumerate() {
-            if e <= candidate {
-                continue;
-            }
+        let pending = self.calendar.partition_point(|&(_, e)| e <= at);
+        for (i, &(s, e)) in self.calendar.range(pending..).enumerate() {
             if s >= candidate + service {
-                insert_pos = i;
+                insert_pos = pending + i;
                 break;
             }
             candidate = candidate.max(e);
         }
         let start = candidate;
         let end = start + service;
-        // Keep the calendar sorted by start.
-        if insert_pos == self.calendar.len() {
-            insert_pos = self
-                .calendar
-                .iter()
-                .position(|&(s, _)| s > start)
-                .unwrap_or(self.calendar.len());
-        }
         if !service.is_zero() {
             self.calendar.insert(insert_pos, (start, end));
             self.last_end = self.last_end.max(end);
@@ -121,9 +114,9 @@ impl Resource {
     /// in debug builds).
     ///
     /// Behaviour-preserving by construction: an interval with
-    /// `end <= horizon <= arrival` is exactly one the `acquire` scan
-    /// skips via its `e <= candidate` branch, so removing it changes no
-    /// grant. The horizon is monotone; stale calls are no-ops.
+    /// `end <= horizon <= arrival` lies in the ended prefix `acquire`
+    /// skips, so removing it changes no grant. The horizon is monotone;
+    /// stale calls are no-ops.
     pub fn retire_before(&mut self, horizon: SimTime) {
         if horizon <= self.low_water {
             return;

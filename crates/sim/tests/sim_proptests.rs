@@ -1,14 +1,116 @@
 //! Property tests for the simulation substrate: noise-stream ordering,
 //! the noise fixed-point's monotonicity, and the calendar resource's
-//! no-overlap/conservation invariants.
+//! no-overlap/conservation invariants and grant-for-grant equivalence
+//! with the linear-scan reference calendar.
 
 use proptest::prelude::*;
-use xemem_sim::des::Resource;
+use std::collections::VecDeque;
+use xemem_sim::des::{Grant, Resource};
 use xemem_sim::noise::{finish_time_with_noise, CompositeNoise, NoiseGen};
 use xemem_sim::{SimDuration, SimRng, SimTime};
 
+/// The linear-scan calendar `Resource` must match grant for grant: one
+/// scan over every booking to find the gap, a second to find the insert
+/// position when the gap lies past the last booking.
+#[derive(Default)]
+struct RefCalendar {
+    calendar: VecDeque<(SimTime, SimTime)>,
+    low_water: SimTime,
+    last_end: SimTime,
+    busy: SimDuration,
+    wait: SimDuration,
+}
+
+impl RefCalendar {
+    fn acquire(&mut self, at: SimTime, service: SimDuration) -> Grant {
+        let mut candidate = at;
+        let mut insert_pos = self.calendar.len();
+        for (i, &(s, e)) in self.calendar.iter().enumerate() {
+            if e <= candidate {
+                continue;
+            }
+            if s >= candidate + service {
+                insert_pos = i;
+                break;
+            }
+            candidate = candidate.max(e);
+        }
+        let start = candidate;
+        let end = start + service;
+        if insert_pos == self.calendar.len() {
+            insert_pos = self
+                .calendar
+                .iter()
+                .position(|&(s, _)| s > start)
+                .unwrap_or(self.calendar.len());
+        }
+        if !service.is_zero() {
+            self.calendar.insert(insert_pos, (start, end));
+            self.last_end = self.last_end.max(end);
+        }
+        self.busy += service;
+        self.wait += start.duration_since(at);
+        Grant { start, end }
+    }
+
+    fn retire_before(&mut self, horizon: SimTime) {
+        if horizon <= self.low_water {
+            return;
+        }
+        self.low_water = horizon;
+        while self.calendar.front().is_some_and(|&(_, e)| e <= horizon) {
+            self.calendar.pop_front();
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum CalOp {
+    /// A request arriving `ahead` ns after the retired horizon.
+    Acquire { ahead: u64, service: u64 },
+    /// Retire up to `ahead` ns past the current horizon.
+    Retire { ahead: u64 },
+}
+
+fn cal_op() -> impl Strategy<Value = CalOp> {
+    prop_oneof![
+        (0u64..2_000, 1u64..300).prop_map(|(ahead, service)| CalOp::Acquire { ahead, service }),
+        (0u64..2_000, 1u64..300).prop_map(|(ahead, service)| CalOp::Acquire { ahead, service }),
+        (0u64..2_000).prop_map(|ahead| CalOp::Acquire { ahead, service: 0 }),
+        (0u64..400).prop_map(|ahead| CalOp::Retire { ahead }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Out-of-order arrivals, zero-service requests and interleaved
+    /// retirement give the same grants, totals, `free_at` and live
+    /// booking count as the linear-scan reference.
+    #[test]
+    fn calendar_matches_linear_scan_reference(ops in prop::collection::vec(cal_op(), 1..300)) {
+        let mut r = Resource::new();
+        let mut reference = RefCalendar::default();
+        let mut horizon = 0u64;
+        for op in ops {
+            match op {
+                CalOp::Acquire { ahead, service } => {
+                    let at = SimTime::from_nanos(horizon + ahead);
+                    let service = SimDuration::from_nanos(service);
+                    prop_assert_eq!(r.acquire(at, service), reference.acquire(at, service));
+                }
+                CalOp::Retire { ahead } => {
+                    horizon += ahead;
+                    r.retire_before(SimTime::from_nanos(horizon));
+                    reference.retire_before(SimTime::from_nanos(horizon));
+                }
+            }
+            prop_assert_eq!(r.total_wait(), reference.wait);
+            prop_assert_eq!(r.total_busy(), reference.busy);
+            prop_assert_eq!(r.free_at(), reference.last_end);
+            prop_assert_eq!(r.booked(), reference.calendar.len());
+        }
+    }
 
     #[test]
     fn noise_streams_are_ordered_across_windows(seed in any::<u64>(), windows in 1u64..20) {
