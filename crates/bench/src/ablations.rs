@@ -9,14 +9,13 @@
 //! * [`name_server`] — name-server placement (§3.2: "the name server can
 //!   be deployed in any enclave").
 
-use serde::Serialize;
 use xemem::{GuestOs, MemoryMapKind, SystemBuilder, TraceHandle, XememError};
 use xemem_palacios::Coalescing;
 use xemem_sim::stats::throughput_gbps;
 use xemem_sim::{SimDuration, SimTime};
 
 /// Result row of the memory-map ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemmapRow {
     /// Structure + policy label.
     pub variant: &'static str,
@@ -104,7 +103,7 @@ pub mod memmap {
 }
 
 /// Result row of the IPI ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct IpiRow {
     /// Handler placement label.
     pub variant: &'static str,
@@ -192,7 +191,7 @@ pub mod ipi {
 }
 
 /// Result row of the name-server-placement ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NsRow {
     /// Where the name server lives.
     pub placement: &'static str,
@@ -262,7 +261,7 @@ pub mod name_server {
 }
 
 /// Result row of the NUMA-placement ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NumaRow {
     /// Placement label.
     pub placement: &'static str,
@@ -345,7 +344,7 @@ pub mod numa {
 }
 
 /// Result row of the huge-page attachment ablation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HugepageRow {
     /// Mapping granularity label.
     pub variant: &'static str,

@@ -34,8 +34,5 @@ fn main() {
             &table,
         )
     );
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&rows).unwrap());
-    }
     session.finish(&args);
 }

@@ -51,8 +51,5 @@ fn main() {
             &rows,
         )
     );
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&cells).unwrap());
-    }
     session.finish(&args);
 }

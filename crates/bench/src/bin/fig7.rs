@@ -52,9 +52,6 @@ fn main() {
             )
         );
     }
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&series).unwrap());
-    }
     session.finish(&args);
 }
 

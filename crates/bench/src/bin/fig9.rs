@@ -38,8 +38,5 @@ fn main() {
             )
         );
     }
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&points).unwrap());
-    }
     session.finish(&args);
 }

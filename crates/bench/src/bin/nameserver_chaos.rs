@@ -55,8 +55,5 @@ fn main() {
         "totals: {} units, {enclaves} enclaves, {ops} ops, {failovers} failovers, {stale} stale reads",
         rows.len()
     );
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&rows).unwrap());
-    }
     session.finish(&args);
 }

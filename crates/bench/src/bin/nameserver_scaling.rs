@@ -28,7 +28,4 @@ fn main() {
             &table,
         )
     );
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&cells).unwrap());
-    }
 }

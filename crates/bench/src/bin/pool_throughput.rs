@@ -62,8 +62,5 @@ fn main() {
         "totals: {} units, {ops} pool ops, {swept} refs crash-swept",
         rows.len()
     );
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&rows).unwrap());
-    }
     session.finish(&args);
 }

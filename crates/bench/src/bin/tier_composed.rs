@@ -76,9 +76,5 @@ fn main() {
         )
     );
 
-    if args.json {
-        println!("{}", serde_json::to_string_pretty(&composed).unwrap());
-        println!("{}", serde_json::to_string_pretty(&bw).unwrap());
-    }
     session.finish(&args);
 }

@@ -1,291 +1,45 @@
 //! Wall-clock regression harness: times attach, attach+read, teardown,
-//! and the fig6 sweep on the *host* clock and maintains
-//! `BENCH_wallclock.json` at the repo root.
+//! the fig6 sweep, the PDES churn, and the pool and tier paths on the
+//! *host* clock and maintains `BENCH_wallclock.json` at the repo root.
 //!
 //! Modes:
 //!
-//! * default — measure full (1 GiB) and smoke (64 MiB) profiles, write
-//!   them as the `current` section, preserving any committed `baseline`
-//!   section (if none exists, this run becomes the baseline too);
-//! * `--baseline` — record this run as both `baseline` and `current`
-//!   (run once, before a perf change, to pin the reference point);
-//! * `--check` — CI gate: re-measure the smoke-size attach and fail if
-//!   it regresses more than 2× (plus a generous absolute floor) against
-//!   the committed smoke numbers; writes nothing;
-//! * `--iters N` — override attach iterations.
+//! * default — measure everything and write the schema-6 report,
+//!   copying the committed `baseline` section through unchanged (if
+//!   none exists, this run becomes the baseline too);
+//! * `--check` — the CI gate: re-measure at smoke size, hold each row
+//!   of [`gate_table`] to its committed column, and require the fig6
+//!   sweep and the `pdes_churn` outcome to be bit-identical across
+//!   worker counts (plus their speedups on hosts with enough cores);
+//!   writes nothing;
+//! * `--iters N` — override attach iterations;
+//! * `--out PATH` — the report to read and write (default: the
+//!   committed one).
 
-use serde::Serialize;
 use xemem::TraceHandle;
 use xemem_bench::pdes_churn::{CHURN_ENCLAVES, CHURN_LANES};
 use xemem_bench::wallclock::{
-    cells_bitwise_equal, measure_attach, measure_attach_with, measure_intra, measure_pool,
-    measure_profile, measure_sweep, measure_tiers, BenchStats, Json, Profile, CHECK_FACTOR,
-    CHECK_FLOOR_NS, FULL_BYTES, INTRA_SPEEDUP_FACTOR, PARALLEL_JOBS, PARALLEL_SPEEDUP_FACTOR,
-    POOL_PAIRS, POOL_SLOTS, SMOKE_BYTES, TIER_BYTES, TIER_ITERS, TRACE_CHECK_FACTOR,
+    cells_bitwise_equal, gate_table, measure_attach, measure_attach_with, measure_intra,
+    measure_pool, measure_profile, measure_sweep, measure_tiers, Json, Profile, CHECK_FLOOR_NS,
+    COMMITTED_JSON, FULL_BYTES, INTRA_SPEEDUP_FACTOR, PARALLEL_JOBS, PARALLEL_SPEEDUP_FACTOR,
+    POOL_PAIRS, POOL_SLOTS, SMOKE_BYTES, TIER_BYTES, TIER_ITERS,
 };
 use xemem_sim::host_parallelism;
 
-const DEFAULT_OUT: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wallclock.json");
+const NOTE: &str = "Host wall-clock times for the XEMEM simulator's structural work. \
+    Virtual-time figures are unaffected by construction; see DESIGN.md \
+    'Wall-clock vs virtual time'. The parallel, intra_run, pool and \
+    tiers sections' numbers are honest for the host_parallelism they \
+    record; intra_run records an explicit skip on hosts below the \
+    gate's core count.";
 
-#[derive(Debug, Clone, Serialize)]
-struct Section {
-    label: String,
-    full: Profile,
-    smoke: Profile,
+fn fail(msg: &str) -> ! {
+    eprintln!("wallclock: FAIL — {msg}");
+    std::process::exit(1);
 }
 
-/// Smoke-size attach wall time with the tracing layer disabled vs
-/// enabled. The `off` column is what the `--check` overhead gate holds
-/// to [`TRACE_CHECK_FACTOR`]: a disabled tracer must cost (within
-/// noise) nothing.
-#[derive(Debug, Clone, Serialize)]
-struct TracingSection {
-    bytes: u64,
-    off: BenchStats,
-    on: BenchStats,
-    /// `on.mean_ns / off.mean_ns`.
-    on_over_off: f64,
-}
-
-/// Schema-3 serial-vs-parallel sweep columns: the same fig6-style cell
-/// grid timed at `--jobs 1` and `--jobs 4`. `cells_identical` records
-/// the bitwise-determinism contract; `speedup` is honest for the host
-/// the report was generated on (see `host_parallelism`).
-#[derive(Debug, Clone, Serialize)]
-struct ParallelSection {
-    /// Cores the measuring host exposed (`available_parallelism`).
-    host_parallelism: usize,
-    /// Worker count of the parallel column.
-    jobs: usize,
-    /// Sweep cells executed per column.
-    sweep_units: usize,
-    /// Wall nanoseconds for the sweep at `--jobs 1`.
-    serial_ns: u64,
-    /// Wall nanoseconds for the sweep at `--jobs 4`.
-    parallel_ns: u64,
-    /// `serial_ns / parallel_ns`.
-    speedup: f64,
-    /// Whether both columns produced bit-identical cells.
-    cells_identical: bool,
-}
-
-/// Schema-4 intra-run parallelism columns: one simulation (the
-/// `pdes_churn` scenario, 8 event lanes) timed at 1 worker vs
-/// [`PARALLEL_JOBS`] workers. `identical` records the bitwise
-/// determinism contract (digest, virtual end time, window/event
-/// counts); the speedup gate records an explicit skip on hosts with
-/// fewer than [`PARALLEL_JOBS`] cores, where the speedup physically
-/// cannot exist.
-#[derive(Debug, Clone, Serialize)]
-struct IntraRunSection {
-    /// Cores the measuring host exposed (`available_parallelism`).
-    host_parallelism: usize,
-    /// PDES event lanes of the scenario (fixed; the worker count is the
-    /// variable under test).
-    lanes: usize,
-    /// Worker threads of the parallel column.
-    workers: usize,
-    /// Actors (enclaves) in the scenario.
-    actors: usize,
-    /// Wall nanoseconds at 1 worker.
-    serial_ns: u64,
-    /// Wall nanoseconds at `workers` workers.
-    parallel_ns: u64,
-    /// `serial_ns / parallel_ns`.
-    speedup: f64,
-    /// Whether both runs produced bit-identical outcomes.
-    identical: bool,
-    /// Whether the >= [`INTRA_SPEEDUP_FACTOR`]x gate was skipped on
-    /// this host.
-    skipped: bool,
-    /// Why (empty when the gate applied).
-    skip_reason: String,
-}
-
-/// Schema-5 pool fast-path columns: host wall time of the buffer-pool
-/// hot paths — slot acquire+release recycling and the full
-/// acquire→publish→consume→release ring cycle — plus end-to-end
-/// slots/sec through the ring. The `--check` gate holds both per-op
-/// means to [`CHECK_FACTOR`]× their committed values, comparing
-/// whole-loop wall time with the usual [`CHECK_FLOOR_NS`] absolute
-/// floor so runner jitter on nanosecond-scale ops cannot trip it.
-#[derive(Debug, Clone, Serialize)]
-struct PoolSection {
-    /// Cores the measuring host exposed (`available_parallelism`).
-    host_parallelism: usize,
-    /// Slots in the measured pool.
-    slots: u32,
-    /// Iterations per timed loop.
-    pairs: u32,
-    /// Mean host ns per acquire+release pair.
-    acquire_release_ns: f64,
-    /// Mean host ns per full ring cycle.
-    ring_op_ns: f64,
-    /// Slots through the ring per host second.
-    slots_per_sec: f64,
-}
-
-/// Schema-6 memory-tier columns: host wall time of a cross-tier attach
-/// (segment resident on the CXL expander) and a whole-segment
-/// `migrate_extent` bounced between CXL and local DRAM with a live
-/// attachment re-pointed inside the timed region. Both are O(extents)
-/// structural paths; the `--check` gate holds each to [`CHECK_FACTOR`]×
-/// its committed mean (with the usual absolute floor), catching any
-/// return to per-page host work on the migration or tiered-attach
-/// paths.
-#[derive(Debug, Clone, Serialize)]
-struct TiersSection {
-    /// Cores the measuring host exposed (`available_parallelism`).
-    host_parallelism: usize,
-    /// Segment bytes of both loops.
-    bytes: u64,
-    /// Cross-tier attach wall time (segment on CXL).
-    attach: BenchStats,
-    /// Whole-segment migrate wall time (CXL ↔ DRAM bounce).
-    migrate: BenchStats,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct Report {
-    schema: u32,
-    note: String,
-    /// Pre-change reference numbers; preserved verbatim on update runs.
-    baseline: Section,
-    /// Numbers for the tree as built.
-    current: Section,
-    /// `baseline.full.attach.mean_ns / current.full.attach.mean_ns`.
-    attach_full_speedup_vs_baseline: f64,
-    /// Tracing-off vs tracing-on smoke attach columns.
-    tracing: TracingSection,
-    /// Serial vs parallel fig6-sweep columns (schema 3).
-    parallel: ParallelSection,
-    /// Intra-run PDES lane-parallelism columns (schema 4).
-    intra_run: IntraRunSection,
-    /// Buffer-pool fast-path columns (schema 5).
-    pool: PoolSection,
-    /// Memory-tier structural-path columns (schema 6).
-    tiers: TiersSection,
-}
-
-fn measure_tiers_section() -> TiersSection {
-    let (attach, migrate) = measure_tiers(TIER_BYTES, TIER_ITERS).expect("tier timing");
-    TiersSection {
-        host_parallelism: host_parallelism(),
-        bytes: TIER_BYTES,
-        attach,
-        migrate,
-    }
-}
-
-fn measure_pool_section() -> PoolSection {
-    let (ar_total, ring_total) = measure_pool(POOL_PAIRS).expect("pool timing");
-    PoolSection {
-        host_parallelism: host_parallelism(),
-        slots: POOL_SLOTS,
-        pairs: POOL_PAIRS,
-        acquire_release_ns: ar_total as f64 / POOL_PAIRS as f64,
-        ring_op_ns: ring_total as f64 / POOL_PAIRS as f64,
-        slots_per_sec: POOL_PAIRS as f64 * 1e9 / ring_total as f64,
-    }
-}
-
-fn measure_parallel_section() -> ParallelSection {
-    let (serial_ns, serial_cells) = measure_sweep(1).expect("serial sweep");
-    let (parallel_ns, parallel_cells) = measure_sweep(PARALLEL_JOBS).expect("parallel sweep");
-    let identical = cells_bitwise_equal(&serial_cells, &parallel_cells);
-    assert!(
-        identical,
-        "parallel sweep diverged from serial — determinism contract broken"
-    );
-    ParallelSection {
-        host_parallelism: host_parallelism(),
-        jobs: PARALLEL_JOBS,
-        sweep_units: serial_cells.len(),
-        serial_ns,
-        parallel_ns,
-        speedup: serial_ns as f64 / parallel_ns as f64,
-        cells_identical: identical,
-    }
-}
-
-fn measure_intra_section() -> IntraRunSection {
-    let (serial_ns, serial) = measure_intra(1).expect("intra-run serial");
-    let (parallel_ns, parallel) = measure_intra(PARALLEL_JOBS).expect("intra-run parallel");
-    let identical = serial == parallel;
-    assert!(
-        identical,
-        "intra-run churn diverged across worker counts — determinism contract broken"
-    );
-    let cores = host_parallelism();
-    let skipped = cores < PARALLEL_JOBS;
-    IntraRunSection {
-        host_parallelism: cores,
-        lanes: CHURN_LANES,
-        workers: PARALLEL_JOBS,
-        actors: CHURN_ENCLAVES,
-        serial_ns,
-        parallel_ns,
-        speedup: serial_ns as f64 / parallel_ns as f64,
-        identical,
-        skipped,
-        skip_reason: if skipped {
-            format!("SKIPPED (host_parallelism={cores})")
-        } else {
-            String::new()
-        },
-    }
-}
-
-fn measure_tracing_section(iters: u32) -> TracingSection {
-    let (off, _) =
-        measure_attach_with(SMOKE_BYTES, iters, &TraceHandle::disabled()).expect("tracing-off");
-    let tracer = TraceHandle::enabled();
-    let (on, _) = measure_attach_with(SMOKE_BYTES, iters, &tracer).expect("tracing-on");
-    tracer.audit().expect("wallclock tracing-on audit");
-    TracingSection {
-        bytes: SMOKE_BYTES,
-        on_over_off: on.mean_ns / off.mean_ns,
-        off,
-        on,
-    }
-}
-
-fn stats_from_json(v: &Json, what: &str) -> xemem_bench::wallclock::BenchStats {
-    let f = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("{what}.{k} missing in committed JSON"))
-    };
-    xemem_bench::wallclock::BenchStats {
-        iters: f("iters") as u32,
-        mean_ns: f("mean_ns"),
-        min_ns: f("min_ns"),
-    }
-}
-
-fn profile_from_json(v: &Json, what: &str) -> Profile {
-    let get = |k: &str| {
-        v.get(k)
-            .unwrap_or_else(|| panic!("{what}.{k} missing in committed JSON"))
-    };
-    Profile {
-        bytes: get("bytes").as_f64().expect("bytes") as u64,
-        attach: stats_from_json(get("attach"), what),
-        attach_read: stats_from_json(get("attach_read"), what),
-        teardown: stats_from_json(get("teardown"), what),
-        fig6_sweep_ns: get("fig6_sweep_ns").as_f64().expect("fig6_sweep_ns") as u64,
-    }
-}
-
-fn section_from_json(v: &Json, what: &str) -> Section {
-    Section {
-        label: match v.get("label") {
-            Some(Json::Str(s)) => s.clone(),
-            _ => what.to_string(),
-        },
-        full: profile_from_json(v.get("full").expect("full profile"), what),
-        smoke: profile_from_json(v.get("smoke").expect("smoke profile"), what),
-    }
+fn num(x: u64) -> Json {
+    Json::Num(x as f64)
 }
 
 fn print_profile(name: &str, p: &Profile) {
@@ -301,253 +55,121 @@ fn print_profile(name: &str, p: &Profile) {
     );
 }
 
-fn run_check(out_path: &str, iters: u32) {
-    let text = std::fs::read_to_string(out_path).unwrap_or_else(|e| {
-        eprintln!("wallclock --check: cannot read {out_path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("wallclock --check: cannot parse {out_path}: {e}");
-        std::process::exit(1);
-    });
-    let committed = doc
-        .path(&["current", "smoke", "attach", "mean_ns"])
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| {
-            eprintln!("wallclock --check: current.smoke.attach.mean_ns missing in {out_path}");
-            std::process::exit(1);
-        });
-    let (attach, _) = measure_attach(SMOKE_BYTES, iters).expect("smoke attach measurement");
-    let limit = (committed * CHECK_FACTOR).max(CHECK_FLOOR_NS);
-    println!(
-        "wallclock --check: smoke attach min {:.3} ms (committed mean {:.3} ms, limit {:.3} ms)",
-        attach.min_ns / 1e6,
-        committed / 1e6,
-        limit / 1e6
-    );
-    if attach.min_ns > limit {
-        eprintln!("wallclock --check: FAIL — attach wall time regressed more than {CHECK_FACTOR}x");
-        std::process::exit(1);
+/// Time the fig6 sweep at `--jobs 1` and `--jobs PARALLEL_JOBS`; the
+/// cells must be bit-identical on every host. Returns `(serial_ns,
+/// parallel_ns, cells)`.
+fn time_sweep() -> (u64, u64, usize) {
+    let (serial_ns, serial) = measure_sweep(1).expect("serial sweep");
+    let (parallel_ns, parallel) = measure_sweep(PARALLEL_JOBS).expect("parallel sweep");
+    if !cells_bitwise_equal(&serial, &parallel) {
+        fail(&format!(
+            "fig6 sweep cells at --jobs {PARALLEL_JOBS} diverge from --jobs 1 \
+             (determinism contract broken)"
+        ));
     }
-
-    // Tracing-overhead gate: the disabled-tracing path (which is what
-    // `measure_attach` just timed) must stay within TRACE_CHECK_FACTOR
-    // of its committed tracing-off column.
-    let committed_off = doc
-        .path(&["tracing", "off", "mean_ns"])
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| {
-            eprintln!("wallclock --check: tracing.off.mean_ns missing in {out_path}");
-            std::process::exit(1);
-        });
-    let trace_limit = (committed_off * TRACE_CHECK_FACTOR).max(CHECK_FLOOR_NS);
     println!(
-        "wallclock --check: tracing-off attach min {:.3} ms (committed {:.3} ms, limit {:.3} ms)",
-        attach.min_ns / 1e6,
-        committed_off / 1e6,
-        trace_limit / 1e6
-    );
-    if attach.min_ns > trace_limit {
-        eprintln!(
-            "wallclock --check: FAIL — tracing-off attach exceeds committed by more than \
-             {:.0}% (disabled tracing must be free)",
-            (TRACE_CHECK_FACTOR - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-
-    // Serial-attach regression gate (schema 3): the serial attach path
-    // must stay within 2% of the committed serial column (with the same
-    // absolute floor), so the parallel driver cannot quietly tax the
-    // `--jobs 1` path.
-    let serial_limit = (committed * TRACE_CHECK_FACTOR).max(CHECK_FLOOR_NS);
-    println!(
-        "wallclock --check: serial attach min {:.3} ms (committed {:.3} ms, limit {:.3} ms)",
-        attach.min_ns / 1e6,
-        committed / 1e6,
-        serial_limit / 1e6
-    );
-    if attach.min_ns > serial_limit {
-        eprintln!(
-            "wallclock --check: FAIL — serial attach regressed more than {:.0}% \
-             (the run driver must not tax --jobs 1)",
-            (TRACE_CHECK_FACTOR - 1.0) * 100.0
-        );
-        std::process::exit(1);
-    }
-
-    // Parallel-sweep gate (schema 3): re-run the sweep serially and at
-    // PARALLEL_JOBS workers. Bitwise cell equality is enforced on every
-    // host; the >=2x speedup is enforced only where it can physically
-    // exist (hosts with at least PARALLEL_JOBS cores — the CI runner).
-    let cores = host_parallelism();
-    let (serial_ns, serial_cells) = measure_sweep(1).expect("serial sweep");
-    let (parallel_ns, parallel_cells) = measure_sweep(PARALLEL_JOBS).expect("parallel sweep");
-    if !cells_bitwise_equal(&serial_cells, &parallel_cells) {
-        eprintln!(
-            "wallclock --check: FAIL — fig6 sweep cells at --jobs {PARALLEL_JOBS} diverge \
-             from --jobs 1 (determinism contract broken)"
-        );
-        std::process::exit(1);
-    }
-    let speedup = serial_ns as f64 / parallel_ns as f64;
-    println!(
-        "wallclock --check: fig6 sweep serial {:.1} ms, --jobs {PARALLEL_JOBS} {:.1} ms \
-         ({speedup:.2}x, {cores} cores), cells bit-identical",
+        "fig6 sweep ({} cells): serial {:.1} ms, --jobs {PARALLEL_JOBS} {:.1} ms \
+         ({:.2}x on {} cores), cells bit-identical",
+        serial.len(),
         serial_ns as f64 / 1e6,
         parallel_ns as f64 / 1e6,
+        serial_ns as f64 / parallel_ns as f64,
+        host_parallelism(),
     );
-    if cores >= PARALLEL_JOBS {
-        if speedup < PARALLEL_SPEEDUP_FACTOR {
-            eprintln!(
-                "wallclock --check: FAIL — fig6 sweep speedup {speedup:.2}x at \
-                 --jobs {PARALLEL_JOBS} is below the required {PARALLEL_SPEEDUP_FACTOR}x"
-            );
-            std::process::exit(1);
-        }
-    } else {
-        println!(
-            "wallclock --check: SKIP speedup gate — host has {cores} core(s), \
-             gate needs >= {PARALLEL_JOBS} (bitwise equality still enforced above)"
-        );
-    }
+    (serial_ns, parallel_ns, serial.len())
+}
 
-    // Intra-run PDES gate (schema 4): one simulation, 8 event lanes,
-    // timed at 1 worker vs PARALLEL_JOBS workers. Bitwise identity of
-    // the outcome (digest, virtual end time, window/event counts) is
-    // enforced on every host; the >= INTRA_SPEEDUP_FACTOR speedup only
-    // where it can physically exist.
-    let (intra_serial_ns, intra_serial) = measure_intra(1).expect("intra-run serial");
-    let (intra_parallel_ns, intra_parallel) =
-        measure_intra(PARALLEL_JOBS).expect("intra-run parallel");
-    if intra_serial != intra_parallel {
-        eprintln!(
-            "wallclock --check: FAIL — pdes_churn outcome at {PARALLEL_JOBS} workers diverges \
-             from 1 worker (intra-run determinism contract broken)"
-        );
-        std::process::exit(1);
-    }
-    let intra_speedup = intra_serial_ns as f64 / intra_parallel_ns as f64;
-    println!(
-        "wallclock --check: pdes_churn ({CHURN_ENCLAVES} actors, {CHURN_LANES} lanes) \
-         serial {:.1} ms, {PARALLEL_JOBS} workers {:.1} ms ({intra_speedup:.2}x, {cores} cores), \
-         outcome bit-identical",
-        intra_serial_ns as f64 / 1e6,
-        intra_parallel_ns as f64 / 1e6,
-    );
-    if cores >= PARALLEL_JOBS {
-        if intra_speedup < INTRA_SPEEDUP_FACTOR {
-            eprintln!(
-                "wallclock --check: FAIL — intra-run speedup {intra_speedup:.2}x at \
-                 {PARALLEL_JOBS} workers is below the required {INTRA_SPEEDUP_FACTOR}x"
-            );
-            std::process::exit(1);
-        }
-    } else {
-        println!(
-            "wallclock --check: intra-run speedup gate SKIPPED (host_parallelism={cores}) — \
-             gate needs >= {PARALLEL_JOBS} cores (bitwise identity still enforced above)"
-        );
-    }
-
-    // Pool fast-path gate (schema 5): re-time the buffer-pool hot loops
-    // and hold both per-op means to CHECK_FACTOR× the committed
-    // columns. The comparison is on whole-loop wall time with the same
-    // absolute floor, so scheduler jitter on nanosecond-scale ops
-    // cannot trip the gate spuriously — only a real fast-path
-    // regression (an allocation, a scan, a tracer call on the hot
-    // path) can.
-    let committed_pool = |k: &str| {
-        doc.path(&["pool", k])
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "wallclock --check: pool.{k} missing in {out_path} (regenerate schema 5)"
-                );
-                std::process::exit(1);
-            })
-    };
-    let committed_ar = committed_pool("acquire_release_ns");
-    let committed_ring = committed_pool("ring_op_ns");
-    let (ar_total, ring_total) = measure_pool(POOL_PAIRS).expect("pool timing");
-    for (name, total, committed_per_op) in [
-        ("acquire+release", ar_total, committed_ar),
-        ("ring cycle", ring_total, committed_ring),
-    ] {
-        let limit = (committed_per_op * POOL_PAIRS as f64 * CHECK_FACTOR).max(CHECK_FLOOR_NS);
-        println!(
-            "wallclock --check: pool {name} {:.1} ns/op over {POOL_PAIRS} iters \
-             (committed {committed_per_op:.1} ns/op, loop limit {:.3} ms)",
-            total as f64 / POOL_PAIRS as f64,
-            limit / 1e6,
-        );
-        if total as f64 > limit {
-            eprintln!(
-                "wallclock --check: FAIL — pool {name} wall time regressed more than \
-                 {CHECK_FACTOR}x against the committed column"
-            );
-            std::process::exit(1);
-        }
+/// Time one `pdes_churn` simulation (8 event lanes) at 1 and
+/// `PARALLEL_JOBS` workers; the outcome (digest, virtual end time,
+/// window/event counts) must be bit-identical on every host. Returns
+/// `(serial_ns, parallel_ns)`.
+fn time_intra() -> (u64, u64) {
+    let (serial_ns, serial) = measure_intra(1).expect("intra-run serial");
+    let (parallel_ns, parallel) = measure_intra(PARALLEL_JOBS).expect("intra-run parallel");
+    if serial != parallel {
+        fail(&format!(
+            "pdes_churn outcome at {PARALLEL_JOBS} workers diverges from 1 worker \
+             (intra-run determinism contract broken)"
+        ));
     }
     println!(
-        "wallclock --check: pool ring throughput {:.0} slots/sec",
-        POOL_PAIRS as f64 * 1e9 / ring_total as f64
+        "pdes_churn ({CHURN_ENCLAVES} actors, {CHURN_LANES} lanes): serial {:.1} ms, \
+         {PARALLEL_JOBS} workers {:.1} ms ({:.2}x), outcome bit-identical",
+        serial_ns as f64 / 1e6,
+        parallel_ns as f64 / 1e6,
+        serial_ns as f64 / parallel_ns as f64,
     );
+    (serial_ns, parallel_ns)
+}
 
-    // Tier gate (schema 6): re-time the cross-tier attach and the
-    // whole-segment migrate bounce and hold both minima to
-    // CHECK_FACTOR× the committed means (same absolute floor). A
-    // per-page loop reappearing on either path at 64 MiB (16384 pages)
-    // blows far past both limits.
-    let committed_tier = |k: &str| {
-        doc.path(&["tiers", k, "mean_ns"])
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!(
-                    "wallclock --check: tiers.{k}.mean_ns missing in {out_path} \
-                     (regenerate schema 6)"
-                );
-                std::process::exit(1);
-            })
-    };
-    let committed_tier_attach = committed_tier("attach");
-    let committed_tier_migrate = committed_tier("migrate");
-    let (tier_attach, tier_migrate) =
-        measure_tiers(TIER_BYTES, iters.min(TIER_ITERS)).expect("tier timing");
-    for (name, got, committed) in [
-        ("cross-tier attach", &tier_attach, committed_tier_attach),
-        ("migrate_extent", &tier_migrate, committed_tier_migrate),
-    ] {
-        let limit = (committed * CHECK_FACTOR).max(CHECK_FLOOR_NS);
+/// Require `factor`× speedup where it can physically exist: hosts with
+/// fewer than `PARALLEL_JOBS` cores print an explicit skip.
+fn speedup_gate(what: &str, serial_ns: u64, parallel_ns: u64, factor: f64) {
+    let cores = host_parallelism();
+    let speedup = serial_ns as f64 / parallel_ns as f64;
+    if cores < PARALLEL_JOBS {
         println!(
-            "wallclock --check: tier {name} min {:.3} ms (committed mean {:.3} ms, \
-             limit {:.3} ms)",
-            got.min_ns / 1e6,
-            committed / 1e6,
-            limit / 1e6
+            "wallclock --check: {what} speedup gate SKIPPED (host_parallelism={cores}) — \
+             gate needs >= {PARALLEL_JOBS} cores (bitwise identity still enforced)"
         );
-        if got.min_ns > limit {
-            eprintln!(
-                "wallclock --check: FAIL — tier {name} wall time regressed more than \
-                 {CHECK_FACTOR}x against the committed column"
-            );
-            std::process::exit(1);
+    } else if speedup < factor {
+        fail(&format!(
+            "{what} speedup {speedup:.2}x at {PARALLEL_JOBS} workers is below the required \
+             {factor}x"
+        ));
+    }
+}
+
+fn run_check(out_path: &str, iters: u32) {
+    let doc = std::fs::read_to_string(out_path)
+        .map_err(|e| e.to_string())
+        .and_then(|text| Json::parse(&text))
+        .unwrap_or_else(|e| fail(&format!("cannot read {out_path}: {e}")));
+    let (attach, _) = measure_attach(SMOKE_BYTES, iters).expect("smoke attach measurement");
+    let (serial_ns, parallel_ns, _) = time_sweep();
+    speedup_gate(
+        "fig6 sweep",
+        serial_ns,
+        parallel_ns,
+        PARALLEL_SPEEDUP_FACTOR,
+    );
+    let (serial_ns, parallel_ns) = time_intra();
+    speedup_gate("intra-run", serial_ns, parallel_ns, INTRA_SPEEDUP_FACTOR);
+    let pool = measure_pool(POOL_PAIRS).expect("pool timing");
+    let tiers = measure_tiers(TIER_BYTES, iters.min(TIER_ITERS)).expect("tier timing");
+
+    let mut failed = Vec::new();
+    for gate in gate_table(&attach, pool, &tiers) {
+        let verdict = gate.evaluate(&doc).unwrap_or_else(|e| fail(&e));
+        let per_op = |ns: f64| ns / f64::from(gate.ops);
+        println!(
+            "wallclock --check: {:<20} {:>10.1} ns/op, limit {:>10.1} = max({:.1} x {}, {:.1}) {}",
+            gate.label,
+            per_op(gate.measured_ns),
+            per_op(verdict.limit_ns),
+            verdict.committed_ns,
+            gate.factor,
+            per_op(CHECK_FLOOR_NS),
+            if verdict.pass { "ok" } else { "FAIL" },
+        );
+        if !verdict.pass {
+            failed.push(gate.label);
         }
+    }
+    if !failed.is_empty() {
+        fail(&format!("over the limit: {}", failed.join(", ")));
     }
     println!("wallclock --check: OK");
 }
 
 fn main() {
-    let mut baseline_mode = false;
     let mut check_mode = false;
     let mut iters: Option<u32> = None;
-    let mut out_path = DEFAULT_OUT.to_string();
+    let mut out_path = COMMITTED_JSON.to_string();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--baseline" => baseline_mode = true,
             "--check" => check_mode = true,
-            "--smoke" => {} // accepted for symmetry with other bins; --check is already smoke-size
             "--iters" => {
                 iters = Some(
                     it.next()
@@ -556,7 +178,7 @@ fn main() {
                 );
             }
             "--out" => out_path = it.next().expect("--out requires a path"),
-            other => panic!("unknown argument: {other} (expected --baseline, --check, --smoke, --iters N, --out PATH)"),
+            other => panic!("unknown argument: {other} (expected --check, --iters N, --out PATH)"),
         }
     }
 
@@ -566,146 +188,138 @@ fn main() {
     }
 
     println!(
-        "wallclock: measuring full profile ({} MiB)...",
-        FULL_BYTES >> 20
-    );
-    let full = measure_profile(FULL_BYTES, iters.unwrap_or(5), 3).expect("full profile");
-    println!(
-        "wallclock: measuring smoke profile ({} MiB)...",
+        "wallclock: measuring full ({} MiB) and smoke ({} MiB) profiles...",
+        FULL_BYTES >> 20,
         SMOKE_BYTES >> 20
     );
+    let full = measure_profile(FULL_BYTES, iters.unwrap_or(5), 3).expect("full profile");
     let smoke = measure_profile(SMOKE_BYTES, iters.unwrap_or(20), 5).expect("smoke profile");
-    let run = Section {
-        label: if baseline_mode {
-            "per-page mapping paths (pre extent fast path)".to_string()
-        } else {
-            "extent fast path".to_string()
-        },
-        full,
-        smoke,
-    };
+    println!("current (extent fast path):");
+    print_profile("full", &full);
+    print_profile("smoke", &smoke);
+    let current = Json::obj([
+        ("label", Json::Str("extent fast path".into())),
+        ("full", full.to_json()),
+        ("smoke", smoke.to_json()),
+    ]);
+    let baseline = std::fs::read_to_string(&out_path)
+        .ok()
+        .and_then(|text| Json::parse(&text).ok())
+        .and_then(|doc| doc.get("baseline").cloned())
+        .unwrap_or_else(|| {
+            eprintln!("wallclock: no committed baseline found; recording this run as baseline");
+            current.clone()
+        });
+    let baseline_attach = baseline
+        .path(&["full", "attach", "mean_ns"])
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| fail("baseline.full.attach.mean_ns missing"));
+    let speedup = baseline_attach / full.attach.mean_ns;
+    println!("1 GiB attach speedup vs baseline: {speedup:.1}x");
 
-    let baseline = if baseline_mode {
-        run.clone()
-    } else {
-        match std::fs::read_to_string(&out_path)
-            .ok()
-            .and_then(|t| Json::parse(&t).ok())
-        {
-            Some(doc) if doc.get("baseline").is_some() => {
-                section_from_json(doc.get("baseline").unwrap(), "baseline")
-            }
-            _ => {
-                eprintln!("wallclock: no committed baseline found; recording this run as baseline");
-                run.clone()
-            }
-        }
-    };
-
-    println!("wallclock: measuring tracing off/on smoke attach...");
-    let tracing = measure_tracing_section(iters.unwrap_or(20));
-
+    let trace_iters = iters.unwrap_or(20);
+    let (off, _) = measure_attach_with(SMOKE_BYTES, trace_iters, &TraceHandle::disabled())
+        .expect("tracing-off");
+    let tracer = TraceHandle::enabled();
+    let (on, _) = measure_attach_with(SMOKE_BYTES, trace_iters, &tracer).expect("tracing-on");
+    tracer.audit().expect("wallclock tracing-on audit");
+    let on_over_off = on.mean_ns / off.mean_ns;
     println!(
-        "wallclock: measuring fig6 sweep at --jobs 1 and --jobs {PARALLEL_JOBS} \
-         ({} cores available)...",
-        host_parallelism()
+        "tracing overhead at {} MiB: off {:.3} ms, on {:.3} ms ({on_over_off:.2}x)",
+        SMOKE_BYTES >> 20,
+        off.mean_ns / 1e6,
+        on.mean_ns / 1e6,
     );
-    let parallel = measure_parallel_section();
+    let tracing = Json::obj([
+        ("bytes", num(SMOKE_BYTES)),
+        ("off", off.to_json()),
+        ("on", on.to_json()),
+        ("on_over_off", Json::Num(on_over_off)),
+    ]);
 
-    println!(
-        "wallclock: measuring pdes_churn at 1 and {PARALLEL_JOBS} workers \
-         ({CHURN_LANES} lanes)..."
-    );
-    let intra_run = measure_intra_section();
+    let cores = host_parallelism();
+    let (serial_ns, parallel_ns, cells) = time_sweep();
+    let parallel = Json::obj([
+        ("host_parallelism", num(cores as u64)),
+        ("jobs", num(PARALLEL_JOBS as u64)),
+        ("sweep_units", num(cells as u64)),
+        ("serial_ns", num(serial_ns)),
+        ("parallel_ns", num(parallel_ns)),
+        ("speedup", Json::Num(serial_ns as f64 / parallel_ns as f64)),
+        ("cells_identical", Json::Bool(true)),
+    ]);
 
-    println!("wallclock: measuring pool fast paths ({POOL_PAIRS} iters per loop)...");
-    let pool = measure_pool_section();
+    let (serial_ns, parallel_ns) = time_intra();
+    let skipped = cores < PARALLEL_JOBS;
+    let intra_run = Json::obj([
+        ("host_parallelism", num(cores as u64)),
+        ("lanes", num(CHURN_LANES as u64)),
+        ("workers", num(PARALLEL_JOBS as u64)),
+        ("actors", num(CHURN_ENCLAVES as u64)),
+        ("serial_ns", num(serial_ns)),
+        ("parallel_ns", num(parallel_ns)),
+        ("speedup", Json::Num(serial_ns as f64 / parallel_ns as f64)),
+        ("identical", Json::Bool(true)),
+        ("skipped", Json::Bool(skipped)),
+        (
+            "skip_reason",
+            Json::Str(if skipped {
+                format!("SKIPPED (host_parallelism={cores})")
+            } else {
+                String::new()
+            }),
+        ),
+    ]);
 
+    let (ar_total, ring_total) = measure_pool(POOL_PAIRS).expect("pool timing");
+    let per_op = |total: u64| total as f64 / f64::from(POOL_PAIRS);
     println!(
-        "wallclock: measuring tier paths ({} MiB, {TIER_ITERS} iters per loop)...",
-        TIER_BYTES >> 20
+        "pool fast paths ({POOL_SLOTS} slots, {POOL_PAIRS} iters): acquire+release {:.1} ns/op, \
+         ring cycle {:.1} ns/op",
+        per_op(ar_total),
+        per_op(ring_total),
     );
-    let tiers = measure_tiers_section();
+    let pool = Json::obj([
+        ("host_parallelism", num(cores as u64)),
+        ("slots", num(POOL_SLOTS.into())),
+        ("pairs", num(POOL_PAIRS.into())),
+        ("acquire_release_ns", Json::Num(per_op(ar_total))),
+        ("ring_op_ns", Json::Num(per_op(ring_total))),
+        (
+            "slots_per_sec",
+            Json::Num(f64::from(POOL_PAIRS) * 1e9 / ring_total as f64),
+        ),
+    ]);
 
-    let report = Report {
-        schema: 6,
-        note: "Host wall-clock times for the XEMEM simulator's structural work. \
-               Virtual-time figures are unaffected by construction; see DESIGN.md \
-               'Wall-clock vs virtual time'. The parallel, intra_run, pool and \
-               tiers sections' numbers are honest for the host_parallelism they \
-               record; intra_run records an explicit skip on hosts below the \
-               gate's core count."
-            .to_string(),
-        attach_full_speedup_vs_baseline: baseline.full.attach.mean_ns / run.full.attach.mean_ns,
-        baseline,
-        current: run,
-        tracing,
-        parallel,
-        intra_run,
-        pool,
-        tiers,
-    };
-
-    println!("baseline ({}):", report.baseline.label);
-    print_profile("full", &report.baseline.full);
-    print_profile("smoke", &report.baseline.smoke);
-    println!("current ({}):", report.current.label);
-    print_profile("full", &report.current.full);
-    print_profile("smoke", &report.current.smoke);
-    println!(
-        "1 GiB attach speedup vs baseline: {:.1}x",
-        report.attach_full_speedup_vs_baseline
-    );
-    println!(
-        "tracing overhead at {} MiB: off {:.3} ms, on {:.3} ms ({:.2}x)",
-        report.tracing.bytes >> 20,
-        report.tracing.off.mean_ns / 1e6,
-        report.tracing.on.mean_ns / 1e6,
-        report.tracing.on_over_off
-    );
-    println!(
-        "fig6 sweep ({} cells): serial {:.1} ms, --jobs {} {:.1} ms ({:.2}x on {} cores)",
-        report.parallel.sweep_units,
-        report.parallel.serial_ns as f64 / 1e6,
-        report.parallel.jobs,
-        report.parallel.parallel_ns as f64 / 1e6,
-        report.parallel.speedup,
-        report.parallel.host_parallelism
-    );
-    print!(
-        "pdes_churn ({} actors, {} lanes): serial {:.1} ms, {} workers {:.1} ms ({:.2}x)",
-        report.intra_run.actors,
-        report.intra_run.lanes,
-        report.intra_run.serial_ns as f64 / 1e6,
-        report.intra_run.workers,
-        report.intra_run.parallel_ns as f64 / 1e6,
-        report.intra_run.speedup,
-    );
-    if report.intra_run.skipped {
-        println!(" — speedup gate {}", report.intra_run.skip_reason);
-    } else {
-        println!();
-    }
-    println!(
-        "pool fast paths ({} slots, {} iters): acquire+release {:.1} ns/op, \
-         ring cycle {:.1} ns/op, {:.0} slots/sec",
-        report.pool.slots,
-        report.pool.pairs,
-        report.pool.acquire_release_ns,
-        report.pool.ring_op_ns,
-        report.pool.slots_per_sec,
-    );
+    let (attach, migrate) = measure_tiers(TIER_BYTES, TIER_ITERS).expect("tier timing");
     println!(
         "tier paths ({} MiB): cross-tier attach {:.3} ms (min {:.3}), \
          migrate_extent {:.3} ms (min {:.3})",
-        report.tiers.bytes >> 20,
-        report.tiers.attach.mean_ns / 1e6,
-        report.tiers.attach.min_ns / 1e6,
-        report.tiers.migrate.mean_ns / 1e6,
-        report.tiers.migrate.min_ns / 1e6,
+        TIER_BYTES >> 20,
+        attach.mean_ns / 1e6,
+        attach.min_ns / 1e6,
+        migrate.mean_ns / 1e6,
+        migrate.min_ns / 1e6,
     );
+    let tiers = Json::obj([
+        ("host_parallelism", num(cores as u64)),
+        ("bytes", num(TIER_BYTES)),
+        ("attach", attach.to_json()),
+        ("migrate", migrate.to_json()),
+    ]);
 
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(&out_path, json + "\n").expect("write BENCH_wallclock.json");
+    let report = Json::obj([
+        ("schema", num(6)),
+        ("note", Json::Str(NOTE.into())),
+        ("baseline", baseline),
+        ("current", current),
+        ("attach_full_speedup_vs_baseline", Json::Num(speedup)),
+        ("tracing", tracing),
+        ("parallel", parallel),
+        ("intra_run", intra_run),
+        ("pool", pool),
+        ("tiers", tiers),
+    ]);
+    std::fs::write(&out_path, report.render() + "\n").expect("write the report");
     println!("wrote {out_path}");
 }

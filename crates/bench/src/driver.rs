@@ -8,8 +8,8 @@
 //! * every unit gets its **own** [`TraceHandle`] (its own rings and
 //!   metrics registry) created *before* execution, indexed by unit —
 //!   never by which worker ran it;
-//! * results come back in plan order, so tables and JSON dumps are
-//!   byte-identical at `--jobs 1` and `--jobs N`;
+//! * results come back in plan order, so tables are byte-identical at
+//!   `--jobs 1` and `--jobs N`;
 //! * errors are sequenced deterministically: the error of the
 //!   lowest-indexed failing unit is returned, regardless of which
 //!   worker hit an error first;
@@ -72,16 +72,6 @@ impl ParSession {
             runs: Vec::new(),
             next_run_id: 0,
         }
-    }
-
-    /// Effective worker count.
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Whether units run under per-run tracers.
-    pub fn tracing(&self) -> bool {
-        self.tracing
     }
 
     /// Per-run tracers accumulated so far, keyed by run id.

@@ -9,14 +9,13 @@
 //! Expected shape (paper): XEMEM attach ≈ 13 GB/s flat across sizes,
 //! attach+read ≈ 12 GB/s, RDMA just under 3.5 GB/s.
 
-use serde::Serialize;
 use xemem::{SystemBuilder, TraceHandle, XememError};
 use xemem_rdma::write_bandwidth_test;
 use xemem_sim::stats::throughput_gbps;
 use xemem_sim::{CostModel, SimDuration, SimTime};
 
 /// One size point of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// Region size in bytes.
     pub size: u64,

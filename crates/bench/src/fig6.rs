@@ -16,7 +16,6 @@
 //! time performs its next attachment, so channel contention windows
 //! interleave in global time order.
 
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use xemem::trace_layer::{Ctx, SpanKind, Timeline};
@@ -26,7 +25,7 @@ use xemem_sim::stats::throughput_gbps;
 use xemem_sim::{CostModel, SimDuration, SimTime};
 
 /// One (enclave count, size) cell of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Cell {
     /// Number of co-kernel enclaves.
     pub enclaves: u32,

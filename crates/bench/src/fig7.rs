@@ -8,14 +8,13 @@
 //! and 1 GB attachments two orders of magnitude above everything else
 //! (~23.2–23.8 ms).
 
-use serde::Serialize;
 use xemem::{SystemBuilder, TraceHandle, XememError};
 use xemem_sim::noise::{CompositeNoise, NoiseEvent, NoiseKind, ScheduledNoise};
 use xemem_sim::{SimDuration, SimRng, SimTime};
 use xemem_workloads::detour::SelfishDetour;
 
 /// One detour observation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Sample {
     /// Seconds since the window began.
     pub t_secs: f64,
@@ -26,7 +25,7 @@ pub struct Fig7Sample {
 }
 
 /// The profile for one exported-region size.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Series {
     /// Exported region size in bytes.
     pub region: u64,

@@ -13,7 +13,6 @@
 //! overhead and variance under recurring attachments (page-fault
 //! semantics).
 
-use serde::Serialize;
 use xemem::{TraceHandle, XememError};
 use xemem_sim::stats::Summary;
 use xemem_workloads::insitu::{
@@ -21,7 +20,7 @@ use xemem_workloads::insitu::{
 };
 
 /// One bar of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig8Bar {
     /// Enclave configuration label (Table 3).
     pub config: &'static str,

@@ -13,14 +13,13 @@
 //! recurring attachments the Linux-only configuration wins at one node
 //! but loses at scale.
 
-use serde::Serialize;
 use xemem::{TraceHandle, XememError};
 use xemem_cluster::{run_cluster_traced, ClusterConfig, NodeConfig};
 use xemem_sim::stats::Summary;
 use xemem_workloads::insitu::AttachModel;
 
 /// One (nodes, config) point of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig9Point {
     /// Node count.
     pub nodes: u32,

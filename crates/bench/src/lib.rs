@@ -2,9 +2,9 @@
 //!
 //! The experiment harness: one module (and one binary) per figure/table
 //! of the paper's evaluation, plus the ablation studies DESIGN.md calls
-//! out. Each module exposes a `run(...)` function returning structured
-//! rows so the binaries stay thin and integration tests can execute the
-//! experiments in smoke mode.
+//! out and the extension suites. Each module exposes a `run(...)`
+//! function returning structured rows so the binaries stay thin and
+//! integration tests can execute the experiments in smoke mode.
 //!
 //! | module | regenerates |
 //! |---|---|
@@ -14,7 +14,14 @@
 //! | [`fig7`] | Fig. 7 — Kitten noise profile under attachment service |
 //! | [`fig8`] | Fig. 8 — single-node in situ benchmark (Table 3 configs) |
 //! | [`fig9`] | Fig. 9 — multi-node weak scaling |
-//! | [`ablations`] | memory-map structure, IPI handler placement, name-server placement |
+//! | [`ablations`] | memory-map structure, IPI handler placement, name-server placement, NUMA placement, huge-page mapping |
+//! | [`nameserver_scaling`] | lookup latency vs shard count vs outage rate |
+//! | [`nameserver_chaos`] | 10,000-enclave shard-outage and failover suite |
+//! | [`pool_throughput`] | buffer-pool ops per virtual second vs consumer enclaves |
+//! | [`tier_composed`] | tier migration vs static placement, attach bandwidth vs tier |
+//! | [`pdes_churn`] | lane-parallel churn scenario timed by `wallclock` |
+//! | [`wallclock`] | host-time harness and `--check` gate table behind `BENCH_wallclock.json` |
+//! | [`driver`] | parallel sweeps with per-run tracers and merged exports |
 
 pub mod ablations;
 pub mod driver;
@@ -40,8 +47,6 @@ pub struct Args {
     pub smoke: bool,
     /// Override the number of repetitions.
     pub runs: Option<u32>,
-    /// Emit machine-readable JSON after the table.
-    pub json: bool,
     /// Enable the tracing/metrics layer for this run.
     pub trace: bool,
     /// Write a chrome://tracing JSON export here (implies `trace`); a
@@ -64,15 +69,14 @@ pub struct Args {
 
 impl Args {
     /// Parse from `std::env::args`. Recognized: `--smoke`, `--runs N`,
-    /// `--json`, `--trace`, `--trace-out PATH`, `--obs-report PATH`,
-    /// `--jobs N`, `--lanes N`.
+    /// `--trace`, `--trace-out PATH`, `--obs-report PATH`, `--jobs N`,
+    /// `--lanes N`.
     pub fn parse() -> Args {
         let mut out = Args::default();
         let mut it = std::env::args().skip(1);
         while let Some(arg) = it.next() {
             match arg.as_str() {
                 "--smoke" => out.smoke = true,
-                "--json" => out.json = true,
                 "--runs" => {
                     out.runs = it
                         .next()
@@ -103,7 +107,7 @@ impl Args {
                         .or_else(|| panic!("--lanes requires an integer >= 1"));
                 }
                 other => panic!(
-                    "unknown argument: {other} (expected --smoke, --runs N, --json, --trace, --trace-out PATH, --obs-report PATH, --jobs N, --lanes N)"
+                    "unknown argument: {other} (expected --smoke, --runs N, --trace, --trace-out PATH, --obs-report PATH, --jobs N, --lanes N)"
                 ),
             }
         }

@@ -31,7 +31,6 @@
 //! and at `--lanes 1` and `--lanes N` — CI's `nameserver-chaos` and
 //! `pdes-determinism` jobs diff exactly that.
 
-use serde::Serialize;
 use xemem::trace_layer::{Ctx, ShardCounter, SpanKind, Timeline};
 use xemem::{
     FaultPlan, LanePart, ProcessRef, Segid, System, SystemBuilder, TraceHandle, VirtAddr,
@@ -52,7 +51,7 @@ pub const REPLICAS: usize = 2;
 const HORIZON_NS: u64 = 20_000_000; // 20 ms
 
 /// One unit's outcome row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosRow {
     /// Unit index.
     pub unit: usize,

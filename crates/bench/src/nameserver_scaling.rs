@@ -25,7 +25,6 @@
 //! Every unit is seeded from the root seed and its unit index, so the
 //! output is bit-identical at any `--jobs`.
 
-use serde::Serialize;
 use xemem::{FaultPlan, SystemBuilder, XememError};
 use xemem_sim::stats::quantile;
 use xemem_sim::{split_seed, SimDuration, SimRng, SimTime};
@@ -54,7 +53,7 @@ const OUTAGE_MIN_NS: u64 = 30_000;
 const OUTAGE_MAX_NS: u64 = 120_000;
 
 /// One (shard count, outage rate) cell of the figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingCell {
     /// Name-service shards (each with 2 replicas).
     pub shards: usize,

@@ -26,7 +26,6 @@
 //! byte-identical at `--jobs 1` and `--jobs N`, and at `--lanes 1`
 //! and `--lanes N` — CI's `pool-chaos` job diffs exactly that.
 
-use serde::Serialize;
 use xemem::XememError;
 use xemem::{EnclaveRef, FaultPlan, LanePart, ProcessRef, System, SystemBuilder, TraceHandle};
 use xemem_pool::{BufferPool, ConsumerId, Holder, PoolError, SlotGuard};
@@ -50,7 +49,7 @@ const CRASH_EARLIEST_NS: u64 = 10_000_000;
 const CRASH_LATEST_NS: u64 = 15_000_000;
 
 /// One unit's outcome row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolRow {
     /// Unit index (position on the consumer-count axis).
     pub unit: usize,

@@ -12,13 +12,12 @@
 //! the Palacios memory map; removing structure time recovers the
 //! parenthesized number.
 
-use serde::Serialize;
 use xemem::{GuestOs, MemoryMapKind, SystemBuilder, TraceHandle, XememError};
 use xemem_sim::stats::throughput_gbps;
 use xemem_sim::{SimDuration, SimTime};
 
 /// One row of the table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table2Row {
     /// Exporting enclave label.
     pub exporting: &'static str,

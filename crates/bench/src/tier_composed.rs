@@ -27,7 +27,6 @@
 //! conservation audit, so migration spans, copy/remap leaves and
 //! causal edges are covered like every other protocol path.
 
-use serde::Serialize;
 use xemem::{
     LanePart, MemTier, ProcessRef, Segid, SimDuration, System, SystemBuilder, TierPolicy,
     TraceHandle, VirtAddr, XememError,
@@ -68,7 +67,7 @@ pub fn rounds(smoke: bool) -> u64 {
 pub const HYSTERESIS_AXIS: [Option<u32>; 4] = [None, Some(1), Some(2), Some(4)];
 
 /// One composed-workload outcome row.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComposedRow {
     /// Unit index.
     pub unit: usize,
@@ -89,7 +88,7 @@ pub struct ComposedRow {
 }
 
 /// One attach-bandwidth-vs-tier row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TierBwRow {
     /// The tier the segment was resident in at attach time.
     pub tier: String,

@@ -10,16 +10,16 @@
 //! contention sweep, all timed with [`std::time::Instant`].
 //!
 //! The companion binary (`cargo run --release -p xemem-bench --bin
-//! wallclock`) writes `BENCH_wallclock.json` at the repo root with a
-//! `baseline` section (recorded once, before the extent fast path) and
-//! a `current` section (refreshed on demand), so the wall-clock
-//! trajectory is tracked across PRs. CI runs the binary in `--check
-//! --smoke` mode, which re-measures the reduced-size attach and fails
-//! if it regresses more than [`CHECK_FACTOR`]× against the committed
-//! numbers (with [`CHECK_FLOOR_NS`] of absolute headroom so slow CI
-//! runners don't trip the gate spuriously).
+//! wallclock`) writes [`COMMITTED_JSON`] with a `baseline` section
+//! (recorded once, before the extent fast path, and copied through
+//! unchanged since) and a `current` section (refreshed on demand), so
+//! the wall-clock trajectory is tracked across PRs. CI runs the binary
+//! in `--check` mode, which re-measures the smoke-size paths and holds
+//! each to its row of [`gate_table`]: a multiple of one committed
+//! column, never below [`CHECK_FLOOR_NS`] of absolute headroom so slow
+//! CI runners don't trip the gate spuriously. [`Json`] is the report's
+//! only reader and writer.
 
-use serde::Serialize;
 use std::time::Instant;
 use xemem::{SystemBuilder, TraceHandle, XememError};
 use xemem_pool::{BufferPool, Holder};
@@ -94,11 +94,15 @@ pub const TIER_ITERS: u32 = 20;
 /// Fig. 5/6 point).
 pub const FULL_BYTES: u64 = 1 << 30;
 
-/// Region size used for the smoke profile (CI and `--smoke`).
+/// Region size used for the smoke profile and the `--check` gate.
 pub const SMOKE_BYTES: u64 = 64 << 20;
 
+/// The committed report at the repo root: what `--check` gates against
+/// and what a default run rewrites.
+pub const COMMITTED_JSON: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wallclock.json");
+
 /// Wall-clock samples for one benchmark.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BenchStats {
     /// Timed iterations.
     pub iters: u32,
@@ -120,10 +124,19 @@ impl BenchStats {
             min_ns: min as f64,
         }
     }
+
+    /// Report object: `iters`, `mean_ns`, `min_ns`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("iters", Json::Num(self.iters.into())),
+            ("mean_ns", Json::Num(self.mean_ns)),
+            ("min_ns", Json::Num(self.min_ns)),
+        ])
+    }
 }
 
 /// One measured profile (full-size or smoke).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Profile {
     /// Exported-region size in bytes for attach/attach+read/teardown.
     pub bytes: u64,
@@ -137,6 +150,88 @@ pub struct Profile {
     /// Wall time of a fig6-style contention sweep (counts 1 and 2) at a
     /// quarter of `bytes`.
     pub fig6_sweep_ns: u64,
+}
+
+impl Profile {
+    /// Report object, fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("bytes", Json::Num(self.bytes as f64)),
+            ("attach", self.attach.to_json()),
+            ("attach_read", self.attach_read.to_json()),
+            ("teardown", self.teardown.to_json()),
+            ("fig6_sweep_ns", Json::Num(self.fig6_sweep_ns as f64)),
+        ])
+    }
+}
+
+/// One `--check` row: a host-time measurement held to `factor`× a
+/// committed column of the report, never below [`CHECK_FLOOR_NS`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// What the row measures.
+    pub label: &'static str,
+    /// Dotted key path of the committed column.
+    pub key: &'static str,
+    /// Allowed multiple of the committed column.
+    pub factor: f64,
+    /// Operations one measurement covers; the committed column is per
+    /// operation.
+    pub ops: u32,
+    /// Measured host nanoseconds: the fastest sample, or the whole
+    /// `ops`-iteration loop.
+    pub measured_ns: f64,
+}
+
+/// A [`Gate`] evaluated against the committed report.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Verdict {
+    /// The committed column's value (per operation).
+    pub committed_ns: f64,
+    /// `(committed_ns × ops × factor).max(CHECK_FLOOR_NS)`.
+    pub limit_ns: f64,
+    /// Whether the measurement is within the limit.
+    pub pass: bool,
+}
+
+impl Gate {
+    /// Evaluate the row against the committed report. A missing
+    /// committed column is an error naming its key path.
+    pub fn evaluate(&self, committed: &Json) -> Result<Verdict, String> {
+        let keys: Vec<&str> = self.key.split('.').collect();
+        let committed_ns = committed
+            .path(&keys)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("{} missing in the committed report", self.key))?;
+        let limit_ns = (committed_ns * f64::from(self.ops) * self.factor).max(CHECK_FLOOR_NS);
+        Ok(Verdict {
+            committed_ns,
+            limit_ns,
+            pass: self.measured_ns <= limit_ns,
+        })
+    }
+}
+
+/// The `--check` table over the smoke-size attach (`measure_attach`,
+/// which runs with tracing disabled), the pool loop totals
+/// (`measure_pool`) and the tier stats (`measure_tiers`). The attach
+/// holds three rows: a return to per-page work (2×), a cost on the
+/// disabled-tracing path (2%), and a run-driver tax on the serial
+/// path (2%). The pool rows catch an allocation, scan or tracer call on
+/// the hot path; the tier rows a return to per-page migration or
+/// tiered-attach work.
+#[rustfmt::skip]
+pub fn gate_table(attach: &BenchStats, pool: (u64, u64), tiers: &(BenchStats, BenchStats)) -> [Gate; 7] {
+    let row = |label, key, factor, ops, measured_ns| Gate { label, key, factor, ops, measured_ns };
+    [
+        row("smoke attach",         "current.smoke.attach.mean_ns", CHECK_FACTOR,       1,          attach.min_ns),
+        row("tracing-off attach",   "tracing.off.mean_ns",          TRACE_CHECK_FACTOR, 1,          attach.min_ns),
+        row("serial attach",        "current.smoke.attach.mean_ns", TRACE_CHECK_FACTOR, 1,          attach.min_ns),
+        row("pool acquire+release", "pool.acquire_release_ns",      CHECK_FACTOR,       POOL_PAIRS, pool.0 as f64),
+        row("pool ring cycle",      "pool.ring_op_ns",              CHECK_FACTOR,       POOL_PAIRS, pool.1 as f64),
+        row("tier attach",          "tiers.attach.mean_ns",         CHECK_FACTOR,       1,          tiers.0.min_ns),
+        row("tier migrate_extent",  "tiers.migrate.mean_ns",        CHECK_FACTOR,       1,          tiers.1.min_ns),
+    ]
 }
 
 /// Measure attach and attach+read wall time for one region size.
@@ -399,13 +494,13 @@ pub fn measure_profile(bytes: u64, iters: u32, teardown_iters: u32) -> Result<Pr
 }
 
 // ----------------------------------------------------------------------
-// Minimal JSON reader
+// Minimal JSON reader and writer
 // ----------------------------------------------------------------------
 //
-// The vendored serde_json shim only serializes; reading the committed
-// BENCH_wallclock.json back (to preserve the baseline section and to
-// drive the `--check` gate) needs a parser. This is a deliberately tiny
-// recursive-descent reader for the subset of JSON this harness emits.
+// BENCH_wallclock.json is read back (to copy the baseline section
+// through and to drive the `--check` gate) and written as one tree. The
+// reader is a deliberately tiny recursive-descent parser for the subset
+// of JSON the writer emits.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -451,6 +546,38 @@ impl Json {
         }
     }
 
+    /// An object from `(key, value)` pairs, keys in the given order.
+    pub fn obj<const N: usize>(entries: [(&str, Json); N]) -> Json {
+        Json::Obj(entries.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// Pretty-print: 2-space indent, object keys in insertion order,
+    /// non-finite numbers as `null`. [`Json::parse`] reads it back.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(0, &mut out);
+        out
+    }
+
+    fn write(&self, depth: usize, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Num(n) if n.is_finite() => out.push_str(&n.to_string()),
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_str(s, out),
+            Json::Arr(items) => {
+                write_block(['[', ']'], items.iter().map(|v| (None, v)), depth, out)
+            }
+            Json::Obj(entries) => write_block(
+                ['{', '}'],
+                entries.iter().map(|(k, v)| (Some(k.as_str()), v)),
+                depth,
+                out,
+            ),
+        }
+    }
+
     /// Parse a JSON document.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
@@ -462,6 +589,48 @@ impl Json {
         }
         Ok(v)
     }
+}
+
+fn write_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// An array or object: one indented line per item, `[]`/`{}` if empty.
+fn write_block<'a>(
+    [open, close]: [char; 2],
+    items: impl Iterator<Item = (Option<&'a str>, &'a Json)>,
+    depth: usize,
+    out: &mut String,
+) {
+    out.push(open);
+    let mut n = 0;
+    for (key, v) in items {
+        out.push_str(if n == 0 { "\n" } else { ",\n" });
+        out.push_str(&"  ".repeat(depth + 1));
+        if let Some(k) = key {
+            write_str(k, out);
+            out.push_str(": ");
+        }
+        v.write(depth + 1, out);
+        n += 1;
+    }
+    if n > 0 {
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
+    }
+    out.push(close);
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -633,17 +802,151 @@ mod tests {
         assert!(Json::parse("{} extra").is_err());
     }
 
+    fn committed() -> Json {
+        Json::parse(&std::fs::read_to_string(COMMITTED_JSON).unwrap()).unwrap()
+    }
+
+    /// The key path of every non-object value, depth first, in order.
+    fn key_paths(v: &Json, prefix: &str, out: &mut Vec<String>) {
+        match v {
+            Json::Obj(entries) => {
+                for (k, child) in entries {
+                    key_paths(child, &format!("{prefix}.{k}"), out);
+                }
+            }
+            _ => out.push(prefix.to_string()),
+        }
+    }
+
     #[test]
-    fn parses_own_emitted_report() {
-        let stats = BenchStats {
-            iters: 3,
-            mean_ns: 1.5e6,
-            min_ns: 1.0e6,
+    fn committed_report_round_trips_through_the_writer() {
+        let doc = committed();
+        let again = Json::parse(&doc.render()).unwrap();
+        assert_eq!(again, doc);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        key_paths(&doc, "", &mut a);
+        key_paths(&again, "", &mut b);
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 88);
+    }
+
+    #[test]
+    fn strings_with_escapes_round_trip() {
+        let s = "q\"b\\n\nr\rt\tc\u{1}\u{1f}é/";
+        let text = Json::Str(s.into()).render();
+        assert_eq!(text, r#""q\"b\\n\nr\rt\tc\u0001\u001fé/""#);
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(s.into()));
+    }
+
+    #[test]
+    fn non_finite_numbers_render_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(x).render(), "null");
+        }
+        assert_eq!(Json::Num(2.0).render(), "2");
+        assert_eq!(Json::Num(126.1928445554471).render(), "126.1928445554471");
+    }
+
+    #[test]
+    fn empty_containers_and_nesting_render() {
+        assert_eq!(Json::Obj(vec![]).render(), "{}");
+        assert_eq!(Json::Arr(vec![]).render(), "[]");
+        let v = Json::obj([
+            ("a", Json::Arr(vec![Json::Bool(true), Json::Null])),
+            ("b", Json::obj([])),
+        ]);
+        assert_eq!(
+            v.render(),
+            "{\n  \"a\": [\n    true,\n    null\n  ],\n  \"b\": {}\n}"
+        );
+    }
+
+    /// The gate table with every measurement at zero.
+    fn table() -> [Gate; 7] {
+        let zero = BenchStats {
+            iters: 1,
+            mean_ns: 0.0,
+            min_ns: 0.0,
         };
-        let text = serde_json::to_string_pretty(&stats).unwrap();
-        let v = Json::parse(&text).unwrap();
-        assert_eq!(v.get("iters").unwrap().as_f64(), Some(3.0));
-        assert_eq!(v.get("min_ns").unwrap().as_f64(), Some(1.0e6));
+        gate_table(&zero, (0, 0), &(zero.clone(), zero.clone()))
+    }
+
+    #[test]
+    fn gate_table_keeps_the_committed_columns_and_factors() {
+        let rows: Vec<_> = table().iter().map(|g| (g.key, g.factor, g.ops)).collect();
+        assert_eq!(
+            rows,
+            [
+                ("current.smoke.attach.mean_ns", 2.0, 1),
+                ("tracing.off.mean_ns", 1.02, 1),
+                ("current.smoke.attach.mean_ns", 1.02, 1),
+                ("pool.acquire_release_ns", 2.0, 50_000),
+                ("pool.ring_op_ns", 2.0, 50_000),
+                ("tiers.attach.mean_ns", 2.0, 1),
+                ("tiers.migrate.mean_ns", 2.0, 1),
+            ]
+        );
+        assert_eq!(CHECK_FLOOR_NS, 2_000_000.0);
+        let doc = committed();
+        for gate in table() {
+            assert!(gate.evaluate(&doc).unwrap().pass, "{}", gate.label);
+        }
+    }
+
+    /// A committed report whose columns put every row above the floor.
+    const LARGE: &str = r#"{
+        "current": {"smoke": {"attach": {"mean_ns": 3000000}}},
+        "tracing": {"off": {"mean_ns": 5000000}},
+        "pool": {"acquire_release_ns": 30, "ring_op_ns": 45},
+        "tiers": {"attach": {"mean_ns": 1500000}, "migrate": {"mean_ns": 4000000}}
+    }"#;
+
+    /// Evaluate `gate` at `measured_ns` and its limit against `doc`,
+    /// and check it passes exactly when `pass`.
+    fn check_at(gate: &Gate, doc: &Json, measured_ns: f64, limit_ns: f64, pass: bool) {
+        let at = Gate {
+            measured_ns,
+            ..gate.clone()
+        };
+        let verdict = at.evaluate(doc).unwrap();
+        assert_eq!(
+            (verdict.limit_ns, verdict.pass),
+            (limit_ns, pass),
+            "{}",
+            gate.label
+        );
+    }
+
+    #[test]
+    fn each_row_passes_at_its_limit_and_fails_one_ns_above() {
+        let doc = Json::parse(LARGE).unwrap();
+        let limits = [6e6, 5.1e6, 3.06e6, 3e6, 4.5e6, 3e6, 8e6];
+        for (gate, limit) in table().iter().zip(limits) {
+            check_at(gate, &doc, limit, limit, true);
+            check_at(gate, &doc, limit + 1.0, limit, false);
+        }
+    }
+
+    #[test]
+    fn small_committed_columns_use_the_floor() {
+        let doc = Json::parse(r#"{"tiers": {"attach": {"mean_ns": 900000}}}"#).unwrap();
+        let tier_attach = &table()[5];
+        check_at(tier_attach, &doc, CHECK_FLOOR_NS, CHECK_FLOOR_NS, true);
+        check_at(
+            tier_attach,
+            &doc,
+            CHECK_FLOOR_NS + 1.0,
+            CHECK_FLOOR_NS,
+            false,
+        );
+    }
+
+    #[test]
+    fn missing_committed_column_is_an_error_naming_its_path() {
+        let doc = Json::parse(r#"{"pool": {"ring_op_ns": 20}}"#).unwrap();
+        assert!(table()[4].evaluate(&doc).is_ok());
+        let err = table()[3].evaluate(&doc).unwrap_err();
+        assert!(err.contains("pool.acquire_release_ns"), "{err}");
     }
 
     #[test]

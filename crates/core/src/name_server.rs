@@ -253,11 +253,6 @@ impl NameService {
             .any(|s| s.replicas.len() == 1 && s.replicas[0] == slot)
     }
 
-    /// Does `slot` host any replica (leader or follower) of any shard?
-    pub fn hosts_replica(&self, slot: usize) -> bool {
-        self.shards.iter().any(|s| s.replicas.contains(&slot))
-    }
-
     /// Shard responsible for a well-known name.
     pub fn shard_of_name(&self, name: &str) -> usize {
         self.shard_of_point(hash_name(name))

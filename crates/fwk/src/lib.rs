@@ -120,11 +120,6 @@ impl Fwk {
         self.alloc.free_frames()
     }
 
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
-    }
-
     fn proc_mut(&mut self, pid: Pid) -> Result<&mut Proc, KernelError> {
         self.procs
             .get_mut(&pid)

@@ -112,11 +112,6 @@ impl Kitten {
         CompositeNoise::kitten(rng)
     }
 
-    /// Number of live processes.
-    pub fn process_count(&self) -> usize {
-        self.procs.len()
-    }
-
     /// Frames still free in this enclave's partition.
     pub fn free_frames(&self) -> u64 {
         self.alloc.free_frames()

@@ -36,13 +36,6 @@ pub struct Partition {
     pub numa_zone: u32,
 }
 
-impl Partition {
-    /// Number of cores in the partition.
-    pub fn core_count(&self) -> u32 {
-        self.cores.end - self.cores.start
-    }
-}
-
 /// A node's divisible hardware resources.
 #[derive(Debug)]
 pub struct NodeResources {

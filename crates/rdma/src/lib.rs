@@ -93,7 +93,6 @@ pub struct Completion {
 
 struct QueuePair {
     state: QpState,
-    vf: u32,
     completions: Vec<Completion>,
 }
 
@@ -155,7 +154,6 @@ impl IbDevice {
             id,
             QueuePair {
                 state: QpState::Init,
-                vf,
                 completions: Vec::new(),
             },
         );
@@ -235,11 +233,6 @@ impl IbDevice {
     pub fn poll_cq(&mut self, qp: u32) -> Result<Vec<Completion>, RdmaError> {
         let q = self.qps.get_mut(&qp).ok_or(RdmaError::BadQp(qp))?;
         Ok(std::mem::take(&mut q.completions))
-    }
-
-    /// The virtual function a queue pair belongs to.
-    pub fn qp_vf(&self, qp: u32) -> Result<u32, RdmaError> {
-        self.qps.get(&qp).map(|q| q.vf).ok_or(RdmaError::BadQp(qp))
     }
 }
 

@@ -402,11 +402,6 @@ impl CostModel {
         Self::transfer_time(bytes, self.attached_read_bps)
     }
 
-    /// One-way cost of a small control message over the IPI channel.
-    pub fn ipi_message(&self) -> SimDuration {
-        SimDuration::from_nanos(self.ipi_ns + self.channel_msg_ns)
-    }
-
     /// Conservative PDES lookahead: the minimum virtual latency any
     /// cross-enclave interaction can exhibit under this model.
     ///

@@ -1408,14 +1408,6 @@ impl TraceHandle {
             .unwrap_or(0)
     }
 
-    /// Snapshot of one shard's lookup-latency histogram (`None` when
-    /// disabled).
-    pub fn shard_lookup_hist(&self, shard: usize) -> Option<HistSnapshot> {
-        self.inner
-            .as_ref()
-            .map(|c| c.metrics.shard_lookup_ns[shard.min(MAX_SHARDS - 1)].snapshot())
-    }
-
     /// Current value of a counter (0 when disabled).
     pub fn counter(&self, counter: Counter) -> u64 {
         self.inner
