@@ -37,13 +37,26 @@ pub struct OpReport {
     pub rotations: u32,
 }
 
-impl OpReport {
-    /// Merge two reports (for compound operations).
-    pub fn merged(self, other: OpReport) -> OpReport {
-        OpReport {
-            visits: self.visits + other.visits,
-            rotations: self.rotations + other.rotations,
-        }
+/// Summed work of a batch of map operations and how many succeeded. The
+/// VMM charges a fixed cost per operation plus a cost per visit, so
+/// charging `ops` and `visits` once is bit-identical to summing each
+/// operation's charge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchReport {
+    /// Operations that succeeded (entries inserted or removed).
+    pub ops: u64,
+    /// Sum of their [`OpReport::visits`].
+    pub visits: u64,
+    /// Sum of their [`OpReport::rotations`].
+    pub rotations: u64,
+}
+
+impl BatchReport {
+    /// Count one more successful operation.
+    pub fn add(&mut self, report: OpReport) {
+        self.ops += 1;
+        self.visits += u64::from(report.visits);
+        self.rotations += u64::from(report.rotations);
     }
 }
 
@@ -97,6 +110,43 @@ pub trait GuestMemoryMap {
     /// Remove the entry whose range contains `gfn`. Returns the removed
     /// (gfn_start, len, hpfn_start).
     fn remove(&mut self, gfn: u64) -> Result<((u64, u64, u64), OpReport), MapError>;
+
+    /// Insert `(gfn, len, hpfn)` entries in order, each exactly as one
+    /// [`GuestMemoryMap::insert`], stopping at the first error (the
+    /// entries before it stay inserted). Returns the summed reports.
+    /// Ascending entries above every existing one are the case an
+    /// implementation may speed up; any order is correct.
+    fn insert_ascending(
+        &mut self,
+        entries: &mut dyn Iterator<Item = (u64, u64, u64)>,
+    ) -> Result<BatchReport, MapError> {
+        let mut total = BatchReport::default();
+        for (gfn, len, hpfn) in entries {
+            total.add(self.insert(gfn, len, hpfn)?);
+        }
+        Ok(total)
+    }
+
+    /// Remove, in ascending order, every entry that meets the guest frames
+    /// `[gfn, gfn + len)` — exactly the entries, order and reports of one
+    /// [`GuestMemoryMap::remove`] per frame in ascending order — and return
+    /// the summed reports of the removals. Frames of an entry just removed
+    /// are not tried again: no other entry can contain them.
+    fn remove_range(&mut self, gfn: u64, len: u64) -> BatchReport {
+        let mut total = BatchReport::default();
+        let end = gfn + len;
+        let mut cur = gfn;
+        while cur < end {
+            match self.remove(cur) {
+                Ok(((start, len, _), report)) => {
+                    total.add(report);
+                    cur = start + len;
+                }
+                Err(_) => cur += 1,
+            }
+        }
+        total
+    }
 
     /// Number of entries (regions, not frames).
     fn len(&self) -> usize;

@@ -44,7 +44,6 @@ type Regions = HashMap<u64, (u64, u64)>;
 pub struct RadixMemoryMap {
     root: RNode,
     regions: Regions,
-    total_visits: u64,
 }
 
 impl Default for RadixMemoryMap {
@@ -64,13 +63,7 @@ impl RadixMemoryMap {
         RadixMemoryMap {
             root: RNode::interior(),
             regions: HashMap::new(),
-            total_visits: 0,
         }
-    }
-
-    /// Cumulative level visits across all operations.
-    pub fn total_visits(&self) -> u64 {
-        self.total_visits
     }
 
     /// Walk to the leaf entry for `gfn`, creating interior nodes when
@@ -146,7 +139,6 @@ impl GuestMemoryMap for RadixMemoryMap {
                     let (undo, _) = self.walk_mut(gfn + j, false);
                     *undo.expect("was just inserted") = None;
                 }
-                self.total_visits += visits as u64;
                 return Err(MapError::Overlap { gfn: gfn + i });
             }
             *slot = Some(LeafEntry {
@@ -155,7 +147,6 @@ impl GuestMemoryMap for RadixMemoryMap {
             });
         }
         self.regions.insert(gfn, (len, hpfn));
-        self.total_visits += visits as u64;
         Ok(OpReport {
             visits,
             rotations: 0,
@@ -207,7 +198,6 @@ impl GuestMemoryMap for RadixMemoryMap {
             visits += v;
             *slot.expect("region frames must be present") = None;
         }
-        self.total_visits += visits as u64;
         Ok((
             (entry.region_start, len, hpfn),
             OpReport {

@@ -8,8 +8,16 @@
 //! instrumentation is what lets the Table 2 result (~3× VM attach penalty,
 //! recovered by removing tree-update time) *emerge* from real structural
 //! work instead of being hard-coded.
+//!
+//! The batched entry points report exactly the per-operation counts
+//! without repeating the descents behind them. A key above every existing
+//! key descends the right spine, so [`GuestMemoryMap::insert_ascending`]
+//! links it under the tracked maximum and carries the spine length
+//! forward. [`GuestMemoryMap::remove_range`] finds each next victim as the
+//! in-order successor of the last and derives its depth instead of
+//! searching for it.
 
-use crate::{GuestMemoryMap, MapError, OpReport};
+use crate::{BatchReport, GuestMemoryMap, MapError, OpReport};
 
 const NIL: usize = 0;
 
@@ -19,7 +27,7 @@ enum Color {
     Black,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Node {
     key: u64,
     len: u64,
@@ -31,14 +39,16 @@ struct Node {
 }
 
 /// The red-black guest memory map.
-#[derive(Debug, Clone)]
+///
+/// Equality is structural: two maps are equal when their node arenas
+/// (key, len, hpfn, colour and parent/left/right links of every slot),
+/// roots and free lists are, i.e. when the same operations built them.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RbMemoryMap {
     nodes: Vec<Node>,
     root: usize,
     free: Vec<usize>,
     count: usize,
-    total_visits: u64,
-    total_rotations: u64,
 }
 
 impl Default for RbMemoryMap {
@@ -65,19 +75,7 @@ impl RbMemoryMap {
             root: NIL,
             free: Vec::new(),
             count: 0,
-            total_visits: 0,
-            total_rotations: 0,
         }
-    }
-
-    /// Cumulative nodes visited across all operations.
-    pub fn total_visits(&self) -> u64 {
-        self.total_visits
-    }
-
-    /// Cumulative rotations across all operations.
-    pub fn total_rotations(&self) -> u64 {
-        self.total_rotations
     }
 
     fn alloc_node(&mut self, key: u64, len: u64, hpfn: u64) -> usize {
@@ -192,6 +190,23 @@ impl RbMemoryMap {
         self.nodes[root].color = Color::Black;
     }
 
+    /// Hang the fresh node `z` under `parent` (as its left child when
+    /// `left`) and rebalance. Returns the rotations performed.
+    fn link(&mut self, z: usize, parent: usize, left: bool) -> u32 {
+        self.nodes[z].parent = parent;
+        if parent == NIL {
+            self.root = z;
+        } else if left {
+            self.nodes[parent].left = z;
+        } else {
+            self.nodes[parent].right = z;
+        }
+        let mut rotations = 0u32;
+        self.insert_fixup(z, &mut rotations);
+        self.count += 1;
+        rotations
+    }
+
     fn transplant(&mut self, u: usize, v: usize) {
         let u_parent = self.nodes[u].parent;
         if u_parent == NIL {
@@ -276,6 +291,123 @@ impl RbMemoryMap {
             }
         }
         self.nodes[x].color = Color::Black;
+    }
+
+    /// CLRS delete of node `z`, which returns to the free list. Returns the
+    /// rotations performed.
+    fn delete(&mut self, z: usize) -> u32 {
+        let mut rotations = 0u32;
+        let mut y = z;
+        let mut y_color = self.n(y).color;
+        let x;
+        if self.n(z).left == NIL {
+            x = self.n(z).right;
+            self.transplant(z, x);
+        } else if self.n(z).right == NIL {
+            x = self.n(z).left;
+            self.transplant(z, x);
+        } else {
+            y = self.minimum(self.n(z).right);
+            y_color = self.n(y).color;
+            x = self.n(y).right;
+            if self.n(y).parent == z {
+                self.nodes[x].parent = y;
+            } else {
+                self.transplant(y, x);
+                let z_right = self.n(z).right;
+                self.nodes[y].right = z_right;
+                self.nodes[z_right].parent = y;
+            }
+            self.transplant(z, y);
+            let z_left = self.n(z).left;
+            self.nodes[y].left = z_left;
+            self.nodes[z_left].parent = y;
+            self.nodes[y].color = self.n(z).color;
+        }
+        if y_color == Color::Black {
+            self.delete_fixup(x, &mut rotations);
+        }
+        // Reset NIL's parent scribble so validation stays clean.
+        self.nodes[NIL].parent = NIL;
+        self.free.push(z);
+        self.count -= 1;
+        rotations
+    }
+
+    /// The maximum node and the length of the right spine ending at it —
+    /// the nodes an insert above every key visits. `(NIL, 0)` when empty.
+    fn right_spine(&self) -> (usize, u32) {
+        let (mut max, mut len) = (NIL, 0u32);
+        let mut cur = self.root;
+        while cur != NIL {
+            (max, len) = (cur, len + 1);
+            cur = self.n(cur).right;
+        }
+        (max, len)
+    }
+
+    /// Depth of node `x` (the root is at depth 0), by its parent links.
+    fn depth(&self, mut x: usize) -> u32 {
+        let mut depth = 0u32;
+        while self.n(x).parent != NIL {
+            x = self.n(x).parent;
+            depth += 1;
+        }
+        depth
+    }
+
+    /// The lowest node whose interval ends above `gfn`, with its depth.
+    fn first_ending_above(&self, gfn: u64) -> (usize, u32) {
+        let (mut best, mut best_depth) = (NIL, 0u32);
+        let (mut cur, mut depth) = (self.root, 0u32);
+        while cur != NIL {
+            let node = self.n(cur);
+            if gfn < node.key + node.len {
+                (best, best_depth) = (cur, depth);
+                if gfn >= node.key {
+                    break;
+                }
+                cur = node.left;
+            } else {
+                cur = node.right;
+            }
+            depth += 1;
+        }
+        (best, best_depth)
+    }
+
+    /// The in-order successor of node `z` at depth `depth`, with the depth
+    /// it will have once [`Self::delete`] has unlinked `z` (before any
+    /// fixup rotation). `(NIL, 0)` when `z` is the maximum.
+    fn successor_after_delete(&self, z: usize, depth: u32) -> (usize, u32) {
+        let node = self.n(z);
+        if node.right != NIL {
+            let (mut s, mut d) = (node.right, depth + 1);
+            while self.n(s).left != NIL {
+                (s, d) = (self.n(s).left, d + 1);
+            }
+            // With two children the successor moves into `z`'s slot;
+            // with a lone right child that whole subtree rises one level.
+            return if node.left != NIL {
+                (s, depth)
+            } else {
+                (s, d - 1)
+            };
+        }
+        // Otherwise it is the nearest ancestor holding `z` in its left
+        // subtree; unlinking `z` does not move ancestors.
+        let (mut c, mut d) = (z, depth);
+        loop {
+            let p = self.n(c).parent;
+            if p == NIL {
+                return (NIL, 0);
+            }
+            d -= 1;
+            if self.n(p).left == c {
+                return (p, d);
+            }
+            c = p;
+        }
     }
 
     /// Find the node whose interval contains `gfn`, counting visits.
@@ -384,24 +516,11 @@ impl GuestMemoryMap for RbMemoryMap {
                 cur = node.right;
                 went_left = false;
             } else {
-                self.total_visits += visits as u64;
                 return Err(MapError::Overlap { gfn });
             }
         }
         let z = self.alloc_node(gfn, len, hpfn);
-        self.nodes[z].parent = parent;
-        if parent == NIL {
-            self.root = z;
-        } else if went_left {
-            self.nodes[parent].left = z;
-        } else {
-            self.nodes[parent].right = z;
-        }
-        let mut rotations = 0u32;
-        self.insert_fixup(z, &mut rotations);
-        self.count += 1;
-        self.total_visits += visits as u64;
-        self.total_rotations += rotations as u64;
+        let rotations = self.link(z, parent, went_left);
         Ok(OpReport { visits, rotations })
     }
 
@@ -444,51 +563,70 @@ impl GuestMemoryMap for RbMemoryMap {
     fn remove(&mut self, gfn: u64) -> Result<((u64, u64, u64), OpReport), MapError> {
         let (z, visits) = self.find_containing(gfn);
         if z == NIL {
-            self.total_visits += visits as u64;
             return Err(MapError::NotFound { gfn });
         }
         let removed = {
             let node = self.n(z);
             (node.key, node.len, node.hpfn)
         };
-        let mut rotations = 0u32;
-        let mut y = z;
-        let mut y_color = self.n(y).color;
-        let x;
-        if self.n(z).left == NIL {
-            x = self.n(z).right;
-            self.transplant(z, x);
-        } else if self.n(z).right == NIL {
-            x = self.n(z).left;
-            self.transplant(z, x);
-        } else {
-            y = self.minimum(self.n(z).right);
-            y_color = self.n(y).color;
-            x = self.n(y).right;
-            if self.n(y).parent == z {
-                self.nodes[x].parent = y;
-            } else {
-                self.transplant(y, x);
-                let z_right = self.n(z).right;
-                self.nodes[y].right = z_right;
-                self.nodes[z_right].parent = y;
-            }
-            self.transplant(z, y);
-            let z_left = self.n(z).left;
-            self.nodes[y].left = z_left;
-            self.nodes[z_left].parent = y;
-            self.nodes[y].color = self.n(z).color;
-        }
-        if y_color == Color::Black {
-            self.delete_fixup(x, &mut rotations);
-        }
-        // Reset NIL's parent scribble so validation stays clean.
-        self.nodes[NIL].parent = NIL;
-        self.free.push(z);
-        self.count -= 1;
-        self.total_visits += visits as u64;
-        self.total_rotations += rotations as u64;
+        let rotations = self.delete(z);
         Ok((removed, OpReport { visits, rotations }))
+    }
+
+    fn insert_ascending(
+        &mut self,
+        entries: &mut dyn Iterator<Item = (u64, u64, u64)>,
+    ) -> Result<BatchReport, MapError> {
+        let mut total = BatchReport::default();
+        // (maximum node, right-spine length), or `None` after a per-op
+        // insert, which may have reshaped the spine.
+        let mut spine = None;
+        for (gfn, len, hpfn) in entries {
+            let (max, spine_len) = spine.unwrap_or_else(|| self.right_spine());
+            let above_max = max == NIL || gfn >= self.n(max).key + self.n(max).len;
+            if len == 0 || !above_max {
+                total.add(self.insert(gfn, len, hpfn)?);
+                spine = None;
+                continue;
+            }
+            // The CLRS descent for a key above the maximum visits exactly
+            // the right spine and hangs the new node under the maximum.
+            // Fixup then only left-rotates spine nodes off the spine, one
+            // per rotation, and the new node is the new maximum.
+            let z = self.alloc_node(gfn, len, hpfn);
+            let rotations = self.link(z, max, false);
+            total.add(OpReport {
+                visits: spine_len,
+                rotations,
+            });
+            spine = Some((z, spine_len + 1 - rotations));
+        }
+        Ok(total)
+    }
+
+    fn remove_range(&mut self, gfn: u64, len: u64) -> BatchReport {
+        let mut total = BatchReport::default();
+        let end = gfn + len;
+        // A per-frame remove finds an entry at the first frame of the range
+        // it holds, and any frame of an entry descends to it: the visits are
+        // its depth + 1 in the tree as it is then.
+        let (mut z, mut depth) = self.first_ending_above(gfn);
+        while z != NIL && self.n(z).key < end {
+            let (next, next_depth) = self.successor_after_delete(z, depth);
+            let rotations = self.delete(z);
+            total.add(OpReport {
+                visits: depth + 1,
+                rotations,
+            });
+            // A rotation may have moved the successor; re-walk only then.
+            depth = if rotations > 0 && next != NIL {
+                self.depth(next)
+            } else {
+                next_depth
+            };
+            z = next;
+        }
+        total
     }
 
     fn len(&self) -> usize {
@@ -631,15 +769,12 @@ mod tests {
     fn rotations_are_counted() {
         let mut map = RbMemoryMap::new();
         // Ascending inserts force regular rebalancing.
+        let mut total = BatchReport::default();
         for i in 0..1000u64 {
-            map.insert(i, 1, i).unwrap();
+            total.add(map.insert(i, 1, i).unwrap());
         }
-        assert!(
-            map.total_rotations() > 100,
-            "rotations = {}",
-            map.total_rotations()
-        );
-        assert!(map.total_visits() > 1000);
+        assert!(total.rotations > 100, "rotations = {}", total.rotations);
+        assert!(total.visits > 1000, "visits = {}", total.visits);
     }
 
     #[test]

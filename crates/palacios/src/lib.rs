@@ -27,7 +27,7 @@
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-use xemem_collections::{GuestMemoryMap, RadixMemoryMap, RbMemoryMap};
+use xemem_collections::{BatchReport, GuestMemoryMap, RadixMemoryMap, RbMemoryMap};
 use xemem_mem::kernel::{AttachSemantics, KernelError, MappingKernel, Pid};
 use xemem_mem::{
     FrameAllocator, MemError, Pfn, PfnList, PhysAccess, PhysAddr, VirtAddr, PAGE_SIZE,
@@ -54,61 +54,24 @@ pub enum Coalescing {
     Runs,
 }
 
-enum MapImpl {
-    Rb(RbMemoryMap),
-    Radix(RadixMemoryMap),
-}
-
-impl MapImpl {
-    fn as_map(&mut self) -> &mut dyn GuestMemoryMap {
-        match self {
-            MapImpl::Rb(m) => m,
-            MapImpl::Radix(m) => m,
-        }
-    }
-
-    fn lookup(
-        &self,
-        gfn: u64,
-    ) -> Result<(u64, xemem_collections::OpReport), xemem_collections::MapError> {
-        match self {
-            MapImpl::Rb(m) => m.lookup(gfn),
-            MapImpl::Radix(m) => m.lookup(gfn),
-        }
-    }
-
-    fn lookup_run(
-        &self,
-        gfn: u64,
-        max_len: u64,
-    ) -> Result<((u64, u64), xemem_collections::OpReport), xemem_collections::MapError> {
-        match self {
-            MapImpl::Rb(m) => m.lookup_run(gfn, max_len),
-            MapImpl::Radix(m) => m.lookup_run(gfn, max_len),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            MapImpl::Rb(m) => m.len(),
-            MapImpl::Radix(m) => m.len(),
-        }
-    }
-}
+/// The VMM memory map, shared by the VMM (updates) and the guest's
+/// physical view (translations).
+type SharedMap = Arc<RwLock<Box<dyn GuestMemoryMap + Send + Sync>>>;
 
 /// The guest-physical view handed to the guest kernel: every byte access
 /// translates GPA→HPA through the VMM memory map (nested paging on the
 /// data path is free at run time; only map *updates* cost).
 pub struct GuestPhys {
-    map: Arc<RwLock<MapImpl>>,
+    map: SharedMap,
     host: Arc<dyn PhysAccess>,
 }
 
 impl GuestPhys {
     fn translate(&self, at: PhysAddr) -> Result<PhysAddr, MemError> {
         let gfn = at.pfn().0;
-        let map = self.map.read();
-        let (hpfn, _) = map
+        let (hpfn, _) = self
+            .map
+            .read()
             .lookup(gfn)
             .map_err(|_| MemError::BadPhysAccess(at.pfn()))?;
         Ok(Pfn(hpfn).base() + at.page_offset())
@@ -232,7 +195,7 @@ impl AttachBreakdown {
 /// The Palacios VMM instance for one VM enclave.
 pub struct Vmm {
     cost: CostModel,
-    map: Arc<RwLock<MapImpl>>,
+    map: SharedMap,
     guest: Box<dyn MappingKernel>,
     pci: VirtPciDevice,
     /// Number of guest RAM frames (GPA frames below this are RAM).
@@ -263,12 +226,11 @@ impl Vmm {
         // notes Palacios manages "large blocks of physically contiguous
         // memory" so boot-time maps are small.
         let host_base = host_alloc.alloc_contiguous(ram_frames)?;
-        let mut inner = match kind {
-            MemoryMapKind::RbTree => MapImpl::Rb(RbMemoryMap::new()),
-            MemoryMapKind::Radix => MapImpl::Radix(RadixMemoryMap::new()),
+        let mut inner: Box<dyn GuestMemoryMap + Send + Sync> = match kind {
+            MemoryMapKind::RbTree => Box::new(RbMemoryMap::new()),
+            MemoryMapKind::Radix => Box::new(RadixMemoryMap::new()),
         };
         inner
-            .as_map()
             .insert(0, ram_frames, host_base.0)
             .expect("empty map cannot overlap");
         let map = Arc::new(RwLock::new(inner));
@@ -322,16 +284,16 @@ impl Vmm {
         &*self.guest
     }
 
-    /// Cost of one search-structure operation given its report.
-    fn structure_cost(&self, report: xemem_collections::OpReport) -> SimDuration {
-        match self.kind {
-            MemoryMapKind::RbTree => SimDuration::from_nanos(
-                self.cost.rb_insert_base_ns + self.cost.rb_level_ns * report.visits as u64,
-            ),
-            MemoryMapKind::Radix => {
-                SimDuration::from_nanos(self.cost.radix_level_ns * report.visits as u64)
+    /// Cost of a batch of search-structure operations: a base cost per
+    /// operation (RB) plus a cost per node or level visited. Exactly the
+    /// sum of the per-operation charges.
+    fn structure_cost(&self, report: BatchReport) -> SimDuration {
+        SimDuration::from_nanos(match self.kind {
+            MemoryMapKind::RbTree => {
+                self.cost.rb_insert_base_ns * report.ops + self.cost.rb_level_ns * report.visits
             }
-        }
+            MemoryMapKind::Radix => self.cost.radix_level_ns * report.visits,
+        })
     }
 
     /// Fig. 4(a): a guest process attaches to memory exported by the host
@@ -362,37 +324,28 @@ impl Vmm {
         let gpa_base = self.hotplug_next_gfn;
         self.hotplug_next_gfn += pages;
 
-        // (2) Memory-map updates: per page (paper) or per run (ablation).
-        let mut map_structure = SimDuration::ZERO;
-        let map_bookkeep;
-        {
+        // (2) Memory-map updates: one entry per page (paper) or per run
+        // (ablation), ascending above every existing entry.
+        let report = {
             let mut map = self.map.write();
-            let m = map.as_map();
             match self.coalescing {
-                Coalescing::PerPage => {
-                    for (gfn, hpfn) in (gpa_base..).zip(host_pfns.iter_pages()) {
-                        let report = m
-                            .insert(gfn, 1, hpfn.0)
-                            .map_err(|_| KernelError::Unsupported("GPA overlap"))?;
-                        map_structure += self.structure_cost(report);
-                    }
-                    map_bookkeep =
-                        SimDuration::from_nanos(self.cost.vmm_map_bookkeep_ns).times(pages);
-                }
+                Coalescing::PerPage => map.insert_ascending(
+                    &mut (gpa_base..)
+                        .zip(host_pfns.iter_pages())
+                        .map(|(gfn, hpfn)| (gfn, 1, hpfn.0)),
+                ),
                 Coalescing::Runs => {
-                    let mut gfn = gpa_base;
-                    for run in host_pfns.runs() {
-                        let report = m
-                            .insert(gfn, run.len, run.start.0)
-                            .map_err(|_| KernelError::Unsupported("GPA overlap"))?;
-                        map_structure += self.structure_cost(report);
-                        gfn += run.len;
-                    }
-                    map_bookkeep = SimDuration::from_nanos(self.cost.vmm_map_bookkeep_ns)
-                        .times(host_pfns.run_count() as u64);
+                    map.insert_ascending(&mut host_pfns.runs().iter().scan(gpa_base, |gfn, run| {
+                        let entry = (*gfn, run.len, run.start.0);
+                        *gfn += run.len;
+                        Some(entry)
+                    }))
                 }
             }
-        }
+            .map_err(|_| KernelError::Unsupported("GPA overlap"))?
+        };
+        let map_structure = self.structure_cost(report);
+        let map_bookkeep = SimDuration::from_nanos(self.cost.vmm_map_bookkeep_ns).times(report.ops);
 
         // (3) Copy the new guest frame list through the PCI device and
         // (4) raise the IRQ.
@@ -470,31 +423,23 @@ impl Vmm {
         ))
     }
 
-    /// Detach a guest attachment: unmap in the guest and remove the
-    /// hot-plugged memory-map entries.
+    /// Detach a guest attachment: unmap in the guest, then hypercall into
+    /// the VMM to remove the hot-plugged memory-map entries.
     pub fn guest_detach(
         &mut self,
         guest_pid: Pid,
         va: VirtAddr,
     ) -> Result<Costed<()>, KernelError> {
         let detached = self.guest.detach(guest_pid, va)?;
+        self.pci.hypercalls += 1;
         let mut cost = detached.cost + SimDuration::from_nanos(self.cost.hypercall_ns);
         let mut map = self.map.write();
-        let m = map.as_map();
-        for gfn in detached.value.iter_pages() {
+        for run in detached.value.runs() {
             // Hot-plugged entries only; guest RAM stays.
-            if gfn.0 >= self.hotplug_start() {
-                if let Ok((_, report)) = m.remove(gfn.0) {
-                    cost += match self.kind {
-                        MemoryMapKind::RbTree => SimDuration::from_nanos(
-                            self.cost.rb_insert_base_ns
-                                + self.cost.rb_level_ns * report.visits as u64,
-                        ),
-                        MemoryMapKind::Radix => {
-                            SimDuration::from_nanos(self.cost.radix_level_ns * report.visits as u64)
-                        }
-                    };
-                }
+            let start = run.start.0.max(self.hotplug_start());
+            let end = run.start.0 + run.len;
+            if start < end {
+                cost += self.structure_cost(map.remove_range(start, end - start));
             }
         }
         Ok(Costed::new((), cost))
@@ -710,9 +655,11 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
+    use xemem_collections::OpReport;
     use xemem_fwk::Fwk;
     use xemem_kitten::Kitten;
     use xemem_mem::PhysicalMemory;
+    use xemem_sim::rng::SimRng;
 
     fn launch_with(
         kind: MemoryMapKind,
@@ -784,15 +731,23 @@ mod more_tests {
         let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
         assert_eq!(vmm.pci().irqs_raised(), 0);
         assert_eq!(vmm.pci().hypercalls(), 0);
-        for i in 0..3 {
+        // Attach rings the guest (IRQ); detach and the export walk ring
+        // the host (hypercall).
+        let (mut attaches, mut detaches, mut walks) = (0, 0, 0);
+        for _ in 0..3 {
             let frames = host_alloc.alloc_pages(2).unwrap();
             let b = vmm.guest_attach(pid, &frames).unwrap();
-            assert_eq!(vmm.pci().irqs_raised(), i + 1);
+            attaches += 1;
+            assert_eq!(vmm.pci().irqs_raised(), attaches);
             vmm.guest_detach(pid, b.va).unwrap();
+            detaches += 1;
+            assert_eq!(vmm.pci().hypercalls(), walks + detaches);
         }
         let buf = vmm.guest_mut().alloc_buffer(pid, 8192).unwrap().value;
         vmm.host_walk_guest_region(pid, buf, 8192).unwrap();
-        assert!(vmm.pci().hypercalls() >= 1);
+        walks += 1;
+        assert_eq!(vmm.pci().hypercalls(), walks + detaches);
+        assert_eq!(vmm.pci().irqs_raised(), attaches);
     }
 
     #[test]
@@ -811,19 +766,119 @@ mod more_tests {
 
     #[test]
     fn guest_cannot_touch_unmapped_gpa() {
-        let (mut vmm, _, _) = launch_with(MemoryMapKind::RbTree, false);
-        let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
-        // A VA mapped to a GPA beyond RAM would fail translation; the
-        // guest kernel never creates one, so simulate via a stale
-        // attachment: attach, detach, then the VA faults (guest PTEs are
-        // gone — checked elsewhere). Here check map lookup errors surface
-        // as BadPhysAccess when the memory map lacks the GPA.
-        let buf = vmm.guest_mut().alloc_buffer(pid, 4096).unwrap().value;
-        vmm.guest_mut().write(pid, buf, b"ok").unwrap();
-        // Sanity: normal access works; the negative case is covered by
-        // the GuestPhys translate error path in guest_detach tests.
-        let mut b = [0u8; 2];
-        vmm.guest_mut().read(pid, buf, &mut b).unwrap();
-        assert_eq!(&b, b"ok");
+        for kind in [MemoryMapKind::RbTree, MemoryMapKind::Radix] {
+            let (mut vmm, phys, mut host_alloc) = launch_with(kind, false);
+            let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
+            // The guest's physical view, as its kernel sees it.
+            let gp = GuestPhys {
+                map: vmm.map.clone(),
+                host: phys,
+            };
+            let gone_base = vmm.hotplug_next_gfn;
+            let gone = vmm
+                .guest_attach(pid, &host_alloc.alloc_pages(8).unwrap())
+                .unwrap();
+            let live_base = vmm.hotplug_next_gfn;
+            let live = vmm
+                .guest_attach(pid, &host_alloc.alloc_pages(4).unwrap())
+                .unwrap();
+            vmm.guest_detach(pid, gone.va).unwrap();
+            let mut buf = [0u8; 4];
+            for gfn in gone_base..live_base {
+                let bad = Err(MemError::BadPhysAccess(Pfn(gfn)));
+                assert_eq!(gp.read(Pfn(gfn).base() + 100, &mut buf), bad, "{kind:?}");
+                assert_eq!(gp.write(Pfn(gfn).base(), b"gone"), bad, "{kind:?}");
+            }
+            // Guest RAM and the attachment still live keep translating.
+            gp.read(Pfn(0).base(), &mut buf).unwrap();
+            gp.read(Pfn(gone_base - 1).base(), &mut buf).unwrap();
+            for gfn in live_base..live_base + 4 {
+                gp.write(Pfn(gfn).base(), b"live").unwrap();
+                gp.read(Pfn(gfn).base(), &mut buf).unwrap();
+                assert_eq!(&buf, b"live");
+            }
+            vmm.guest_mut().read(pid, live.va, &mut buf).unwrap();
+            assert_eq!(&buf, b"live");
+        }
+    }
+
+    #[test]
+    fn out_of_order_detaches_match_a_per_op_shadow_map() {
+        // Several live attachments of random sizes and run shapes,
+        // detached in random order, so a removed range has hot-plugged
+        // entries on both sides. A shadow map replays each attach and
+        // detach with one `insert`/`remove` per entry and per frame.
+        let cost = CostModel::default();
+        for kind in [MemoryMapKind::RbTree, MemoryMapKind::Radix] {
+            for coalescing in [Coalescing::PerPage, Coalescing::Runs] {
+                let (mut vmm, _, mut host_alloc) = launch_with(kind, false);
+                vmm.set_coalescing(coalescing);
+                let pid = vmm.guest_mut().spawn(1 << 20).unwrap().value;
+                let mut shadow: Box<dyn GuestMemoryMap> = match kind {
+                    MemoryMapKind::RbTree => Box::new(RbMemoryMap::new()),
+                    MemoryMapKind::Radix => Box::new(RadixMemoryMap::new()),
+                };
+                let (ram_hpfn, _) = vmm.map.read().lookup(0).unwrap();
+                shadow.insert(0, vmm.ram_frames, ram_hpfn).unwrap();
+                let charge = |r: OpReport| match kind {
+                    MemoryMapKind::RbTree => {
+                        cost.rb_insert_base_ns + cost.rb_level_ns * u64::from(r.visits)
+                    }
+                    MemoryMapKind::Radix => cost.radix_level_ns * u64::from(r.visits),
+                };
+                let pool = host_alloc.alloc_contiguous(4096).unwrap();
+                let mut rng = SimRng::seed_from_u64(0x5eed);
+                let mut live: Vec<(VirtAddr, u64, u64)> = Vec::new();
+                for _ in 0..40 {
+                    if live.is_empty() || rng.chance(0.55) {
+                        // Host frames as random runs with holes between.
+                        let mut list = PfnList::new();
+                        let mut frame = pool.0 + rng.uniform_u64(0, 2048);
+                        for _ in 0..rng.uniform_u64(1, 6) {
+                            let len = rng.uniform_u64(1, 40);
+                            list.push_run(Pfn(frame), len);
+                            frame += len + rng.uniform_u64(1, 4);
+                        }
+                        let gpa_base = vmm.hotplug_next_gfn;
+                        let b = vmm.guest_attach(pid, &list).unwrap();
+                        let mut expected = 0;
+                        match coalescing {
+                            Coalescing::PerPage => {
+                                for (gfn, hpfn) in (gpa_base..).zip(list.iter_pages()) {
+                                    expected += charge(shadow.insert(gfn, 1, hpfn.0).unwrap());
+                                }
+                            }
+                            Coalescing::Runs => {
+                                let mut gfn = gpa_base;
+                                for run in list.runs() {
+                                    expected +=
+                                        charge(shadow.insert(gfn, run.len, run.start.0).unwrap());
+                                    gfn += run.len;
+                                }
+                            }
+                        }
+                        assert_eq!(b.map_structure, SimDuration::from_nanos(expected));
+                        live.push((b.va, gpa_base, list.pages()));
+                    } else {
+                        let victim = rng.uniform_u64(0, live.len() as u64) as usize;
+                        let (va, gpa_base, pages) = live.swap_remove(victim);
+                        let mut expected = 0;
+                        for gfn in gpa_base..gpa_base + pages {
+                            if let Ok((_, r)) = shadow.remove(gfn) {
+                                expected += charge(r);
+                            }
+                        }
+                        let detached = vmm.guest_detach(pid, va).unwrap();
+                        assert_eq!(
+                            detached.cost,
+                            cost.fwk_detach(pages)
+                                + SimDuration::from_nanos(cost.hypercall_ns + expected),
+                            "{kind:?} {coalescing:?}"
+                        );
+                    }
+                    assert_eq!(vmm.map_entries(), shadow.len(), "{kind:?} {coalescing:?}");
+                }
+            }
+        }
     }
 }
