@@ -1,4 +1,5 @@
-//! The XPMEM-compatible user-level API (paper Table 1).
+//! The XPMEM-compatible user-level API (paper Table 1), and the one
+//! helper every `System` op frames its span through.
 //!
 //! These are the clock-based wrappers over the timeline engine in
 //! [`crate::system`]: each call starts at the system clock's current time
@@ -7,41 +8,69 @@
 //! written against XPMEM map one-to-one onto these calls — the paper's
 //! backwards-compatibility claim (§4.1).
 //!
-//! Each wrapper also frames its operation for the tracer: the op span
-//! opens at the start time and commits at the completion time, so every
-//! charged leaf underneath it is attributed to the API call that paid
-//! for it. A failed call aborts the frame — mirroring the invariant
-//! that errors never advance the clock, they never contribute spans.
+//! Each op — these wrappers, the process and data ops, teardown,
+//! migration, fault delivery and registration in [`crate::system`], and
+//! the lane-phase ops of [`crate::LanePart`] — opens and closes its
+//! tracer span through [`Framed::framed`]: the op span opens at the start
+//! time and commits at the completion time, so every charged leaf
+//! underneath it is attributed to the op that paid for it. A failed op
+//! aborts the frame — mirroring the invariant that errors never advance
+//! the clock, they never contribute spans.
 
 use crate::ids::{Apid, ProcessRef, Segid};
 use crate::system::{AttachOutcome, System};
 use crate::XememError;
 use xemem_mem::VirtAddr;
-use xemem_trace::{Ctx, SpanKind, Timeline};
+use xemem_sim::SimTime;
+use xemem_trace::{Ctx, SpanKind, Timeline, TraceHandle};
 
-impl System {
-    /// Frame one clock-based operation: open an op span at `at`, run
-    /// `f`, and commit at the returned end time (advancing the clock) or
-    /// abort on error (leaving the clock untouched).
+/// An owner of a tracer whose ops run inside op spans: the whole
+/// [`System`] and each PDES [`crate::LanePart`].
+pub(crate) trait Framed: Sized {
+    /// The tracer the op spans open on.
+    fn frame_tracer(&self) -> &TraceHandle;
+
+    /// Frame one op: open a `kind` span on `timeline` at `at`, run `f`
+    /// from `at`, and commit the span at the end time `f` returns, or
+    /// abort it when `f` fails. On a disabled tracer this is the bare
+    /// call — no allocation, no atomic.
     fn framed<T>(
         &mut self,
         kind: SpanKind,
         ctx: Ctx,
-        f: impl FnOnce(&mut Self, xemem_sim::SimTime) -> Result<(T, xemem_sim::SimTime), XememError>,
+        timeline: Timeline,
+        at: SimTime,
+        f: impl FnOnce(&mut Self, SimTime) -> Result<(T, SimTime), XememError>,
+    ) -> Result<(T, SimTime), XememError> {
+        self.frame_tracer().begin_op(kind, at, ctx, timeline);
+        let out = f(self, at);
+        match &out {
+            Ok((_, end)) => self.frame_tracer().commit_op(*end),
+            Err(_) => self.frame_tracer().abort_op(),
+        }
+        out
+    }
+}
+
+impl Framed for System {
+    fn frame_tracer(&self) -> &TraceHandle {
+        self.tracer()
+    }
+}
+
+impl System {
+    /// [`Framed::framed`] on the clock timeline: start at the clock's
+    /// current time and, on success, advance the clock to the op's end.
+    pub(crate) fn clocked<T>(
+        &mut self,
+        kind: SpanKind,
+        ctx: Ctx,
+        f: impl FnOnce(&mut Self, SimTime) -> Result<(T, SimTime), XememError>,
     ) -> Result<T, XememError> {
         let at = self.clock().now();
-        self.tracer().begin_op(kind, at, ctx, Timeline::Clock);
-        match f(self, at) {
-            Ok((value, end)) => {
-                self.tracer().commit_op(end);
-                self.clock().advance_to(end);
-                Ok(value)
-            }
-            Err(e) => {
-                self.tracer().abort_op();
-                Err(e)
-            }
-        }
+        let (value, end) = self.framed(kind, ctx, Timeline::Clock, at, f)?;
+        self.clock().advance_to(end);
+        Ok(value)
     }
 
     /// `xpmem_make`: export `[va, va + len)` of the calling process as
@@ -54,7 +83,7 @@ impl System {
         len: u64,
         name: Option<&str>,
     ) -> Result<Segid, XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Make,
             Ctx::proc(p.enclave.0, p.pid.0),
             |sys, at| sys.make_at(p, va, len, name, at),
@@ -63,7 +92,7 @@ impl System {
 
     /// `xpmem_remove`: withdraw an exported region.
     pub fn xpmem_remove(&mut self, p: ProcessRef, segid: Segid) -> Result<(), XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Remove,
             Ctx::seg(p.enclave.0, p.pid.0, segid.0),
             |sys, at| sys.remove_at(p, segid, at).map(|end| ((), end)),
@@ -84,7 +113,7 @@ impl System {
         segid: Segid,
         mode: crate::ids::AccessMode,
     ) -> Result<Apid, XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Get,
             Ctx::seg(p.enclave.0, p.pid.0, segid.0),
             |sys, at| sys.get_mode_at(p, segid, mode, at),
@@ -93,7 +122,7 @@ impl System {
 
     /// `xpmem_release`: release a permission grant.
     pub fn xpmem_release(&mut self, p: ProcessRef, apid: Apid) -> Result<(), XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Release,
             Ctx::proc(p.enclave.0, p.pid.0),
             |sys, at| sys.release_at(p, apid, at).map(|end| ((), end)),
@@ -121,7 +150,7 @@ impl System {
         offset: u64,
         len: u64,
     ) -> Result<AttachOutcome, XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Attach,
             Ctx::proc(p.enclave.0, p.pid.0),
             |sys, at| {
@@ -133,7 +162,7 @@ impl System {
 
     /// `xpmem_detach`: unmap a previously attached region.
     pub fn xpmem_detach(&mut self, p: ProcessRef, va: VirtAddr) -> Result<(), XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Detach,
             Ctx::proc(p.enclave.0, p.pid.0),
             |sys, at| sys.detach_at(p, va, at).map(|end| ((), end)),
@@ -143,7 +172,7 @@ impl System {
     /// Discoverability extension: resolve a well-known segment name to
     /// its segid by querying the name server (paper §3.1).
     pub fn xpmem_search(&mut self, p: ProcessRef, name: &str) -> Result<Segid, XememError> {
-        self.framed(
+        self.clocked(
             SpanKind::Search,
             Ctx::proc(p.enclave.0, p.pid.0),
             |sys, at| sys.search_at(p, name, at),

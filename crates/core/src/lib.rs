@@ -73,7 +73,7 @@ pub use enclave::{AttachState, EnclaveKind, GuestOs, Lease};
 pub use error::XememError;
 pub use ids::{AccessMode, Apid, EnclaveId, EnclaveRef, ProcessRef, Segid};
 pub use name_server::{FailoverReport, NameService};
-pub use protocol::{MessageKind, MessageRecord};
+pub use protocol::MessageKind;
 pub use system::{CrashNotice, LanePart, System, SystemBuilder, TierMove};
 
 pub use xemem_mem::{Pid, VirtAddr};

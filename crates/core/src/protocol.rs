@@ -1,14 +1,19 @@
-//! Protocol message kinds and the message trace.
+//! Protocol message kinds, and how to read them back.
 //!
 //! Cross-enclave commands (paper Table 1 plus the routing-support
 //! messages of §3.2) are executed synchronously by the protocol engine in
-//! [`crate::system`]; this module defines their kinds and wire sizes for
-//! cost accounting, and a [`MessageRecord`] trace that tests use to assert
-//! the hierarchical routing behaviour (e.g. that a VM's request really
-//! transits its host enclave on the way to the name server).
+//! [`crate::system`]; this module defines their kinds and wire sizes.
+//!
+//! The typed tracer is the only record of protocol traffic: every hop,
+//! registration discovery included, is one [`EdgeKind::SendRecv`] edge
+//! from the sending slot (`src_ctx.enclave`, first attempt at `src`) to
+//! the receiving slot (`dst_ctx.enclave`, delivery at `dst`) that names
+//! its message by [`MessageKind::code`] and wire bytes. To read hops,
+//! build the system `with_tracer(TraceHandle::enabled())` and decode
+//! `sys.tracer().edges()` — sorted by send time, so an op's hops are
+//! those sent at or after its start — with [`MessageKind::of_edge`].
 
-use crate::ids::{EnclaveId, Segid};
-use xemem_sim::SimTime;
+use xemem_trace::{Edge, EdgeKind};
 
 /// Fixed wire size of a command header (segid, enclave ids, opcode,
 /// status), mirroring a small C struct.
@@ -63,6 +68,27 @@ pub enum MessageKind {
 }
 
 impl MessageKind {
+    /// Every kind in declaration order (`PfnListReply` stands for every
+    /// page count).
+    const BY_CODE: [MessageKind; 16] = [
+        MessageKind::NameServerQuery,
+        MessageKind::NameServerQueryReply,
+        MessageKind::AllocEnclaveId,
+        MessageKind::EnclaveIdReply,
+        MessageKind::AllocSegid,
+        MessageKind::SegidReply,
+        MessageKind::RemoveSegid,
+        MessageKind::SearchSegid,
+        MessageKind::SearchReply,
+        MessageKind::GetPfnList,
+        MessageKind::PfnListReply { pages: 0 },
+        MessageKind::Release,
+        MessageKind::Revoke,
+        MessageKind::RevokeAck,
+        MessageKind::LeaseRevoke,
+        MessageKind::LeaseRevokeAck,
+    ];
+
     /// Bytes this message occupies on a channel.
     pub fn wire_bytes(&self) -> u64 {
         match self {
@@ -70,23 +96,32 @@ impl MessageKind {
             _ => CMD_HEADER_BYTES,
         }
     }
-}
 
-/// One hop of one message, recorded for tests and tracing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MessageRecord {
-    /// Sending enclave slot index.
-    pub from_slot: usize,
-    /// Receiving enclave slot index.
-    pub to_slot: usize,
-    /// What was sent.
-    pub kind: MessageKind,
-    /// When the hop began.
-    pub at: SimTime,
-    /// Segment involved, if any.
-    pub segid: Option<Segid>,
-    /// Destination enclave ID the routing decision used, if any.
-    pub routed_to: Option<EnclaveId>,
+    /// The compact code a traced hop names this message by: its
+    /// position in declaration order, from 1 (the tracer reserves 0 for
+    /// unnamed edges).
+    pub fn code(&self) -> u8 {
+        let me = std::mem::discriminant(self);
+        let at = Self::BY_CODE
+            .iter()
+            .position(|k| std::mem::discriminant(k) == me);
+        at.map_or(0, |i| i as u8 + 1)
+    }
+
+    /// The message a traced [`EdgeKind::SendRecv`] hop carried, with a
+    /// `PfnListReply`'s page count recovered from its wire bytes.
+    /// `None` for other edge kinds and unnamed hops.
+    pub fn of_edge(edge: &Edge) -> Option<MessageKind> {
+        if edge.kind != EdgeKind::SendRecv {
+            return None;
+        }
+        match *Self::BY_CODE.get(usize::from(edge.msg).checked_sub(1)?)? {
+            MessageKind::PfnListReply { .. } => Some(MessageKind::PfnListReply {
+                pages: edge.bytes.saturating_sub(CMD_HEADER_BYTES) / 8,
+            }),
+            kind => Some(kind),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -102,5 +137,21 @@ mod tests {
             MessageKind::PfnListReply { pages: 262_144 }.wire_bytes(),
             64 + (2 << 20)
         );
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_a_traced_hop() {
+        use xemem_trace::{Ctx, TraceHandle};
+        let mut kinds = MessageKind::BY_CODE.to_vec();
+        kinds.push(MessageKind::PfnListReply { pages: 262_144 });
+        let (at, ctx) = (xemem_sim::SimTime::from_nanos(5), Ctx::NONE);
+        for kind in kinds {
+            let tracer = TraceHandle::with_capacity(4, 1);
+            tracer.send_recv(at, at, ctx, ctx, kind.code(), kind.wire_bytes());
+            tracer.edge(EdgeKind::SendRecv, at, at, ctx, ctx);
+            tracer.edge(EdgeKind::RevokeAck, at, at, ctx, ctx);
+            let decoded: Vec<_> = tracer.edges().iter().map(MessageKind::of_edge).collect();
+            assert_eq!(decoded, [None, Some(kind), None], "{kind:?}");
+        }
     }
 }

@@ -19,12 +19,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+use crate::api::Framed;
 use crate::channel::{Direction, Link, LinkCharge};
 use crate::enclave::{AttachState, EnclaveKind, GuestOs, Lease, SegRecord, Slot};
 use crate::error::XememError;
 use crate::ids::{AccessMode, Apid, EnclaveId, EnclaveRef, ProcessRef, Segid};
 use crate::name_server::NameService;
-use crate::protocol::{MessageKind, MessageRecord};
+use crate::protocol::MessageKind;
 use xemem_fwk::Fwk;
 use xemem_kitten::Kitten;
 use xemem_mem::{
@@ -159,8 +160,6 @@ pub struct System {
     name_service: NameService,
     id_to_slot: HashMap<EnclaveId, usize>,
     next_apid: u64,
-    trace: Vec<MessageRecord>,
-    trace_enabled: bool,
     core0: Core0Handler,
     last_vm_breakdown: Option<xemem_palacios::AttachBreakdown>,
     /// NUMA zone of each slot's memory partition.
@@ -251,17 +250,6 @@ impl System {
         self.last_vm_breakdown
     }
 
-    /// The recorded message trace (enable with
-    /// [`SystemBuilder::with_trace`]).
-    pub fn trace(&self) -> &[MessageRecord] {
-        &self.trace
-    }
-
-    /// Clear the message trace.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Direct access to an enclave's VMM, when it is a VM (ablations and
     /// white-box tests).
     pub fn vmm_mut(&mut self, e: EnclaveRef) -> Option<&mut Vmm> {
@@ -349,14 +337,10 @@ impl System {
                         // Injected crashes run between operations; their
                         // teardown cost lives on the detached timeline so
                         // the clock audit still balances exactly.
-                        self.tracer.begin_op(
-                            SpanKind::InjectedCrash,
-                            ev.at,
-                            Ctx::enclave(slot),
-                            Timeline::Detached,
-                        );
-                        let end = self.crash_enclave_internal(slot, ev.at);
-                        self.tracer.commit_op(end);
+                        let (kind, ctx) = (SpanKind::InjectedCrash, Ctx::enclave(slot));
+                        let _ = self.framed(kind, ctx, Timeline::Detached, ev.at, |sys, at| {
+                            Ok(((), sys.crash_enclave_internal(slot, at)))
+                        });
                     }
                 }
                 FaultKind::ProcessKill { slot, pid } => {
@@ -366,17 +350,11 @@ impl System {
                             enclave: EnclaveRef(slot),
                             pid: Pid(pid),
                         };
-                        self.tracer.begin_op(
-                            SpanKind::InjectedKill,
-                            ev.at,
-                            Ctx::proc(slot, pid),
-                            Timeline::Detached,
-                        );
                         // Killing a pid that does not exist is a no-op.
-                        match self.crash_process_internal(p, ev.at) {
-                            Ok(end) => self.tracer.commit_op(end),
-                            Err(_) => self.tracer.abort_op(),
-                        }
+                        let (kind, ctx) = (SpanKind::InjectedKill, Ctx::proc(slot, pid));
+                        let _ = self.framed(kind, ctx, Timeline::Detached, ev.at, |sys, at| {
+                            sys.crash_process_internal(p, at).map(|end| ((), end))
+                        });
                     }
                 }
             }
@@ -484,16 +462,10 @@ impl System {
             if holder != leader && self.slots[holder].alive {
                 if let Some(path) = self.notify_path(leader, holder) {
                     let revoked_at =
-                        self.charge_hops(&path, MessageKind::LeaseRevoke, Some(segid), None, at);
+                        self.charge_hops(&path, MessageKind::LeaseRevoke, Some(segid), at);
                     at = revoked_at;
                     if let Some(back) = self.notify_path(holder, leader) {
-                        at = self.charge_hops(
-                            &back,
-                            MessageKind::LeaseRevokeAck,
-                            Some(segid),
-                            None,
-                            at,
-                        );
+                        at = self.charge_hops(&back, MessageKind::LeaseRevokeAck, Some(segid), at);
                         self.tracer.edge(
                             EdgeKind::RevokeAck,
                             revoked_at,
@@ -514,25 +486,12 @@ impl System {
     /// Unlike [`Self::exit_process`] nothing is torn down gracefully —
     /// this is the path fault injection drives.
     pub fn crash_process(&mut self, p: ProcessRef) -> Result<(), XememError> {
-        let at = self.clock.now();
-        self.process_faults(at);
-        self.tracer.begin_op(
+        self.process_faults(self.clock.now());
+        self.clocked(
             SpanKind::CrashProcess,
-            at,
             Ctx::proc(p.enclave.0, p.pid.0),
-            Timeline::Clock,
-        );
-        match self.crash_process_at(p, at) {
-            Ok(end) => {
-                self.tracer.commit_op(end);
-                self.clock.advance_to(end);
-                Ok(())
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+            |sys, at| sys.crash_process_at(p, at).map(|end| ((), end)),
+        )
     }
 
     /// Timeline variant of [`Self::crash_process`].
@@ -547,13 +506,7 @@ impl System {
         at: SimTime,
     ) -> Result<SimTime, XememError> {
         let slot_idx = p.enclave.0;
-        let slot = self
-            .slots
-            .get(slot_idx)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let mut t = at;
         // 1. Exported segments: withdraw from the name server; where
         //    remote enclaves still map them, quarantine the frames out of
@@ -656,25 +609,10 @@ impl System {
     /// attachments are dropped, and its partition is retired. The
     /// name-server enclave cannot be destroyed.
     pub fn destroy_enclave(&mut self, e: EnclaveRef) -> Result<(), XememError> {
-        let at = self.clock.now();
-        self.process_faults(at);
-        self.tracer.begin_op(
-            SpanKind::DestroyEnclave,
-            at,
-            Ctx::enclave(e.0),
-            Timeline::Clock,
-        );
-        match self.destroy_enclave_at(e, at) {
-            Ok(end) => {
-                self.tracer.commit_op(end);
-                self.clock.advance_to(end);
-                Ok(())
-            }
-            Err(err) => {
-                self.tracer.abort_op();
-                Err(err)
-            }
-        }
+        self.process_faults(self.clock.now());
+        self.clocked(SpanKind::DestroyEnclave, Ctx::enclave(e.0), |sys, at| {
+            sys.destroy_enclave_at(e, at).map(|end| ((), end))
+        })
     }
 
     /// Timeline variant of [`Self::destroy_enclave`].
@@ -683,10 +621,7 @@ impl System {
         e: EnclaveRef,
         at: SimTime,
     ) -> Result<SimTime, XememError> {
-        let slot = self.slots.get(e.0).ok_or(XememError::BadEnclave(e))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(e));
-        }
+        live_slot(self.slots.get_mut(e.0), e)?;
         if self.name_service.is_sole_replica(e.0) {
             return Err(XememError::Topology(
                 "the name-server enclave cannot be destroyed".into(),
@@ -839,13 +774,13 @@ impl System {
             let mut t = at;
             if site.slot != notifier {
                 if let Some(path) = self.notify_path(notifier, site.slot) {
-                    t = self.charge_hops(&path, MessageKind::Revoke, Some(segid), None, t);
+                    t = self.charge_hops(&path, MessageKind::Revoke, Some(segid), t);
                 }
             }
             t = self.reap_site(site, t);
             if site.slot != notifier {
                 if let Some(path) = self.notify_path(site.slot, notifier) {
-                    t = self.charge_hops(&path, MessageKind::RevokeAck, Some(segid), None, t);
+                    t = self.charge_hops(&path, MessageKind::RevokeAck, Some(segid), t);
                 }
             }
             at = t;
@@ -975,18 +910,6 @@ impl System {
         self.route_path(from, dest).ok()
     }
 
-    /// Guard a data access: any overlap with a revoked (non-live)
-    /// attachment fails with `SourceGone` — never stale bytes.
-    fn check_data_access(
-        &self,
-        slot_idx: usize,
-        pid: Pid,
-        va: VirtAddr,
-        len: u64,
-    ) -> Result<(), XememError> {
-        slot_check_data_access(&self.slots[slot_idx], pid, va, len)
-    }
-
     // ------------------------------------------------------------------
     // Process management and data access (clock-based)
     // ------------------------------------------------------------------
@@ -998,25 +921,13 @@ impl System {
         mem_bytes: u64,
     ) -> Result<ProcessRef, XememError> {
         self.process_faults(self.clock.now());
-        let slot = self.slots.get_mut(e.0).ok_or(XememError::BadEnclave(e))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(e));
-        }
-        let spawned = slot.kind.kernel_mut().spawn(mem_bytes)?;
-        let at = self.clock.now();
-        self.tracer
-            .begin_op(SpanKind::Spawn, at, Ctx::enclave(e.0), Timeline::Clock);
-        self.tracer.leaf(
-            SpanKind::KernelSpawn,
-            at,
-            spawned.cost,
-            Ctx::proc(e.0, spawned.value.0),
-        );
-        self.tracer.commit_op(at + spawned.cost);
-        self.clock.advance(spawned.cost);
-        Ok(ProcessRef {
-            enclave: e,
-            pid: spawned.value,
+        self.clocked(SpanKind::Spawn, Ctx::enclave(e.0), |sys, at| {
+            let slot = live_slot(sys.slots.get_mut(e.0), e)?;
+            let spawned = slot.kind.kernel_mut().spawn(mem_bytes)?;
+            let (pid, cost) = (spawned.value, spawned.cost);
+            let ctx = Ctx::proc(e.0, pid.0);
+            sys.tracer.leaf(SpanKind::KernelSpawn, at, cost, ctx);
+            Ok((ProcessRef { enclave: e, pid }, at + cost))
         })
     }
 
@@ -1029,12 +940,7 @@ impl System {
     pub fn exit_process(&mut self, p: ProcessRef) -> Result<(), XememError> {
         self.process_faults(self.clock.now());
         let slot_idx = p.enclave.0;
-        if slot_idx >= self.slots.len() {
-            return Err(XememError::BadEnclave(p.enclave));
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         // Tear down attachments (local unmap; drops loan refcounts).
         // Sorted for deterministic teardown order (map iteration is not).
         let mut attached: Vec<u64> = self.slots[slot_idx]
@@ -1044,21 +950,8 @@ impl System {
             .map(|((_, va), _)| *va)
             .collect();
         attached.sort_unstable();
-        let pctx = Ctx::proc(slot_idx, p.pid.0);
         for va in attached {
-            let at = self.clock.now();
-            self.tracer
-                .begin_op(SpanKind::Detach, at, pctx, Timeline::Clock);
-            match self.detach_at(p, VirtAddr(va), at) {
-                Ok(end) => {
-                    self.tracer.commit_op(end);
-                    self.clock.advance_to(end);
-                }
-                Err(e) => {
-                    self.tracer.abort_op();
-                    return Err(e);
-                }
-            }
+            self.xpmem_detach(p, VirtAddr(va))?;
         }
         // Release permits, dropping the exporter-side grant refcounts
         // they pinned (left dangling before the teardown protocol
@@ -1071,19 +964,7 @@ impl System {
             .collect();
         permits.sort_unstable();
         for apid in permits {
-            let at = self.clock.now();
-            self.tracer
-                .begin_op(SpanKind::Release, at, pctx, Timeline::Clock);
-            match self.release_at(p, apid, at) {
-                Ok(end) => {
-                    self.tracer.commit_op(end);
-                    self.clock.advance_to(end);
-                }
-                Err(e) => {
-                    self.tracer.abort_op();
-                    return Err(e);
-                }
-            }
+            self.xpmem_release(p, apid)?;
         }
         // Withdraw exported segments; remove_at revokes and reaps any
         // remote attachments before the kernel frees the frames below.
@@ -1095,56 +976,26 @@ impl System {
             .collect();
         segids.sort_unstable();
         for segid in segids {
-            let at = self.clock.now();
-            self.tracer.begin_op(
-                SpanKind::Remove,
-                at,
-                pctx.with_seg(segid.0),
-                Timeline::Clock,
-            );
-            match self.remove_at(p, segid, at) {
-                Ok(end) => {
-                    self.tracer.commit_op(end);
-                    self.clock.advance_to(end);
-                }
-                Err(e) => {
-                    self.tracer.abort_op();
-                    return Err(e);
-                }
-            }
+            self.xpmem_remove(p, segid)?;
         }
         // Finally, the kernel reclaims the process.
-        let exited = self.slots[slot_idx].kind.kernel_mut().exit(p.pid)?;
-        let at = self.clock.now();
-        self.tracer
-            .begin_op(SpanKind::Exit, at, pctx, Timeline::Clock);
-        self.tracer
-            .leaf(SpanKind::KernelExit, at, exited.cost, pctx);
-        self.tracer.commit_op(at + exited.cost);
-        self.clock.advance(exited.cost);
-        Ok(())
+        let pctx = Ctx::proc(slot_idx, p.pid.0);
+        self.clocked(SpanKind::Exit, pctx, |sys, at| {
+            let exited = sys.slots[slot_idx].kind.kernel_mut().exit(p.pid)?;
+            sys.tracer.leaf(SpanKind::KernelExit, at, exited.cost, pctx);
+            Ok(((), at + exited.cost))
+        })
     }
 
     /// Allocate a page-aligned buffer in a process (the region an
     /// application will export).
     pub fn alloc_buffer(&mut self, p: ProcessRef, len: u64) -> Result<VirtAddr, XememError> {
         self.process_faults(self.clock.now());
-        let slot = self
-            .slots
-            .get_mut(p.enclave.0)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        let out = slot.kind.kernel_mut().alloc_buffer(p.pid, len)?;
-        let at = self.clock.now();
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::AllocBuffer, at, ctx, Timeline::Clock);
-        self.tracer.leaf(SpanKind::Bookkeeping, at, out.cost, ctx);
-        self.tracer.commit_op(at + out.cost);
-        self.clock.advance(out.cost);
-        Ok(out.value)
+        self.clocked(SpanKind::AllocBuffer, ctx, |sys, at| {
+            let slot = live_slot(sys.slots.get_mut(p.enclave.0), p.enclave)?;
+            slot_alloc_buffer(slot, &sys.tracer, p, len, at)
+        })
     }
 
     /// Bring a buffer fully resident without charging virtual time —
@@ -1169,83 +1020,34 @@ impl System {
     /// Write process memory. Writes overlapping a revoked attachment
     /// fail with `SourceGone`.
     pub fn write(&mut self, p: ProcessRef, va: VirtAddr, data: &[u8]) -> Result<(), XememError> {
-        self.process_faults(self.clock.now());
-        if !self
-            .slots
-            .get(p.enclave.0)
-            .ok_or(XememError::BadEnclave(p.enclave))?
-            .alive
-        {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        self.check_data_access(p.enclave.0, p.pid, va, data.len() as u64)?;
-        if self.tracer.is_enabled()
-            && self.overlaps_live_attachment(p.enclave.0, p.pid, va, data.len() as u64)
-        {
-            self.tracer
-                .count(Counter::BytesWrittenAttached, data.len() as u64);
-        }
-        let slot = &mut self.slots[p.enclave.0];
-        let out = slot.kind.kernel_mut().write(p.pid, va, data)?;
-        let at = self.clock.now();
-        let extra = self.tier_access(p.enclave.0, p.pid, va, data.len() as u64, at, true);
-        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::Write, at, ctx, Timeline::Clock);
-        self.tracer.leaf(SpanKind::DramStream, at, out.cost, ctx);
-        if extra > SimDuration::ZERO {
-            self.tracer
-                .leaf(SpanKind::TierStream, at + out.cost, extra, ctx);
-        }
-        self.tracer.commit_op(at + out.cost + extra);
-        self.clock.advance(out.cost + extra);
-        Ok(())
+        self.access(p, va, Access::Write(data))
     }
 
     /// Read process memory. Reads overlapping a revoked attachment fail
     /// with `SourceGone` — the teardown protocol never leaves stale
     /// bytes readable.
     pub fn read(&mut self, p: ProcessRef, va: VirtAddr, out: &mut [u8]) -> Result<(), XememError> {
-        self.process_faults(self.clock.now());
-        if !self
-            .slots
-            .get(p.enclave.0)
-            .ok_or(XememError::BadEnclave(p.enclave))?
-            .alive
-        {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        self.check_data_access(p.enclave.0, p.pid, va, out.len() as u64)?;
-        if self.tracer.is_enabled()
-            && self.overlaps_live_attachment(p.enclave.0, p.pid, va, out.len() as u64)
-        {
-            self.tracer
-                .count(Counter::BytesReadAttached, out.len() as u64);
-        }
-        let slot = &mut self.slots[p.enclave.0];
-        let len = out.len() as u64;
-        let r = slot.kind.kernel_mut().read(p.pid, va, out)?;
-        let at = self.clock.now();
-        let extra = self.tier_access(p.enclave.0, p.pid, va, len, at, false);
-        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::Read, at, ctx, Timeline::Clock);
-        self.tracer.leaf(SpanKind::DramStream, at, r.cost, ctx);
-        if extra > SimDuration::ZERO {
-            self.tracer
-                .leaf(SpanKind::TierStream, at + r.cost, extra, ctx);
-        }
-        self.tracer.commit_op(at + r.cost + extra);
-        self.clock.advance(r.cost + extra);
-        Ok(())
+        self.access(p, va, Access::Read(out))
     }
 
-    /// True when `[va, va+len)` overlaps a live attachment of `pid` —
-    /// used only to attribute cross-enclave data-path bytes to the
-    /// metrics registry (the access-guard twin of
-    /// [`Self::check_data_access`]).
-    fn overlaps_live_attachment(&self, slot_idx: usize, pid: Pid, va: VirtAddr, len: u64) -> bool {
-        slot_overlaps_live_attachment(&self.slots[slot_idx], pid, va, len)
+    /// Clock-based read or write: the slot-local body plus the stream
+    /// surcharge of off-DRAM tiers, which only the whole system can see.
+    fn access(
+        &mut self,
+        p: ProcessRef,
+        va: VirtAddr,
+        access: Access<'_>,
+    ) -> Result<(), XememError> {
+        self.process_faults(self.clock.now());
+        let (len, write) = (access.len(), matches!(access, Access::Write(_)));
+        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
+        self.clocked(access.kinds().0, ctx, |sys, at| {
+            let slot = live_slot(sys.slots.get_mut(p.enclave.0), p.enclave)?;
+            let end = slot_access(slot, &sys.tracer, p, va, access, at)?;
+            let extra = sys.tier_access(p.enclave.0, p.pid, va, len, at, write);
+            sys.tracer.leaf(SpanKind::TierStream, end, extra, ctx);
+            Ok(((), end + extra))
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1388,18 +1190,10 @@ impl System {
         at: SimTime,
     ) -> Result<(u64, SimTime), XememError> {
         let ctx = Ctx::seg(p.enclave.0, p.pid.0, segid.0);
-        self.tracer
-            .begin_op(SpanKind::MigrateExtent, at, ctx, Timeline::Detached);
-        match self.migrate_extent_inner(p, segid, chunk, dst, at) {
-            Ok((pages, end)) => {
-                self.tracer.commit_op(end);
-                Ok((pages, end))
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+        let kind = SpanKind::MigrateExtent;
+        self.framed(kind, ctx, Timeline::Detached, at, |sys, at| {
+            sys.migrate_extent_inner(p, segid, chunk, dst, at)
+        })
     }
 
     /// Clock-based [`Self::migrate_extent_at`] over the whole segment —
@@ -1410,21 +1204,10 @@ impl System {
         segid: Segid,
         dst: MemTier,
     ) -> Result<u64, XememError> {
-        let at = self.clock.now();
         let ctx = Ctx::seg(p.enclave.0, p.pid.0, segid.0);
-        self.tracer
-            .begin_op(SpanKind::MigrateExtent, at, ctx, Timeline::Clock);
-        match self.migrate_extent_inner(p, segid, None, dst, at) {
-            Ok((pages, end)) => {
-                self.tracer.commit_op(end);
-                self.clock.advance_to(end);
-                Ok(pages)
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+        self.clocked(SpanKind::MigrateExtent, ctx, |sys, at| {
+            sys.migrate_extent_inner(p, segid, None, dst, at)
+        })
     }
 
     fn migrate_extent_inner(
@@ -1437,13 +1220,7 @@ impl System {
     ) -> Result<(u64, SimTime), XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        let slot = self
-            .slots
-            .get(slot_idx)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         if slot.kind.is_vm() {
             return Err(XememError::Kernel(KernelError::Unsupported(
                 "tier migration inside a VM guest",
@@ -1605,40 +1382,21 @@ impl System {
             return Ok((Vec::new(), at));
         }
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::MigrateExtent, at, ctx, Timeline::Detached);
-        match self.tier_tick_inner(p, at) {
-            Ok((moves, end)) => {
-                self.tracer.commit_op(end);
-                Ok((moves, end))
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+        let kind = SpanKind::MigrateExtent;
+        self.framed(kind, ctx, Timeline::Detached, at, |sys, at| {
+            sys.tier_tick_inner(p, at)
+        })
     }
 
     /// Clock-based [`Self::tier_policy_tick_at`].
     pub fn tier_policy_tick(&mut self, p: ProcessRef) -> Result<Vec<TierMove>, XememError> {
-        let at = self.clock.now();
         if !self.tier_policy.armed() {
             return Ok(Vec::new());
         }
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::MigrateExtent, at, ctx, Timeline::Clock);
-        match self.tier_tick_inner(p, at) {
-            Ok((moves, end)) => {
-                self.tracer.commit_op(end);
-                self.clock.advance_to(end);
-                Ok(moves)
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+        self.clocked(SpanKind::MigrateExtent, ctx, |sys, at| {
+            sys.tier_tick_inner(p, at)
+        })
     }
 
     fn tier_tick_inner(
@@ -1648,18 +1406,11 @@ impl System {
     ) -> Result<(Vec<TierMove>, SimTime), XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        if self.slots.get(slot_idx).is_none() {
-            return Err(XememError::BadEnclave(p.enclave));
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
+        // Both callers return early on a disarmed policy.
         let policy = self.tier_policy;
         let mut moves = Vec::new();
         let mut t = at;
-        if !policy.armed() {
-            return Ok((moves, t));
-        }
         let segids: Vec<Segid> = self
             .tier_dir
             .range((slot_idx, Segid(0))..=(slot_idx, Segid(u64::MAX)))
@@ -1765,19 +1516,19 @@ impl System {
     }
 
     /// Charge the channel and forwarding costs of sending `kind` along
-    /// `path`, starting at `at`. Records the trace. Name-server
-    /// processing is charged at the root name-server slot; shard-routed
-    /// requests use [`Self::charge_hops_proc`] to charge it at their
-    /// shard leader instead.
+    /// `path`, starting at `at`, tracing each hop as a `SendRecv` edge
+    /// (see [`crate::protocol`]). Name-server processing is charged at
+    /// the root name-server slot; shard-routed requests use
+    /// [`Self::charge_hops_proc`] to charge it at their shard leader
+    /// instead.
     fn charge_hops(
         &mut self,
         path: &[usize],
         kind: MessageKind,
         segid: Option<Segid>,
-        routed_to: Option<EnclaveId>,
         at: SimTime,
     ) -> SimTime {
-        self.charge_hops_proc(path, kind, segid, routed_to, at, self.ns_slot)
+        self.charge_hops_proc(path, kind, segid, at, self.ns_slot)
     }
 
     /// [`Self::charge_hops`] with an explicit serving slot: hops landing
@@ -1788,7 +1539,6 @@ impl System {
         path: &[usize],
         kind: MessageKind,
         segid: Option<Segid>,
-        routed_to: Option<EnclaveId>,
         mut at: SimTime,
         proc_slot: usize,
     ) -> SimTime {
@@ -1814,16 +1564,6 @@ impl System {
                     self.tracer.count(Counter::Retransmits, u64::from(dropped));
                 }
             }
-            if self.trace_enabled {
-                self.trace.push(MessageRecord {
-                    from_slot: a,
-                    to_slot: b,
-                    kind,
-                    at,
-                    segid,
-                    routed_to,
-                });
-            }
             let (link, dir) = self.link_between(a, b).expect("path hops are tree edges");
             at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
             // Injected duplication: the receiver pays for a second copy.
@@ -1835,16 +1575,17 @@ impl System {
                 self.tracer.count(Counter::DupDeliveries, 1);
                 at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
             }
-            // Causal hop edge: the message leaves slot `a` when the
+            // The hop's one record: the message leaves slot `a` when the
             // sender first attempts the hop and is received at slot `b`
             // once every retransmit, transfer and duplicate has been
             // paid for.
-            self.tracer.edge(
-                EdgeKind::SendRecv,
+            self.tracer.send_recv(
                 hop_start,
                 at,
                 Ctx::seg(a, 0, seg),
                 Ctx::seg(b, 0, seg),
+                kind.code(),
+                bytes,
             );
             // Forwarding decision at each intermediate receiver.
             if w + 2 < path.len() {
@@ -1946,14 +1687,8 @@ impl System {
     ) -> Result<(Segid, SimTime), XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        let my_id = self
-            .slots
-            .get(slot_idx)
-            .and_then(|s| s.id)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
+        let my_id = slot.id.ok_or(XememError::BadEnclave(p.enclave))?;
         // Registration mutates the name service — no lease fallback;
         // outages and elections are ridden out with exponential backoff.
         let shard = match name {
@@ -1975,18 +1710,11 @@ impl System {
             (segid, at + ns)
         } else {
             let path = self.path_to_leader_checked(slot_idx, leader)?;
-            let t_req =
-                self.charge_hops_proc(&path, MessageKind::AllocSegid, None, None, at, leader);
+            let t_req = self.charge_hops_proc(&path, MessageKind::AllocSegid, None, at, leader);
             let segid = self.name_service.alloc_segid(my_id, name, t_req)?;
             let back: Vec<usize> = path.iter().rev().copied().collect();
-            let t_rep = self.charge_hops_proc(
-                &back,
-                MessageKind::SegidReply,
-                Some(segid),
-                None,
-                t_req,
-                leader,
-            );
+            let t_rep =
+                self.charge_hops_proc(&back, MessageKind::SegidReply, Some(segid), t_req, leader);
             (segid, t_rep)
         };
         // Local registration bookkeeping.
@@ -2035,14 +1763,8 @@ impl System {
     ) -> Result<SimTime, XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        let my_id = self
-            .slots
-            .get(slot_idx)
-            .and_then(|s| s.id)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
+        let my_id = slot.id.ok_or(XememError::BadEnclave(p.enclave))?;
         let rec = self.slots[slot_idx]
             .segs
             .get(&segid)
@@ -2077,14 +1799,7 @@ impl System {
             at + ns
         } else {
             let path = self.path_to_leader_checked(slot_idx, leader)?;
-            let t = self.charge_hops_proc(
-                &path,
-                MessageKind::RemoveSegid,
-                Some(segid),
-                None,
-                at,
-                leader,
-            );
+            let t = self.charge_hops_proc(&path, MessageKind::RemoveSegid, Some(segid), at, leader);
             if let Err(e) = self.name_service.remove_segid(segid, my_id, t) {
                 tolerate_lost(e)?;
             }
@@ -2113,12 +1828,7 @@ impl System {
     ) -> Result<(Segid, SimTime), XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        if slot_idx >= self.slots.len() {
-            return Err(XememError::BadEnclave(p.enclave));
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let shard = self.name_service.shard_of_name(name);
         let leader = self.name_service.leader_slot(shard);
         if leader != Some(slot_idx) {
@@ -2154,20 +1864,13 @@ impl System {
         }
         let t0 = at;
         let path = self.path_to_leader_checked(slot_idx, leader)?;
-        let t = self.charge_hops_proc(&path, MessageKind::SearchSegid, None, None, at, leader);
+        let t = self.charge_hops_proc(&path, MessageKind::SearchSegid, None, at, leader);
         let segid = self.name_service.search(name)?;
         // Leader-side lease grant rides on the reply (renewal is the
         // same path: an expired lease re-routes here).
         let (t, lease) = self.grant_lease_at(shard, leader, segid, slot_idx, t);
         let back: Vec<usize> = path.iter().rev().copied().collect();
-        let t = self.charge_hops_proc(
-            &back,
-            MessageKind::SearchReply,
-            Some(segid),
-            None,
-            t,
-            leader,
-        );
+        let t = self.charge_hops_proc(&back, MessageKind::SearchReply, Some(segid), t, leader);
         self.slots[slot_idx].name_leases.insert(
             name.to_string(),
             Lease {
@@ -2259,12 +1962,7 @@ impl System {
     ) -> Result<(Apid, SimTime), XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        if slot_idx >= self.slots.len() {
-            return Err(XememError::BadEnclave(p.enclave));
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let shard = self.name_service.shard_of_segid(segid)?;
         let leader = self.name_service.leader_slot(shard);
         let cached_lease = if leader != Some(slot_idx) {
@@ -2327,25 +2025,13 @@ impl System {
             } else {
                 let t0 = at;
                 let path = self.path_to_leader_checked(slot_idx, leader)?;
-                let t = self.charge_hops_proc(
-                    &path,
-                    MessageKind::SearchSegid,
-                    Some(segid),
-                    None,
-                    at,
-                    leader,
-                );
+                let t =
+                    self.charge_hops_proc(&path, MessageKind::SearchSegid, Some(segid), at, leader);
                 let owner = self.name_service.owner_of(segid)?;
                 let (t, lease) = self.grant_lease_at(shard, leader, segid, slot_idx, t);
                 let back: Vec<usize> = path.iter().rev().copied().collect();
-                let t = self.charge_hops_proc(
-                    &back,
-                    MessageKind::SearchReply,
-                    Some(segid),
-                    None,
-                    t,
-                    leader,
-                );
+                let t =
+                    self.charge_hops_proc(&back, MessageKind::SearchReply, Some(segid), t, leader);
                 self.slots[slot_idx].owner_leases.insert(
                     segid,
                     Lease {
@@ -2390,13 +2076,7 @@ impl System {
         at: SimTime,
     ) -> Result<SimTime, XememError> {
         self.process_faults(at);
-        let slot = self
-            .slots
-            .get_mut(p.enclave.0)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(p.enclave.0), p.enclave)?;
         let Some(rec) = slot.apids.get(&apid) else {
             return Err(if slot.released.contains(&apid) {
                 XememError::AlreadyReleased(apid)
@@ -2434,13 +2114,7 @@ impl System {
     ) -> Result<AttachOutcome, XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        let slot = self
-            .slots
-            .get(slot_idx)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let rec = *slot.apids.get(&apid).ok_or(XememError::UnknownApid(apid))?;
         if rec.pid != p.pid {
             return Err(XememError::PermissionDenied);
@@ -2482,13 +2156,7 @@ impl System {
         // 1. Route the attachment request to the owner (via the name
         //    server's segid→enclave map — `requires_ns_processing`).
         let path = self.route_path(slot_idx, rec.owner)?;
-        let t1 = self.charge_hops(
-            &path,
-            MessageKind::GetPfnList,
-            Some(rec.segid),
-            Some(rec.owner),
-            at,
-        );
+        let t1 = self.charge_hops(&path, MessageKind::GetPfnList, Some(rec.segid), at);
         let route_request = t1.duration_since(at);
 
         // A crash injected while the request was in flight lands here:
@@ -2545,7 +2213,7 @@ impl System {
         };
         let back = reply_trimmed(&self.slots, &path, owner_slot, slot_idx);
         let t2 = t1 + serve;
-        let t3 = self.charge_hops(&back, reply_kind, Some(rec.segid), None, t2);
+        let t3 = self.charge_hops(&back, reply_kind, Some(rec.segid), t2);
         let route_reply = t3.duration_since(t2);
 
         // A crash injected while the reply was in flight: if the owner
@@ -2781,13 +2449,7 @@ impl System {
     ) -> Result<SimTime, XememError> {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
-        let slot = self
-            .slots
-            .get_mut(slot_idx)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let Some(rec) = slot.attachments.get(&(p.pid, va.0)).copied() else {
             return Err(if slot.detached.contains(&(p.pid, va.0)) {
                 XememError::AlreadyDetached(va.0)
@@ -2868,24 +2530,9 @@ impl System {
     }
 
     fn register_slot(&mut self, idx: usize) -> Result<(), XememError> {
-        let start = self.clock.now();
-        self.tracer.begin_op(
-            SpanKind::Register,
-            start,
-            Ctx::enclave(idx),
-            Timeline::Clock,
-        );
-        match self.register_slot_inner(idx, start) {
-            Ok(t) => {
-                self.tracer.commit_op(t);
-                self.clock.advance_to(t);
-                Ok(())
-            }
-            Err(e) => {
-                self.tracer.abort_op();
-                Err(e)
-            }
-        }
+        self.clocked(SpanKind::Register, Ctx::enclave(idx), |sys, t| {
+            sys.register_slot_inner(idx, t).map(|end| ((), end))
+        })
     }
 
     fn register_slot_inner(&mut self, idx: usize, mut t: SimTime) -> Result<SimTime, XememError> {
@@ -2897,32 +2544,11 @@ impl System {
         }
         let mut via = None;
         for n in neighbors {
-            let bytes = MessageKind::NameServerQuery.wire_bytes();
-            let (link, dir) = self
-                .link_between(idx, n)
-                .ok_or_else(|| XememError::Topology("missing link".into()))?;
-            if self.trace_enabled {
-                self.trace.push(MessageRecord {
-                    from_slot: idx,
-                    to_slot: n,
-                    kind: MessageKind::NameServerQuery,
-                    at: t,
-                    segid: None,
-                    routed_to: None,
-                });
-            }
-            t = self.send_link(&link, t, bytes, dir, Ctx::enclave(n));
+            t = self.discovery_hop(idx, n, MessageKind::NameServerQuery, t)?;
             let knows = n == self.ns_slot || self.slots[n].ns_via.is_some();
             if knows && via.is_none() {
                 // The reply travels back over the same link.
-                let (rlink, rdir) = self.link_between(n, idx).expect("symmetric link");
-                t = self.send_link(
-                    &rlink,
-                    t,
-                    MessageKind::NameServerQueryReply.wire_bytes(),
-                    rdir,
-                    Ctx::enclave(idx),
-                );
+                t = self.discovery_hop(n, idx, MessageKind::NameServerQueryReply, t)?;
                 via = Some(n);
             }
         }
@@ -2937,13 +2563,13 @@ impl System {
         // (2) Request an enclave ID through the discovered channel; the
         // request is forwarded hop by hop to the name server.
         let path = self.path_to_ns(idx);
-        let t = self.charge_hops(&path, MessageKind::AllocEnclaveId, None, None, t);
+        let t = self.charge_hops(&path, MessageKind::AllocEnclaveId, None, t);
         let new_id = self.name_service.alloc_enclave_id();
 
         // (3) The reply routes back; every hop on the way records which
         // neighbor leads to the new enclave.
         let back: Vec<usize> = path.iter().rev().copied().collect();
-        let t = self.charge_hops(&back, MessageKind::EnclaveIdReply, None, Some(new_id), t);
+        let t = self.charge_hops(&back, MessageKind::EnclaveIdReply, None, t);
         for w in back.windows(2) {
             let (closer_to_ns, toward_new) = (w[0], w[1]);
             self.slots[closer_to_ns].routes.insert(new_id, toward_new);
@@ -2951,6 +2577,26 @@ impl System {
         self.slots[idx].id = Some(new_id);
         self.id_to_slot.insert(new_id, idx);
         Ok(t)
+    }
+
+    /// One registration-discovery message over the direct link `from →
+    /// to`. Discovery never routes, so it skips the loss/duplication
+    /// machinery of [`Self::charge_hops`]; its hop is traced all the same.
+    fn discovery_hop(
+        &self,
+        from: usize,
+        to: usize,
+        kind: MessageKind,
+        at: SimTime,
+    ) -> Result<SimTime, XememError> {
+        let (link, dir) = self
+            .link_between(from, to)
+            .ok_or_else(|| XememError::Topology("missing link".into()))?;
+        let bytes = kind.wire_bytes();
+        let end = self.send_link(&link, at, bytes, dir, Ctx::enclave(to));
+        let (src, dst) = (Ctx::enclave(from), Ctx::enclave(to));
+        self.tracer.send_recv(at, end, src, dst, kind.code(), bytes);
+        Ok(end)
     }
 
     // ------------------------------------------------------------------
@@ -2989,20 +2635,12 @@ impl System {
         at: SimTime,
     ) -> Result<(VirtAddr, SimTime), XememError> {
         self.process_faults(at);
-        let slot = self
-            .slots
-            .get_mut(p.enclave.0)
-            .ok_or(XememError::BadEnclave(p.enclave))?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        let out = slot.kind.kernel_mut().alloc_buffer(p.pid, len)?;
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        self.tracer
-            .begin_op(SpanKind::AllocBuffer, at, ctx, Timeline::Detached);
-        self.tracer.leaf(SpanKind::Bookkeeping, at, out.cost, ctx);
-        self.tracer.commit_op(at + out.cost);
-        Ok((out.value, at + out.cost))
+        let kind = SpanKind::AllocBuffer;
+        self.framed(kind, ctx, Timeline::Detached, at, |sys, at| {
+            let slot = live_slot(sys.slots.get_mut(p.enclave.0), p.enclave)?;
+            slot_alloc_buffer(slot, &sys.tracer, p, len, at)
+        })
     }
 
     /// Split the system into disjoint per-lane partitions for the PDES
@@ -3027,8 +2665,18 @@ impl System {
     }
 }
 
-/// Per-slot body of [`System::check_data_access`], shared with
-/// [`LanePart`] (which holds slots, not the whole system).
+/// The slot of a live enclave: `BadEnclave` when `e` names no slot,
+/// `EnclaveDead` when its enclave crashed or was destroyed.
+fn live_slot(slot: Option<&mut Slot>, e: EnclaveRef) -> Result<&mut Slot, XememError> {
+    let slot = slot.ok_or(XememError::BadEnclave(e))?;
+    if !slot.alive {
+        return Err(XememError::EnclaveDead(e));
+    }
+    Ok(slot)
+}
+
+/// Guard a data access: any overlap with a revoked (non-live)
+/// attachment fails with `SourceGone` — never stale bytes.
 fn slot_check_data_access(slot: &Slot, pid: Pid, va: VirtAddr, len: u64) -> Result<(), XememError> {
     for ((rpid, base), rec) in &slot.attachments {
         if *rpid == pid
@@ -3099,7 +2747,9 @@ fn roll_windows(dir: &mut TierSeg, policy: &TierPolicy, at: SimTime) {
     dir.window_start += policy.window.times(k);
 }
 
-/// Per-slot body of [`System::overlaps_live_attachment`].
+/// True when `[va, va+len)` overlaps a live attachment of `pid` — used
+/// only to attribute cross-enclave data-path bytes to the metrics
+/// registry (the access-guard twin of [`slot_check_data_access`]).
 fn slot_overlaps_live_attachment(slot: &Slot, pid: Pid, va: VirtAddr, len: u64) -> bool {
     slot.attachments.iter().any(|((rpid, base), rec)| {
         *rpid == pid
@@ -3142,12 +2792,11 @@ impl LanePart<'_> {
         self.slots.iter().any(|(i, _)| *i == e.0)
     }
 
-    fn slot_mut(&mut self, e: EnclaveRef) -> Result<&mut Slot, XememError> {
+    fn slot_mut(&mut self, e: EnclaveRef) -> Option<&mut Slot> {
         self.slots
             .iter_mut()
             .find(|(i, _)| *i == e.0)
             .map(|(_, s)| &mut **s)
-            .ok_or(XememError::BadEnclave(e))
     }
 
     /// Lane-local [`System::alloc_buffer_at`] (faults are delivered at
@@ -3158,17 +2807,13 @@ impl LanePart<'_> {
         len: u64,
         at: SimTime,
     ) -> Result<(VirtAddr, SimTime), XememError> {
-        let tracer = self.tracer;
-        let slot = self.slot_mut(p.enclave)?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        let out = slot.kind.kernel_mut().alloc_buffer(p.pid, len)?;
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        tracer.begin_op(SpanKind::AllocBuffer, at, ctx, Timeline::Detached);
-        tracer.leaf(SpanKind::Bookkeeping, at, out.cost, ctx);
-        tracer.commit_op(at + out.cost);
-        Ok((out.value, at + out.cost))
+        let kind = SpanKind::AllocBuffer;
+        self.framed(kind, ctx, Timeline::Detached, at, |lane, at| {
+            let tracer = lane.tracer;
+            let slot = live_slot(lane.slot_mut(p.enclave), p.enclave)?;
+            slot_alloc_buffer(slot, tracer, p, len, at)
+        })
     }
 
     /// Lane-local [`System::prepare_buffer`].
@@ -3178,13 +2823,16 @@ impl LanePart<'_> {
         va: VirtAddr,
         len: u64,
     ) -> Result<(), XememError> {
-        let slot = self.slot_mut(p.enclave)?;
+        let slot = self
+            .slot_mut(p.enclave)
+            .ok_or(XememError::BadEnclave(p.enclave))?;
         slot.kind.kernel_mut().populate(p.pid, va, len)?;
         Ok(())
     }
 
     /// Lane-local write on an explicit timeline; returns the completion
-    /// time. Same access guard and byte accounting as [`System::write`].
+    /// time. Same access guard and byte accounting as [`System::write`],
+    /// but a flat-DRAM charge: no tier surcharge, no hit counting.
     pub fn write_at(
         &mut self,
         p: ProcessRef,
@@ -3192,26 +2840,12 @@ impl LanePart<'_> {
         data: &[u8],
         at: SimTime,
     ) -> Result<SimTime, XememError> {
-        let tracer = self.tracer;
-        let slot = self.slot_mut(p.enclave)?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        slot_check_data_access(slot, p.pid, va, data.len() as u64)?;
-        if tracer.is_enabled() && slot_overlaps_live_attachment(slot, p.pid, va, data.len() as u64)
-        {
-            tracer.count(Counter::BytesWrittenAttached, data.len() as u64);
-        }
-        let out = slot.kind.kernel_mut().write(p.pid, va, data)?;
-        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        tracer.begin_op(SpanKind::Write, at, ctx, Timeline::Detached);
-        tracer.leaf(SpanKind::DramStream, at, out.cost, ctx);
-        tracer.commit_op(at + out.cost);
-        Ok(at + out.cost)
+        self.access_at(p, va, Access::Write(data), at)
     }
 
     /// Lane-local read on an explicit timeline; returns the completion
-    /// time. Same access guard and byte accounting as [`System::read`].
+    /// time. Same access guard and byte accounting as [`System::read`],
+    /// but a flat-DRAM charge: no tier surcharge, no hit counting.
     pub fn read_at(
         &mut self,
         p: ProcessRef,
@@ -3219,22 +2853,99 @@ impl LanePart<'_> {
         out: &mut [u8],
         at: SimTime,
     ) -> Result<SimTime, XememError> {
-        let tracer = self.tracer;
-        let slot = self.slot_mut(p.enclave)?;
-        if !slot.alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
-        slot_check_data_access(slot, p.pid, va, out.len() as u64)?;
-        if tracer.is_enabled() && slot_overlaps_live_attachment(slot, p.pid, va, out.len() as u64) {
-            tracer.count(Counter::BytesReadAttached, out.len() as u64);
-        }
-        let r = slot.kind.kernel_mut().read(p.pid, va, out)?;
-        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        tracer.begin_op(SpanKind::Read, at, ctx, Timeline::Detached);
-        tracer.leaf(SpanKind::DramStream, at, r.cost, ctx);
-        tracer.commit_op(at + r.cost);
-        Ok(at + r.cost)
+        self.access_at(p, va, Access::Read(out), at)
     }
+
+    fn access_at(
+        &mut self,
+        p: ProcessRef,
+        va: VirtAddr,
+        access: Access<'_>,
+        at: SimTime,
+    ) -> Result<SimTime, XememError> {
+        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
+        let framed = self.framed(access.kinds().0, ctx, Timeline::Detached, at, |lane, at| {
+            let tracer = lane.tracer;
+            let slot = live_slot(lane.slot_mut(p.enclave), p.enclave)?;
+            let end = slot_access(slot, tracer, p, va, access, at)?;
+            Ok(((), end))
+        });
+        framed.map(|((), end)| end)
+    }
+}
+
+impl Framed for LanePart<'_> {
+    fn frame_tracer(&self) -> &TraceHandle {
+        self.tracer
+    }
+}
+
+/// One data access through a process's mappings.
+enum Access<'d> {
+    Read(&'d mut [u8]),
+    Write(&'d [u8]),
+}
+
+impl Access<'_> {
+    fn len(&self) -> u64 {
+        match self {
+            Access::Read(out) => out.len() as u64,
+            Access::Write(data) => data.len() as u64,
+        }
+    }
+
+    /// The op's span and the counter of bytes it moves through a live
+    /// attachment.
+    fn kinds(&self) -> (SpanKind, Counter) {
+        match self {
+            Access::Read(_) => (SpanKind::Read, Counter::BytesReadAttached),
+            Access::Write(_) => (SpanKind::Write, Counter::BytesWrittenAttached),
+        }
+    }
+}
+
+/// Slot-local body of every buffer allocation — [`System::alloc_buffer`],
+/// [`System::alloc_buffer_at`] and [`LanePart::alloc_buffer_at`]: the
+/// process's kernel allocates and charges bookkeeping. Returns
+/// `(va, end)`.
+fn slot_alloc_buffer(
+    slot: &mut Slot,
+    tracer: &TraceHandle,
+    p: ProcessRef,
+    len: u64,
+    at: SimTime,
+) -> Result<(VirtAddr, SimTime), XememError> {
+    let out = slot.kind.kernel_mut().alloc_buffer(p.pid, len)?;
+    let ctx = Ctx::proc(p.enclave.0, p.pid.0);
+    tracer.leaf(SpanKind::Bookkeeping, at, out.cost, ctx);
+    Ok((out.value, at + out.cost))
+}
+
+/// Slot-local body of every read and write — [`System::read`],
+/// [`System::write`], [`LanePart::read_at`] and [`LanePart::write_at`]:
+/// the revoked-attachment guard, attached-byte accounting and the
+/// kernel's flat-DRAM stream charge. Returns the end time.
+fn slot_access(
+    slot: &mut Slot,
+    tracer: &TraceHandle,
+    p: ProcessRef,
+    va: VirtAddr,
+    access: Access<'_>,
+    at: SimTime,
+) -> Result<SimTime, XememError> {
+    let (len, counter) = (access.len(), access.kinds().1);
+    slot_check_data_access(slot, p.pid, va, len)?;
+    if tracer.is_enabled() && slot_overlaps_live_attachment(slot, p.pid, va, len) {
+        tracer.count(counter, len);
+    }
+    let kernel = slot.kind.kernel_mut();
+    let cost = match access {
+        Access::Read(out) => kernel.read(p.pid, va, out)?.cost,
+        Access::Write(data) => kernel.write(p.pid, va, data)?.cost,
+    };
+    let ctx = Ctx::proc(p.enclave.0, p.pid.0);
+    tracer.leaf(SpanKind::DramStream, at, cost, ctx);
+    Ok(at + cost)
 }
 
 impl xemem_sim::pdes::LaneShared for System {
@@ -3331,7 +3042,6 @@ pub struct SystemBuilder {
     cost: CostModel,
     specs: Vec<Spec>,
     ns_name: Option<String>,
-    trace: bool,
     explicit_node: Option<(u32, u64)>,
     per_channel_ipi: bool,
     numa_zones: u32,
@@ -3357,7 +3067,6 @@ impl SystemBuilder {
             cost: CostModel::default(),
             specs: Vec::new(),
             ns_name: None,
-            trace: false,
             explicit_node: None,
             per_channel_ipi: false,
             numa_zones: 1,
@@ -3449,17 +3158,12 @@ impl SystemBuilder {
         self
     }
 
-    /// Record every protocol message (for tests / debugging).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
-    }
-
     /// Attach a virtual-time tracer: every charged nanosecond in this
     /// system (and its kernels, including VM guests) is attributed to
-    /// spans/metrics on the handle, and its counters are the system's
-    /// record of failure and teardown history. Defaults to a disabled
-    /// handle.
+    /// spans/metrics on the handle, its counters are the system's record
+    /// of failure and teardown history, and its `SendRecv` edges are the
+    /// record of protocol traffic, registration included (see
+    /// [`crate::protocol`]). Defaults to a disabled handle.
     pub fn with_tracer(mut self, tracer: TraceHandle) -> Self {
         self.tracer = tracer;
         self
@@ -3786,8 +3490,6 @@ impl SystemBuilder {
             name_service,
             id_to_slot: HashMap::new(),
             next_apid: 0,
-            trace: Vec::new(),
-            trace_enabled: self.trace,
             core0,
             last_vm_breakdown: None,
             zones,

@@ -2,13 +2,14 @@
 //! construction, registration, routing, the XPMEM API lifecycle, and
 //! data flow across every attach path the paper exercises.
 
-use xemem::{GuestOs, MemoryMapKind, MessageKind, System, SystemBuilder, VirtAddr, XememError};
+use xemem::{
+    GuestOs, MemoryMapKind, MessageKind, System, SystemBuilder, TraceHandle, VirtAddr, XememError,
+};
 
 const MIB: u64 = 1 << 20;
 
 fn two_enclave_system() -> System {
     SystemBuilder::new()
-        .with_trace()
         .linux_management("linux0", 4, 256 * MIB)
         .kitten_cokernel("kitten0", 1, 128 * MIB)
         .build()
@@ -17,9 +18,10 @@ fn two_enclave_system() -> System {
 
 /// The paper's Fig. 1/2 topology: management Linux + two Kitten
 /// co-kernels, one of which hosts a VM, plus a VM on Linux itself.
+/// Traced, so its protocol hops can be read back.
 fn paper_like_system() -> System {
     SystemBuilder::new()
-        .with_trace()
+        .with_tracer(TraceHandle::enabled())
         .linux_management("linuxB", 4, 512 * MIB)
         .kitten_cokernel("lwkA", 1, 128 * MIB)
         .kitten_cokernel("lwkD", 1, 192 * MIB)
@@ -52,13 +54,15 @@ fn registration_messages_follow_the_hierarchy() {
     // vmF (slot 4) registers through lwkD (slot 2): its AllocEnclaveId
     // must hop vmF→lwkD→linuxB, never directly vmF→linuxB.
     let alloc_hops: Vec<_> = sys
-        .trace()
-        .iter()
-        .filter(|m| m.kind == MessageKind::AllocEnclaveId && m.from_slot == 4)
+        .tracer()
+        .edges()
+        .into_iter()
+        .filter(|e| MessageKind::of_edge(e) == Some(MessageKind::AllocEnclaveId))
+        .filter(|e| e.src_ctx.enclave == 4)
         .collect();
     assert!(!alloc_hops.is_empty());
     assert!(
-        alloc_hops.iter().all(|m| m.to_slot == 2),
+        alloc_hops.iter().all(|e| e.dst_ctx.enclave == 2),
         "vmF must route via lwkD"
     );
 }
@@ -213,7 +217,7 @@ fn vm_to_vm_across_cokernel_hosts() {
     let buf = sys.alloc_buffer(exporter, MIB).unwrap();
     sys.write(exporter, buf, b"vm to vm!").unwrap();
     let segid = sys.xpmem_make(exporter, buf, MIB, None).unwrap();
-    sys.clear_trace();
+    let since = sys.clock().now();
     let apid = sys.xpmem_get(attacher, segid).unwrap();
     let va = sys.xpmem_attach(attacher, apid, 0, MIB).unwrap();
 
@@ -222,13 +226,35 @@ fn vm_to_vm_across_cokernel_hosts() {
     assert_eq!(&got, b"vm to vm!");
 
     // The request transited the hierarchy: vmF→lwkD→linuxB→vmC.
-    let hops: Vec<(usize, usize)> = sys
-        .trace()
+    let hops: Vec<(u32, u32)> = sys
+        .tracer()
+        .edges()
         .iter()
-        .filter(|m| m.kind == MessageKind::GetPfnList)
-        .map(|m| (m.from_slot, m.to_slot))
+        .filter(|e| e.src >= since && MessageKind::of_edge(e) == Some(MessageKind::GetPfnList))
+        .map(|e| (e.src_ctx.enclave, e.dst_ctx.enclave))
         .collect();
     assert_eq!(hops, vec![(4, 2), (2, 0), (0, 3)]);
+}
+
+#[test]
+fn a_new_process_never_reads_the_previous_owners_bytes() {
+    // Frames returning to an allocator read as zero: process B, spawned
+    // where A exited, gets A's frames back by first fit at the same VA
+    // and must not see A's bytes — natively, under Linux, and in a VM
+    // guest (whose frames are discarded through the VMM memory map).
+    let mut sys = paper_like_system();
+    for name in ["lwkA", "linuxB", "vmC"] {
+        let e = sys.enclave_by_name(name).unwrap();
+        let a = sys.spawn_process(e, 16 * MIB).unwrap();
+        let buf = sys.alloc_buffer(a, MIB).unwrap();
+        sys.write(a, buf, b"secret of process A").unwrap();
+        sys.exit_process(a).unwrap();
+        let b = sys.spawn_process(e, 16 * MIB).unwrap();
+        assert_eq!(sys.alloc_buffer(b, MIB).unwrap(), buf, "{name}: same VA");
+        let mut got = [0xAAu8; 19];
+        sys.read(b, buf, &mut got).unwrap();
+        assert_eq!(got, [0u8; 19], "{name}: B read A's bytes");
+    }
 }
 
 #[test]
@@ -530,7 +556,6 @@ use xemem::{FaultPlan, MemTier, SimDuration, SimTime, TierPolicy};
 /// reserve alongside its DRAM partition.
 fn tiered_system() -> System {
     SystemBuilder::new()
-        .with_trace()
         .linux_management("linux0", 4, 256 * MIB)
         .tier_reserve(MemTier::Cxl, 64 * MIB)
         .kitten_cokernel("kitten0", 1, 128 * MIB)
@@ -589,7 +614,6 @@ fn tier_policy_promotes_hot_chunks_and_demotes_them_when_idle() {
         fast_tier: MemTier::LocalDram,
     };
     let mut sys = SystemBuilder::new()
-        .with_trace()
         .with_tier_policy(policy)
         .tier_reserve(MemTier::Nvm, 64 * MIB)
         .linux_management("linux0", 4, 256 * MIB)
@@ -647,7 +671,6 @@ fn tier_outage_blocks_migration_with_a_typed_error() {
         .tiers_configured(&[MemTier::Cxl])
         .tier_outage(SimTime::ZERO, 1, MemTier::Cxl, SimDuration::from_secs(60));
     let mut sys = SystemBuilder::new()
-        .with_trace()
         .linux_management("linux0", 4, 256 * MIB)
         .tier_reserve(MemTier::Cxl, 64 * MIB)
         .kitten_cokernel("kitten0", 1, 128 * MIB)

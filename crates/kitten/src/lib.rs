@@ -263,6 +263,7 @@ impl MappingKernel for Kitten {
             .remove(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
         self.alloc.free_list(&proc.owned)?;
+        self.phys.discard(&proc.owned)?;
         Ok(Costed::new((), SimDuration::from_micros(5)))
     }
 
@@ -352,6 +353,7 @@ impl MappingKernel for Kitten {
 
     fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
         self.alloc.free_list(frames)?;
+        self.phys.discard(frames)?;
         Ok(Costed::new((), self.cost.frame_return(frames.pages())))
     }
 

@@ -11,6 +11,7 @@
 //! synchronized and handed around as `Arc<PhysicalMemory>`.
 
 use crate::error::MemError;
+use crate::pfn_list::PfnList;
 use crate::types::{Pfn, PhysAddr, PAGE_SIZE};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -51,7 +52,7 @@ impl FrameMove {
     /// Zip two equal-length frame lists into moves, positionally: page
     /// `i` of `old` moves to page `i` of `new`. Produces one move per
     /// overlapping run pair — O(runs), never per page.
-    pub fn pair(old: &crate::pfn_list::PfnList, new: &crate::pfn_list::PfnList) -> Vec<FrameMove> {
+    pub fn pair(old: &PfnList, new: &PfnList) -> Vec<FrameMove> {
         debug_assert_eq!(old.pages(), new.pages());
         let mut moves = Vec::new();
         let (mut oi, mut ni) = (0usize, 0usize);
@@ -93,6 +94,11 @@ pub trait PhysAccess: Send + Sync {
     fn write(&self, at: PhysAddr, data: &[u8]) -> Result<(), MemError>;
     /// Read bytes at a physical address.
     fn read(&self, at: PhysAddr, out: &mut [u8]) -> Result<(), MemError>;
+
+    /// Drop the contents of `frames`, which are returning to an
+    /// allocator: they read as zero until written again, so the next
+    /// owner never sees the previous one's bytes.
+    fn discard(&self, frames: &PfnList) -> Result<(), MemError>;
 
     /// True when this backend can relocate frame contents (tier
     /// migration). The Palacios guest-physical view cannot: moving host
@@ -233,12 +239,6 @@ impl PhysicalMemory {
         self.read_impl(at, out)
     }
 
-    /// Drop the contents of a frame (returning it to the all-zero state).
-    /// Used when an allocator hands a frame back out after free.
-    pub fn clear_frame(&self, pfn: Pfn) {
-        self.contents.write().remove(&pfn.0);
-    }
-
     /// Number of frames whose contents are currently materialized (a
     /// host-memory footprint diagnostic).
     pub fn materialized_frames(&self) -> usize {
@@ -299,6 +299,23 @@ impl PhysAccess for PhysicalMemory {
 
     fn read(&self, at: PhysAddr, out: &mut [u8]) -> Result<(), MemError> {
         self.read_impl(at, out)
+    }
+
+    /// Drop the materialized contents inside `frames`' runs. Like
+    /// relocation, one pass over the materialized frames (O(materialized
+    /// × log runs)), never a probe per listed page: one exit can free
+    /// 100k frames.
+    fn discard(&self, frames: &PfnList) -> Result<(), MemError> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        let mut runs = frames.runs().to_vec();
+        runs.sort_unstable_by_key(|r| r.start.0);
+        self.contents.write().retain(|&k, _| {
+            let i = runs.partition_point(|r| r.start.0 + r.len <= k);
+            runs.get(i).is_none_or(|r| r.start.0 > k)
+        });
+        Ok(())
     }
 
     fn can_relocate(&self) -> bool {
@@ -363,13 +380,31 @@ mod tests {
     }
 
     #[test]
-    fn clear_frame_zeroes_contents() {
-        let pm = PhysicalMemory::new(4);
-        pm.write(PhysAddr(0), b"data").unwrap();
-        pm.clear_frame(Pfn(0));
+    fn discard_zeroes_only_the_listed_runs() {
+        let pm = PhysicalMemory::new(1 << 20); // 4 GiB of frames, no host cost
+        for pfn in [3u64, 4, 9, 70_000, 70_001] {
+            pm.write(PhysAddr(pfn * 4096 + 1), b"data").unwrap();
+        }
+        // Runs out of order, one of them huge: only materialized frames
+        // inside them are dropped.
+        let mut freed = PfnList::new();
+        freed.push_run(Pfn(60_000), 10_001);
+        freed.push_run(Pfn(4), 1);
+        pm.discard(&freed).unwrap();
         let mut buf = [9u8; 4];
-        pm.read(PhysAddr(0), &mut buf).unwrap();
-        assert_eq!(buf, [0u8; 4]);
+        for (pfn, kept) in [
+            (3u64, true),
+            (4, false),
+            (9, true),
+            (70_000, false),
+            (70_001, true),
+        ] {
+            pm.read(PhysAddr(pfn * 4096 + 1), &mut buf).unwrap();
+            assert_eq!(&buf, if kept { b"data" } else { &[0u8; 4] }, "frame {pfn}");
+        }
+        assert_eq!(pm.materialized_frames(), 3);
+        pm.discard(&PfnList::new()).unwrap();
+        assert_eq!(pm.materialized_frames(), 3);
     }
 
     #[test]

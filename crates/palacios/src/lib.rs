@@ -108,6 +108,25 @@ impl PhysAccess for GuestPhys {
         }
         Ok(())
     }
+
+    /// Translate each guest run through the memory map, one lookup per
+    /// map entry it spans, and discard the host frames behind it.
+    fn discard(&self, frames: &PfnList) -> Result<(), MemError> {
+        let mut host = PfnList::new();
+        let map = self.map.read();
+        for run in frames.runs() {
+            let (mut gfn, end) = (run.start.0, run.start.0 + run.len);
+            while gfn < end {
+                let ((hpfn, covered), _) = map
+                    .lookup_run(gfn, end - gfn)
+                    .map_err(|_| MemError::BadPhysAccess(Pfn(gfn)))?;
+                host.push_run(Pfn(hpfn), covered);
+                gfn += covered;
+            }
+        }
+        drop(map);
+        self.host.discard(&host)
+    }
 }
 
 /// The virtual PCI notification device: a command mailbox plus a PFN-list

@@ -424,6 +424,13 @@ pub struct Edge {
     pub src_ctx: Ctx,
     /// Identity at the effect site.
     pub dst_ctx: Ctx,
+    /// For a [`EdgeKind::SendRecv`] hop: the message's code, defined by
+    /// the protocol layer above this crate (0 = unnamed; always 0 on
+    /// other kinds). Exporters do not print it.
+    pub msg: u8,
+    /// For a [`EdgeKind::SendRecv`] hop: the message's wire bytes
+    /// (0 otherwise). Exporters do not print it.
+    pub bytes: u64,
 }
 
 /// Which virtual timeline a span was charged against.
@@ -493,12 +500,6 @@ impl Ctx {
             pid,
             segid,
         }
-    }
-
-    /// Copy of `self` with the segment id set.
-    pub fn with_seg(mut self, segid: u64) -> Ctx {
-        self.segid = segid;
-        self
     }
 }
 
@@ -928,6 +929,8 @@ const EMPTY_EDGE: Edge = Edge {
     dst: SimTime::ZERO,
     src_ctx: Ctx::NONE,
     dst_ctx: Ctx::NONE,
+    msg: 0,
+    bytes: 0,
 };
 
 /// One ring slot, protected by a seqlock: `seq == 0` means never
@@ -1142,15 +1145,9 @@ impl Collector {
         }
     }
 
-    fn edge(&self, kind: EdgeKind, src: SimTime, dst: SimTime, src_ctx: Ctx, dst_ctx: Ctx) {
-        self.metrics.edge_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        self.edge_ring_for(src_ctx.enclave).push(Edge {
-            kind,
-            src,
-            dst,
-            src_ctx,
-            dst_ctx,
-        });
+    fn edge(&self, edge: Edge) {
+        self.metrics.edge_counts[edge.kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.edge_ring_for(edge.src_ctx.enclave).push(edge);
     }
 
     fn begin_op(&self, kind: SpanKind, start: SimTime, ctx: Ctx, timeline: Timeline) {
@@ -1263,6 +1260,7 @@ impl Collector {
                 e.dst_ctx.enclave,
                 e.dst_ctx.pid,
                 e.dst_ctx.segid,
+                (e.msg, e.bytes),
             )
         });
         out
@@ -1332,7 +1330,43 @@ impl TraceHandle {
     pub fn edge(&self, kind: EdgeKind, src: SimTime, dst: SimTime, src_ctx: Ctx, dst_ctx: Ctx) {
         if let Some(c) = &self.inner {
             debug_assert!(dst >= src, "causal edge must not point backwards");
-            c.edge(kind, src, dst, src_ctx, dst_ctx);
+            c.edge(Edge {
+                kind,
+                src,
+                dst,
+                src_ctx,
+                dst_ctx,
+                msg: 0,
+                bytes: 0,
+            });
+        }
+    }
+
+    /// Record one cross-enclave message hop as a [`EdgeKind::SendRecv`]
+    /// edge naming the message: `msg` is the protocol layer's code for
+    /// it and `bytes` its wire size. The tracer is the only record of
+    /// protocol traffic, so every hop goes through here.
+    #[inline]
+    pub fn send_recv(
+        &self,
+        src: SimTime,
+        dst: SimTime,
+        src_ctx: Ctx,
+        dst_ctx: Ctx,
+        msg: u8,
+        bytes: u64,
+    ) {
+        if let Some(c) = &self.inner {
+            debug_assert!(dst >= src, "causal edge must not point backwards");
+            c.edge(Edge {
+                kind: EdgeKind::SendRecv,
+                src,
+                dst,
+                src_ctx,
+                dst_ctx,
+                msg,
+                bytes,
+            });
         }
     }
 
@@ -2380,16 +2414,12 @@ mod tests {
             Ctx::enclave(1),
             Ctx::enclave(1),
         );
-        h.edge(
-            EdgeKind::SendRecv,
-            t(10),
-            t(30),
-            Ctx::enclave(0),
-            Ctx::enclave(2),
-        );
+        h.send_recv(t(10), t(30), Ctx::enclave(0), Ctx::enclave(2), 7, 64);
         let edges = h.edges();
         assert_eq!(edges.len(), 2);
         assert_eq!(edges[0].kind, EdgeKind::SendRecv, "sorted by src time");
+        assert_eq!((edges[0].msg, edges[0].bytes), (7, 64), "message kept");
+        assert_eq!((edges[1].msg, edges[1].bytes), (0, 0));
         assert_eq!(edges[1].dst, t(90));
         assert_eq!(h.edge_count(EdgeKind::SendRecv), 1);
         assert_eq!(h.edge_count(EdgeKind::BackoffRetry), 1);

@@ -48,6 +48,7 @@ fn disabled_tracing_hooks_never_allocate() {
         handle.count(Counter::Retransmits, i);
         handle.observe(Hist::AttachNs, i);
         handle.edge(EdgeKind::SendRecv, start, start + dur, ctx, ctx);
+        handle.send_recv(start, start + dur, ctx, ctx, 3, 64);
         assert!(!handle.is_enabled());
     }
     let after = ALLOCS.load(Ordering::SeqCst);

@@ -2,17 +2,29 @@
 //! co-kernels, and Palacios VMs on both kinds of host — with memory
 //! shared between the two *VMs*, the deepest routing path in the tree.
 //!
-//! Prints the registration and attachment message flows so the
-//! hierarchical routing protocol (paper §3.2) is visible.
+//! Prints the registration and attachment message flows — read back
+//! from the tracer's `SendRecv` edges, the one record of protocol
+//! traffic — so the hierarchical routing protocol (paper §3.2) is
+//! visible.
 //!
 //! Run with: `cargo run --example enclave_topology`
 
-use xemem::{GuestOs, MemoryMapKind, SystemBuilder};
+use xemem::{GuestOs, MemoryMapKind, MessageKind, SimTime, System, SystemBuilder, TraceHandle};
+
+/// Print every protocol hop traced in `[from, to)`, in send order.
+fn print_hops(sys: &System, from: SimTime, to: SimTime) {
+    for e in sys.tracer().edges() {
+        if let Some(kind) = MessageKind::of_edge(&e).filter(|_| (from..to).contains(&e.src)) {
+            let (a, b) = (e.src_ctx.enclave, e.dst_ctx.enclave);
+            println!("  [{}] slot{a} -> slot{b}: {kind:?}", e.src);
+        }
+    }
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     const MIB: u64 = 1 << 20;
     let mut sys = SystemBuilder::new()
-        .with_trace()
+        .with_tracer(TraceHandle::enabled())
         .linux_management("linuxB", 4, 512 * MIB) // hosts the name server
         .kitten_cokernel("lwkA", 1, 128 * MIB)
         .kitten_cokernel("lwkD", 1, 192 * MIB)
@@ -38,13 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     println!("\nRegistration traffic (discovery broadcasts + enclave-ID allocation):");
-    for m in sys.trace() {
-        println!(
-            "  [{}] slot{} -> slot{}: {:?}",
-            m.at, m.from_slot, m.to_slot, m.kind
-        );
-    }
-    sys.clear_trace();
+    let registered = sys.clock().now();
+    print_hops(&sys, SimTime::ZERO, registered);
 
     // VM-to-VM sharing: vmC exports, vmF attaches. The request must
     // climb vmF -> lwkD -> linuxB (name server) and descend to vmC.
@@ -62,12 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(&got, b"hello from vmC");
 
     println!("\nVM-to-VM attachment traffic for {segid}:");
-    for m in sys.trace() {
-        println!(
-            "  [{}] slot{} -> slot{}: {:?}",
-            m.at, m.from_slot, m.to_slot, m.kind
-        );
-    }
+    print_hops(&sys, registered, sys.clock().now());
     println!(
         "\nvmF read {:?} through two VMMs and two co-kernel hops",
         std::str::from_utf8(&got).unwrap()

@@ -42,7 +42,6 @@ fn outage_fixture(
     policy: TierPolicy,
 ) -> (System, ProcessRef, xemem::Segid, VirtAddr) {
     let mut sys = SystemBuilder::new()
-        .with_trace()
         .with_tier_policy(policy)
         .with_fault_plan(plan, 7)
         .tier_reserve(MemTier::Nvm, 64 * MIB)
