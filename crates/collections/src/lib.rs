@@ -17,7 +17,8 @@
 //! rotations performed, levels touched) of every operation so the VMM can
 //! charge virtual time for work actually done:
 //!
-//! * [`RbMemoryMap`] — a from-scratch CLRS red-black interval tree.
+//! * [`RbMemoryMap`] — a from-scratch CLRS red-black interval tree, which
+//!   replays recurring hot-plug cycles from a memo with exact counts.
 //! * [`RadixMemoryMap`] — a four-level, 512-way radix tree shaped like a
 //!   page table (the future-work ablation).
 
@@ -60,6 +61,56 @@ impl BatchReport {
     }
 }
 
+/// `count` map entries of `len` frames each, back to back in guest and
+/// host frames: entry `i` maps guest frames from `gfn + i·len` onward to
+/// host frames from `hpfn + i·len` onward. A host run hot-plugged one
+/// entry per page is one segment of single-frame entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment {
+    /// First guest frame.
+    pub gfn: u64,
+    /// Frames per entry.
+    pub len: u64,
+    /// First host frame.
+    pub hpfn: u64,
+    /// Entries.
+    pub count: u64,
+}
+
+impl Segment {
+    /// A segment of one entry.
+    pub fn entry(gfn: u64, len: u64, hpfn: u64) -> Segment {
+        Segment {
+            gfn,
+            len,
+            hpfn,
+            count: 1,
+        }
+    }
+
+    /// The first guest frame past the segment.
+    pub fn end(&self) -> u64 {
+        self.gfn + self.len * self.count
+    }
+
+    /// Its entries, as (gfn, len, hpfn).
+    pub fn entries(self) -> impl Iterator<Item = (u64, u64, u64)> {
+        (0..self.count).map(move |i| (self.gfn + i * self.len, self.len, self.hpfn + i * self.len))
+    }
+}
+
+/// Hot-plug cycles a memoizing map has served (see [`RbMemoryMap`]). A
+/// cycle is an ascending batch above every entry followed by the removal
+/// of exactly that batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Cycles {
+    /// Batches linked for real on a base small enough to memoize: their
+    /// exact removal records the cycle.
+    pub recorded: u64,
+    /// Batches served from a recorded cycle and held unlinked.
+    pub replayed: u64,
+}
+
 /// Errors from guest memory-map operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapError {
@@ -90,8 +141,10 @@ pub trait GuestMemoryMap {
     /// entries.
     fn insert(&mut self, gfn: u64, len: u64, hpfn: u64) -> Result<OpReport, MapError>;
 
-    /// Translate one guest frame to its host frame.
-    fn lookup(&self, gfn: u64) -> Result<(u64, OpReport), MapError>;
+    /// Translate one guest frame to its host frame, reporting the search
+    /// work. Counted lookups take `&mut self`: their count depends on the
+    /// tree as an unmemoized map would hold it.
+    fn lookup(&mut self, gfn: u64) -> Result<(u64, OpReport), MapError>;
 
     /// Translate a run of consecutive guest frames resolved by a single
     /// entry: returns the host frame for `gfn` plus how many consecutive
@@ -101,27 +154,33 @@ pub trait GuestMemoryMap {
     /// path, so charging `covered` × the reported work is identical to
     /// `covered` individual [`GuestMemoryMap::lookup`] calls — this is
     /// what lets callers walk the map in O(entries) instead of O(frames).
-    fn lookup_run(&self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
+    fn lookup_run(&mut self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
         let _ = max_len;
         let (hpfn, report) = self.lookup(gfn)?;
         Ok(((hpfn, 1), report))
     }
 
+    /// Translate `gfn` without counting any work: its host frame and how
+    /// many guest frames, `gfn` included, the containing entry still
+    /// covers. `None` when no entry covers `gfn`. This serves the guest's
+    /// data path, which virtual time does not charge.
+    fn translate_run(&self, gfn: u64) -> Option<(u64, u64)>;
+
     /// Remove the entry whose range contains `gfn`. Returns the removed
     /// (gfn_start, len, hpfn_start).
     fn remove(&mut self, gfn: u64) -> Result<((u64, u64, u64), OpReport), MapError>;
 
-    /// Insert `(gfn, len, hpfn)` entries in order, each exactly as one
+    /// Insert the entries of `segments` in order, each exactly as one
     /// [`GuestMemoryMap::insert`], stopping at the first error (the
     /// entries before it stay inserted). Returns the summed reports.
     /// Ascending entries above every existing one are the case an
     /// implementation may speed up; any order is correct.
     fn insert_ascending(
         &mut self,
-        entries: &mut dyn Iterator<Item = (u64, u64, u64)>,
+        segments: &mut dyn Iterator<Item = Segment>,
     ) -> Result<BatchReport, MapError> {
         let mut total = BatchReport::default();
-        for (gfn, len, hpfn) in entries {
+        for (gfn, len, hpfn) in segments.flat_map(Segment::entries) {
             total.add(self.insert(gfn, len, hpfn)?);
         }
         Ok(total)
@@ -150,6 +209,12 @@ pub trait GuestMemoryMap {
 
     /// Number of entries (regions, not frames).
     fn len(&self) -> usize;
+
+    /// Hot-plug cycles memoized so far; zero for a map that does not
+    /// memoize.
+    fn cycles(&self) -> Cycles {
+        Cycles::default()
+    }
 
     /// True when empty.
     fn is_empty(&self) -> bool {

@@ -97,6 +97,15 @@ impl RadixMemoryMap {
         }
     }
 
+    /// Frames of `entry`'s region from `gfn` (which it maps) onward.
+    fn region_left(&self, entry: LeafEntry, gfn: u64) -> u64 {
+        let (len, _) = self
+            .regions
+            .get(&entry.region_start)
+            .expect("leaf entry without region record");
+        entry.region_start + len - gfn
+    }
+
     fn walk(&self, gfn: u64) -> (Option<LeafEntry>, u32) {
         let mut visits = 1u32;
         let mut node = &self.root;
@@ -153,7 +162,7 @@ impl GuestMemoryMap for RadixMemoryMap {
         })
     }
 
-    fn lookup(&self, gfn: u64) -> Result<(u64, OpReport), MapError> {
+    fn lookup(&mut self, gfn: u64) -> Result<(u64, OpReport), MapError> {
         let (entry, visits) = self.walk(gfn);
         match entry {
             Some(e) => Ok((
@@ -167,16 +176,12 @@ impl GuestMemoryMap for RadixMemoryMap {
         }
     }
 
-    fn lookup_run(&self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
+    fn lookup_run(&mut self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
         let (entry, visits) = self.walk(gfn);
         let entry = entry.ok_or(MapError::NotFound { gfn })?;
         // Every present frame costs exactly LEVELS visits, so the one
         // reported walk is per-frame identical across the covered run.
-        let (len, _) = *self
-            .regions
-            .get(&entry.region_start)
-            .expect("leaf entry without region record");
-        let covered = (entry.region_start + len - gfn).min(max_len.max(1));
+        let covered = self.region_left(entry, gfn).min(max_len.max(1));
         Ok((
             (entry.hpfn, covered),
             OpReport {
@@ -184,6 +189,11 @@ impl GuestMemoryMap for RadixMemoryMap {
                 rotations: 0,
             },
         ))
+    }
+
+    fn translate_run(&self, gfn: u64) -> Option<(u64, u64)> {
+        let entry = self.walk(gfn).0?;
+        Some((entry.hpfn, self.region_left(entry, gfn)))
     }
 
     fn remove(&mut self, gfn: u64) -> Result<((u64, u64, u64), OpReport), MapError> {

@@ -16,8 +16,22 @@
 //! forward. [`GuestMemoryMap::remove_range`] finds each next victim as the
 //! in-order successor of the last and derives its depth instead of
 //! searching for it.
+//!
+//! On top of both sits a memo of hot-plug *cycles*: a batch of `e` entries
+//! above every key, then the removal of exactly that batch. Its visits,
+//! rotations and the survivors' final links and colours depend only on
+//! the tree's shape and colours before the batch and on `e`, never on
+//! keys, lengths, host frames or arena slots. So the map records each
+//! cycle it runs for real on a base of at most `e` entries, keyed by
+//! ([`RbMemoryMap::shape_key`], `e`), and when the same cycle comes again
+//! it returns the recorded reports, holds the batch unlinked as segments
+//! and rewrites the survivors' links on the exact removal. Anything else
+//! that needs the real tree first links a held batch for real, which
+//! leaves exactly the tree an unmemoized map would hold.
 
-use crate::{BatchReport, GuestMemoryMap, MapError, OpReport};
+use std::collections::BTreeMap;
+
+use crate::{BatchReport, Cycles, GuestMemoryMap, MapError, OpReport, Segment};
 
 const NIL: usize = 0;
 
@@ -27,7 +41,7 @@ enum Color {
     Black,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct Node {
     key: u64,
     len: u64,
@@ -38,18 +52,93 @@ struct Node {
     right: usize,
 }
 
+/// In-order position standing for NIL in [`Links`].
+const NONE: usize = usize::MAX;
+
+/// A node's children, as in-order positions, and colour.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    left: usize,
+    right: usize,
+    color: Color,
+}
+
+/// What one hot-plug cycle did.
+#[derive(Debug, Clone)]
+struct Cycle {
+    insert: BatchReport,
+    remove: BatchReport,
+    /// The root's in-order position afterwards (`NONE` when empty).
+    root: usize,
+    /// Every survivor's links afterwards, by in-order position.
+    links: Vec<Links>,
+}
+
+/// The cycles recorded on one base.
+#[derive(Debug, Clone)]
+struct Memo {
+    /// [`RbMemoryMap::shape_key`] of the base.
+    base: Vec<u8>,
+    /// Cycles by batch entry count.
+    cycles: BTreeMap<usize, Cycle>,
+}
+
+/// The newest hot-plug batch, while removing exactly it can still replay
+/// or record a cycle.
+#[derive(Debug, Clone)]
+struct Open {
+    /// Entries in the batch.
+    entries: usize,
+    /// End of the highest older entry (0 when there is none).
+    older_end: u64,
+    /// End of the batch's first entry.
+    first_end: u64,
+    /// Key of the batch's last entry.
+    last_key: u64,
+    state: OpenState,
+}
+
+#[derive(Debug, Clone)]
+enum OpenState {
+    /// Replayed from the memo: the entries are not linked.
+    Held(Vec<Segment>),
+    /// Linked for real on a memoizable base with this key.
+    Recording { base: Vec<u8>, insert: BatchReport },
+}
+
+impl Open {
+    /// Whether the entries meeting `[gfn, gfn + len)` are exactly this
+    /// batch: the range meets its first and last entry and no older one.
+    fn removed_whole_by(&self, gfn: u64, len: u64) -> bool {
+        len > 0 && gfn >= self.older_end && gfn < self.first_end && gfn + len > self.last_key
+    }
+}
+
 /// The red-black guest memory map.
 ///
-/// Equality is structural: two maps are equal when their node arenas
-/// (key, len, hpfn, colour and parent/left/right links of every slot),
-/// roots and free lists are, i.e. when the same operations built them.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Equality is tree-level: two maps are equal when their linked trees
+/// have the same shape and colours and they hold the same entries, linked
+/// or held. Arena slots, free lists and memos play no part: a replayed
+/// cycle allocates no slot, and no count depends on one.
+#[derive(Debug, Clone)]
 pub struct RbMemoryMap {
     nodes: Vec<Node>,
     root: usize,
     free: Vec<usize>,
+    /// Linked entries.
     count: usize,
+    memo: Option<Memo>,
+    open: Option<Open>,
+    cycles: Cycles,
 }
+
+impl PartialEq for RbMemoryMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape_key() == other.shape_key() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RbMemoryMap {}
 
 impl Default for RbMemoryMap {
     fn default() -> Self {
@@ -75,6 +164,9 @@ impl RbMemoryMap {
             root: NIL,
             free: Vec::new(),
             count: 0,
+            memo: None,
+            open: None,
+            cycles: Cycles::default(),
         }
     }
 
@@ -428,9 +520,8 @@ impl RbMemoryMap {
         (NIL, visits)
     }
 
-    /// In-order iteration over (gfn_start, len, hpfn_start) — test and
-    /// debugging aid.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+    /// Linked node slots in key order.
+    fn in_order(&self) -> impl Iterator<Item = usize> + '_ {
         let mut stack = Vec::new();
         let mut cur = self.root;
         std::iter::from_fn(move || {
@@ -439,16 +530,221 @@ impl RbMemoryMap {
                 cur = self.nodes[cur].left;
             }
             let idx = stack.pop()?;
-            let node = &self.nodes[idx];
-            cur = node.right;
-            Some((node.key, node.len, node.hpfn))
+            cur = self.nodes[idx].right;
+            Some(idx)
         })
     }
 
-    /// Verify every red-black and interval invariant; returns the black
-    /// height. Panics (with a description) on violation — used by unit and
-    /// property tests.
-    pub fn validate(&self) -> usize {
+    /// The segments of a held batch (empty when none is held).
+    fn held(&self) -> &[Segment] {
+        match &self.open {
+            Some(Open {
+                state: OpenState::Held(segments),
+                ..
+            }) => segments,
+            _ => &[],
+        }
+    }
+
+    /// In-order iteration over (gfn_start, len, hpfn_start), held entries
+    /// included — test and debugging aid.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        let linked = self.in_order().map(|i| {
+            let node = self.n(i);
+            (node.key, node.len, node.hpfn)
+        });
+        linked.chain(self.held().iter().flat_map(|s| s.entries()))
+    }
+
+    /// Whether a replayed batch is held unlinked.
+    pub fn holds_batch(&self) -> bool {
+        !self.held().is_empty()
+    }
+
+    /// Preorder encoding of the linked tree's shape and colours, one byte
+    /// per node: whether it has a left child, a right child, and is red.
+    /// Two trees with one encoding differ at most in their entries and
+    /// arena slots.
+    fn shape_key(&self) -> Vec<u8> {
+        let mut key = Vec::with_capacity(self.count);
+        let mut stack = vec![self.root];
+        while let Some(x) = stack.pop() {
+            if x == NIL {
+                continue;
+            }
+            let node = self.n(x);
+            key.push(
+                u8::from(node.left != NIL)
+                    | u8::from(node.right != NIL) << 1
+                    | u8::from(node.color == Color::Red) << 2,
+            );
+            stack.push(node.right);
+            stack.push(node.left);
+        }
+        key
+    }
+
+    /// The root's in-order position and every node's links, by in-order
+    /// position.
+    fn links_by_position(&self) -> (usize, Vec<Links>) {
+        fn walk(map: &RbMemoryMap, x: usize, links: &mut Vec<Links>) -> usize {
+            if x == NIL {
+                return NONE;
+            }
+            let node = map.n(x);
+            let left = walk(map, node.left, links);
+            let pos = links.len();
+            links.push(Links {
+                left,
+                right: NONE,
+                color: node.color,
+            });
+            links[pos].right = walk(map, node.right, links);
+            pos
+        }
+        let mut links = Vec::with_capacity(self.count);
+        let root = walk(self, self.root, &mut links);
+        (root, links)
+    }
+
+    /// Relink the tree's nodes, taken in key order, as `links` and `root`
+    /// say.
+    fn relink(&mut self, root: usize, links: &[Links]) {
+        let slots: Vec<usize> = self.in_order().collect();
+        let slot = |pos: usize| if pos == NONE { NIL } else { slots[pos] };
+        for (&x, l) in slots.iter().zip(links) {
+            let (left, right) = (slot(l.left), slot(l.right));
+            let node = &mut self.nodes[x];
+            (node.left, node.right, node.color) = (left, right, l.color);
+            self.nodes[left].parent = x;
+            self.nodes[right].parent = x;
+        }
+        self.root = slot(root);
+        self.nodes[self.root].parent = NIL;
+        self.nodes[NIL].parent = NIL;
+    }
+
+    /// Link a held batch for real, as the unmemoized insert would have,
+    /// and stop tracking the open batch: the next change is not its exact
+    /// removal.
+    fn settle(&mut self) {
+        if let Some(Open {
+            state: OpenState::Held(segments),
+            ..
+        }) = self.open.take()
+        {
+            self.link_ascending(&mut segments.into_iter().flat_map(Segment::entries))
+                .expect("a held batch lies above every linked entry");
+        }
+    }
+
+    /// Link a held batch for real before a counted lookup; a batch being
+    /// recorded stays open, since lookups change nothing.
+    fn link_held(&mut self) {
+        if self.holds_batch() {
+            self.settle();
+        }
+    }
+
+    /// Remove exactly the open batch, which `[gfn, gfn + len)` covers:
+    /// replay its recorded cycle, or run it for real and record it.
+    fn close(&mut self, open: Open, gfn: u64, len: u64) -> BatchReport {
+        match open.state {
+            OpenState::Held(_) => {
+                let memo = self.memo.take().expect("a held batch replays a cycle");
+                let cycle = &memo.cycles[&open.entries];
+                self.relink(cycle.root, &cycle.links);
+                let report = cycle.remove;
+                self.memo = Some(memo);
+                report
+            }
+            OpenState::Recording { base, insert } => {
+                let remove = self.remove_each(gfn, len);
+                let (root, links) = self.links_by_position();
+                let memo = match &mut self.memo {
+                    Some(memo) if memo.base == base => memo,
+                    slot => slot.insert(Memo {
+                        base,
+                        cycles: BTreeMap::new(),
+                    }),
+                };
+                let cycle = Cycle {
+                    insert,
+                    remove,
+                    root,
+                    links,
+                };
+                memo.cycles.insert(open.entries, cycle);
+                remove
+            }
+        }
+    }
+
+    /// Insert entries in order through the right-spine path, falling back
+    /// to a per-op insert for an entry not above the maximum.
+    fn link_ascending(
+        &mut self,
+        entries: &mut dyn Iterator<Item = (u64, u64, u64)>,
+    ) -> Result<BatchReport, MapError> {
+        let mut total = BatchReport::default();
+        // (maximum node, right-spine length), or `None` after a per-op
+        // insert, which may have reshaped the spine.
+        let mut spine = None;
+        for (gfn, len, hpfn) in entries {
+            let (max, spine_len) = spine.unwrap_or_else(|| self.right_spine());
+            let above_max = max == NIL || gfn >= self.n(max).key + self.n(max).len;
+            if len == 0 || !above_max {
+                total.add(self.insert(gfn, len, hpfn)?);
+                spine = None;
+                continue;
+            }
+            // The CLRS descent for a key above the maximum visits exactly
+            // the right spine and hangs the new node under the maximum.
+            // Fixup then only left-rotates spine nodes off the spine, one
+            // per rotation, and the new node is the new maximum.
+            let z = self.alloc_node(gfn, len, hpfn);
+            let rotations = self.link(z, max, false);
+            total.add(OpReport {
+                visits: spine_len,
+                rotations,
+            });
+            spine = Some((z, spine_len + 1 - rotations));
+        }
+        Ok(total)
+    }
+
+    /// Remove every linked entry meeting `[gfn, gfn + len)` in successor
+    /// order.
+    fn remove_each(&mut self, gfn: u64, len: u64) -> BatchReport {
+        let mut total = BatchReport::default();
+        let end = gfn + len;
+        // A per-frame remove finds an entry at the first frame of the range
+        // it holds, and any frame of an entry descends to it: the visits are
+        // its depth + 1 in the tree as it is then.
+        let (mut z, mut depth) = self.first_ending_above(gfn);
+        while z != NIL && self.n(z).key < end {
+            let (next, next_depth) = self.successor_after_delete(z, depth);
+            let rotations = self.delete(z);
+            total.add(OpReport {
+                visits: depth + 1,
+                rotations,
+            });
+            // A rotation may have moved the successor; re-walk only then.
+            depth = if rotations > 0 && next != NIL {
+                self.depth(next)
+            } else {
+                next_depth
+            };
+            z = next;
+        }
+        total
+    }
+
+    /// Verify every red-black and interval invariant, after linking a held
+    /// batch; returns the black height. Panics (with a description) on
+    /// violation — used by unit and property tests.
+    pub fn validate(&mut self) -> usize {
+        self.link_held();
         fn walk(map: &RbMemoryMap, idx: usize, lo: u64, hi: u64) -> usize {
             if idx == NIL {
                 return 1; // NIL counts as black.
@@ -498,6 +794,7 @@ impl RbMemoryMap {
 
 impl GuestMemoryMap for RbMemoryMap {
     fn insert(&mut self, gfn: u64, len: u64, hpfn: u64) -> Result<OpReport, MapError> {
+        self.settle();
         if len == 0 {
             return Err(MapError::EmptyRange);
         }
@@ -524,7 +821,8 @@ impl GuestMemoryMap for RbMemoryMap {
         Ok(OpReport { visits, rotations })
     }
 
-    fn lookup(&self, gfn: u64) -> Result<(u64, OpReport), MapError> {
+    fn lookup(&mut self, gfn: u64) -> Result<(u64, OpReport), MapError> {
+        self.link_held();
         let (idx, visits) = self.find_containing(gfn);
         if idx == NIL {
             return Err(MapError::NotFound { gfn });
@@ -540,7 +838,8 @@ impl GuestMemoryMap for RbMemoryMap {
         ))
     }
 
-    fn lookup_run(&self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
+    fn lookup_run(&mut self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
+        self.link_held();
         let (idx, visits) = self.find_containing(gfn);
         if idx == NIL {
             return Err(MapError::NotFound { gfn });
@@ -560,7 +859,24 @@ impl GuestMemoryMap for RbMemoryMap {
         ))
     }
 
+    fn translate_run(&self, gfn: u64) -> Option<(u64, u64)> {
+        let held = self.held();
+        if held.first().is_some_and(|s| gfn >= s.gfn) {
+            // A held batch lies above every linked entry.
+            let s = held[held.partition_point(|s| s.end() <= gfn)..].first()?;
+            if gfn < s.gfn {
+                return None;
+            }
+            let off = gfn - s.gfn;
+            return Some((s.hpfn + off, s.len - off % s.len));
+        }
+        let (idx, _) = self.find_containing(gfn);
+        let node = (idx != NIL).then(|| self.n(idx))?;
+        Some((node.hpfn + (gfn - node.key), node.key + node.len - gfn))
+    }
+
     fn remove(&mut self, gfn: u64) -> Result<((u64, u64, u64), OpReport), MapError> {
+        self.settle();
         let (z, visits) = self.find_containing(gfn);
         if z == NIL {
             return Err(MapError::NotFound { gfn });
@@ -575,62 +891,79 @@ impl GuestMemoryMap for RbMemoryMap {
 
     fn insert_ascending(
         &mut self,
-        entries: &mut dyn Iterator<Item = (u64, u64, u64)>,
+        segments: &mut dyn Iterator<Item = Segment>,
     ) -> Result<BatchReport, MapError> {
-        let mut total = BatchReport::default();
-        // (maximum node, right-spine length), or `None` after a per-op
-        // insert, which may have reshaped the spine.
-        let mut spine = None;
-        for (gfn, len, hpfn) in entries {
-            let (max, spine_len) = spine.unwrap_or_else(|| self.right_spine());
-            let above_max = max == NIL || gfn >= self.n(max).key + self.n(max).len;
-            if len == 0 || !above_max {
-                total.add(self.insert(gfn, len, hpfn)?);
-                spine = None;
+        self.settle();
+        let (max, _) = self.right_spine();
+        let older_end = if max == NIL {
+            0
+        } else {
+            self.n(max).key + self.n(max).len
+        };
+        // Gather the leading segments whose entries each lie above the
+        // last.
+        let mut batch = Vec::new();
+        let (mut added, mut end, mut rest) = (0usize, older_end, None);
+        for seg in &mut *segments {
+            if seg.count == 0 {
                 continue;
             }
-            // The CLRS descent for a key above the maximum visits exactly
-            // the right spine and hangs the new node under the maximum.
-            // Fixup then only left-rotates spine nodes off the spine, one
-            // per rotation, and the new node is the new maximum.
-            let z = self.alloc_node(gfn, len, hpfn);
-            let rotations = self.link(z, max, false);
-            total.add(OpReport {
-                visits: spine_len,
-                rotations,
-            });
-            spine = Some((z, spine_len + 1 - rotations));
+            if seg.len == 0 || seg.gfn < end {
+                rest = Some(seg);
+                break;
+            }
+            batch.push(seg);
+            (added, end) = (added + seg.count as usize, seg.end());
         }
-        Ok(total)
+        // Memoize only a batch at least as large as the base, so keying
+        // the base never costs more than the work a replay skips.
+        if rest.is_some() || added == 0 || self.count > added {
+            return self.link_ascending(
+                &mut batch
+                    .into_iter()
+                    .chain(rest)
+                    .chain(segments)
+                    .flat_map(Segment::entries),
+            );
+        }
+        let base = self.shape_key();
+        let (first, last) = (batch[0], batch[batch.len() - 1]);
+        let mut open = Open {
+            entries: added,
+            older_end,
+            first_end: first.gfn + first.len,
+            last_key: last.end() - last.len,
+            state: OpenState::Held(Vec::new()),
+        };
+        let recorded = self.memo.as_ref().filter(|m| m.base == base);
+        if let Some(cycle) = recorded.and_then(|m| m.cycles.get(&added)) {
+            let report = cycle.insert;
+            open.state = OpenState::Held(batch);
+            self.open = Some(open);
+            self.cycles.replayed += 1;
+            return Ok(report);
+        }
+        let insert = self.link_ascending(&mut batch.into_iter().flat_map(Segment::entries))?;
+        open.state = OpenState::Recording { base, insert };
+        self.open = Some(open);
+        self.cycles.recorded += 1;
+        Ok(insert)
     }
 
     fn remove_range(&mut self, gfn: u64, len: u64) -> BatchReport {
-        let mut total = BatchReport::default();
-        let end = gfn + len;
-        // A per-frame remove finds an entry at the first frame of the range
-        // it holds, and any frame of an entry descends to it: the visits are
-        // its depth + 1 in the tree as it is then.
-        let (mut z, mut depth) = self.first_ending_above(gfn);
-        while z != NIL && self.n(z).key < end {
-            let (next, next_depth) = self.successor_after_delete(z, depth);
-            let rotations = self.delete(z);
-            total.add(OpReport {
-                visits: depth + 1,
-                rotations,
-            });
-            // A rotation may have moved the successor; re-walk only then.
-            depth = if rotations > 0 && next != NIL {
-                self.depth(next)
-            } else {
-                next_depth
-            };
-            z = next;
+        if let Some(open) = self.open.take_if(|o| o.removed_whole_by(gfn, len)) {
+            return self.close(open, gfn, len);
         }
-        total
+        self.settle();
+        self.remove_each(gfn, len)
     }
 
     fn len(&self) -> usize {
-        self.count
+        self.count + self.held().iter().map(|s| s.count as usize).sum::<usize>()
+    }
+
+    fn cycles(&self) -> Cycles {
+        self.cycles
     }
 }
 

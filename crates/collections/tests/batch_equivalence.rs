@@ -1,17 +1,27 @@
 //! Property test: the red-black map's batched entry points must build the
-//! same tree, node for node, as the per-operation calls they replace, and
-//! report the same summed work.
+//! same tree as the per-operation calls they replace, and report the same
+//! summed work, including when they replay a memoized hot-plug cycle.
 //!
 //! Two maps replay one random history. The per-op map hot-plugs with one
 //! `insert` per entry and removes a range with one `remove` per frame in
-//! ascending order; the batched map uses `insert_ascending` and
-//! `remove_range`. Hot-plugged keys are bump-allocated above a fixed base,
-//! as the VMM allocates them; below the base both maps take arbitrary
-//! per-op inserts and removes, and some of those inserts reach the batched
-//! map as a batch that is not above the maximum, which must fall back.
+//! ascending order, so it never memoizes; the batched map uses
+//! `insert_ascending` and `remove_range`. Hot-plugged keys are
+//! bump-allocated above a fixed base, as the VMM allocates them; below the
+//! base both maps take arbitrary per-op inserts and removes, and some of
+//! those inserts reach the batched map as a batch that is not above the
+//! maximum, which must fall back. Histories detach the newest batch whole,
+//! in part or together with older entries, and repeat batch sizes on
+//! recurring bases so that the batched map replays recorded cycles.
+//! Counted lookups and uncounted translations run while a replayed batch
+//! is held.
+//!
+//! Equality is tree-level (entries, shape and colours): a replayed cycle
+//! allocates no arena slot, so slot numbers and free lists may differ. The
+//! trees are compared whenever the batched map holds no batch; while it
+//! holds one, its entries, length, reports and translations still are.
 
 use proptest::prelude::*;
-use xemem_collections::{BatchReport, GuestMemoryMap, RbMemoryMap};
+use xemem_collections::{BatchReport, GuestMemoryMap, OpReport, RbMemoryMap, Segment};
 
 /// First hot-plug frame; the low region holds arbitrary traffic.
 const HOTPLUG_BASE: u64 = 4_096;
@@ -20,6 +30,12 @@ const HOTPLUG_BASE: u64 = 4_096;
 enum Step {
     /// Hot-plug entries above the maximum: (gap before, len) each.
     HotPlug(Vec<(u64, u64)>),
+    /// Remove exactly the newest hot-plugged batch.
+    DetachNewest,
+    /// Remove `len` frames from `at` per mille into the newest batch.
+    DetachPart { at: u64, len: u64 },
+    /// Remove the newest batch and the `back` frames below it.
+    DetachWithOlder { back: u64 },
     /// Remove every entry meeting `len` frames from a point of the
     /// hot-plug range (`at` is scaled to the range's current extent).
     RemoveRange { at: u64, len: u64 },
@@ -28,17 +44,46 @@ enum Step {
     LowInsert { gfn: u64, len: u64, batched: bool },
     /// Remove the low entry containing `gfn`, per op on both maps.
     LowRemove { gfn: u64 },
+    /// Counted `lookup` and `lookup_run` at a point of the whole range.
+    Lookup { at: u64 },
+    /// Uncounted `translate_run` at a point of the whole range.
+    Translate { at: u64 },
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    let entry = (0u64..8, 0u64..8).prop_map(|(gap, len)| {
+fn entry() -> impl Strategy<Value = (u64, u64)> {
+    (0u64..8, 0u64..8).prop_map(|(gap, len)| {
         // Mostly adjacent single frames, as per-page attaches are.
         let gap = if gap < 6 { 0 } else { gap };
         let len = if len < 5 { 1 } else { len - 3 };
         (gap, len)
-    });
+    })
+}
+
+/// A batch: mostly a few entries, so sizes recur, sometimes many.
+fn batch() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    (0u64..4, prop::collection::vec(entry(), 1..48)).prop_map(|(few, mut entries)| {
+        if few > 0 {
+            entries.truncate(few as usize);
+        }
+        entries
+    })
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    // Hot-plugs and whole detaches are drawn three times as often, and
+    // lookups and translations twice, as the other steps.
+    let hot_plug = || batch().prop_map(Step::HotPlug);
+    let lookup = || (0u64..1_000).prop_map(|at| Step::Lookup { at });
+    let translate = || (0u64..1_000).prop_map(|at| Step::Translate { at });
     prop_oneof![
-        prop::collection::vec(entry, 1..48).prop_map(Step::HotPlug),
+        hot_plug(),
+        hot_plug(),
+        hot_plug(),
+        Just(Step::DetachNewest),
+        Just(Step::DetachNewest),
+        Just(Step::DetachNewest),
+        (0u64..1_000, 1u64..24).prop_map(|(at, len)| Step::DetachPart { at, len }),
+        (1u64..64).prop_map(|back| Step::DetachWithOlder { back }),
         (0u64..1_000, 1u64..120).prop_map(|(at, len)| Step::RemoveRange { at, len }),
         (0u64..HOTPLUG_BASE, 1u64..16, any::<bool>()).prop_map(|(gfn, len, batched)| {
             Step::LowInsert {
@@ -48,7 +93,25 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             }
         }),
         (0u64..HOTPLUG_BASE).prop_map(|gfn| Step::LowRemove { gfn }),
+        lookup(),
+        lookup(),
+        translate(),
+        translate(),
     ]
+}
+
+/// A history: one size hot-plugged and detached twice on the empty map,
+/// which must replay, then random steps.
+fn history() -> impl Strategy<Value = Vec<Step>> {
+    (batch(), prop::collection::vec(step_strategy(), 1..80)).prop_map(|(first, rest)| {
+        let warm = [
+            Step::HotPlug(first.clone()),
+            Step::DetachNewest,
+            Step::HotPlug(first),
+            Step::DetachNewest,
+        ];
+        warm.into_iter().chain(rest).collect()
+    })
 }
 
 fn per_op_remove_range(map: &mut RbMemoryMap, gfn: u64, len: u64) -> BatchReport {
@@ -61,62 +124,305 @@ fn per_op_remove_range(map: &mut RbMemoryMap, gfn: u64, len: u64) -> BatchReport
     total
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+fn one(report: OpReport) -> BatchReport {
+    let mut total = BatchReport::default();
+    total.add(report);
+    total
+}
 
-    #[test]
-    fn batched_rb_map_equals_per_op_map_node_for_node(
-        steps in prop::collection::vec(step_strategy(), 1..80)
-    ) {
-        let mut per_op = RbMemoryMap::new();
-        let mut batched = RbMemoryMap::new();
-        let mut next = HOTPLUG_BASE;
-        let mut hpfn = 0u64;
-        for step in &steps {
-            match step {
-                Step::HotPlug(entries) => {
-                    let mut batch = Vec::new();
-                    for &(gap, len) in entries {
-                        next += gap;
-                        batch.push((next, len, hpfn));
-                        next += len;
-                        hpfn += 2 * len;
-                    }
-                    let mut expect = BatchReport::default();
-                    for &(gfn, len, h) in &batch {
-                        expect.add(per_op.insert(gfn, len, h).unwrap());
-                    }
-                    let got = batched.insert_ascending(&mut batch.iter().copied()).unwrap();
-                    prop_assert_eq!(got, expect);
-                }
-                &Step::RemoveRange { at, len } => {
-                    let gfn = HOTPLUG_BASE + at * (next - HOTPLUG_BASE + 8) / 1_000;
-                    let expect = per_op_remove_range(&mut per_op, gfn, len);
-                    prop_assert_eq!(batched.remove_range(gfn, len), expect);
-                }
-                &Step::LowInsert { gfn, len, batched: as_batch } => {
-                    let expect = per_op.insert(gfn, len, hpfn);
-                    if as_batch {
-                        let got = batched.insert_ascending(&mut std::iter::once((gfn, len, hpfn)));
-                        let expect = expect.map(|r| {
-                            let mut total = BatchReport::default();
-                            total.add(r);
-                            total
-                        });
-                        prop_assert_eq!(got, expect);
-                    } else {
-                        prop_assert_eq!(batched.insert(gfn, len, hpfn), expect);
-                    }
-                }
-                &Step::LowRemove { gfn } => {
-                    prop_assert_eq!(batched.remove(gfn), per_op.remove(gfn));
-                }
-            }
-            prop_assert_eq!(batched.len(), per_op.len());
-            prop_assert!(batched == per_op, "trees differ after {:?}", step);
-            batched.validate();
+/// The two maps and the hot-plug allocator a history drives.
+struct Pair {
+    per_op: RbMemoryMap,
+    batched: RbMemoryMap,
+    next: u64,
+    hpfn: u64,
+    /// Frames of the newest hot-plugged batch.
+    newest: (u64, u64),
+}
+
+impl Pair {
+    fn new() -> Pair {
+        Pair {
+            per_op: RbMemoryMap::new(),
+            batched: RbMemoryMap::new(),
+            next: HOTPLUG_BASE,
+            hpfn: 0,
+            newest: (HOTPLUG_BASE, HOTPLUG_BASE),
         }
     }
+
+    /// Hot-plug entries, handing the batched map each run of adjacent
+    /// equal-length entries as one segment, as the VMM hands it a host
+    /// run attached one entry per page.
+    fn hot_plug(&mut self, entries: &[(u64, u64)]) {
+        let mut segments: Vec<Segment> = Vec::new();
+        let mut expect = BatchReport::default();
+        for &(gap, len) in entries {
+            // Guest and host frames leave the same gap.
+            self.next += gap;
+            self.hpfn += gap;
+            expect.add(self.per_op.insert(self.next, len, self.hpfn).unwrap());
+            match segments.last_mut() {
+                Some(s) if gap == 0 && s.len == len => s.count += 1,
+                _ => segments.push(Segment::entry(self.next, len, self.hpfn)),
+            }
+            self.next += len;
+            self.hpfn += len;
+        }
+        self.newest = (segments[0].gfn, self.next);
+        let got = self
+            .batched
+            .insert_ascending(&mut segments.into_iter())
+            .unwrap();
+        assert_eq!(got, expect);
+    }
+
+    fn remove_range(&mut self, gfn: u64, len: u64) {
+        let expect = per_op_remove_range(&mut self.per_op, gfn, len);
+        assert_eq!(self.batched.remove_range(gfn, len), expect);
+    }
+
+    /// A frame `at` per mille into the whole key range, a little past it.
+    fn point(&self, at: u64) -> u64 {
+        at * (self.next + 8) / 1_000
+    }
+
+    fn step(&mut self, step: &Step) {
+        let (start, end) = self.newest;
+        match step {
+            Step::HotPlug(entries) => self.hot_plug(entries),
+            Step::DetachNewest => self.remove_range(start, end - start),
+            &Step::DetachPart { at, len } => {
+                self.remove_range(start + at * (end - start) / 1_000, len)
+            }
+            &Step::DetachWithOlder { back } => {
+                let gfn = start.saturating_sub(back);
+                self.remove_range(gfn, end - gfn)
+            }
+            &Step::RemoveRange { at, len } => {
+                let gfn = HOTPLUG_BASE + at * (self.next - HOTPLUG_BASE + 8) / 1_000;
+                self.remove_range(gfn, len)
+            }
+            &Step::LowInsert {
+                gfn,
+                len,
+                batched: as_batch,
+            } => {
+                let expect = self.per_op.insert(gfn, len, self.hpfn);
+                if as_batch {
+                    let got = self
+                        .batched
+                        .insert_ascending(&mut std::iter::once(Segment::entry(
+                            gfn, len, self.hpfn,
+                        )));
+                    assert_eq!(got, expect.map(one));
+                } else {
+                    assert_eq!(self.batched.insert(gfn, len, self.hpfn), expect);
+                }
+            }
+            &Step::LowRemove { gfn } => {
+                assert_eq!(self.batched.remove(gfn), self.per_op.remove(gfn));
+            }
+            &Step::Lookup { at } => {
+                let gfn = self.point(at);
+                assert_eq!(
+                    self.batched.lookup_run(gfn, 64),
+                    self.per_op.lookup_run(gfn, 64)
+                );
+                assert_eq!(self.batched.lookup(gfn), self.per_op.lookup(gfn));
+            }
+            &Step::Translate { at } => {
+                let gfn = self.point(at);
+                assert_eq!(
+                    self.batched.translate_run(gfn),
+                    self.per_op.translate_run(gfn)
+                );
+            }
+        }
+        self.check(step);
+    }
+
+    /// Entries and lengths always agree; the trees do whenever the
+    /// batched map holds no batch.
+    fn check(&mut self, step: &Step) {
+        assert_eq!(self.batched.len(), self.per_op.len());
+        assert!(
+            self.batched.iter().eq(self.per_op.iter()),
+            "entries differ after {:?}",
+            step
+        );
+        if !self.batched.holds_batch() {
+            assert!(self.batched == self.per_op, "trees differ after {:?}", step);
+            self.batched.validate();
+        }
+        self.per_op.validate();
+    }
+}
+
+/// Drive a history through both maps, panicking on any difference.
+fn run(steps: &[Step]) -> Pair {
+    let mut pair = Pair::new();
+    for step in steps {
+        pair.step(step);
+    }
+    pair
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn batched_rb_map_equals_per_op_map(steps in history()) {
+        let pair = run(&steps);
+        prop_assert!(pair.batched.cycles().replayed >= 1, "the warm-up cycle must replay");
+    }
+}
+
+fn singles(n: usize) -> Step {
+    Step::HotPlug(vec![(0, 1); n])
+}
+
+#[test]
+fn recurring_cycles_on_one_base_replay() {
+    // One RAM-like entry below, then in situ timesteps of a few recurring
+    // sizes: each size is recorded once and replayed after that.
+    let mut steps = vec![Step::LowInsert {
+        gfn: 0,
+        len: 1_024,
+        batched: false,
+    }];
+    for round in 0..6 {
+        for n in [3, 9, 40, 9] {
+            steps.push(singles(n));
+            if round % 2 == 1 {
+                steps.push(Step::Translate { at: 999 });
+                steps.push(Step::Translate { at: 1 });
+            }
+            steps.push(Step::DetachNewest);
+        }
+    }
+    let pair = run(&steps);
+    let cycles = pair.batched.cycles();
+    assert_eq!((cycles.recorded, cycles.replayed), (3, 21));
+}
+
+#[test]
+fn cycles_of_other_sizes_are_not_replayed_for_each_other() {
+    // Same base, many sizes, each twice: a memo keyed without the batch
+    // size would answer the second size with the first one's reports.
+    let mut steps = Vec::new();
+    for n in 1..24 {
+        for _ in 0..2 {
+            steps.push(singles(n));
+            steps.push(Step::DetachNewest);
+        }
+    }
+    let pair = run(&steps);
+    assert_eq!(pair.batched.cycles().replayed, 23);
+}
+
+#[test]
+fn recoloured_bases_do_not_share_cycles() {
+    // A few low entries, one cycle, then a low entry inserted and removed
+    // again: the base is back in the shape the cycle was recorded on, in
+    // other colours, and the same cycle on it reports other counts. It
+    // must run for real; a memo keyed without colours would replay it.
+    for (low, blip) in [
+        (&[620, 860, 650, 70, 120][..], (255, 120)),
+        (&[780, 270, 560, 190, 440][..], (475, 475)),
+        (&[400, 900, 270, 90, 160][..], (125, 270)),
+    ] {
+        let mut steps: Vec<Step> = low
+            .iter()
+            .map(|&gfn| Step::LowInsert {
+                gfn,
+                len: 1,
+                batched: false,
+            })
+            .collect();
+        let cycle = [singles(low.len() + 1), Step::DetachNewest];
+        steps.extend(cycle.clone());
+        steps.push(Step::LowInsert {
+            gfn: blip.0,
+            len: 1,
+            batched: false,
+        });
+        steps.push(Step::LowRemove { gfn: blip.1 });
+        steps.extend(cycle);
+        let pair = run(&steps);
+        let cycles = pair.batched.cycles();
+        assert_eq!((cycles.recorded, cycles.replayed), (2, 0), "{low:?}");
+    }
+}
+
+#[test]
+fn lookups_while_held_see_the_linked_tree() {
+    // Counted lookups need the tree an unmemoized map would hold: RAM's
+    // depth grows with the held batch. Translations do not link.
+    let ram = Step::LowInsert {
+        gfn: 0,
+        len: 1_024,
+        batched: false,
+    };
+    let mut steps = vec![ram, singles(32), Step::DetachNewest, singles(32)];
+    for at in [0, 120, 500, 999] {
+        steps.push(Step::Translate { at });
+    }
+    let mut pair = run(&steps);
+    assert!(pair.batched.holds_batch(), "the second cycle replays");
+    let last = pair.newest.1 - 1;
+    assert_eq!(
+        pair.batched.translate_run(last),
+        pair.per_op.translate_run(last)
+    );
+    assert!(pair.batched.holds_batch(), "translations do not link");
+    for step in [Step::Lookup { at: 1 }, Step::Lookup { at: 990 }] {
+        pair.step(&step);
+        assert!(!pair.batched.holds_batch(), "counted lookups link");
+    }
+    pair.step(&Step::DetachNewest);
+}
+
+#[test]
+fn partial_and_overlapping_detaches_of_a_held_batch_run_for_real() {
+    let ram = || Step::LowInsert {
+        gfn: 0,
+        len: 1_024,
+        batched: false,
+    };
+    for detach in [
+        Step::DetachPart { at: 0, len: 5 },
+        Step::DetachPart { at: 500, len: 3 },
+        Step::DetachPart { at: 900, len: 40 },
+        // From the gap below the batch: still exactly the batch.
+        Step::DetachWithOlder { back: 1 },
+        // Into the RAM entry below.
+        Step::DetachWithOlder { back: 4_000 },
+        Step::RemoveRange { at: 0, len: 1 },
+    ] {
+        let mut pair = run(&[ram(), singles(16), Step::DetachNewest, singles(16)]);
+        assert!(pair.batched.holds_batch());
+        for step in [detach, Step::DetachNewest, singles(16), Step::DetachNewest] {
+            pair.step(&step);
+        }
+    }
+}
+
+#[test]
+fn bases_larger_than_the_batch_are_not_memoized() {
+    let mut steps: Vec<Step> = (0..20)
+        .map(|i| Step::LowInsert {
+            gfn: i * 10,
+            len: 2,
+            batched: false,
+        })
+        .collect();
+    for _ in 0..4 {
+        steps.push(singles(8));
+        steps.push(Step::DetachNewest);
+    }
+    let pair = run(&steps);
+    assert_eq!(pair.batched.cycles(), Default::default());
 }
 
 #[test]
@@ -139,7 +445,7 @@ fn a_batch_after_a_fallback_rebuilds_the_spine() {
         expect.add(per_op.insert(gfn, len, hpfn).unwrap());
     }
     let got = batched
-        .insert_ascending(&mut batch.iter().copied())
+        .insert_ascending(&mut batch.iter().map(|&(g, l, h)| Segment::entry(g, l, h)))
         .unwrap();
     assert_eq!(got, expect);
     assert!(batched == per_op);
@@ -156,7 +462,7 @@ fn batched_insert_stops_at_the_first_overlap() {
     }
     let err = per_op.insert(3, 1, 0).unwrap_err();
     assert_eq!(
-        batched.insert_ascending(&mut batch.iter().copied()),
+        batched.insert_ascending(&mut batch.iter().map(|&(g, l, h)| Segment::entry(g, l, h))),
         Err(err)
     );
     assert!(

@@ -61,7 +61,7 @@ impl Model {
     }
 }
 
-fn check_against_model<M: GuestMemoryMap>(map: &mut M, ops: &[Op], validate: impl Fn(&M)) {
+fn check_against_model<M: GuestMemoryMap>(map: &mut M, ops: &[Op], validate: impl Fn(&mut M)) {
     let mut model = Model::default();
     for op in ops {
         match *op {

@@ -2428,7 +2428,17 @@ impl System {
             EnclaveKind::Vm(vmm) => {
                 // Fig. 4(a): hot-plug GPAs, update the memory map, notify
                 // the guest, guest maps.
+                let before = vmm.map_cycles();
                 let breakdown = vmm.guest_attach_prot(pid, list, prot)?;
+                let after = vmm.map_cycles();
+                self.tracer.count(
+                    Counter::GuestMapCyclesRecorded,
+                    after.recorded - before.recorded,
+                );
+                self.tracer.count(
+                    Counter::GuestMapCyclesReplayed,
+                    after.replayed - before.replayed,
+                );
                 self.last_vm_breakdown = Some(breakdown);
                 Ok((breakdown.va, breakdown.total))
             }

@@ -27,7 +27,9 @@
 use parking_lot::RwLock;
 use std::sync::Arc;
 
-use xemem_collections::{BatchReport, GuestMemoryMap, RadixMemoryMap, RbMemoryMap};
+use xemem_collections::{
+    BatchReport, Cycles, GuestMemoryMap, RadixMemoryMap, RbMemoryMap, Segment,
+};
 use xemem_mem::kernel::{AttachSemantics, KernelError, MappingKernel, Pid};
 use xemem_mem::{
     FrameAllocator, MemError, Pfn, PfnList, PhysAccess, PhysAddr, VirtAddr, PAGE_SIZE,
@@ -67,28 +69,31 @@ pub struct GuestPhys {
 }
 
 impl GuestPhys {
-    fn translate(&self, at: PhysAddr) -> Result<PhysAddr, MemError> {
-        let gfn = at.pfn().0;
-        let (hpfn, _) = self
+    /// The host address behind `at`, and the bytes from `at` to the end of
+    /// its map entry: contiguous in guest and host memory alike.
+    fn translate(&self, at: PhysAddr) -> Result<(PhysAddr, usize), MemError> {
+        let (hpfn, frames) = self
             .map
             .read()
-            .lookup(gfn)
-            .map_err(|_| MemError::BadPhysAccess(at.pfn()))?;
-        Ok(Pfn(hpfn).base() + at.page_offset())
+            .translate_run(at.pfn().0)
+            .ok_or(MemError::BadPhysAccess(at.pfn()))?;
+        let span = frames * PAGE_SIZE - at.page_offset();
+        Ok((
+            Pfn(hpfn).base() + at.page_offset(),
+            usize::try_from(span).unwrap_or(usize::MAX),
+        ))
     }
 }
 
 impl PhysAccess for GuestPhys {
+    /// One translation per map entry the bytes span: each entry may land
+    /// anywhere in host memory.
     fn write(&self, at: PhysAddr, data: &[u8]) -> Result<(), MemError> {
-        // Split at frame boundaries: each guest frame may land anywhere in
-        // host memory.
         let mut remaining = data;
         let mut cur = at;
         while !remaining.is_empty() {
-            let take = remaining
-                .len()
-                .min((PAGE_SIZE - cur.page_offset()) as usize);
-            let hpa = self.translate(cur)?;
+            let (hpa, span) = self.translate(cur)?;
+            let take = remaining.len().min(span);
             self.host.write(hpa, &remaining[..take])?;
             remaining = &remaining[take..];
             cur = cur + take as u64;
@@ -100,8 +105,8 @@ impl PhysAccess for GuestPhys {
         let mut filled = 0usize;
         let mut cur = at;
         while filled < out.len() {
-            let take = (out.len() - filled).min((PAGE_SIZE - cur.page_offset()) as usize);
-            let hpa = self.translate(cur)?;
+            let (hpa, span) = self.translate(cur)?;
+            let take = (out.len() - filled).min(span);
             self.host.read(hpa, &mut out[filled..filled + take])?;
             filled += take;
             cur = cur + take as u64;
@@ -109,17 +114,18 @@ impl PhysAccess for GuestPhys {
         Ok(())
     }
 
-    /// Translate each guest run through the memory map, one lookup per
-    /// map entry it spans, and discard the host frames behind it.
+    /// Translate each guest run through the memory map, one translation
+    /// per map entry it spans, and discard the host frames behind it.
     fn discard(&self, frames: &PfnList) -> Result<(), MemError> {
         let mut host = PfnList::new();
         let map = self.map.read();
         for run in frames.runs() {
             let (mut gfn, end) = (run.start.0, run.start.0 + run.len);
             while gfn < end {
-                let ((hpfn, covered), _) = map
-                    .lookup_run(gfn, end - gfn)
-                    .map_err(|_| MemError::BadPhysAccess(Pfn(gfn)))?;
+                let (hpfn, left) = map
+                    .translate_run(gfn)
+                    .ok_or(MemError::BadPhysAccess(Pfn(gfn)))?;
+                let covered = left.min(end - gfn);
                 host.push_run(Pfn(hpfn), covered);
                 gfn += covered;
             }
@@ -287,6 +293,11 @@ impl Vmm {
         self.map.read().len()
     }
 
+    /// Hot-plug cycles the memory map has recorded and replayed.
+    pub fn map_cycles(&self) -> Cycles {
+        self.map.read().cycles()
+    }
+
     /// The virtual PCI device (counters).
     pub fn pci(&self) -> &VirtPciDevice {
         &self.pci
@@ -345,24 +356,22 @@ impl Vmm {
 
         // (2) Memory-map updates: one entry per page (paper) or per run
         // (ablation), ascending above every existing entry.
-        let report = {
-            let mut map = self.map.write();
-            match self.coalescing {
-                Coalescing::PerPage => map.insert_ascending(
-                    &mut (gpa_base..)
-                        .zip(host_pfns.iter_pages())
-                        .map(|(gfn, hpfn)| (gfn, 1, hpfn.0)),
-                ),
-                Coalescing::Runs => {
-                    map.insert_ascending(&mut host_pfns.runs().iter().scan(gpa_base, |gfn, run| {
-                        let entry = (*gfn, run.len, run.start.0);
-                        *gfn += run.len;
-                        Some(entry)
-                    }))
-                }
-            }
-            .map_err(|_| KernelError::Unsupported("GPA overlap"))?
-        };
+        let per_page = self.coalescing == Coalescing::PerPage;
+        let report = self
+            .map
+            .write()
+            .insert_ascending(&mut host_pfns.runs().iter().scan(gpa_base, |gfn, run| {
+                let (len, count) = if per_page { (1, run.len) } else { (run.len, 1) };
+                let segment = Segment {
+                    gfn: *gfn,
+                    len,
+                    hpfn: run.start.0,
+                    count,
+                };
+                *gfn += run.len;
+                Some(segment)
+            }))
+            .map_err(|_| KernelError::Unsupported("GPA overlap"))?;
         let map_structure = self.structure_cost(report);
         let map_bookkeep = SimDuration::from_nanos(self.cost.vmm_map_bookkeep_ns).times(report.ops);
 
@@ -422,7 +431,7 @@ impl Vmm {
         let mut host_list = PfnList::new();
         let mut translate = SimDuration::ZERO;
         {
-            let map = self.map.read();
+            let mut map = self.map.write();
             for run in guest_frames.runs() {
                 let mut gfn = run.start.0;
                 let end = run.start.0 + run.len;
@@ -793,7 +802,26 @@ mod more_tests {
                 map: vmm.map.clone(),
                 host: phys,
             };
+            let mut buf = [0u8; 4];
+            // One size attached and detached twice on guest RAM alone: the
+            // RB map records the cycle, then replays it, and the replayed
+            // range translates while live and faults once detached.
             let gone_base = vmm.hotplug_next_gfn;
+            for round in 0..2 {
+                let base = vmm.hotplug_next_gfn;
+                let frames = host_alloc.alloc_pages(8).unwrap();
+                let b = vmm.guest_attach(pid, &frames).unwrap();
+                for gfn in base..base + 8 {
+                    gp.write(Pfn(gfn).base(), b"held").unwrap();
+                    gp.read(Pfn(gfn).base(), &mut buf).unwrap();
+                    assert_eq!(&buf, b"held", "{kind:?} round {round}");
+                }
+                vmm.guest_detach(pid, b.va).unwrap();
+            }
+            if kind == MemoryMapKind::RbTree {
+                let cycles = vmm.map_cycles();
+                assert_eq!((cycles.recorded, cycles.replayed), (1, 1));
+            }
             let gone = vmm
                 .guest_attach(pid, &host_alloc.alloc_pages(8).unwrap())
                 .unwrap();
@@ -802,7 +830,6 @@ mod more_tests {
                 .guest_attach(pid, &host_alloc.alloc_pages(4).unwrap())
                 .unwrap();
             vmm.guest_detach(pid, gone.va).unwrap();
-            let mut buf = [0u8; 4];
             for gfn in gone_base..live_base {
                 let bad = Err(MemError::BadPhysAccess(Pfn(gfn)));
                 assert_eq!(gp.read(Pfn(gfn).base() + 100, &mut buf), bad, "{kind:?}");
@@ -821,13 +848,109 @@ mod more_tests {
         }
     }
 
+    /// Charge for one map operation, in nanoseconds.
+    fn charge(vmm: &Vmm, r: OpReport) -> u64 {
+        let cost = &vmm.cost;
+        match vmm.kind {
+            MemoryMapKind::RbTree => {
+                cost.rb_insert_base_ns + cost.rb_level_ns * u64::from(r.visits)
+            }
+            MemoryMapKind::Radix => cost.radix_level_ns * u64::from(r.visits),
+        }
+    }
+
+    /// A live attachment: guest VA, first hot-plugged frame, pages.
+    type Live = (VirtAddr, u64, u64);
+
+    /// Attach `list`, replaying the map update on `shadow` with one
+    /// `insert` per entry, and check the structure charge.
+    fn attach_against(
+        vmm: &mut Vmm,
+        shadow: &mut dyn GuestMemoryMap,
+        pid: Pid,
+        list: &PfnList,
+    ) -> Live {
+        let gpa_base = vmm.hotplug_next_gfn;
+        let b = vmm.guest_attach(pid, list).unwrap();
+        let mut expected = 0;
+        match vmm.coalescing {
+            Coalescing::PerPage => {
+                for (gfn, hpfn) in (gpa_base..).zip(list.iter_pages()) {
+                    expected += charge(vmm, shadow.insert(gfn, 1, hpfn.0).unwrap());
+                }
+            }
+            Coalescing::Runs => {
+                let mut gfn = gpa_base;
+                for run in list.runs() {
+                    expected += charge(vmm, shadow.insert(gfn, run.len, run.start.0).unwrap());
+                    gfn += run.len;
+                }
+            }
+        }
+        assert_eq!(b.map_structure, SimDuration::from_nanos(expected));
+        assert_eq!(vmm.map_entries(), shadow.len());
+        (b.va, gpa_base, list.pages())
+    }
+
+    /// Detach a live attachment, replaying the map update on `shadow` with
+    /// one `remove` per frame, and check the whole detach charge.
+    fn detach_against(vmm: &mut Vmm, shadow: &mut dyn GuestMemoryMap, pid: Pid, live: Live) {
+        let (va, gpa_base, pages) = live;
+        let mut expected = 0;
+        for gfn in gpa_base..gpa_base + pages {
+            if let Ok((_, r)) = shadow.remove(gfn) {
+                expected += charge(vmm, r);
+            }
+        }
+        let detached = vmm.guest_detach(pid, va).unwrap();
+        let cost = &vmm.cost;
+        assert_eq!(
+            detached.cost,
+            cost.fwk_detach(pages) + SimDuration::from_nanos(cost.hypercall_ns + expected),
+            "{:?} {:?}",
+            vmm.kind,
+            vmm.coalescing
+        );
+        assert_eq!(vmm.map_entries(), shadow.len());
+    }
+
+    /// Walk a guest region out through the VMM and check the charge, whose
+    /// translate part comes from counted `lookup_run`s on `shadow`.
+    fn walk_against(
+        vmm: &mut Vmm,
+        shadow: &mut dyn GuestMemoryMap,
+        pid: Pid,
+        va: VirtAddr,
+        len: u64,
+    ) {
+        let guest = vmm.guest_mut().export_walk(pid, va, len).unwrap();
+        let pages = guest.value.pages();
+        let cost = vmm.cost.clone();
+        let mut expected = guest.cost
+            + SimDuration::from_nanos(cost.pci_pfn_copy_ns).times(pages)
+            + SimDuration::from_nanos(cost.hypercall_ns);
+        for run in guest.value.runs() {
+            let (mut gfn, end) = (run.start.0, run.start.0 + run.len);
+            while gfn < end {
+                let ((_, covered), r) = shadow.lookup_run(gfn, end - gfn).unwrap();
+                expected += cost.vmm_translate(r.visits, covered);
+                gfn += covered;
+            }
+        }
+        let walked = vmm.host_walk_guest_region(pid, va, len).unwrap();
+        assert_eq!(walked.value.pages(), pages);
+        assert_eq!(walked.cost, expected, "{:?} {:?}", vmm.kind, vmm.coalescing);
+    }
+
     #[test]
     fn out_of_order_detaches_match_a_per_op_shadow_map() {
         // Several live attachments of random sizes and run shapes,
         // detached in random order, so a removed range has hot-plugged
-        // entries on both sides. A shadow map replays each attach and
-        // detach with one `insert`/`remove` per entry and per frame.
-        let cost = CostModel::default();
+        // entries on both sides; then recurring same-size rounds on guest
+        // RAM alone, which the RB map replays from its memo, with guest
+        // I/O and export walks while each is live. A shadow map replays
+        // each attach and detach with one `insert`/`remove` per entry and
+        // per frame.
         for kind in [MemoryMapKind::RbTree, MemoryMapKind::Radix] {
             for coalescing in [Coalescing::PerPage, Coalescing::Runs] {
                 let (mut vmm, _, mut host_alloc) = launch_with(kind, false);
@@ -837,65 +960,61 @@ mod more_tests {
                     MemoryMapKind::RbTree => Box::new(RbMemoryMap::new()),
                     MemoryMapKind::Radix => Box::new(RadixMemoryMap::new()),
                 };
-                let (ram_hpfn, _) = vmm.map.read().lookup(0).unwrap();
+                let (ram_hpfn, _) = vmm.map.write().lookup(0).unwrap();
                 shadow.insert(0, vmm.ram_frames, ram_hpfn).unwrap();
-                let charge = |r: OpReport| match kind {
-                    MemoryMapKind::RbTree => {
-                        cost.rb_insert_base_ns + cost.rb_level_ns * u64::from(r.visits)
-                    }
-                    MemoryMapKind::Radix => cost.radix_level_ns * u64::from(r.visits),
-                };
                 let pool = host_alloc.alloc_contiguous(4096).unwrap();
                 let mut rng = SimRng::seed_from_u64(0x5eed);
-                let mut live: Vec<(VirtAddr, u64, u64)> = Vec::new();
+                // Host frames as random runs with holes between.
+                let random_list = |rng: &mut SimRng| {
+                    let mut list = PfnList::new();
+                    let mut frame = pool.0 + rng.uniform_u64(0, 2048);
+                    for _ in 0..rng.uniform_u64(1, 6) {
+                        let len = rng.uniform_u64(1, 40);
+                        list.push_run(Pfn(frame), len);
+                        frame += len + rng.uniform_u64(1, 4);
+                    }
+                    list
+                };
+                let mut live: Vec<Live> = Vec::new();
                 for _ in 0..40 {
                     if live.is_empty() || rng.chance(0.55) {
-                        // Host frames as random runs with holes between.
-                        let mut list = PfnList::new();
-                        let mut frame = pool.0 + rng.uniform_u64(0, 2048);
-                        for _ in 0..rng.uniform_u64(1, 6) {
-                            let len = rng.uniform_u64(1, 40);
-                            list.push_run(Pfn(frame), len);
-                            frame += len + rng.uniform_u64(1, 4);
-                        }
-                        let gpa_base = vmm.hotplug_next_gfn;
-                        let b = vmm.guest_attach(pid, &list).unwrap();
-                        let mut expected = 0;
-                        match coalescing {
-                            Coalescing::PerPage => {
-                                for (gfn, hpfn) in (gpa_base..).zip(list.iter_pages()) {
-                                    expected += charge(shadow.insert(gfn, 1, hpfn.0).unwrap());
-                                }
-                            }
-                            Coalescing::Runs => {
-                                let mut gfn = gpa_base;
-                                for run in list.runs() {
-                                    expected +=
-                                        charge(shadow.insert(gfn, run.len, run.start.0).unwrap());
-                                    gfn += run.len;
-                                }
-                            }
-                        }
-                        assert_eq!(b.map_structure, SimDuration::from_nanos(expected));
-                        live.push((b.va, gpa_base, list.pages()));
+                        let list = random_list(&mut rng);
+                        live.push(attach_against(&mut vmm, &mut *shadow, pid, &list));
                     } else {
                         let victim = rng.uniform_u64(0, live.len() as u64) as usize;
-                        let (va, gpa_base, pages) = live.swap_remove(victim);
-                        let mut expected = 0;
-                        for gfn in gpa_base..gpa_base + pages {
-                            if let Ok((_, r)) = shadow.remove(gfn) {
-                                expected += charge(r);
-                            }
-                        }
-                        let detached = vmm.guest_detach(pid, va).unwrap();
-                        assert_eq!(
-                            detached.cost,
-                            cost.fwk_detach(pages)
-                                + SimDuration::from_nanos(cost.hypercall_ns + expected),
-                            "{kind:?} {coalescing:?}"
-                        );
+                        let gone = live.swap_remove(victim);
+                        detach_against(&mut vmm, &mut *shadow, pid, gone);
                     }
-                    assert_eq!(vmm.map_entries(), shadow.len(), "{kind:?} {coalescing:?}");
+                }
+                for gone in live.drain(..) {
+                    detach_against(&mut vmm, &mut *shadow, pid, gone);
+                }
+                // A faulted-in guest RAM buffer to export while attached.
+                let buf_len = 16 * PAGE_SIZE;
+                let buf = vmm.guest_mut().alloc_buffer(pid, buf_len).unwrap().value;
+                vmm.guest_mut().write(pid, buf, &[7; 4096 * 16]).unwrap();
+                let shapes: Vec<PfnList> = (0..3).map(|_| random_list(&mut rng)).collect();
+                for round in 0..18 {
+                    let list = &shapes[round % shapes.len()];
+                    let attached = attach_against(&mut vmm, &mut *shadow, pid, list);
+                    let (va, _, pages) = attached;
+                    let tail = va + (pages - 1) * PAGE_SIZE;
+                    let mut back = [0u8; 8];
+                    for at in [va, tail] {
+                        vmm.guest_mut().write(pid, at, b"in situ!").unwrap();
+                        vmm.guest_mut().read(pid, at, &mut back).unwrap();
+                        assert_eq!(&back, b"in situ!");
+                    }
+                    if round % 2 == 1 {
+                        walk_against(&mut vmm, &mut *shadow, pid, buf, buf_len);
+                    }
+                    detach_against(&mut vmm, &mut *shadow, pid, attached);
+                }
+                let cycles = vmm.map_cycles();
+                if kind == MemoryMapKind::RbTree {
+                    assert!(cycles.replayed >= 15, "{coalescing:?}: {cycles:?}");
+                } else {
+                    assert_eq!(cycles, Cycles::default());
                 }
             }
         }
