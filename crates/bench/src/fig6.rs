@@ -130,8 +130,7 @@ fn pair_iteration(
         }
     };
     let extra = outcome.map.scaled(map_contention);
-    tracer.leaf(SpanKind::MapContention, outcome.end, extra, ctx);
-    let attach_end = outcome.end + extra;
+    let attach_end = tracer.charge(SpanKind::MapContention, outcome.end, extra, ctx);
     tracer.commit_op(attach_end);
     pair.busy_time += attach_end.duration_since(at);
     tracer.begin_op(SpanKind::Detach, attach_end, ctx, Timeline::Detached);

@@ -21,7 +21,9 @@ use std::sync::Arc;
 
 use crate::api::Framed;
 use crate::channel::{Direction, Link, LinkCharge};
-use crate::enclave::{AttachState, EnclaveKind, GuestOs, Lease, SegRecord, Slot};
+use crate::enclave::{
+    ApidRecord, AttachRecord, AttachState, EnclaveKind, GuestOs, Lease, SegRecord, Slot,
+};
 use crate::error::XememError;
 use crate::ids::{AccessMode, Apid, EnclaveId, EnclaveRef, ProcessRef, Segid};
 use crate::name_server::NameService;
@@ -383,41 +385,26 @@ impl System {
         if self.ns_shard_available(shard, at) {
             return Ok(at);
         }
-        let ctx_slot = self.name_service.leader_slot(shard).unwrap_or(self.ns_slot);
-        let mut total = SimDuration::ZERO;
-        for k in 0..self.cost.ns_retry_max_attempts {
-            let wait = SimDuration::from_nanos(self.cost.ns_retry_base_ns << k.min(20));
-            self.tracer
-                .leaf(SpanKind::NsBackoff, at, wait, Ctx::enclave(ctx_slot));
-            self.tracer.edge(
-                EdgeKind::BackoffRetry,
-                at,
-                at + wait,
-                Ctx::enclave(ctx_slot),
-                Ctx::enclave(ctx_slot),
-            );
-            at += wait;
-            total += wait;
-            if self.ns_shard_available(shard, at) {
-                self.tracer.count(Counter::NsRetries, u64::from(k) + 1);
-                self.tracer.count(Counter::NsBackoffNs, total.as_nanos());
-                self.tracer.observe(Hist::NsRetriesPerOp, u64::from(k) + 1);
-                self.tracer
-                    .count_shard(shard, ShardCounter::Retries, u64::from(k) + 1);
-                self.tracer
-                    .count_shard(shard, ShardCounter::BackoffNs, total.as_nanos());
-                return Ok(at);
-            }
+        let ctx = Ctx::enclave(self.name_service.leader_slot(shard).unwrap_or(self.ns_slot));
+        let (mut attempts, mut total, mut answered) = (0, SimDuration::ZERO, false);
+        while !answered && attempts < self.cost.ns_retry_max_attempts {
+            let wait = SimDuration::from_nanos(self.cost.ns_retry_base_ns << attempts.min(20));
+            let next = self.tracer.charge(SpanKind::NsBackoff, at, wait, ctx);
+            self.tracer.edge(EdgeKind::BackoffRetry, at, next, ctx, ctx);
+            (at, total, attempts) = (next, total + wait, attempts + 1);
+            answered = self.ns_shard_available(shard, at);
         }
-        let attempts = self.cost.ns_retry_max_attempts;
-        self.tracer.count(Counter::NsRetries, u64::from(attempts));
+        let retries = u64::from(attempts);
+        self.tracer.count(Counter::NsRetries, retries);
         self.tracer.count(Counter::NsBackoffNs, total.as_nanos());
+        self.tracer.observe(Hist::NsRetriesPerOp, retries);
         self.tracer
-            .observe(Hist::NsRetriesPerOp, u64::from(attempts));
-        self.tracer
-            .count_shard(shard, ShardCounter::Retries, u64::from(attempts));
+            .count_shard(shard, ShardCounter::Retries, retries);
         self.tracer
             .count_shard(shard, ShardCounter::BackoffNs, total.as_nanos());
+        if answered {
+            return Ok(at);
+        }
         Err(XememError::NameServerUnavailable {
             shard,
             attempts,
@@ -425,16 +412,29 @@ impl System {
         })
     }
 
-    /// Charge the client-side hash-ring probe that picks the shard for a
-    /// key. Free in the single-shard configuration (there is no ring).
-    fn charge_shard_route(&mut self, slot_idx: usize, at: SimTime) -> SimTime {
-        if self.name_service.shard_count() <= 1 {
-            return at;
+    /// Reach the leader of `shard` for a call only it can answer: charge
+    /// the client-side hash-ring probe that picks the shard (free in the
+    /// single-shard configuration, which has no ring), then ride out
+    /// outages and elections with [`Self::ns_backoff`]. Returns the
+    /// leader's slot and the time it answers.
+    fn reach_leader(
+        &mut self,
+        slot_idx: usize,
+        shard: usize,
+        mut at: SimTime,
+    ) -> Result<(usize, SimTime), XememError> {
+        if self.name_service.shard_count() > 1 {
+            let probe = SimDuration::from_nanos(self.cost.ns_shard_route_ns);
+            at = self
+                .tracer
+                .charge(SpanKind::NsShardRoute, at, probe, Ctx::enclave(slot_idx));
         }
-        let d = SimDuration::from_nanos(self.cost.ns_shard_route_ns);
-        self.tracer
-            .leaf(SpanKind::NsShardRoute, at, d, Ctx::enclave(slot_idx));
-        at + d
+        let at = self.ns_backoff(shard, at)?;
+        let leader = self
+            .name_service
+            .leader_slot(shard)
+            .expect("an available shard has a leader");
+        Ok((leader, at))
     }
 
     /// Revoke every live lease on `segid` before its removal is acked:
@@ -460,11 +460,11 @@ impl System {
             self.tracer
                 .count_shard(shard, ShardCounter::LeaseRevocations, 1);
             if holder != leader && self.slots[holder].alive {
-                if let Some(path) = self.notify_path(leader, holder) {
+                if let Ok(path) = self.path_to(leader, holder) {
                     let revoked_at =
                         self.charge_hops(&path, MessageKind::LeaseRevoke, Some(segid), at);
                     at = revoked_at;
-                    if let Some(back) = self.notify_path(holder, leader) {
+                    if let Ok(back) = self.path_to(holder, leader) {
                         at = self.charge_hops(&back, MessageKind::LeaseRevokeAck, Some(segid), at);
                         self.tracer.edge(
                             EdgeKind::RevokeAck,
@@ -490,14 +490,8 @@ impl System {
         self.clocked(
             SpanKind::CrashProcess,
             Ctx::proc(p.enclave.0, p.pid.0),
-            |sys, at| sys.crash_process_at(p, at).map(|end| ((), end)),
+            |sys, at| sys.crash_process_internal(p, at).map(|end| ((), end)),
         )
-    }
-
-    /// Timeline variant of [`Self::crash_process`].
-    pub fn crash_process_at(&mut self, p: ProcessRef, at: SimTime) -> Result<SimTime, XememError> {
-        self.process_faults(at);
-        self.crash_process_internal(p, at)
     }
 
     fn crash_process_internal(
@@ -507,101 +501,23 @@ impl System {
     ) -> Result<SimTime, XememError> {
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
-        let mut t = at;
-        // 1. Exported segments: withdraw from the name server; where
-        //    remote enclaves still map them, quarantine the frames out of
-        //    the dying process *before* the kernel frees its memory, then
-        //    run the revocation protocol.
-        let my_id = self.slots[slot_idx].id;
-        // Sorted so teardown order (and thus the trace and any
-        // RNG-dependent hop decisions) never depends on map iteration.
-        let mut segids: Vec<Segid> = self.slots[slot_idx]
-            .segs
-            .iter()
-            .filter(|(_, r)| r.pid == p.pid)
-            .map(|(s, _)| *s)
-            .collect();
-        segids.sort();
         self.crash_notices.push(CrashNotice {
             slot: slot_idx,
             pid: Some(p.pid.0),
             at,
         });
-        for segid in segids {
-            let seg = self.slots[slot_idx]
-                .segs
-                .remove(&segid)
-                .expect("listed above");
-            if let Some(id) = my_id {
-                let _ = self.name_service.remove_segid(segid, id, t);
-            }
-            t = self.revoke_leases(segid, t);
-            self.grants.remove(&(slot_idx, segid));
-            self.tier_dir.remove(&(slot_idx, segid));
-            let has_sites = self
-                .attachers
-                .get(&(slot_idx, segid))
-                .is_some_and(|v| !v.is_empty());
-            let loan = if has_sites {
-                match self.slots[slot_idx]
-                    .kind
-                    .kernel_mut()
-                    .retain_frames(p.pid, seg.va, seg.len)
-                {
-                    Ok(c) => {
-                        self.tracer.leaf(
-                            SpanKind::Quarantine,
-                            t,
-                            c.cost,
-                            Ctx::seg(slot_idx, p.pid.0, segid.0),
-                        );
-                        self.tracer
-                            .count(Counter::FramesQuarantined, c.value.pages());
-                        t += c.cost;
-                        Some(c.value)
-                    }
-                    Err(_) => None,
-                }
-            } else {
-                None
-            };
-            t = self.revoke_segment(slot_idx, segid, loan, t);
-        }
-        // 2. Attachments the process held against other exporters: drop
-        //    the sites and their loan refcounts.
-        let mut held: Vec<(u64, crate::enclave::AttachRecord)> = self.slots[slot_idx]
-            .attachments
-            .iter()
-            .filter(|((pid, _), _)| *pid == p.pid)
-            .map(|((_, va), rec)| (*va, *rec))
-            .collect();
-        held.sort_by_key(|(va, _)| *va);
-        for (va, rec) in held {
-            self.drop_site(slot_idx, p.pid, va, rec);
-        }
-        // 3. Permits: drop the exporter-side grant refcounts they pinned.
-        let mut permits: Vec<(Apid, Segid, EnclaveId)> = self.slots[slot_idx]
-            .apids
-            .iter()
-            .filter(|(_, r)| r.pid == p.pid)
-            .map(|(a, r)| (*a, r.segid, r.owner))
-            .collect();
-        permits.sort();
-        for (apid, segid, owner) in permits {
-            self.slots[slot_idx].apids.remove(&apid);
-            self.slots[slot_idx].released.insert(apid);
-            self.drop_grant(owner, segid);
-        }
-        // 4. The kernel reclaims whatever the process still owns
-        //    (quarantined frames excluded — they are on loan).
-        let exited = self.slots[slot_idx].kind.kernel_mut().exit(p.pid)?;
-        self.tracer.leaf(
-            SpanKind::KernelExit,
-            t,
-            exited.cost,
-            Ctx::proc(slot_idx, p.pid.0),
-        );
-        Ok(t + exited.cost)
+        let t = self.tear_down(slot_idx, Some(p.pid), at);
+        self.kernel_exit(p, t)
+    }
+
+    /// The kernel reclaims whatever the process still owns (quarantined
+    /// frames excluded — they are on loan). Returns the completion time.
+    fn kernel_exit(&mut self, p: ProcessRef, at: SimTime) -> Result<SimTime, XememError> {
+        let exited = self.slots[p.enclave.0].kind.kernel_mut().exit(p.pid)?;
+        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
+        Ok(self
+            .tracer
+            .charge(SpanKind::KernelExit, at, exited.cost, ctx))
     }
 
     /// Administratively destroy an enclave (clock-based): its hosted VMs
@@ -611,23 +527,14 @@ impl System {
     pub fn destroy_enclave(&mut self, e: EnclaveRef) -> Result<(), XememError> {
         self.process_faults(self.clock.now());
         self.clocked(SpanKind::DestroyEnclave, Ctx::enclave(e.0), |sys, at| {
-            sys.destroy_enclave_at(e, at).map(|end| ((), end))
+            live_slot(sys.slots.get_mut(e.0), e)?;
+            if sys.name_service.is_sole_replica(e.0) {
+                return Err(XememError::Topology(
+                    "the name-server enclave cannot be destroyed".into(),
+                ));
+            }
+            Ok(((), sys.crash_enclave_internal(e.0, at)))
         })
-    }
-
-    /// Timeline variant of [`Self::destroy_enclave`].
-    pub fn destroy_enclave_at(
-        &mut self,
-        e: EnclaveRef,
-        at: SimTime,
-    ) -> Result<SimTime, XememError> {
-        live_slot(self.slots.get_mut(e.0), e)?;
-        if self.name_service.is_sole_replica(e.0) {
-            return Err(XememError::Topology(
-                "the name-server enclave cannot be destroyed".into(),
-            ));
-        }
-        Ok(self.crash_enclave_internal(e.0, at))
     }
 
     /// Shared crash/destroy machinery. The slot is marked dead first, so
@@ -663,61 +570,116 @@ impl System {
             // Causal chain: the crash triggers the failover, and the
             // failover resolves when the shard's election dark window
             // ends and the promoted follower starts serving.
-            self.tracer.edge(
-                EdgeKind::CrashFailover,
-                t,
-                t,
-                Ctx::enclave(slot_idx),
-                Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64),
-            );
+            let promoted = Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64);
+            let dead = Ctx::enclave(slot_idx);
+            self.tracer
+                .edge(EdgeKind::CrashFailover, t, t, dead, promoted);
             self.tracer.edge(
                 EdgeKind::FailoverPromotion,
                 t,
                 r.available_at,
-                Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64),
-                Ctx::seg(r.new_leader.unwrap_or(slot_idx), 0, r.shard as u64),
+                promoted,
+                promoted,
             );
         }
-        // Revoke every segment this enclave exported. Its partition is
-        // retired wholesale, so there is nothing to quarantine — remote
-        // reapers unmap and the refcounts drain to nothing.
-        if let Some(id) = self.slots[slot_idx].id {
-            let mut segids: Vec<Segid> = self.slots[slot_idx].segs.keys().copied().collect();
-            segids.sort();
-            for segid in segids {
-                // A registration may already be gone: a failover above
-                // (or earlier in the run) dropped it as unreplicated.
+        // Its partition is retired wholesale, so there is nothing to
+        // quarantine: remote reapers unmap and the refcounts drain to
+        // nothing.
+        self.tear_down(slot_idx, None, t)
+    }
+
+    /// Crash teardown of one process (`Some(pid)`) or of every process
+    /// of a dead enclave (`None`), before the kernel reclaims memory:
+    /// 1. withdraw each export from the name server and everywhere else
+    ///    ([`Self::withdraw_export`]; with `Some(pid)` the still-mapped
+    ///    frames are quarantined first, while a dead enclave's
+    ///    partition is retired whole);
+    /// 2. drop the sites of attachments it held against other exporters,
+    ///    with their loan refcounts;
+    /// 3. drop the exporter-side grant refcounts its permits pinned.
+    ///
+    /// Each step runs in sorted order, so teardown (and thus the trace
+    /// and any RNG-dependent hop decisions) never depends on map
+    /// iteration. Returns the completion time.
+    fn tear_down(&mut self, slot_idx: usize, pid: Option<Pid>, mut t: SimTime) -> SimTime {
+        let dead = |p: Pid| pid.is_none_or(|d| d == p);
+        let my_id = self.slots[slot_idx].id;
+        let mut segids: Vec<Segid> = self.slots[slot_idx]
+            .segs
+            .iter()
+            .filter(|(_, r)| dead(r.pid))
+            .map(|(s, _)| *s)
+            .collect();
+        segids.sort();
+        for segid in segids {
+            // A registration may already be gone: a failover (now or
+            // earlier in the run) dropped it as unreplicated.
+            if let Some(id) = my_id {
                 let _ = self.name_service.remove_segid(segid, id, t);
-                t = self.revoke_leases(segid, t);
-                self.slots[slot_idx].segs.remove(&segid);
-                self.grants.remove(&(slot_idx, segid));
-                self.tier_dir.remove(&(slot_idx, segid));
-                t = self.revoke_segment(slot_idx, segid, None, t);
             }
+            t = self.withdraw_export(slot_idx, segid, pid, t);
         }
-        // Attachments its processes held against other enclaves: drop the
-        // sites and their loan refcounts.
-        let mut held: Vec<(Pid, u64, crate::enclave::AttachRecord)> = self.slots[slot_idx]
+        let mut held: Vec<((Pid, u64), AttachRecord)> = self.slots[slot_idx]
             .attachments
             .iter()
-            .map(|((pid, va), rec)| (*pid, *va, *rec))
+            .filter(|((p, _), _)| dead(*p))
+            .map(|(k, rec)| (*k, *rec))
             .collect();
-        held.sort_by_key(|(pid, va, _)| (*pid, *va));
-        for (pid, va, rec) in held {
-            self.drop_site(slot_idx, pid, va, rec);
+        held.sort_by_key(|(k, _)| *k);
+        for ((p, va), rec) in held {
+            self.drop_site(slot_idx, p, va, rec);
         }
-        // Permits: drop the exporter-side grant refcounts.
-        let mut permits: Vec<(Segid, EnclaveId)> = self.slots[slot_idx]
+        let mut permits: Vec<(Apid, Segid, EnclaveId)> = self.slots[slot_idx]
             .apids
-            .values()
-            .map(|r| (r.segid, r.owner))
+            .iter()
+            .filter(|(_, r)| dead(r.pid))
+            .map(|(a, r)| (*a, r.segid, r.owner))
             .collect();
         permits.sort();
-        self.slots[slot_idx].apids.clear();
-        for (segid, owner) in permits {
+        for (apid, segid, owner) in permits {
+            self.slots[slot_idx].apids.remove(&apid);
+            self.slots[slot_idx].released.insert(apid);
             self.drop_grant(owner, segid);
         }
         t
+    }
+
+    /// Withdraw one export whose name-service registration is already
+    /// gone: revoke every live lease on it, drop its local record, grant
+    /// refcounts and tier-directory entry, then run the revocation
+    /// protocol ([`Self::revoke_segment`]). `crashed` names the exporting
+    /// process when it died: frames remote enclaves still map are then
+    /// quarantined out of it and lent to the attachers until the last
+    /// reap. Quarantine stays between the lease revocation and the
+    /// segment's: moving it would shift when the revocation notices
+    /// contend for the IPI calendar. Returns the completion time.
+    fn withdraw_export(
+        &mut self,
+        slot_idx: usize,
+        segid: Segid,
+        crashed: Option<Pid>,
+        t: SimTime,
+    ) -> SimTime {
+        let mut t = self.revoke_leases(segid, t);
+        let seg = self.slots[slot_idx].segs.remove(&segid);
+        self.grants.remove(&(slot_idx, segid));
+        self.tier_dir.remove(&(slot_idx, segid));
+        let mapped = self
+            .attachers
+            .get(&(slot_idx, segid))
+            .is_some_and(|v| !v.is_empty());
+        let mut loan = None;
+        if let (Some(pid), Some(seg), true) = (crashed, seg, mapped) {
+            let kernel = self.slots[slot_idx].kind.kernel_mut();
+            if let Ok(c) = kernel.retain_frames(pid, seg.va, seg.len) {
+                let ctx = Ctx::seg(slot_idx, pid.0, segid.0);
+                t = self.tracer.charge(SpanKind::Quarantine, t, c.cost, ctx);
+                self.tracer
+                    .count(Counter::FramesQuarantined, c.value.pages());
+                loan = Some(c.value);
+            }
+        }
+        self.revoke_segment(slot_idx, segid, loan, t)
     }
 
     /// Owner-side revocation of one segment: notify every attaching
@@ -761,38 +723,29 @@ impl System {
                 .and_then(|s| self.name_service.leader_slot(s))
                 .unwrap_or(self.ns_slot)
         };
+        let bk = SimDuration::from_nanos(self.cost.revoke_bookkeeping_ns);
         for site in sites {
-            let bk = SimDuration::from_nanos(self.cost.revoke_bookkeeping_ns);
-            self.tracer.leaf(
-                SpanKind::RevokeBookkeeping,
-                at,
-                bk,
-                Ctx::seg(owner_slot, 0, segid.0),
-            );
+            let ctx = Ctx::seg(owner_slot, 0, segid.0);
+            at = self.tracer.charge(SpanKind::RevokeBookkeeping, at, bk, ctx);
             self.tracer.count(Counter::RevokeNotices, 1);
-            at += bk;
+            // A notice that cannot be routed (a dead enclave on the way)
+            // costs nothing: the reap still happens, the message costs
+            // just cannot be charged across a vanished fabric.
             let mut t = at;
             if site.slot != notifier {
-                if let Some(path) = self.notify_path(notifier, site.slot) {
+                if let Ok(path) = self.path_to(notifier, site.slot) {
                     t = self.charge_hops(&path, MessageKind::Revoke, Some(segid), t);
                 }
             }
             t = self.reap_site(site, t);
             if site.slot != notifier {
-                if let Some(path) = self.notify_path(site.slot, notifier) {
+                if let Ok(path) = self.path_to(site.slot, notifier) {
                     t = self.charge_hops(&path, MessageKind::RevokeAck, Some(segid), t);
                 }
             }
             at = t;
-            if let Some(loan) = self
-                .loans
-                .iter_mut()
-                .find(|l| l.owner_slot == owner_slot && l.segid == segid)
-            {
-                loan.refs = loan.refs.saturating_sub(1);
-            }
+            self.drop_loan_ref(owner_slot, segid);
         }
-        self.settle_loan(owner_slot, segid);
         at
     }
 
@@ -823,15 +776,24 @@ impl System {
         if let Some(rec) = slot.attachments.get_mut(&(site.pid, site.va)) {
             rec.state = AttachState::Reaped;
         }
-        let end = at + unmap + SimDuration::from_nanos(reap_ns);
-        self.tracer.leaf(
-            SpanKind::ReapUnmap,
-            at,
-            unmap + SimDuration::from_nanos(reap_ns),
-            Ctx::proc(site.slot, site.pid.0),
-        );
+        let reap = unmap + SimDuration::from_nanos(reap_ns);
+        let ctx = Ctx::proc(site.slot, site.pid.0);
+        let end = self.tracer.charge(SpanKind::ReapUnmap, at, reap, ctx);
         self.tracer.count(Counter::Reaps, 1);
         end
+    }
+
+    /// Drop one reference to the loan on `(owner_slot, segid)`, if there
+    /// is one, and settle it once the last reference is gone.
+    fn drop_loan_ref(&mut self, owner_slot: usize, segid: Segid) {
+        if let Some(loan) = self
+            .loans
+            .iter_mut()
+            .find(|l| l.owner_slot == owner_slot && l.segid == segid)
+        {
+            loan.refs = loan.refs.saturating_sub(1);
+        }
+        self.settle_loan(owner_slot, segid);
     }
 
     /// Resolve a loan whose refcount drained: hand the quarantined frames
@@ -868,7 +830,7 @@ impl System {
 
     /// Remove one attachment site from the exporter-side index and drop
     /// its loan refcount (attacher-side teardown: detach, exit, crash).
-    fn drop_site(&mut self, slot_idx: usize, pid: Pid, va: u64, rec: crate::enclave::AttachRecord) {
+    fn drop_site(&mut self, slot_idx: usize, pid: Pid, va: u64, rec: AttachRecord) {
         if let Some(&owner_slot) = self.id_to_slot.get(&rec.owner) {
             if let Some(sites) = self.attachers.get_mut(&(owner_slot, rec.segid)) {
                 sites.retain(|s| !(s.slot == slot_idx && s.pid == pid && s.va == va));
@@ -876,14 +838,7 @@ impl System {
                     self.attachers.remove(&(owner_slot, rec.segid));
                 }
             }
-            if let Some(loan) = self
-                .loans
-                .iter_mut()
-                .find(|l| l.owner_slot == owner_slot && l.segid == rec.segid)
-            {
-                loan.refs = loan.refs.saturating_sub(1);
-            }
-            self.settle_loan(owner_slot, rec.segid);
+            self.drop_loan_ref(owner_slot, rec.segid);
         }
         self.slots[slot_idx].attachments.remove(&(pid, va));
         self.slots[slot_idx].detached.insert((pid, va));
@@ -902,14 +857,6 @@ impl System {
         }
     }
 
-    /// Path for a revocation notice; `None` when routing is impossible
-    /// (dead intermediate enclave) — the reap still happens, the message
-    /// costs just cannot be charged across a vanished fabric.
-    fn notify_path(&self, from: usize, to: usize) -> Option<Vec<usize>> {
-        let dest = self.slots[to].id?;
-        self.route_path(from, dest).ok()
-    }
-
     // ------------------------------------------------------------------
     // Process management and data access (clock-based)
     // ------------------------------------------------------------------
@@ -926,8 +873,8 @@ impl System {
             let spawned = slot.kind.kernel_mut().spawn(mem_bytes)?;
             let (pid, cost) = (spawned.value, spawned.cost);
             let ctx = Ctx::proc(e.0, pid.0);
-            sys.tracer.leaf(SpanKind::KernelSpawn, at, cost, ctx);
-            Ok((ProcessRef { enclave: e, pid }, at + cost))
+            let end = sys.tracer.charge(SpanKind::KernelSpawn, at, cost, ctx);
+            Ok((ProcessRef { enclave: e, pid }, end))
         })
     }
 
@@ -979,11 +926,8 @@ impl System {
             self.xpmem_remove(p, segid)?;
         }
         // Finally, the kernel reclaims the process.
-        let pctx = Ctx::proc(slot_idx, p.pid.0);
-        self.clocked(SpanKind::Exit, pctx, |sys, at| {
-            let exited = sys.slots[slot_idx].kind.kernel_mut().exit(p.pid)?;
-            sys.tracer.leaf(SpanKind::KernelExit, at, exited.cost, pctx);
-            Ok(((), at + exited.cost))
+        self.clocked(SpanKind::Exit, Ctx::proc(slot_idx, p.pid.0), |sys, at| {
+            sys.kernel_exit(p, at).map(|end| ((), end))
         })
     }
 
@@ -1045,21 +989,13 @@ impl System {
             let slot = live_slot(sys.slots.get_mut(p.enclave.0), p.enclave)?;
             let end = slot_access(slot, &sys.tracer, p, va, access, at)?;
             let extra = sys.tier_access(p.enclave.0, p.pid, va, len, at, write);
-            sys.tracer.leaf(SpanKind::TierStream, end, extra, ctx);
-            Ok(((), end + extra))
+            Ok(((), sys.tracer.charge(SpanKind::TierStream, end, extra, ctx)))
         })
     }
 
     // ------------------------------------------------------------------
     // Memory tiers and hot/cold migration
     // ------------------------------------------------------------------
-
-    /// The tier an enclave's partition was carved from. Partitions come
-    /// from socket DRAM; [`SystemBuilder::tier_reserve`] adds non-home
-    /// capacity on top.
-    fn home_tier(&self, _slot_idx: usize) -> MemTier {
-        MemTier::LocalDram
-    }
 
     /// The tier the given policy chunk of a segment currently lives in
     /// (test/bench visibility into the tier directory).
@@ -1298,13 +1234,10 @@ impl System {
             bytes_by_tier[t.index()] = out.value.moved_by_tier[t.index()] * PAGE_SIZE;
         }
         let copy = self.cost.migrate_copy(&bytes_by_tier, dst);
-        let mut t = at;
-        if copy > SimDuration::ZERO {
-            self.tracer.leaf(SpanKind::MigrateCopy, t, copy, octx);
-            t += copy;
-        }
-        self.tracer.leaf(SpanKind::MigrateRemap, t, out.cost, octx);
-        t += out.cost;
+        let t = self.tracer.charge(SpanKind::MigrateCopy, at, copy, octx);
+        let mut t = self
+            .tracer
+            .charge(SpanKind::MigrateRemap, t, out.cost, octx);
         // 2. Re-point every live attachment overlapping the span: the
         //    owner re-serves the attached window, the attaching kernel
         //    swaps the backing frames in place.
@@ -1324,19 +1257,18 @@ impl System {
             }
             let (list, serve) =
                 self.serve_export(slot_idx, seg.pid, VirtAddr(seg.va.0 + rec.offset), rec.len)?;
-            self.tracer.leaf(SpanKind::ServeWalk, t, serve, octx);
-            t += serve;
+            t = self.tracer.charge(SpanKind::ServeWalk, t, serve, octx);
             let actx = Ctx::seg(site.slot, site.pid.0, segid.0);
             let remapped = self.slots[site.slot].kind.kernel_mut().remap_attached(
                 site.pid,
                 VirtAddr(site.va),
                 &list,
             )?;
-            self.tracer
-                .leaf(SpanKind::MigrateRemap, t, remapped.cost, actx);
-            self.tracer
-                .edge(EdgeKind::MigrateRemap, t, t + remapped.cost, octx, actx);
-            t += remapped.cost;
+            let end = self
+                .tracer
+                .charge(SpanKind::MigrateRemap, t, remapped.cost, actx);
+            self.tracer.edge(EdgeKind::MigrateRemap, t, end, octx, actx);
+            t = end;
         }
         // 3. Directory + metrics. A whole-segment move re-homes the
         //    segment: the policy's cold demotions now target the new
@@ -1362,34 +1294,17 @@ impl System {
         Ok((pages, t))
     }
 
-    /// Run the hot/cold policy over every segment `p` exports, on an
-    /// explicit timeline: close counting windows up to `at`, then
-    /// migrate each chunk whose hot (cold) streak reached the hysteresis
-    /// threshold to the fast (home) tier. Deterministic: the directory
-    /// iterates in `(slot, segid)` order and every decision is a pure
-    /// function of virtual-time access counts. Returns the executed
-    /// moves and the completion time.
-    pub fn tier_policy_tick_at(
-        &mut self,
-        p: ProcessRef,
-        at: SimTime,
-    ) -> Result<(Vec<TierMove>, SimTime), XememError> {
+    /// Run the hot/cold policy over every segment `p` exports on the
+    /// clock: close counting windows up to now, then migrate each chunk
+    /// whose hot (cold) streak reached the hysteresis threshold to the
+    /// fast (home) tier. Deterministic: the directory iterates in
+    /// `(slot, segid)` order and every decision is a pure function of
+    /// virtual-time access counts. Returns the executed moves.
+    pub fn tier_policy_tick(&mut self, p: ProcessRef) -> Result<Vec<TierMove>, XememError> {
         // A disarmed policy makes the tick a true no-op — no span, no
         // clock motion — so hysteresis-off runs are observationally
         // identical to runs that never tick (the tier proptest's
         // contract).
-        if !self.tier_policy.armed() {
-            return Ok((Vec::new(), at));
-        }
-        let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-        let kind = SpanKind::MigrateExtent;
-        self.framed(kind, ctx, Timeline::Detached, at, |sys, at| {
-            sys.tier_tick_inner(p, at)
-        })
-    }
-
-    /// Clock-based [`Self::tier_policy_tick_at`].
-    pub fn tier_policy_tick(&mut self, p: ProcessRef) -> Result<Vec<TierMove>, XememError> {
         if !self.tier_policy.armed() {
             return Ok(Vec::new());
         }
@@ -1407,7 +1322,7 @@ impl System {
         self.process_faults(at);
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
-        // Both callers return early on a disarmed policy.
+        // The caller returns early on a disarmed policy.
         let policy = self.tier_policy;
         let mut moves = Vec::new();
         let mut t = at;
@@ -1552,17 +1467,15 @@ impl System {
             // advanced timestamp.
             if let Some(injector) = self.injector.as_mut() {
                 let timeout = SimDuration::from_nanos(self.cost.retransmit_timeout_ns);
-                let mut dropped = 0u32;
-                while dropped < MAX_RETRANSMITS && injector.should_drop(at) {
+                let (mut dropped, mut lost) = (0u32, SimDuration::ZERO);
+                while dropped < MAX_RETRANSMITS && injector.should_drop(at + lost) {
                     dropped += 1;
-                    at += timeout;
+                    lost += timeout;
                 }
-                if dropped > 0 {
-                    let lost = timeout.times(u64::from(dropped));
-                    self.tracer
-                        .leaf(SpanKind::Retransmit, at - lost, lost, Ctx::seg(a, 0, seg));
-                    self.tracer.count(Counter::Retransmits, u64::from(dropped));
-                }
+                at = self
+                    .tracer
+                    .charge(SpanKind::Retransmit, at, lost, Ctx::seg(a, 0, seg));
+                self.tracer.count(Counter::Retransmits, u64::from(dropped));
             }
             let (link, dir) = self.link_between(a, b).expect("path hops are tree edges");
             at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
@@ -1590,17 +1503,17 @@ impl System {
             // Forwarding decision at each intermediate receiver.
             if w + 2 < path.len() {
                 let hop = SimDuration::from_nanos(self.cost.route_hop_ns);
-                self.tracer
-                    .leaf(SpanKind::RouteForward, at, hop, Ctx::seg(b, 0, seg));
-                at += hop;
+                at = self
+                    .tracer
+                    .charge(SpanKind::RouteForward, at, hop, Ctx::seg(b, 0, seg));
             }
             // Name-server processing when the request transits the
             // serving slot.
             if b == proc_slot && w + 2 <= path.len() && requires_ns_processing(kind) {
                 let ns = SimDuration::from_nanos(self.cost.name_server_ns);
-                self.tracer
-                    .leaf(SpanKind::NsProcess, at, ns, Ctx::seg(b, 0, seg));
-                at += ns;
+                at = self
+                    .tracer
+                    .charge(SpanKind::NsProcess, at, ns, Ctx::seg(b, 0, seg));
             }
         }
         at
@@ -1608,65 +1521,34 @@ impl System {
 
     /// Send one message over a link, attributing the charge to its
     /// mechanism: IPI queue wait + transfer on host links, hypercall or
-    /// guest-IRQ notification + PCI window copy on VM links. The end time
-    /// equals `Link::send` exactly; the leaves partition it.
+    /// guest-IRQ notification + PCI window copy on VM links. The two
+    /// leaves partition `Link::send`'s charge exactly, so the returned
+    /// end time equals it.
     fn send_link(&self, link: &Link, at: SimTime, bytes: u64, dir: Direction, ctx: Ctx) -> SimTime {
-        let (end, charge) = link.send_traced(at, bytes, dir);
-        if self.tracer.is_enabled() {
-            match charge {
-                LinkCharge::Ipi { wait, xfer } => {
-                    self.tracer.leaf(SpanKind::IpiWait, at, wait, ctx);
-                    self.tracer.leaf(SpanKind::IpiXfer, at + wait, xfer, ctx);
-                }
-                LinkCharge::Pci { notify, copy, dir } => {
-                    let kind = match dir {
-                        Direction::Up => SpanKind::Hypercall,
-                        Direction::Down => SpanKind::GuestIrq,
-                    };
-                    self.tracer.leaf(kind, at, notify, ctx);
-                    self.tracer.leaf(SpanKind::PciCopy, at + notify, copy, ctx);
-                }
+        let [(head, d0), (tail, d1)] = match link.send_traced(at, bytes, dir).1 {
+            LinkCharge::Ipi { wait, xfer } => {
+                [(SpanKind::IpiWait, wait), (SpanKind::IpiXfer, xfer)]
             }
-        }
-        end
-    }
-
-    /// Path from a slot to the name server, following `ns_via`.
-    fn path_to_ns(&self, from: usize) -> Vec<usize> {
-        let mut path = vec![from];
-        let mut cur = from;
-        while cur != self.ns_slot {
-            let via = self.slots[cur]
-                .ns_via
-                .expect("registered enclaves know the NS direction");
-            path.push(via);
-            cur = via;
-        }
-        path
-    }
-
-    /// [`Self::path_to_ns`], failing with `EnclaveDead` when any hop on
-    /// the way crashed (the fabric toward the name server is gone).
-    fn path_to_ns_checked(&self, from: usize) -> Result<Vec<usize>, XememError> {
-        let path = self.path_to_ns(from);
-        for &hop in &path[1..] {
-            if !self.slots[hop].alive {
-                return Err(XememError::EnclaveDead(EnclaveRef(hop)));
+            LinkCharge::Pci { notify, copy, dir } => {
+                let kind = match dir {
+                    Direction::Up => SpanKind::Hypercall,
+                    Direction::Down => SpanKind::GuestIrq,
+                };
+                [(kind, notify), (SpanKind::PciCopy, copy)]
             }
-        }
-        Ok(path)
+        };
+        let t = self.tracer.charge(head, at, d0, ctx);
+        self.tracer.charge(tail, t, d1, ctx)
     }
 
-    /// Path from a slot to a shard leader's slot. The root name-server
-    /// slot keeps the seed's `ns_via` walk; other leaders are reached
-    /// through the §3.2 forwarding maps.
-    fn path_to_leader_checked(&self, from: usize, leader: usize) -> Result<Vec<usize>, XememError> {
-        if leader == self.ns_slot {
-            return self.path_to_ns_checked(from);
-        }
-        let dest = self.slots[leader]
+    /// Path from a slot to another slot through the §3.2 forwarding
+    /// maps (the name server's slot included: every route toward it
+    /// follows `ns_via`). Fails with `EnclaveDead` when a hop on the way
+    /// crashed.
+    fn path_to(&self, from: usize, to: usize) -> Result<Vec<usize>, XememError> {
+        let dest = self.slots[to]
             .id
-            .ok_or(XememError::BadEnclave(EnclaveRef(leader)))?;
+            .ok_or(XememError::BadEnclave(EnclaveRef(to)))?;
         self.route_path(from, dest)
     }
 
@@ -1695,21 +1577,15 @@ impl System {
             Some(n) => self.name_service.shard_of_name(n),
             None => self.name_service.shard_of_owner(my_id),
         };
-        let at = self.charge_shard_route(slot_idx, at);
-        let at = self.ns_backoff(shard, at)?;
-        let leader = self
-            .name_service
-            .leader_slot(shard)
-            .expect("an available shard has a leader");
-        let (segid, mut t) = if slot_idx == leader {
+        let (leader, at) = self.reach_leader(slot_idx, shard, at)?;
+        let (segid, t) = if slot_idx == leader {
             // Local syscall into the co-resident shard leader.
             let segid = self.name_service.alloc_segid(my_id, name, at)?;
             let ns = SimDuration::from_nanos(self.cost.name_server_ns);
-            self.tracer
-                .leaf(SpanKind::NsProcess, at, ns, Ctx::seg(leader, 0, segid.0));
-            (segid, at + ns)
+            let ctx = Ctx::seg(leader, 0, segid.0);
+            (segid, self.tracer.charge(SpanKind::NsProcess, at, ns, ctx))
         } else {
-            let path = self.path_to_leader_checked(slot_idx, leader)?;
+            let path = self.path_to(slot_idx, leader)?;
             let t_req = self.charge_hops_proc(&path, MessageKind::AllocSegid, None, at, leader);
             let segid = self.name_service.alloc_segid(my_id, name, t_req)?;
             let back: Vec<usize> = path.iter().rev().copied().collect();
@@ -1719,13 +1595,8 @@ impl System {
         };
         // Local registration bookkeeping.
         let bk = SimDuration::from_nanos(300);
-        self.tracer.leaf(
-            SpanKind::Bookkeeping,
-            t,
-            bk,
-            Ctx::seg(slot_idx, p.pid.0, segid.0),
-        );
-        t += bk;
+        let ctx = Ctx::seg(slot_idx, p.pid.0, segid.0);
+        let t = self.tracer.charge(SpanKind::Bookkeeping, t, bk, ctx);
         self.slots[slot_idx].segs.insert(
             segid,
             SegRecord {
@@ -1734,9 +1605,11 @@ impl System {
                 len,
             },
         );
-        // Tier directory: every export starts on the exporter's home
-        // tier, one hot/cold record per policy chunk.
-        let home = self.home_tier(slot_idx);
+        // Tier directory: every export starts on socket DRAM, where
+        // partitions are carved ([`SystemBuilder::tier_reserve`] adds
+        // non-home capacity on top), with one hot/cold record per policy
+        // chunk.
+        let home = MemTier::LocalDram;
         let chunk_bytes = self.tier_policy.chunk_pages * PAGE_SIZE;
         let chunks = len.div_ceil(chunk_bytes).max(1) as usize;
         self.tier_dir.insert(
@@ -1775,12 +1648,7 @@ impl System {
         // Unregistration mutates the name service — backoff, no lease
         // path.
         let shard = self.name_service.shard_of_segid(segid)?;
-        let at = self.charge_shard_route(slot_idx, at);
-        let at = self.ns_backoff(shard, at)?;
-        let leader = self
-            .name_service
-            .leader_slot(shard)
-            .expect("an available shard has a leader");
+        let (leader, at) = self.reach_leader(slot_idx, shard, at)?;
         // A failover may have dropped the registration as unreplicated;
         // the local export teardown still has to run, so tolerate the
         // already-gone case instead of failing the remove.
@@ -1794,28 +1662,22 @@ impl System {
                 tolerate_lost(e)?;
             }
             let ns = SimDuration::from_nanos(self.cost.name_server_ns);
-            self.tracer
-                .leaf(SpanKind::NsProcess, at, ns, Ctx::seg(leader, 0, segid.0));
-            at + ns
+            let ctx = Ctx::seg(leader, 0, segid.0);
+            self.tracer.charge(SpanKind::NsProcess, at, ns, ctx)
         } else {
-            let path = self.path_to_leader_checked(slot_idx, leader)?;
+            let path = self.path_to(slot_idx, leader)?;
             let t = self.charge_hops_proc(&path, MessageKind::RemoveSegid, Some(segid), at, leader);
             if let Err(e) = self.name_service.remove_segid(segid, my_id, t) {
                 tolerate_lost(e)?;
             }
             t
         };
-        // Lease revocation precedes the remove's completion: every
-        // holder of a live lease on the segid is notified and purges its
-        // cache, so no lookup can serve the dead registration afterwards.
-        let t = self.revoke_leases(segid, t);
-        self.slots[slot_idx].segs.remove(&segid);
-        self.grants.remove(&(slot_idx, segid));
-        self.tier_dir.remove(&(slot_idx, segid));
-        // Revocation: remote reapers unmap. The exporter is still alive
-        // and keeps its frames, so nothing is quarantined.
-        let t = self.revoke_segment(slot_idx, segid, None, t);
-        Ok(t)
+        // Withdrawal precedes the remove's completion: every holder of a
+        // live lease on the segid purges its cache, so no lookup can
+        // serve the dead registration afterwards, and remote reapers
+        // unmap. The exporter is still alive and keeps its frames, so
+        // nothing is quarantined.
+        Ok(self.withdraw_export(slot_idx, segid, None, t))
     }
 
     /// Discover a segid by well-known name (`xpmem_search` extension;
@@ -1830,114 +1692,108 @@ impl System {
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let shard = self.name_service.shard_of_name(name);
-        let leader = self.name_service.leader_slot(shard);
-        if leader != Some(slot_idx) {
-            // Lease-cache fast path: a still-live, epoch-current lease
-            // answers locally — including during a shard outage, which
-            // is the graceful degradation the old stale cache provided,
-            // now with a bounded staleness window. A failover fences the
-            // lease via the epoch even before it expires.
+        if self.name_service.leader_slot(shard) != Some(slot_idx) {
             if let Some(lease) = self.slots[slot_idx].name_leases.get(name).copied() {
-                if lease.expires > at && lease.epoch == self.name_service.epoch(lease.shard) {
-                    return Ok(self.serve_name_lease(slot_idx, p.pid, lease, at));
+                let ctx = Ctx::seg(slot_idx, p.pid.0, lease.value.0);
+                if let Some(served) = self.serve_lease(lease, ctx, at) {
+                    return Ok(served);
                 }
                 self.slots[slot_idx].name_leases.remove(name);
-                self.tracer
-                    .count_shard(lease.shard, ShardCounter::LeaseExpirations, 1);
             }
         }
-        let at = self.charge_shard_route(slot_idx, at);
-        let at = self.ns_backoff(shard, at)?;
-        let leader = self
-            .name_service
-            .leader_slot(shard)
-            .expect("an available shard has a leader");
-        if slot_idx == leader {
-            // The leader reads its authoritative maps; no lease needed.
-            let segid = self.name_service.search(name)?;
-            let ns = SimDuration::from_nanos(self.cost.name_server_ns);
-            self.tracer
-                .leaf(SpanKind::NsProcess, at, ns, Ctx::seg(leader, 0, segid.0));
-            self.tracer.count_shard(shard, ShardCounter::Lookups, 1);
-            self.tracer.observe_shard_lookup(shard, ns.as_nanos());
-            return Ok((segid, at + ns));
+        let lookup = |ns: &NameService| ns.search(name).map(|segid| (segid, segid));
+        let (segid, t, lease) = self.ask_leader(slot_idx, shard, None, lookup, at)?;
+        if let Some(lease) = lease {
+            self.slots[slot_idx]
+                .name_leases
+                .insert(name.to_string(), lease);
         }
-        let t0 = at;
-        let path = self.path_to_leader_checked(slot_idx, leader)?;
-        let t = self.charge_hops_proc(&path, MessageKind::SearchSegid, None, at, leader);
-        let segid = self.name_service.search(name)?;
-        // Leader-side lease grant rides on the reply (renewal is the
-        // same path: an expired lease re-routes here).
-        let (t, lease) = self.grant_lease_at(shard, leader, segid, slot_idx, t);
-        let back: Vec<usize> = path.iter().rev().copied().collect();
-        let t = self.charge_hops_proc(&back, MessageKind::SearchReply, Some(segid), t, leader);
-        self.slots[slot_idx].name_leases.insert(
-            name.to_string(),
-            Lease {
-                value: segid,
-                ..lease
-            },
-        );
-        self.tracer.count_shard(shard, ShardCounter::Lookups, 1);
-        self.tracer
-            .observe_shard_lookup(shard, t.duration_since(t0).as_nanos());
         Ok((segid, t))
     }
 
-    /// Serve a name lookup from a live lease: charge the expiry + epoch
-    /// check and the bookkeeping, count the serve against the granting
-    /// shard.
-    fn serve_name_lease(
+    /// Serve a lookup from a cached lease if it is still live and
+    /// epoch-current — also during a shard outage, which degrades
+    /// gracefully with a bounded staleness window; a failover fences the
+    /// lease through the epoch even before it expires. Charges the
+    /// expiry + epoch check and the bookkeeping and counts the serve
+    /// against the granting shard. `None` when the lease is stale: that
+    /// counts as an expiration, and the caller drops it and revalidates
+    /// with the shard leader.
+    fn serve_lease<T: Copy>(
         &mut self,
-        slot_idx: usize,
-        pid: Pid,
-        lease: Lease<Segid>,
+        lease: Lease<T>,
+        ctx: Ctx,
         at: SimTime,
-    ) -> (Segid, SimTime) {
+    ) -> Option<(T, SimTime)> {
+        if lease.expires <= at || lease.epoch != self.name_service.epoch(lease.shard) {
+            self.tracer
+                .count_shard(lease.shard, ShardCounter::LeaseExpirations, 1);
+            return None;
+        }
         let check = SimDuration::from_nanos(self.cost.ns_lease_check_ns);
         let bk = SimDuration::from_nanos(300);
-        let ctx = Ctx::seg(slot_idx, pid.0, lease.value.0);
-        self.tracer.leaf(SpanKind::NsLeaseCheck, at, check, ctx);
-        self.tracer.leaf(SpanKind::Bookkeeping, at + check, bk, ctx);
+        let t = self.tracer.charge(SpanKind::NsLeaseCheck, at, check, ctx);
+        let t = self.tracer.charge(SpanKind::Bookkeeping, t, bk, ctx);
         self.tracer.count(Counter::NsLeaseServes, 1);
         self.tracer
             .count_shard(lease.shard, ShardCounter::LeaseServes, 1);
         self.tracer
             .count_shard(lease.shard, ShardCounter::Lookups, 1);
         self.tracer
-            .observe_shard_lookup(lease.shard, (check + bk).as_nanos());
-        (lease.value, at + check + bk)
+            .observe_shard_lookup(lease.shard, t.duration_since(at).as_nanos());
+        Some((lease.value, t))
     }
 
-    /// Leader-side lease grant/renewal bookkeeping at serve time: charge
-    /// `ns_lease_renew_ns` on the leader, record the holder in the
-    /// shard's soft state, and hand back the lease the client caches.
-    fn grant_lease_at(
+    /// Resolve a lookup at the shard leader ([`Self::reach_leader`]).
+    /// `lookup` reads the leader's maps and returns the answer with the
+    /// segid it concerns. A co-resident leader answers from its
+    /// authoritative maps with no lease. Otherwise the request (`key`
+    /// names the segid when the caller knows it) routes to the leader,
+    /// which answers, grants the caller a lease on the reply — renewal
+    /// is the same path, since an expired lease re-routes here — and the
+    /// reply routes back. The request hops are charged before the lookup
+    /// can fail, so a failed lookup still leaves its `SendRecv` edges.
+    /// Counts the lookup and its latency against the shard and returns
+    /// the answer, the completion time and the lease to cache.
+    fn ask_leader<T: Copy>(
         &mut self,
+        slot_idx: usize,
         shard: usize,
-        leader: usize,
-        segid: Segid,
-        holder_slot: usize,
+        key: Option<Segid>,
+        lookup: impl FnOnce(&NameService) -> Result<(T, Segid), XememError>,
         at: SimTime,
-    ) -> (SimTime, Lease<Segid>) {
-        let renew = SimDuration::from_nanos(self.cost.ns_lease_renew_ns);
-        self.tracer.leaf(
-            SpanKind::NsLeaseRenew,
-            at,
-            renew,
-            Ctx::seg(leader, 0, segid.0),
-        );
-        let granted = at + renew;
-        let expires = granted + SimDuration::from_nanos(self.cost.ns_lease_ns);
-        self.name_service.grant_lease(segid, holder_slot, expires);
-        self.tracer.count_shard(shard, ShardCounter::LeaseGrants, 1);
-        let lease = Lease {
-            value: segid,
-            expires,
-            epoch: self.name_service.epoch(shard),
-            shard,
+    ) -> Result<(T, SimTime, Option<Lease<T>>), XememError> {
+        let (leader, at) = self.reach_leader(slot_idx, shard, at)?;
+        let (value, t, lease) = if slot_idx == leader {
+            let (value, segid) = lookup(&self.name_service)?;
+            let ns = SimDuration::from_nanos(self.cost.name_server_ns);
+            let ctx = Ctx::seg(leader, 0, segid.0);
+            let t = self.tracer.charge(SpanKind::NsProcess, at, ns, ctx);
+            (value, t, None)
+        } else {
+            let path = self.path_to(slot_idx, leader)?;
+            let t = self.charge_hops_proc(&path, MessageKind::SearchSegid, key, at, leader);
+            let (value, segid) = lookup(&self.name_service)?;
+            let renew = SimDuration::from_nanos(self.cost.ns_lease_renew_ns);
+            let ctx = Ctx::seg(leader, 0, segid.0);
+            let t = self.tracer.charge(SpanKind::NsLeaseRenew, t, renew, ctx);
+            let expires = t + SimDuration::from_nanos(self.cost.ns_lease_ns);
+            self.name_service.grant_lease(segid, slot_idx, expires);
+            self.tracer.count_shard(shard, ShardCounter::LeaseGrants, 1);
+            let lease = Lease {
+                value,
+                expires,
+                epoch: self.name_service.epoch(shard),
+                shard,
+            };
+            let back: Vec<usize> = path.iter().rev().copied().collect();
+            let t = self.charge_hops_proc(&back, MessageKind::SearchReply, Some(segid), t, leader);
+            (value, t, Some(lease))
         };
-        (granted, lease)
+        self.tracer.count_shard(shard, ShardCounter::Lookups, 1);
+        self.tracer
+            .observe_shard_lookup(shard, t.duration_since(at).as_nanos());
+        Ok((value, t, lease))
     }
 
     /// Request access to a segment (`xpmem_get`): validates the segid
@@ -1964,94 +1820,35 @@ impl System {
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let shard = self.name_service.shard_of_segid(segid)?;
-        let leader = self.name_service.leader_slot(shard);
-        let cached_lease = if leader != Some(slot_idx) {
-            self.slots[slot_idx].owner_leases.get(&segid).copied()
-        } else {
-            None
-        };
+        let ctx = Ctx::seg(slot_idx, p.pid.0, segid.0);
+        let cached = (self.name_service.leader_slot(shard) != Some(slot_idx))
+            .then(|| self.slots[slot_idx].owner_leases.get(&segid).copied())
+            .flatten();
         let (owner, t) = if self.slots[slot_idx].segs.contains_key(&segid) {
             // Locally owned: no messages needed.
             let my_id = self.slots[slot_idx].id.expect("registered");
             let bk = SimDuration::from_nanos(300);
-            self.tracer.leaf(
-                SpanKind::Bookkeeping,
-                at,
-                bk,
-                Ctx::seg(slot_idx, p.pid.0, segid.0),
-            );
-            (my_id, at + bk)
-        } else if let Some(lease) =
-            cached_lease.filter(|l| l.expires > at && l.epoch == self.name_service.epoch(l.shard))
-        {
-            // Lease-cache fast path: the validated owner answers locally
-            // (also the graceful-degradation path during a shard outage,
-            // with bounded staleness); attach still re-validates.
-            let check = SimDuration::from_nanos(self.cost.ns_lease_check_ns);
-            let bk = SimDuration::from_nanos(300);
-            let ctx = Ctx::seg(slot_idx, p.pid.0, segid.0);
-            self.tracer.leaf(SpanKind::NsLeaseCheck, at, check, ctx);
-            self.tracer.leaf(SpanKind::Bookkeeping, at + check, bk, ctx);
-            self.tracer.count(Counter::NsLeaseServes, 1);
-            self.tracer
-                .count_shard(lease.shard, ShardCounter::LeaseServes, 1);
-            self.tracer
-                .count_shard(lease.shard, ShardCounter::Lookups, 1);
-            self.tracer
-                .observe_shard_lookup(lease.shard, (check + bk).as_nanos());
-            (lease.value, at + check + bk)
+            let t = self.tracer.charge(SpanKind::Bookkeeping, at, bk, ctx);
+            (my_id, t)
+        } else if let Some(served) = cached.and_then(|lease| self.serve_lease(lease, ctx, at)) {
+            // The owner lease answers locally; attach still re-validates.
+            served
         } else {
-            if let Some(lease) = cached_lease {
-                // Expired or fenced by a failover: drop it and
-                // revalidate with the shard leader.
+            if cached.is_some() {
                 self.slots[slot_idx].owner_leases.remove(&segid);
-                self.tracer
-                    .count_shard(lease.shard, ShardCounter::LeaseExpirations, 1);
             }
-            let at = self.charge_shard_route(slot_idx, at);
-            let at = self.ns_backoff(shard, at)?;
-            let leader = self
-                .name_service
-                .leader_slot(shard)
-                .expect("an available shard has a leader");
-            if slot_idx == leader {
-                let owner = self.name_service.owner_of(segid)?;
-                let ns = SimDuration::from_nanos(self.cost.name_server_ns);
-                self.tracer
-                    .leaf(SpanKind::NsProcess, at, ns, Ctx::seg(leader, 0, segid.0));
-                self.tracer.count_shard(shard, ShardCounter::Lookups, 1);
-                self.tracer.observe_shard_lookup(shard, ns.as_nanos());
-                (owner, at + ns)
-            } else {
-                let t0 = at;
-                let path = self.path_to_leader_checked(slot_idx, leader)?;
-                let t =
-                    self.charge_hops_proc(&path, MessageKind::SearchSegid, Some(segid), at, leader);
-                let owner = self.name_service.owner_of(segid)?;
-                let (t, lease) = self.grant_lease_at(shard, leader, segid, slot_idx, t);
-                let back: Vec<usize> = path.iter().rev().copied().collect();
-                let t =
-                    self.charge_hops_proc(&back, MessageKind::SearchReply, Some(segid), t, leader);
-                self.slots[slot_idx].owner_leases.insert(
-                    segid,
-                    Lease {
-                        value: owner,
-                        expires: lease.expires,
-                        epoch: lease.epoch,
-                        shard: lease.shard,
-                    },
-                );
-                self.tracer.count_shard(shard, ShardCounter::Lookups, 1);
-                self.tracer
-                    .observe_shard_lookup(shard, t.duration_since(t0).as_nanos());
-                (owner, t)
+            let lookup = |ns: &NameService| ns.owner_of(segid).map(|owner| (owner, segid));
+            let (owner, t, lease) = self.ask_leader(slot_idx, shard, Some(segid), lookup, at)?;
+            if let Some(lease) = lease {
+                self.slots[slot_idx].owner_leases.insert(segid, lease);
             }
+            (owner, t)
         };
         self.next_apid += 1;
         let apid = Apid(self.next_apid);
         self.slots[slot_idx].apids.insert(
             apid,
-            crate::enclave::ApidRecord {
+            ApidRecord {
                 segid,
                 pid: p.pid,
                 owner,
@@ -2092,13 +1889,8 @@ impl System {
         slot.released.insert(apid);
         self.drop_grant(owner, segid);
         let bk = SimDuration::from_nanos(200);
-        self.tracer.leaf(
-            SpanKind::Bookkeeping,
-            at,
-            bk,
-            Ctx::seg(p.enclave.0, p.pid.0, segid.0),
-        );
-        Ok(at + bk)
+        let ctx = Ctx::seg(p.enclave.0, p.pid.0, segid.0);
+        Ok(self.tracer.charge(SpanKind::Bookkeeping, at, bk, ctx))
     }
 
     /// Attach to (a window of) a segment (`xpmem_attach`) — the heavy
@@ -2146,11 +1938,17 @@ impl System {
             AccessMode::ReadWrite => xemem_mem::PteFlags::rw_user(),
             AccessMode::ReadOnly => xemem_mem::PteFlags::ro_user(),
         };
+        let record = AttachRecord {
+            apid,
+            segid: rec.segid,
+            owner: rec.owner,
+            offset,
+            len,
+            state: AttachState::Live,
+        };
 
         if owner_slot == slot_idx {
-            return self.attach_local(
-                p, apid, rec, owner_slot, seg.pid, src_va, offset, len, prot, at,
-            );
+            return self.attach_local(p, record, seg.pid, src_va, prot, at);
         }
 
         // 1. Route the attachment request to the owner (via the name
@@ -2187,32 +1985,20 @@ impl System {
         } else {
             SpanKind::ServeWalk
         };
-        self.tracer.leaf(
-            serve_kind,
-            t1,
-            serve,
-            Ctx::seg(owner_slot, seg.pid.0, rec.segid.0),
-        );
+        let sctx = Ctx::seg(owner_slot, seg.pid.0, rec.segid.0);
+        let t2 = self.tracer.charge(serve_kind, t1, serve, sctx);
         // Media surcharge for walking PTEs whose frames migrated off
         // local DRAM (zero — and traceless — for all-local segments).
         let by_tier = self.tier_window_pages(owner_slot, rec.segid, offset, len);
         let tier_walk = self.cost.tier_walk_surcharge(&by_tier);
-        if tier_walk > SimDuration::ZERO {
-            self.tracer.leaf(
-                SpanKind::TierWalk,
-                t1 + serve,
-                tier_walk,
-                Ctx::seg(owner_slot, seg.pid.0, rec.segid.0),
-            );
-            serve += tier_walk;
-        }
+        let t2 = self.tracer.charge(SpanKind::TierWalk, t2, tier_walk, sctx);
+        let serve = t2.duration_since(t1);
 
         // 3. Route the (bulk) reply back.
         let reply_kind = MessageKind::PfnListReply {
             pages: list.pages(),
         };
         let back = reply_trimmed(&self.slots, &path, owner_slot, slot_idx);
-        let t2 = t1 + serve;
         let t3 = self.charge_hops(&back, reply_kind, Some(rec.segid), t2);
         let route_reply = t3.duration_since(t2);
 
@@ -2245,149 +2031,108 @@ impl System {
         } else {
             None
         };
-        if let Some(b) = breakdown {
-            let kinds = [
-                SpanKind::MapStructure,
-                SpanKind::MapBookkeep,
-                SpanKind::VmNotify,
-                SpanKind::GuestMap,
-            ];
-            let mut cursor = t3;
-            for (k, d) in kinds.iter().zip(b.components()) {
-                self.tracer.leaf(*k, cursor, d, mctx);
-                cursor += d;
+        let mapped = match breakdown {
+            Some(b) => {
+                let kinds = [
+                    SpanKind::MapStructure,
+                    SpanKind::MapBookkeep,
+                    SpanKind::VmNotify,
+                    SpanKind::GuestMap,
+                ];
+                let mut t = t3;
+                for (k, d) in kinds.into_iter().zip(b.components()) {
+                    t = self.tracer.charge(k, t, d, mctx);
+                }
+                t
             }
-        } else {
-            self.tracer.leaf(SpanKind::MapInstall, t3, map, mctx);
-        }
+            None => self.tracer.charge(SpanKind::MapInstall, t3, map, mctx),
+        };
         // Install surcharge for PTEs pointing at off-DRAM frames.
         let tier_map = self.cost.tier_map_surcharge(&by_tier);
-        if tier_map > SimDuration::ZERO {
-            self.tracer
-                .leaf(SpanKind::TierMap, t3 + map, tier_map, mctx);
-            map += tier_map;
-        }
-        let end = t3 + map;
-
-        self.slots[slot_idx].attachments.insert(
-            (p.pid, va.0),
-            crate::enclave::AttachRecord {
-                apid,
-                segid: rec.segid,
-                owner: rec.owner,
-                offset,
-                len,
-                state: AttachState::Live,
-            },
-        );
-        self.slots[slot_idx].detached.remove(&(p.pid, va.0));
-        self.attachers
-            .entry((owner_slot, rec.segid))
-            .or_default()
-            .push(AttachSite {
-                slot: slot_idx,
-                pid: p.pid,
-                va: va.0,
-            });
+        let end = self
+            .tracer
+            .charge(SpanKind::TierMap, mapped, tier_map, mctx);
+        self.record_attachment(p, owner_slot, va, record);
         Ok(AttachOutcome {
             va,
             end,
             route_request,
             serve,
             route_reply,
-            map,
+            map: end.duration_since(t3),
         })
     }
 
-    /// Local (single-enclave) attachment: the conventions of the local OS
-    /// apply (paper §4.2) — Linux uses page-faulting semantics, the LWK
-    /// maps eagerly.
-    #[allow(clippy::too_many_arguments)]
+    /// Local (single-enclave) attachment of the window `record` names:
+    /// the conventions of the local OS apply (paper §4.2) — Linux uses
+    /// page-faulting semantics, the LWK maps eagerly.
     fn attach_local(
         &mut self,
         p: ProcessRef,
-        apid: Apid,
-        rec: crate::enclave::ApidRecord,
-        slot_idx: usize,
+        record: AttachRecord,
         src_pid: Pid,
         src_va: VirtAddr,
-        offset: u64,
-        len: u64,
         prot: xemem_mem::PteFlags,
         at: SimTime,
     ) -> Result<AttachOutcome, XememError> {
-        let kind = &mut self.slots[slot_idx].kind;
-        let kernel = kind.kernel_mut();
-        let (va, serve, map, map_kind) = match kernel.kind() {
-            KernelKind::Fwk => {
-                // Page-faulting semantics: the PFN lookup happens per
-                // fault, so the walk is not charged up front (its cost is
-                // folded into the per-page fault service). Fig. 8(b).
-                let walked = kernel.export_walk(src_pid, src_va, len)?;
-                let mapped =
-                    kernel.attach_map(p.pid, &walked.value, AttachSemantics::Lazy, prot)?;
-                (
-                    mapped.value,
-                    SimDuration::ZERO,
-                    mapped.cost,
-                    SpanKind::MmapReserve,
-                )
-            }
-            KernelKind::Lwk => {
-                let walked = kernel.export_walk(src_pid, src_va, len)?;
-                let mapped =
-                    kernel.attach_map(p.pid, &walked.value, AttachSemantics::Eager, prot)?;
-                (mapped.value, walked.cost, mapped.cost, SpanKind::MapInstall)
-            }
+        let slot_idx = p.enclave.0;
+        let kernel = self.slots[slot_idx].kind.kernel_mut();
+        let walked = kernel.export_walk(src_pid, src_va, record.len)?;
+        let (serve, semantics, map_kind) = match kernel.kind() {
+            // Page-faulting semantics: the PFN lookup happens per fault,
+            // so the walk is not charged up front (its cost is folded
+            // into the per-page fault service). Fig. 8(b).
+            KernelKind::Fwk => (
+                SimDuration::ZERO,
+                AttachSemantics::Lazy,
+                SpanKind::MmapReserve,
+            ),
+            KernelKind::Lwk => (walked.cost, AttachSemantics::Eager, SpanKind::MapInstall),
         };
-        let lctx = Ctx::seg(slot_idx, p.pid.0, rec.segid.0);
-        self.tracer.leaf(SpanKind::ServeWalk, at, serve, lctx);
-        self.tracer.leaf(map_kind, at + serve, map, lctx);
+        let mapped = kernel.attach_map(p.pid, &walked.value, semantics, prot)?;
+        let (va, map) = (mapped.value, mapped.cost);
+        let lctx = Ctx::seg(slot_idx, p.pid.0, record.segid.0);
+        let t = self.tracer.charge(SpanKind::ServeWalk, at, serve, lctx);
+        let t = self.tracer.charge(map_kind, t, map, lctx);
         // Tier surcharges for windows whose frames migrated off DRAM
         // (zero and traceless on the all-local fast path).
-        let by_tier = self.tier_window_pages(slot_idx, rec.segid, offset, len);
-        let (mut serve, mut map) = (serve, map);
+        let by_tier = self.tier_window_pages(slot_idx, record.segid, record.offset, record.len);
         let tier_walk = self.cost.tier_walk_surcharge(&by_tier);
-        if tier_walk > SimDuration::ZERO {
-            self.tracer
-                .leaf(SpanKind::TierWalk, at + serve + map, tier_walk, lctx);
-            serve += tier_walk;
-        }
+        let t = self.tracer.charge(SpanKind::TierWalk, t, tier_walk, lctx);
         let tier_map = self.cost.tier_map_surcharge(&by_tier);
-        if tier_map > SimDuration::ZERO {
-            self.tracer
-                .leaf(SpanKind::TierMap, at + serve + map, tier_map, lctx);
-            map += tier_map;
-        }
-        let end = at + serve + map;
-        self.slots[slot_idx].attachments.insert(
-            (p.pid, va.0),
-            crate::enclave::AttachRecord {
-                apid,
-                segid: rec.segid,
-                owner: rec.owner,
-                offset,
-                len,
-                state: AttachState::Live,
-            },
-        );
-        self.slots[slot_idx].detached.remove(&(p.pid, va.0));
-        self.attachers
-            .entry((slot_idx, rec.segid))
-            .or_default()
-            .push(AttachSite {
-                slot: slot_idx,
-                pid: p.pid,
-                va: va.0,
-            });
+        let end = self.tracer.charge(SpanKind::TierMap, t, tier_map, lctx);
+        self.record_attachment(p, slot_idx, va, record);
         Ok(AttachOutcome {
             va,
             end,
             route_request: SimDuration::ZERO,
-            serve,
+            serve: serve + tier_walk,
             route_reply: SimDuration::ZERO,
-            map,
+            map: map + tier_map,
         })
+    }
+
+    /// Record a new live attachment on both sides: the attacher's record
+    /// (clearing any earlier detach of the same base) and the
+    /// exporter-side site the revocation protocol notifies.
+    fn record_attachment(
+        &mut self,
+        p: ProcessRef,
+        owner_slot: usize,
+        va: VirtAddr,
+        record: AttachRecord,
+    ) {
+        let slot = &mut self.slots[p.enclave.0];
+        slot.attachments.insert((p.pid, va.0), record);
+        slot.detached.remove(&(p.pid, va.0));
+        self.attachers
+            .entry((owner_slot, record.segid))
+            .or_default()
+            .push(AttachSite {
+                slot: p.enclave.0,
+                pid: p.pid,
+                va: va.0,
+            });
     }
 
     /// Owner-side PFN-list generation.
@@ -2475,22 +2220,17 @@ impl System {
             slot.attachments.remove(&(p.pid, va.0));
             slot.detached.insert((p.pid, va.0));
             let bk = SimDuration::from_nanos(200);
-            self.tracer
-                .leaf(SpanKind::Bookkeeping, at, bk, Ctx::proc(slot_idx, p.pid.0));
-            return Ok(at + bk);
+            let ctx = Ctx::proc(slot_idx, p.pid.0);
+            return Ok(self.tracer.charge(SpanKind::Bookkeeping, at, bk, ctx));
         }
         let cost = match &mut slot.kind {
             EnclaveKind::Native(k) => k.detach(p.pid, va)?.cost,
             EnclaveKind::Vm(vmm) => vmm.guest_detach(p.pid, va)?.cost,
         };
-        self.tracer.leaf(
-            SpanKind::Unmap,
-            at,
-            cost,
-            Ctx::seg(slot_idx, p.pid.0, rec.segid.0),
-        );
+        let ctx = Ctx::seg(slot_idx, p.pid.0, rec.segid.0);
+        let end = self.tracer.charge(SpanKind::Unmap, at, cost, ctx);
         self.drop_site(slot_idx, p.pid, va.0, rec);
-        Ok(at + cost)
+        Ok(end)
     }
 
     // ------------------------------------------------------------------
@@ -2572,7 +2312,7 @@ impl System {
 
         // (2) Request an enclave ID through the discovered channel; the
         // request is forwarded hop by hop to the name server.
-        let path = self.path_to_ns(idx);
+        let path = self.path_to(idx, self.ns_slot)?;
         let t = self.charge_hops(&path, MessageKind::AllocEnclaveId, None, t);
         let new_id = self.name_service.alloc_enclave_id();
 
@@ -2709,7 +2449,7 @@ fn slot_find_live_attachment(
     pid: Pid,
     va: VirtAddr,
     len: u64,
-) -> Option<(u64, crate::enclave::AttachRecord)> {
+) -> Option<(u64, AttachRecord)> {
     slot.attachments
         .iter()
         .filter(|((rpid, base), rec)| {
@@ -2927,8 +2667,10 @@ fn slot_alloc_buffer(
 ) -> Result<(VirtAddr, SimTime), XememError> {
     let out = slot.kind.kernel_mut().alloc_buffer(p.pid, len)?;
     let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-    tracer.leaf(SpanKind::Bookkeeping, at, out.cost, ctx);
-    Ok((out.value, at + out.cost))
+    Ok((
+        out.value,
+        tracer.charge(SpanKind::Bookkeeping, at, out.cost, ctx),
+    ))
 }
 
 /// Slot-local body of every read and write — [`System::read`],
@@ -2954,8 +2696,7 @@ fn slot_access(
         Access::Write(data) => kernel.write(p.pid, va, data)?.cost,
     };
     let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-    tracer.leaf(SpanKind::DramStream, at, cost, ctx);
-    Ok(at + cost)
+    Ok(tracer.charge(SpanKind::DramStream, at, cost, ctx))
 }
 
 impl xemem_sim::pdes::LaneShared for System {

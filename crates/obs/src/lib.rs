@@ -168,15 +168,11 @@ fn parse_hist(
     for b in buckets.iter_mut() {
         *b = parse_u64(toks.next(), "hist bucket", line_no)?;
     }
-    Ok(buckets_snapshot(count, sum, buckets))
-}
-
-fn buckets_snapshot(count: u64, sum: u64, buckets: [u64; HIST_BUCKETS]) -> HistSnapshot {
-    HistSnapshot {
+    Ok(HistSnapshot {
         count,
         sum,
         buckets,
-    }
+    })
 }
 
 impl Report {
@@ -673,45 +669,25 @@ impl Digest {
         self.count += 1;
         self.sum += v;
         self.max = self.max.max(v);
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
+        self.buckets[(64 - v.leading_zeros()) as usize] += 1;
     }
 
     /// Upper bound of the bucket holding the q-quantile (q in percent),
-    /// an exact integer: the smallest bucket bound covering at least
-    /// `ceil(count·q/100)` observations.
-    pub fn quantile_bound(&self, q: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let need = (self.count * q).div_ceil(100);
-        let mut seen = 0u64;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= need {
-                return bucket_bound(idx);
-            }
-        }
-        u64::MAX
+    /// an exact integer: the registry histograms' own walk,
+    /// [`HistSnapshot::percentile_bound`].
+    pub fn quantile_bound(&self, q: u32) -> u64 {
+        let hist = HistSnapshot {
+            count: self.count,
+            sum: self.sum,
+            buckets: self.buckets,
+        };
+        hist.percentile_bound(q)
     }
 }
 
 impl Default for Digest {
     fn default() -> Digest {
         Digest::new()
-    }
-}
-
-/// Inclusive upper bound of log₂ bucket `idx`.
-pub fn bucket_bound(idx: usize) -> u64 {
-    if idx >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << idx) - 1
     }
 }
 

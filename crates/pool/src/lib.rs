@@ -343,9 +343,9 @@ impl BufferPool {
             (SpanKind::PoolSlotInit, c.init),
             (SpanKind::PoolRefcount, c.refc),
         ] {
-            let d = SimDuration::from_nanos(ns);
-            self.tracer.leaf(kind, t, d, ctx);
-            t += d;
+            t = self
+                .tracer
+                .charge(kind, t, SimDuration::from_nanos(ns), ctx);
         }
         self.tracer.commit_op(t);
         self.tracer.count(Counter::PoolAcquires, 1);
@@ -388,9 +388,9 @@ impl BufferPool {
             (SpanKind::PoolRingOp, costs.push),
             (SpanKind::PoolRefcount, costs.refc),
         ] {
-            let d = SimDuration::from_nanos(ns);
-            self.tracer.leaf(kind, t, d, src_ctx);
-            t += d;
+            t = self
+                .tracer
+                .charge(kind, t, SimDuration::from_nanos(ns), src_ctx);
         }
         self.tracer.commit_op(t);
         let ring = &mut self.consumers[c.0].ring;
@@ -427,15 +427,13 @@ impl BufferPool {
         self.tracer
             .begin_op(SpanKind::PoolConsume, at, ctx, Timeline::Detached);
         let pop = SimDuration::from_nanos(costs.pop);
-        self.tracer.leaf(SpanKind::PoolRingOp, at, pop, ctx);
-        let mut t = at + pop;
+        let t = self.tracer.charge(SpanKind::PoolRingOp, at, pop, ctx);
         if !visible {
             self.tracer.commit_op(t);
             return Ok((None, t));
         }
-        let d = SimDuration::from_nanos(costs.refc);
-        self.tracer.leaf(SpanKind::PoolRefcount, t, d, ctx);
-        t += d;
+        let refc = SimDuration::from_nanos(costs.refc);
+        let t = self.tracer.charge(SpanKind::PoolRefcount, t, refc, ctx);
         self.tracer.commit_op(t);
         let entry = self.consumers[c.0].ring.pop_front().expect("checked front");
         assert_eq!(
@@ -495,18 +493,16 @@ impl BufferPool {
         let costs = self.costs;
         self.tracer
             .begin_op(SpanKind::PoolRelease, at, ctx, Timeline::Detached);
-        let d = SimDuration::from_nanos(costs.refc);
-        self.tracer.leaf(SpanKind::PoolRefcount, at, d, ctx);
-        let mut t = at + d;
+        let refc = SimDuration::from_nanos(costs.refc);
+        let mut t = self.tracer.charge(SpanKind::PoolRefcount, at, refc, ctx);
         let freed = {
             let m = &mut self.meta[guard.slot as usize];
             m.refs -= 1;
             m.refs == 0
         };
         if freed {
-            let d = SimDuration::from_nanos(costs.scan);
-            self.tracer.leaf(SpanKind::PoolSlotScan, t, d, ctx);
-            t += d;
+            let scan = SimDuration::from_nanos(costs.scan);
+            t = self.tracer.charge(SpanKind::PoolSlotScan, t, scan, ctx);
             self.meta[guard.slot as usize].gen += 1;
             self.free.push(guard.slot);
         }
@@ -551,10 +547,9 @@ impl BufferPool {
                 let ex_ctx = self.exporter_ctx();
                 self.tracer
                     .begin_op(SpanKind::PoolSweep, t, ex_ctx, Timeline::Detached);
+                let d = SimDuration::from_nanos(self.costs.sweep_slot);
                 for &(slot, gen) in &refs {
-                    let d = SimDuration::from_nanos(self.costs.sweep_slot);
-                    self.tracer.leaf(SpanKind::PoolSweepSlot, t, d, ex_ctx);
-                    t += d;
+                    t = self.tracer.charge(SpanKind::PoolSweepSlot, t, d, ex_ctx);
                     self.tracer
                         .edge(EdgeKind::CrashSlotSweep, notice.at, t, ctx, ex_ctx);
                     let m = &mut self.meta[slot as usize];

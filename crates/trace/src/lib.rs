@@ -824,7 +824,9 @@ impl HistSnapshot {
     }
 
     /// Upper bound of the bucket containing the p-th percentile
-    /// (`p` in 0..=100), or 0 when empty.
+    /// (`p` in 0..=100), or 0 when empty: the smallest
+    /// [`bucket_bound`] covering at least `ceil(count·p/100)` (and at
+    /// least one) observations.
     pub fn percentile_bound(&self, p: u32) -> u64 {
         if self.count == 0 {
             return 0;
@@ -834,14 +836,21 @@ impl HistSnapshot {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b;
             if seen >= rank {
-                return if i == 0 {
-                    0
-                } else {
-                    (1u64 << i).saturating_sub(1).max(1)
-                };
+                return bucket_bound(i);
             }
         }
         u64::MAX
+    }
+}
+
+/// Inclusive upper bound of log₂ bucket `idx` (see [`HIST_BUCKETS`]):
+/// 0 for bucket 0, `2^idx - 1` below the top, `u64::MAX` for the top
+/// bucket, which holds every value from `2^63` up.
+pub fn bucket_bound(idx: usize) -> u64 {
+    if idx >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << idx) - 1
     }
 }
 
@@ -1322,7 +1331,8 @@ impl TraceHandle {
         self.inner.is_some()
     }
 
-    /// Record a leaf: one charged virtual-time component.
+    /// Record a leaf: one charged virtual-time component. Zero
+    /// durations record nothing.
     #[inline]
     pub fn leaf(&self, kind: SpanKind, start: SimTime, dur: SimDuration, ctx: Ctx) {
         if let Some(c) = &self.inner {
@@ -1330,6 +1340,17 @@ impl TraceHandle {
                 c.leaf(kind, start, dur, ctx);
             }
         }
+    }
+
+    /// Charge one virtual-time component to a timeline: record it as a
+    /// [`Self::leaf`] and return `start + dur`, the advanced time. Every
+    /// cursor advance that goes through here is attributed by
+    /// construction; on a disabled handle only the addition remains.
+    #[inline]
+    #[must_use = "the advanced time is the charge"]
+    pub fn charge(&self, kind: SpanKind, start: SimTime, dur: SimDuration, ctx: Ctx) -> SimTime {
+        self.leaf(kind, start, dur, ctx);
+        start + dur
     }
 
     /// Record a causal edge: virtual time `src` (at `src_ctx`)
@@ -2177,6 +2198,34 @@ mod tests {
         assert!(h.spans().is_empty());
         assert_eq!(h.sums(), ConservationSums::default());
         assert!(h.audit().is_err());
+    }
+
+    #[test]
+    fn charge_records_one_leaf_and_advances() {
+        let h = TraceHandle::enabled();
+        h.begin_op(SpanKind::Attach, t(100), Ctx::NONE, Timeline::Clock);
+        assert_eq!(
+            h.charge(SpanKind::IpiWait, t(100), d(30), Ctx::NONE),
+            t(130)
+        );
+        assert_eq!(h.charge(SpanKind::IpiXfer, t(130), d(0), Ctx::NONE), t(130));
+        h.commit_op(t(130));
+        let spans = h.spans();
+        assert_eq!(spans.iter().filter(|s| !s.root).count(), 1);
+        assert_eq!(h.audit_clock(d(30)).expect("conserved").clock_leaf_ns, 30);
+        let off = TraceHandle::disabled();
+        assert_eq!(off.charge(SpanKind::IpiWait, t(7), d(5), Ctx::NONE), t(12));
+    }
+
+    #[test]
+    fn top_bucket_percentile_is_unbounded() {
+        let h = TraceHandle::enabled();
+        h.observe(Hist::AttachNs, 1 << 63);
+        let hist = h.hist(Hist::AttachNs).unwrap();
+        assert_eq!(hist.buckets[HIST_BUCKETS - 1], 1);
+        assert_eq!(hist.percentile_bound(50), u64::MAX);
+        assert_eq!(bucket_bound(0), 0);
+        assert_eq!(bucket_bound(63), (1 << 63) - 1);
     }
 
     #[test]

@@ -42,8 +42,8 @@ fn disabled_tracing_hooks_never_allocate() {
     for i in 0..10_000u64 {
         handle.begin_op(SpanKind::Attach, start, ctx, Timeline::Clock);
         handle.leaf(SpanKind::IpiWait, start, dur, ctx);
-        handle.leaf(SpanKind::IpiXfer, start + dur, dur, ctx);
-        handle.leaf(SpanKind::MapInstall, start + dur, dur, ctx);
+        let t = handle.charge(SpanKind::IpiXfer, start + dur, dur, ctx);
+        handle.leaf(SpanKind::MapInstall, t, dur, ctx);
         handle.commit_op(start + dur.times(4));
         handle.count(Counter::Retransmits, i);
         handle.observe(Hist::AttachNs, i);

@@ -4,7 +4,7 @@
 //! counters and op counts are what the tests read the failure history
 //! from.
 
-use xemem::trace_layer::{Counter, ShardCounter, SpanKind};
+use xemem::trace_layer::{Counter, EdgeKind, ShardCounter, SpanKind};
 use xemem::{
     CostModel, FaultPlan, GuestOs, MemoryMapKind, SimDuration, SimTime, SystemBuilder, TraceHandle,
     VirtAddr, XememError,
@@ -815,6 +815,58 @@ fn leader_crash_fails_over_and_fences_outstanding_leases() {
     assert_eq!(tracer.shard_counter(1, ShardCounter::LeaseExpirations), 1);
     assert!(tracer.shard_counter(1, ShardCounter::Retries) > 0);
     assert_eq!(tracer.counter(Counter::NsLeaseServes), 0);
+}
+
+#[test]
+fn get_owner_lease_is_granted_served_renewed_and_fenced() {
+    let mut sys = sharded4(None);
+    let tracer = sys.tracer().clone();
+    let linux = sys.enclave_by_name("linux").unwrap();
+    let kitten0 = sys.enclave_by_name("kitten0").unwrap();
+    let kitten1 = sys.enclave_by_name("kitten1").unwrap();
+    let name = name_on_shard(&sys, 1, "own");
+    let exporter = sys.spawn_process(linux, 16 * MIB).unwrap();
+    let consumer = sys.spawn_process(kitten1, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(exporter, MIB).unwrap();
+    let segid = sys.xpmem_make(exporter, buf, MIB, Some(&name)).unwrap();
+    assert_eq!(sys.name_service().shard_of_segid(segid).unwrap(), 1);
+    let shard1 = |c| tracer.shard_counter(1, c);
+    let sends = || tracer.edge_count(EdgeKind::SendRecv);
+    let get = |sys: &mut xemem::System| {
+        let apid = sys.xpmem_get(consumer, segid).unwrap();
+        sys.xpmem_release(consumer, apid).unwrap();
+    };
+
+    // A routed get asks shard 1's leader, which grants an owner lease.
+    get(&mut sys);
+    assert_eq!(shard1(ShardCounter::LeaseGrants), 1);
+
+    // Inside the 200 µs lease the owner is answered locally: no message.
+    let before = sends();
+    get(&mut sys);
+    assert_eq!(shard1(ShardCounter::LeaseServes), 1);
+    assert_eq!(sends(), before);
+
+    // Past expiry the get re-routes and takes a fresh grant.
+    let t = sys.clock().now();
+    sys.clock().advance_to(t + SimDuration::from_nanos(300_000));
+    let before = sends();
+    get(&mut sys);
+    assert_eq!(shard1(ShardCounter::LeaseExpirations), 1);
+    assert_eq!(shard1(ShardCounter::LeaseGrants), 2);
+    assert!(sends() > before);
+
+    // Killing the leader bumps the shard's epoch, which fences the
+    // fresh lease while it is still inside its window: the get goes to
+    // the promoted follower instead of being served from the cache.
+    sys.destroy_enclave(kitten0).unwrap();
+    assert_eq!(sys.name_service().epoch(1), 1);
+    get(&mut sys);
+    assert_eq!(shard1(ShardCounter::LeaseExpirations), 2);
+    assert_eq!(shard1(ShardCounter::LeaseGrants), 3);
+    assert_eq!(shard1(ShardCounter::LeaseServes), 1);
+    assert_eq!(tracer.counter(Counter::NsLeaseServes), 1);
+    tracer.audit().expect("conservation audit");
 }
 
 #[test]
