@@ -18,7 +18,8 @@
 //! charge virtual time for work actually done:
 //!
 //! * [`RbMemoryMap`] — a from-scratch CLRS red-black interval tree, which
-//!   replays recurring hot-plug cycles from a memo with exact counts.
+//!   computes hot-plug cycles on a one-entry base in closed form with
+//!   exact counts.
 //! * [`RadixMemoryMap`] — a four-level, 512-way radix tree shaped like a
 //!   page table (the future-work ablation).
 
@@ -99,16 +100,15 @@ impl Segment {
     }
 }
 
-/// Hot-plug cycles a memoizing map has served (see [`RbMemoryMap`]). A
-/// cycle is an ascending batch above every entry followed by the removal
-/// of exactly that batch.
+/// How a map served its non-empty [`GuestMemoryMap::insert_ascending`]
+/// batches (see [`RbMemoryMap`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Cycles {
-    /// Batches linked for real on a base small enough to memoize: their
-    /// exact removal records the cycle.
-    pub recorded: u64,
-    /// Batches served from a recorded cycle and held unlinked.
-    pub replayed: u64,
+pub struct Batches {
+    /// Batches held unlinked, their reports computed in closed form. One
+    /// that something later links for real still counts here.
+    pub held: u64,
+    /// Batches linked for real, entry by entry.
+    pub linked: u64,
 }
 
 /// Errors from guest memory-map operations.
@@ -143,7 +143,7 @@ pub trait GuestMemoryMap {
 
     /// Translate one guest frame to its host frame, reporting the search
     /// work. Counted lookups take `&mut self`: their count depends on the
-    /// tree as an unmemoized map would hold it.
+    /// tree as per-op inserts would build it.
     fn lookup(&mut self, gfn: u64) -> Result<(u64, OpReport), MapError>;
 
     /// Translate a run of consecutive guest frames resolved by a single
@@ -210,10 +210,10 @@ pub trait GuestMemoryMap {
     /// Number of entries (regions, not frames).
     fn len(&self) -> usize;
 
-    /// Hot-plug cycles memoized so far; zero for a map that does not
-    /// memoize.
-    fn cycles(&self) -> Cycles {
-        Cycles::default()
+    /// How batches were served so far; zero for a map that does not
+    /// count them.
+    fn batches(&self) -> Batches {
+        Batches::default()
     }
 
     /// True when empty.

@@ -17,21 +17,20 @@
 //! in-order successor of the last and derives its depth instead of
 //! searching for it.
 //!
-//! On top of both sits a memo of hot-plug *cycles*: a batch of `e` entries
-//! above every key, then the removal of exactly that batch. Its visits,
-//! rotations and the survivors' final links and colours depend only on
-//! the tree's shape and colours before the batch and on `e`, never on
-//! keys, lengths, host frames or arena slots. So the map records each
-//! cycle it runs for real on a base of at most `e` entries, keyed by
-//! ([`RbMemoryMap::shape_key`], `e`), and when the same cycle comes again
-//! it returns the recorded reports, holds the batch unlinked as segments
-//! and rewrites the survivors' links on the exact removal. Anything else
-//! that needs the real tree first links a held batch for real, which
-//! leaves exactly the tree an unmemoized map would hold.
+//! On top of both sits a closed form for hot-plug *cycles* on a one-entry
+//! base: a batch of `e` entries above the single linked entry (a VM's
+//! guest RAM), then the removal of exactly that batch. A one-entry tree
+//! has one shape and colour, so the batch grows it into the tree `e + 1`
+//! ascending inserts build, whatever the keys, and its exact removal
+//! leaves the one entry again. Both reports then follow from `e` alone in
+//! O(log e) arithmetic ([`hot_plug_insert`], [`hot_plug_remove`]; DESIGN.md
+//! §7 derives them). The map holds such a batch unlinked as its segments
+//! and returns the stored removal report when exactly the batch is
+//! removed. Anything else that needs the real tree first links a held
+//! batch for real, which leaves exactly the tree per-op inserts build. A
+//! batch on any other base links for real.
 
-use std::collections::BTreeMap;
-
-use crate::{BatchReport, Cycles, GuestMemoryMap, MapError, OpReport, Segment};
+use crate::{BatchReport, Batches, GuestMemoryMap, MapError, OpReport, Segment};
 
 const NIL: usize = 0;
 
@@ -52,61 +51,101 @@ struct Node {
     right: usize,
 }
 
-/// In-order position standing for NIL in [`Links`].
-const NONE: usize = usize::MAX;
-
-/// A node's children, as in-order positions, and colour.
-#[derive(Debug, Clone, Copy)]
-struct Links {
-    left: usize,
-    right: usize,
-    color: Color,
+/// S ∩ [4, hi], where S = {4, 6, 8, 12, 16, 24, …} holds every 2^k and
+/// 3·2^k that is at least 4.
+fn s_up_to(hi: u64) -> impl Iterator<Item = u64> {
+    (1..62)
+        .flat_map(|k| [2u64 << k, 3u64 << k])
+        .take_while(move |&s| s <= hi)
 }
 
-/// What one hot-plug cycle did.
-#[derive(Debug, Clone)]
-struct Cycle {
-    insert: BatchReport,
-    remove: BatchReport,
-    /// The root's in-order position afterwards (`NONE` when empty).
-    root: usize,
-    /// Every survivor's links afterwards, by in-order position.
-    links: Vec<Links>,
+/// The report of `e` ascending inserts above a one-entry tree. The insert
+/// that grows the tree to `j` nodes visits 1 + |S ∩ [4, j + 1]| nodes and
+/// rotates once unless j + 2 ∈ S.
+fn hot_plug_insert(e: u64) -> BatchReport {
+    let n = e + 1;
+    BatchReport {
+        ops: e,
+        visits: e + s_up_to(n + 1).map(|s| n + 2 - s).sum::<u64>(),
+        rotations: e - s_up_to(n + 2).count() as u64,
+    }
 }
 
-/// The cycles recorded on one base.
-#[derive(Debug, Clone)]
-struct Memo {
-    /// [`RbMemoryMap::shape_key`] of the base.
-    base: Vec<u8>,
-    /// Cycles by batch entry count.
-    cycles: BTreeMap<usize, Cycle>,
+/// (visits, rotations) of removing the `n - 1` upper entries, in
+/// ascending order, from the tree `n` ascending inserts build, for
+/// `n < 22`.
+const REMOVE_SMALL: [(u64, u64); 22] = [
+    (0, 0),
+    (0, 0),
+    (2, 0),
+    (2, 0),
+    (3, 0),
+    (4, 0),
+    (5, 1),
+    (6, 1),
+    (9, 1),
+    (10, 1),
+    (14, 2),
+    (15, 2),
+    (18, 2),
+    (19, 2),
+    (23, 3),
+    (24, 3),
+    (27, 3),
+    (28, 3),
+    (33, 3),
+    (34, 3),
+    (37, 3),
+    (38, 3),
+];
+
+/// The report of removing, in ascending order, the `e` entries that
+/// [`hot_plug_insert`] added. With n the tree's size and m = n + 2 ≥ 24,
+/// removing the first `d` of them costs a closed form and leaves the
+/// shape and colours of the (n − d)-node tree, so the rest recurses.
+fn hot_plug_remove(e: u64) -> BatchReport {
+    let (mut n, mut visits, mut rotations) = (e + 1, 0, 0);
+    while n >= 22 {
+        let m = n + 2;
+        // P = 2^k, the largest power of two with 3P ≤ m; P ≥ 8.
+        let k = u64::from((m / 3).ilog2());
+        let p = 1u64 << k;
+        let v = k * p - p / 4 + 1;
+        let (d, dv, dr) = if 2 * m < 7 * p {
+            (p, v, p / 4 - 1)
+        } else if m < 4 * p {
+            (3 * p / 2, 3 * k * p / 2 - p / 8 + 1, 3 * p / 8 - 1)
+        } else if m < 5 * p {
+            (p, v + p / 2 - 1, p / 4)
+        } else {
+            (p, v + p / 2, p / 4 - 1)
+        };
+        (n, visits, rotations) = (n - d, visits + dv, rotations + dr);
+    }
+    let (v, r) = REMOVE_SMALL[n as usize];
+    BatchReport {
+        ops: e,
+        visits: visits + v,
+        rotations: rotations + r,
+    }
 }
 
-/// The newest hot-plug batch, while removing exactly it can still replay
-/// or record a cycle.
+/// A hot-plug batch held unlinked, while removing exactly it can still
+/// return its stored report.
 #[derive(Debug, Clone)]
-struct Open {
-    /// Entries in the batch.
-    entries: usize,
-    /// End of the highest older entry (0 when there is none).
+struct Held {
+    segments: Vec<Segment>,
+    /// End of the one linked entry below the batch.
     older_end: u64,
     /// End of the batch's first entry.
     first_end: u64,
     /// Key of the batch's last entry.
     last_key: u64,
-    state: OpenState,
+    /// The report of removing exactly the batch.
+    remove: BatchReport,
 }
 
-#[derive(Debug, Clone)]
-enum OpenState {
-    /// Replayed from the memo: the entries are not linked.
-    Held(Vec<Segment>),
-    /// Linked for real on a memoizable base with this key.
-    Recording { base: Vec<u8>, insert: BatchReport },
-}
-
-impl Open {
+impl Held {
     /// Whether the entries meeting `[gfn, gfn + len)` are exactly this
     /// batch: the range meets its first and last entry and no older one.
     fn removed_whole_by(&self, gfn: u64, len: u64) -> bool {
@@ -118,8 +157,8 @@ impl Open {
 ///
 /// Equality is tree-level: two maps are equal when their linked trees
 /// have the same shape and colours and they hold the same entries, linked
-/// or held. Arena slots, free lists and memos play no part: a replayed
-/// cycle allocates no slot, and no count depends on one.
+/// or held. Arena slots and free lists play no part: a held batch
+/// allocates no slot, and no count depends on one.
 #[derive(Debug, Clone)]
 pub struct RbMemoryMap {
     nodes: Vec<Node>,
@@ -127,9 +166,8 @@ pub struct RbMemoryMap {
     free: Vec<usize>,
     /// Linked entries.
     count: usize,
-    memo: Option<Memo>,
-    open: Option<Open>,
-    cycles: Cycles,
+    held: Option<Held>,
+    batches: Batches,
 }
 
 impl PartialEq for RbMemoryMap {
@@ -164,9 +202,8 @@ impl RbMemoryMap {
             root: NIL,
             free: Vec::new(),
             count: 0,
-            memo: None,
-            open: None,
-            cycles: Cycles::default(),
+            held: None,
+            batches: Batches::default(),
         }
     }
 
@@ -537,13 +574,7 @@ impl RbMemoryMap {
 
     /// The segments of a held batch (empty when none is held).
     fn held(&self) -> &[Segment] {
-        match &self.open {
-            Some(Open {
-                state: OpenState::Held(segments),
-                ..
-            }) => segments,
-            _ => &[],
-        }
+        self.held.as_ref().map_or(&[], |h| &h.segments)
     }
 
     /// In-order iteration over (gfn_start, len, hpfn_start), held entries
@@ -556,15 +587,15 @@ impl RbMemoryMap {
         linked.chain(self.held().iter().flat_map(|s| s.entries()))
     }
 
-    /// Whether a replayed batch is held unlinked.
+    /// Whether a hot-plug batch is held unlinked.
     pub fn holds_batch(&self) -> bool {
-        !self.held().is_empty()
+        self.held.is_some()
     }
 
     /// Preorder encoding of the linked tree's shape and colours, one byte
     /// per node: whether it has a left child, a right child, and is red.
     /// Two trees with one encoding differ at most in their entries and
-    /// arena slots.
+    /// arena slots; tree-level equality compares it.
     fn shape_key(&self) -> Vec<u8> {
         let mut key = Vec::with_capacity(self.count);
         let mut stack = vec![self.root];
@@ -584,99 +615,12 @@ impl RbMemoryMap {
         key
     }
 
-    /// The root's in-order position and every node's links, by in-order
-    /// position.
-    fn links_by_position(&self) -> (usize, Vec<Links>) {
-        fn walk(map: &RbMemoryMap, x: usize, links: &mut Vec<Links>) -> usize {
-            if x == NIL {
-                return NONE;
-            }
-            let node = map.n(x);
-            let left = walk(map, node.left, links);
-            let pos = links.len();
-            links.push(Links {
-                left,
-                right: NONE,
-                color: node.color,
-            });
-            links[pos].right = walk(map, node.right, links);
-            pos
-        }
-        let mut links = Vec::with_capacity(self.count);
-        let root = walk(self, self.root, &mut links);
-        (root, links)
-    }
-
-    /// Relink the tree's nodes, taken in key order, as `links` and `root`
-    /// say.
-    fn relink(&mut self, root: usize, links: &[Links]) {
-        let slots: Vec<usize> = self.in_order().collect();
-        let slot = |pos: usize| if pos == NONE { NIL } else { slots[pos] };
-        for (&x, l) in slots.iter().zip(links) {
-            let (left, right) = (slot(l.left), slot(l.right));
-            let node = &mut self.nodes[x];
-            (node.left, node.right, node.color) = (left, right, l.color);
-            self.nodes[left].parent = x;
-            self.nodes[right].parent = x;
-        }
-        self.root = slot(root);
-        self.nodes[self.root].parent = NIL;
-        self.nodes[NIL].parent = NIL;
-    }
-
-    /// Link a held batch for real, as the unmemoized insert would have,
-    /// and stop tracking the open batch: the next change is not its exact
-    /// removal.
+    /// Link a held batch for real, as per-op inserts would have: the next
+    /// change is not its exact removal, or it needs the real tree.
     fn settle(&mut self) {
-        if let Some(Open {
-            state: OpenState::Held(segments),
-            ..
-        }) = self.open.take()
-        {
-            self.link_ascending(&mut segments.into_iter().flat_map(Segment::entries))
+        if let Some(held) = self.held.take() {
+            self.link_ascending(&mut held.segments.into_iter().flat_map(Segment::entries))
                 .expect("a held batch lies above every linked entry");
-        }
-    }
-
-    /// Link a held batch for real before a counted lookup; a batch being
-    /// recorded stays open, since lookups change nothing.
-    fn link_held(&mut self) {
-        if self.holds_batch() {
-            self.settle();
-        }
-    }
-
-    /// Remove exactly the open batch, which `[gfn, gfn + len)` covers:
-    /// replay its recorded cycle, or run it for real and record it.
-    fn close(&mut self, open: Open, gfn: u64, len: u64) -> BatchReport {
-        match open.state {
-            OpenState::Held(_) => {
-                let memo = self.memo.take().expect("a held batch replays a cycle");
-                let cycle = &memo.cycles[&open.entries];
-                self.relink(cycle.root, &cycle.links);
-                let report = cycle.remove;
-                self.memo = Some(memo);
-                report
-            }
-            OpenState::Recording { base, insert } => {
-                let remove = self.remove_each(gfn, len);
-                let (root, links) = self.links_by_position();
-                let memo = match &mut self.memo {
-                    Some(memo) if memo.base == base => memo,
-                    slot => slot.insert(Memo {
-                        base,
-                        cycles: BTreeMap::new(),
-                    }),
-                };
-                let cycle = Cycle {
-                    insert,
-                    remove,
-                    root,
-                    links,
-                };
-                memo.cycles.insert(open.entries, cycle);
-                remove
-            }
         }
     }
 
@@ -744,7 +688,7 @@ impl RbMemoryMap {
     /// batch; returns the black height. Panics (with a description) on
     /// violation — used by unit and property tests.
     pub fn validate(&mut self) -> usize {
-        self.link_held();
+        self.settle();
         fn walk(map: &RbMemoryMap, idx: usize, lo: u64, hi: u64) -> usize {
             if idx == NIL {
                 return 1; // NIL counts as black.
@@ -822,7 +766,7 @@ impl GuestMemoryMap for RbMemoryMap {
     }
 
     fn lookup(&mut self, gfn: u64) -> Result<(u64, OpReport), MapError> {
-        self.link_held();
+        self.settle();
         let (idx, visits) = self.find_containing(gfn);
         if idx == NIL {
             return Err(MapError::NotFound { gfn });
@@ -839,7 +783,7 @@ impl GuestMemoryMap for RbMemoryMap {
     }
 
     fn lookup_run(&mut self, gfn: u64, max_len: u64) -> Result<((u64, u64), OpReport), MapError> {
-        self.link_held();
+        self.settle();
         let (idx, visits) = self.find_containing(gfn);
         if idx == NIL {
             return Err(MapError::NotFound { gfn });
@@ -903,7 +847,7 @@ impl GuestMemoryMap for RbMemoryMap {
         // Gather the leading segments whose entries each lie above the
         // last.
         let mut batch = Vec::new();
-        let (mut added, mut end, mut rest) = (0usize, older_end, None);
+        let (mut added, mut end, mut rest) = (0u64, older_end, None);
         for seg in &mut *segments {
             if seg.count == 0 {
                 continue;
@@ -913,11 +857,12 @@ impl GuestMemoryMap for RbMemoryMap {
                 break;
             }
             batch.push(seg);
-            (added, end) = (added + seg.count as usize, seg.end());
+            (added, end) = (added + seg.count, seg.end());
         }
-        // Memoize only a batch at least as large as the base, so keying
-        // the base never costs more than the work a replay skips.
-        if rest.is_some() || added == 0 || self.count > added {
+        // Anything but an ascending batch on a one-entry base links for
+        // real; an empty one counts as neither.
+        if rest.is_some() || added == 0 || self.count != 1 {
+            self.batches.linked += u64::from(added > 0 || rest.is_some());
             return self.link_ascending(
                 &mut batch
                     .into_iter()
@@ -926,33 +871,22 @@ impl GuestMemoryMap for RbMemoryMap {
                     .flat_map(Segment::entries),
             );
         }
-        let base = self.shape_key();
         let (first, last) = (batch[0], batch[batch.len() - 1]);
-        let mut open = Open {
-            entries: added,
+        self.held = Some(Held {
+            segments: batch,
             older_end,
             first_end: first.gfn + first.len,
             last_key: last.end() - last.len,
-            state: OpenState::Held(Vec::new()),
-        };
-        let recorded = self.memo.as_ref().filter(|m| m.base == base);
-        if let Some(cycle) = recorded.and_then(|m| m.cycles.get(&added)) {
-            let report = cycle.insert;
-            open.state = OpenState::Held(batch);
-            self.open = Some(open);
-            self.cycles.replayed += 1;
-            return Ok(report);
-        }
-        let insert = self.link_ascending(&mut batch.into_iter().flat_map(Segment::entries))?;
-        open.state = OpenState::Recording { base, insert };
-        self.open = Some(open);
-        self.cycles.recorded += 1;
-        Ok(insert)
+            remove: hot_plug_remove(added),
+        });
+        self.batches.held += 1;
+        Ok(hot_plug_insert(added))
     }
 
     fn remove_range(&mut self, gfn: u64, len: u64) -> BatchReport {
-        if let Some(open) = self.open.take_if(|o| o.removed_whole_by(gfn, len)) {
-            return self.close(open, gfn, len);
+        if let Some(held) = self.held.take_if(|h| h.removed_whole_by(gfn, len)) {
+            // The one linked entry is left, as it was.
+            return held.remove;
         }
         self.settle();
         self.remove_each(gfn, len)
@@ -962,8 +896,8 @@ impl GuestMemoryMap for RbMemoryMap {
         self.count + self.held().iter().map(|s| s.count as usize).sum::<usize>()
     }
 
-    fn cycles(&self) -> Cycles {
-        self.cycles
+    fn batches(&self) -> Batches {
+        self.batches
     }
 }
 

@@ -1,24 +1,28 @@
 //! Property test: the red-black map's batched entry points must build the
 //! same tree as the per-operation calls they replace, and report the same
-//! summed work, including when they replay a memoized hot-plug cycle.
+//! summed work, including when they hold a hot-plug batch on a one-entry
+//! base and compute its reports in closed form.
 //!
 //! Two maps replay one random history. The per-op map hot-plugs with one
 //! `insert` per entry and removes a range with one `remove` per frame in
-//! ascending order, so it never memoizes; the batched map uses
+//! ascending order, so it never holds a batch; the batched map uses
 //! `insert_ascending` and `remove_range`. Hot-plugged keys are
 //! bump-allocated above a fixed base, as the VMM allocates them; below the
 //! base both maps take arbitrary per-op inserts and removes, and some of
 //! those inserts reach the batched map as a batch that is not above the
-//! maximum, which must fall back. Histories detach the newest batch whole,
-//! in part or together with older entries, and repeat batch sizes on
-//! recurring bases so that the batched map replays recorded cycles.
-//! Counted lookups and uncounted translations run while a replayed batch
-//! is held.
+//! maximum, which must fall back. Histories open on a one-entry base, as a
+//! VM's guest RAM is, and detach the newest batch whole, in part or
+//! together with older entries. Counted lookups and uncounted translations
+//! run while a batch is held.
 //!
-//! Equality is tree-level (entries, shape and colours): a replayed cycle
+//! Equality is tree-level (entries, shape and colours): a held batch
 //! allocates no arena slot, so slot numbers and free lists may differ. The
 //! trees are compared whenever the batched map holds no batch; while it
 //! holds one, its entries, length, reports and translations still are.
+//!
+//! A second oracle runs the closed form at every batch size up to 2,048,
+//! around each of its case boundaries up to P = 2^16, and at the sizes the
+//! committed workloads hot-plug.
 
 use proptest::prelude::*;
 use xemem_collections::{BatchReport, GuestMemoryMap, OpReport, RbMemoryMap, Segment};
@@ -100,17 +104,23 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-/// A history: one size hot-plugged and detached twice on the empty map,
-/// which must replay, then random steps.
+/// A history: one low entry, a batch hot-plugged and detached on it, a
+/// second one left held, then random steps.
 fn history() -> impl Strategy<Value = Vec<Step>> {
-    (batch(), prop::collection::vec(step_strategy(), 1..80)).prop_map(|(first, rest)| {
-        let warm = [
-            Step::HotPlug(first.clone()),
-            Step::DetachNewest,
+    let base = (0u64..HOTPLUG_BASE, 1u64..1_024).prop_map(|(gfn, len)| Step::LowInsert {
+        gfn: gfn.min(HOTPLUG_BASE - len),
+        len,
+        batched: false,
+    });
+    let rest = prop::collection::vec(step_strategy(), 1..80);
+    (base, batch(), batch(), rest).prop_map(|(base, first, second, rest)| {
+        let open = [
+            base,
             Step::HotPlug(first),
             Step::DetachNewest,
+            Step::HotPlug(second),
         ];
-        warm.into_iter().chain(rest).collect()
+        open.into_iter().chain(rest).collect()
     })
 }
 
@@ -274,7 +284,7 @@ proptest! {
     #[test]
     fn batched_rb_map_equals_per_op_map(steps in history()) {
         let pair = run(&steps);
-        prop_assert!(pair.batched.cycles().replayed >= 1, "the warm-up cycle must replay");
+        prop_assert!(pair.batched.batches().held >= 2, "batches on the one-entry base are held");
     }
 }
 
@@ -283,9 +293,9 @@ fn singles(n: usize) -> Step {
 }
 
 #[test]
-fn recurring_cycles_on_one_base_replay() {
+fn recurring_cycles_on_one_base_are_held() {
     // One RAM-like entry below, then in situ timesteps of a few recurring
-    // sizes: each size is recorded once and replayed after that.
+    // sizes: every batch is held, and translations do not link it.
     let mut steps = vec![Step::LowInsert {
         gfn: 0,
         len: 1_024,
@@ -302,62 +312,13 @@ fn recurring_cycles_on_one_base_replay() {
         }
     }
     let pair = run(&steps);
-    let cycles = pair.batched.cycles();
-    assert_eq!((cycles.recorded, cycles.replayed), (3, 21));
-}
-
-#[test]
-fn cycles_of_other_sizes_are_not_replayed_for_each_other() {
-    // Same base, many sizes, each twice: a memo keyed without the batch
-    // size would answer the second size with the first one's reports.
-    let mut steps = Vec::new();
-    for n in 1..24 {
-        for _ in 0..2 {
-            steps.push(singles(n));
-            steps.push(Step::DetachNewest);
-        }
-    }
-    let pair = run(&steps);
-    assert_eq!(pair.batched.cycles().replayed, 23);
-}
-
-#[test]
-fn recoloured_bases_do_not_share_cycles() {
-    // A few low entries, one cycle, then a low entry inserted and removed
-    // again: the base is back in the shape the cycle was recorded on, in
-    // other colours, and the same cycle on it reports other counts. It
-    // must run for real; a memo keyed without colours would replay it.
-    for (low, blip) in [
-        (&[620, 860, 650, 70, 120][..], (255, 120)),
-        (&[780, 270, 560, 190, 440][..], (475, 475)),
-        (&[400, 900, 270, 90, 160][..], (125, 270)),
-    ] {
-        let mut steps: Vec<Step> = low
-            .iter()
-            .map(|&gfn| Step::LowInsert {
-                gfn,
-                len: 1,
-                batched: false,
-            })
-            .collect();
-        let cycle = [singles(low.len() + 1), Step::DetachNewest];
-        steps.extend(cycle.clone());
-        steps.push(Step::LowInsert {
-            gfn: blip.0,
-            len: 1,
-            batched: false,
-        });
-        steps.push(Step::LowRemove { gfn: blip.1 });
-        steps.extend(cycle);
-        let pair = run(&steps);
-        let cycles = pair.batched.cycles();
-        assert_eq!((cycles.recorded, cycles.replayed), (2, 0), "{low:?}");
-    }
+    let batches = pair.batched.batches();
+    assert_eq!((batches.held, batches.linked), (24, 0));
 }
 
 #[test]
 fn lookups_while_held_see_the_linked_tree() {
-    // Counted lookups need the tree an unmemoized map would hold: RAM's
+    // Counted lookups need the tree per-op inserts would build: RAM's
     // depth grows with the held batch. Translations do not link.
     let ram = Step::LowInsert {
         gfn: 0,
@@ -369,7 +330,7 @@ fn lookups_while_held_see_the_linked_tree() {
         steps.push(Step::Translate { at });
     }
     let mut pair = run(&steps);
-    assert!(pair.batched.holds_batch(), "the second cycle replays");
+    assert!(pair.batched.holds_batch(), "the second batch is held");
     let last = pair.newest.1 - 1;
     assert_eq!(
         pair.batched.translate_run(last),
@@ -409,20 +370,76 @@ fn partial_and_overlapping_detaches_of_a_held_batch_run_for_real() {
 }
 
 #[test]
-fn bases_larger_than_the_batch_are_not_memoized() {
-    let mut steps: Vec<Step> = (0..20)
-        .map(|i| Step::LowInsert {
-            gfn: i * 10,
-            len: 2,
-            batched: false,
-        })
-        .collect();
-    for _ in 0..4 {
-        steps.push(singles(8));
-        steps.push(Step::DetachNewest);
+fn empty_and_multi_entry_bases_link_for_real() {
+    let low = |i: u64| Step::LowInsert {
+        gfn: i * 10,
+        len: 2,
+        batched: false,
+    };
+    for base in [0u64, 2, 20] {
+        let mut steps: Vec<Step> = (0..base).map(low).collect();
+        for _ in 0..4 {
+            steps.push(singles(8));
+            steps.push(Step::DetachNewest);
+        }
+        let batches = run(&steps).batched.batches();
+        assert_eq!((batches.held, batches.linked), (0, 4), "{base} entries");
     }
-    let pair = run(&steps);
-    assert_eq!(pair.batched.cycles(), Default::default());
+}
+
+/// Every batch size up to 2,048; each case boundary of the closed form's
+/// recurrence (m = e + 3 at 3P, 3.5P, 4P, 5P and 6P, one either side) for
+/// P = 8 … 2^16; and the hot-plug sizes of `vm_insitu` (2–64 MiB) and
+/// `table2`'s 1 GiB attach, in 4 KiB pages.
+fn closed_form_sizes() -> Vec<u64> {
+    let mut sizes: Vec<u64> = (1..=2_048).collect();
+    for k in 3..=16 {
+        let p = 1u64 << k;
+        for m in [3 * p, 7 * p / 2, 4 * p, 5 * p, 6 * p] {
+            sizes.extend([m - 4, m - 3, m - 2]);
+        }
+    }
+    sizes.extend([2, 4, 6, 8, 12, 16, 24, 32, 48, 64].map(|mib| mib * 256));
+    sizes.push(262_144);
+    sizes.sort_unstable();
+    sizes.dedup();
+    sizes
+}
+
+#[test]
+fn one_entry_base_cycles_match_the_per_op_map() {
+    // The per-op map grows one entry at a time above a one-entry base, so
+    // its summed insert report at each size is a running total; each size
+    // is then removed from a copy, one `remove` per entry in ascending
+    // order. The batched map runs the same cycle as one held batch. Below
+    // 21 entries this derives, row by row, the table the closed form
+    // answers small trees from.
+    let mut grown = RbMemoryMap::new();
+    grown.insert(0, 1, 0).unwrap();
+    let mut insert = BatchReport::default();
+    for e in closed_form_sizes() {
+        for key in grown.len() as u64..=e {
+            insert.add(grown.insert(key, 1, key).unwrap());
+        }
+        let mut per_op = grown.clone();
+        let mut remove = BatchReport::default();
+        for key in 1..=e {
+            remove.add(per_op.remove(key).unwrap().1);
+        }
+        let mut batched = RbMemoryMap::new();
+        batched.insert(0, 1, 0).unwrap();
+        let segment = Segment {
+            gfn: 1,
+            len: 1,
+            hpfn: 1,
+            count: e,
+        };
+        let got = batched.insert_ascending(&mut std::iter::once(segment));
+        assert_eq!(got, Ok(insert), "insert, e = {e}");
+        assert!(batched.holds_batch(), "e = {e}");
+        assert_eq!(batched.remove_range(1, e), remove, "remove, e = {e}");
+        assert!(batched == per_op, "e = {e}");
+    }
 }
 
 #[test]

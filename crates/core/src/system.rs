@@ -2173,17 +2173,13 @@ impl System {
             EnclaveKind::Vm(vmm) => {
                 // Fig. 4(a): hot-plug GPAs, update the memory map, notify
                 // the guest, guest maps.
-                let before = vmm.map_cycles();
+                let before = vmm.map_batches();
                 let breakdown = vmm.guest_attach_prot(pid, list, prot)?;
-                let after = vmm.map_cycles();
-                self.tracer.count(
-                    Counter::GuestMapCyclesRecorded,
-                    after.recorded - before.recorded,
-                );
-                self.tracer.count(
-                    Counter::GuestMapCyclesReplayed,
-                    after.replayed - before.replayed,
-                );
+                let after = vmm.map_batches();
+                self.tracer
+                    .count(Counter::GuestMapBatchesHeld, after.held - before.held);
+                self.tracer
+                    .count(Counter::GuestMapBatchesLinked, after.linked - before.linked);
                 self.last_vm_breakdown = Some(breakdown);
                 Ok((breakdown.va, breakdown.total))
             }

@@ -28,7 +28,7 @@ use parking_lot::RwLock;
 use std::sync::Arc;
 
 use xemem_collections::{
-    BatchReport, Cycles, GuestMemoryMap, RadixMemoryMap, RbMemoryMap, Segment,
+    BatchReport, Batches, GuestMemoryMap, RadixMemoryMap, RbMemoryMap, Segment,
 };
 use xemem_mem::kernel::{AttachSemantics, KernelError, MappingKernel, Pid};
 use xemem_mem::{
@@ -293,9 +293,10 @@ impl Vmm {
         self.map.read().len()
     }
 
-    /// Hot-plug cycles the memory map has recorded and replayed.
-    pub fn map_cycles(&self) -> Cycles {
-        self.map.read().cycles()
+    /// How the memory map served its hot-plug batches: held in closed
+    /// form or linked for real.
+    pub fn map_batches(&self) -> Batches {
+        self.map.read().batches()
     }
 
     /// The virtual PCI device (counters).
@@ -804,8 +805,8 @@ mod more_tests {
             };
             let mut buf = [0u8; 4];
             // One size attached and detached twice on guest RAM alone: the
-            // RB map records the cycle, then replays it, and the replayed
-            // range translates while live and faults once detached.
+            // RB map holds each batch unlinked, and the held range
+            // translates while live and faults once detached.
             let gone_base = vmm.hotplug_next_gfn;
             for round in 0..2 {
                 let base = vmm.hotplug_next_gfn;
@@ -819,8 +820,8 @@ mod more_tests {
                 vmm.guest_detach(pid, b.va).unwrap();
             }
             if kind == MemoryMapKind::RbTree {
-                let cycles = vmm.map_cycles();
-                assert_eq!((cycles.recorded, cycles.replayed), (1, 1));
+                let batches = vmm.map_batches();
+                assert_eq!((batches.held, batches.linked), (2, 0));
             }
             let gone = vmm
                 .guest_attach(pid, &host_alloc.alloc_pages(8).unwrap())
@@ -947,8 +948,8 @@ mod more_tests {
         // Several live attachments of random sizes and run shapes,
         // detached in random order, so a removed range has hot-plugged
         // entries on both sides; then recurring same-size rounds on guest
-        // RAM alone, which the RB map replays from its memo, with guest
-        // I/O and export walks while each is live. A shadow map replays
+        // RAM alone, whose batches the RB map holds in closed form, with
+        // guest I/O and export walks while each is live. A shadow map replays
         // each attach and detach with one `insert`/`remove` per entry and
         // per frame.
         for kind in [MemoryMapKind::RbTree, MemoryMapKind::Radix] {
@@ -994,6 +995,7 @@ mod more_tests {
                 let buf = vmm.guest_mut().alloc_buffer(pid, buf_len).unwrap().value;
                 vmm.guest_mut().write(pid, buf, &[7; 4096 * 16]).unwrap();
                 let shapes: Vec<PfnList> = (0..3).map(|_| random_list(&mut rng)).collect();
+                let random = vmm.map_batches();
                 for round in 0..18 {
                     let list = &shapes[round % shapes.len()];
                     let attached = attach_against(&mut vmm, &mut *shadow, pid, list);
@@ -1010,11 +1012,15 @@ mod more_tests {
                     }
                     detach_against(&mut vmm, &mut *shadow, pid, attached);
                 }
-                let cycles = vmm.map_cycles();
+                let batches = vmm.map_batches();
                 if kind == MemoryMapKind::RbTree {
-                    assert!(cycles.replayed >= 15, "{coalescing:?}: {cycles:?}");
+                    // Attaches beside live ones linked for real; every
+                    // round on guest RAM alone was held.
+                    assert!(random.linked > 0, "{coalescing:?}: {random:?}");
+                    let rounds = (batches.held - random.held, batches.linked - random.linked);
+                    assert_eq!(rounds, (18, 0), "{coalescing:?}");
                 } else {
-                    assert_eq!(cycles, Cycles::default());
+                    assert_eq!(batches, Batches::default());
                 }
             }
         }

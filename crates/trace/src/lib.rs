@@ -588,16 +588,16 @@ pub enum Counter {
     TierPagesMigrated,
     /// Bytes copied between memory tiers by migrations.
     TierBytesCopied,
-    /// VM attaches whose guest-map batch ran for real on a base small
-    /// enough to memoize, so that detaching it records the cycle.
-    GuestMapCyclesRecorded,
-    /// VM attaches whose guest-map batch replayed a recorded cycle.
-    GuestMapCyclesReplayed,
+    /// VM attaches whose guest-map batch was held, its counts computed in
+    /// closed form.
+    GuestMapBatchesHeld,
+    /// VM attaches whose guest-map batch was linked for real.
+    GuestMapBatchesLinked,
 }
 
 impl Counter {
     /// Number of counters.
-    pub const COUNT: usize = Counter::GuestMapCyclesReplayed as usize + 1;
+    pub const COUNT: usize = Counter::GuestMapBatchesLinked as usize + 1;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -621,8 +621,8 @@ impl Counter {
         Counter::TierMigrations,
         Counter::TierPagesMigrated,
         Counter::TierBytesCopied,
-        Counter::GuestMapCyclesRecorded,
-        Counter::GuestMapCyclesReplayed,
+        Counter::GuestMapBatchesHeld,
+        Counter::GuestMapBatchesLinked,
     ];
 
     /// Stable snake-case name.
@@ -648,8 +648,8 @@ impl Counter {
             Counter::TierMigrations => "tier_migrations",
             Counter::TierPagesMigrated => "tier_pages_migrated",
             Counter::TierBytesCopied => "tier_bytes_copied",
-            Counter::GuestMapCyclesRecorded => "guest_map_cycles_recorded",
-            Counter::GuestMapCyclesReplayed => "guest_map_cycles_replayed",
+            Counter::GuestMapBatchesHeld => "guest_map_batches_held",
+            Counter::GuestMapBatchesLinked => "guest_map_batches_linked",
         }
     }
 }
