@@ -24,25 +24,35 @@ use xemem_sim::{RunDriver, RunPlan};
 
 use crate::Args;
 
-/// Ring capacity for per-run tracers: sweeps run many units, so each
-/// unit's rings are kept smaller than the single-run default. Metrics
-/// and conservation audits are exact regardless of ring capacity.
-const PER_RUN_RING_SLOTS: usize = 1 << 12;
-const PER_RUN_RINGS: usize = 8;
-/// Ring sizing for obs-report sessions: the causal analyzer gates on
-/// zero lost records, so runs that request an obs report get enough
-/// per-enclave rings that the chaos smoke geometry never spills into
-/// (and overwrites) the shared overflow ring, and enough slots per
-/// ring that its busiest enclave never wraps.
-const PER_RUN_RING_SLOTS_OBS: usize = 1 << 14;
-const PER_RUN_RINGS_OBS: usize = 64;
+/// Per-run ring sizing `(slots per ring, enclave rings)`, from the
+/// exports the session will write; a run's tracer metrics and
+/// conservation audit are exact at any ring capacity.
+///
+/// * An obs report: the causal analyzer gates on zero lost records, so
+///   each run gets enough per-enclave rings that the chaos smoke
+///   geometry never spills into (and overwrites) the shared overflow
+///   ring, and enough slots per ring that its busiest enclave never
+///   wraps.
+/// * A chrome trace: sweeps run many units, so each unit's rings are
+///   kept smaller than the single-run default.
+/// * Neither: no bench code reads spans in-run, so runs keep metrics
+///   only.
+fn ring_capacity(args: &Args) -> (usize, usize) {
+    if args.obs_report.is_some() {
+        (1 << 14, 64)
+    } else if args.trace_out.is_some() {
+        (1 << 12, 8)
+    } else {
+        (0, 0)
+    }
+}
 
 /// A parallel bench session: worker count, tracing mode, and the
 /// per-run tracers accumulated so far.
 pub struct ParSession {
     jobs: usize,
     tracing: bool,
-    obs: bool,
+    ring_capacity: (usize, usize),
     runs: Vec<(u64, TraceHandle)>,
     next_run_id: u64,
 }
@@ -51,7 +61,7 @@ impl ParSession {
     /// Session configured from parsed CLI args.
     pub fn new(args: &Args) -> ParSession {
         let mut s = ParSession::with(args.effective_jobs(), args.trace);
-        s.obs = args.obs_report.is_some();
+        s.ring_capacity = ring_capacity(args);
         s
     }
 
@@ -59,16 +69,17 @@ impl ParSession {
     /// for suites whose contract includes the conservation audit.
     pub fn always_traced(args: &Args) -> ParSession {
         let mut s = ParSession::with(args.effective_jobs(), true);
-        s.obs = args.obs_report.is_some();
+        s.ring_capacity = ring_capacity(args);
         s
     }
 
-    /// Session with an explicit worker count and tracing mode.
+    /// Session with an explicit worker count and tracing mode; traced
+    /// runs keep metrics only.
     pub fn with(jobs: usize, tracing: bool) -> ParSession {
         ParSession {
             jobs: jobs.max(1),
             tracing,
-            obs: false,
+            ring_capacity: (0, 0),
             runs: Vec::new(),
             next_run_id: 0,
         }
@@ -89,14 +100,10 @@ impl ParSession {
         T: Send,
         F: Fn(usize, &TraceHandle) -> Result<T, XememError> + Sync,
     {
+        let (slots, rings) = self.ring_capacity;
         let tracers: Vec<TraceHandle> = (0..n)
             .map(|_| {
                 if self.tracing {
-                    let (slots, rings) = if self.obs {
-                        (PER_RUN_RING_SLOTS_OBS, PER_RUN_RINGS_OBS)
-                    } else {
-                        (PER_RUN_RING_SLOTS, PER_RUN_RINGS)
-                    };
                     TraceHandle::with_capacity(slots, rings)
                 } else {
                     TraceHandle::disabled()

@@ -11,16 +11,19 @@
 //!    cursor records a *leaf* (IPI wait/transfer, hypercall, PCI copy,
 //!    route forwarding, name-server processing and backoff, page-table
 //!    walk/install, RB-tree structure time, …). Committed spans land in
-//!    per-enclave lock-free ring buffers, tagged with enclave, process,
-//!    segment and operation kind.
+//!    per-enclave ring buffers, tagged with enclave, process, segment
+//!    and operation kind. The rings sit behind the collector's lock,
+//!    next to the per-thread op frames every hook already locks, and
+//!    allocate as they are written.
 //! 2. **Metrics.** Global counters (retries, quarantined/returned
 //!    frames, bytes moved through attached mappings, …) and log₂
 //!    virtual-time histograms (attach latency, fault-in latency,
 //!    name-server retries per op), queryable from tests.
-//! 3. **Exporters.** [`TraceHandle::chrome_trace_json`] emits the
-//!    chrome://tracing "Trace Event Format" (complete `"X"` events);
-//!    [`TraceHandle::folded_stacks`] emits `op;leaf <ns>` lines for
-//!    flamegraph tools.
+//! 3. **Exporters.** One per format, each over a list of runs keyed by
+//!    run id: [`merge_chrome_trace_json`] emits the chrome://tracing
+//!    "Trace Event Format" (complete `"X"` events);
+//!    [`merge_folded_stacks`] emits `op;leaf <ns>` lines for flamegraph
+//!    tools; [`merge_obs_report`] emits the `xemem-obs` causal report.
 //! 4. **Conservation auditor.** Four atomic sums — root and leaf
 //!    nanoseconds on the *clock* timeline (ops that advance the shared
 //!    [`xemem_sim::Clock`]) and on the *detached* timeline (fig6-style
@@ -52,10 +55,9 @@
 //! * Frames nest: an injected fault serviced in the middle of an op
 //!   opens its own detached frame and commits independently.
 
-use std::cell::UnsafeCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use xemem_sim::{SimDuration, SimTime};
 
@@ -923,110 +925,53 @@ pub struct AuditScope {
 }
 
 // ----------------------------------------------------------------------
-// Lock-free per-enclave ring buffers
+// Per-enclave ring buffers
 // ----------------------------------------------------------------------
 
-/// Placeholder span used to initialize ring slots.
-const EMPTY_SPAN: Span = Span {
-    start: SimTime::ZERO,
-    dur: SimDuration::ZERO,
-    op: SpanKind::Make,
-    kind: SpanKind::Make,
-    root: false,
-    self_rooted: false,
-    timeline: Timeline::Clock,
-    parent_kind: SpanKind::Make,
-    parent_start: SimTime::ZERO,
-    ctx: Ctx::NONE,
-};
-
-/// Placeholder edge used to initialize ring slots.
-const EMPTY_EDGE: Edge = Edge {
-    kind: EdgeKind::SendRecv,
-    src: SimTime::ZERO,
-    dst: SimTime::ZERO,
-    src_ctx: Ctx::NONE,
-    dst_ctx: Ctx::NONE,
-    msg: 0,
-    bytes: 0,
-};
-
-/// One ring slot, protected by a seqlock: `seq == 0` means never
-/// written, odd means a write is in flight, even (nonzero) means the
-/// slot holds the record for logical index `(seq - 2) / 2`.
-struct Slot<T> {
-    seq: AtomicU64,
-    data: UnsafeCell<T>,
+/// Bounded record store (spans and edges use the same one), guarded by
+/// the collector's lock. It appends until it holds `cap` records, then
+/// overwrites the oldest in place, slot `pushed % cap`; memory grows
+/// with what is written, never with `cap` up front. The conservation
+/// sums in [`Metrics`] are unaffected by ring capacity, and
+/// [`Ring::lost`] reports exactly how many records were overwritten so
+/// exporters can refuse to present a partial view as a complete one.
+struct Ring<T> {
+    records: Vec<T>,
+    cap: usize,
+    pushed: u64,
 }
 
-/// Lock-free single-ring record store (spans and edges use the same
-/// machinery). Writers claim a logical index with a `fetch_add` and
-/// publish via the slot seqlock; readers snapshot without blocking
-/// writers and simply skip torn slots. Overwrites the oldest records
-/// when full — the conservation sums in [`Metrics`] are unaffected by
-/// ring capacity, and [`Ring::lost`] reports exactly how many records
-/// were overwritten so exporters can refuse to present a partial view
-/// as a complete one.
-struct Ring<T: Copy> {
-    slots: Box<[Slot<T>]>,
-    head: AtomicU64,
-}
-
-// SAFETY: slot data is only accessed under the seqlock protocol —
-// writers mark the slot odd before writing and even after; readers
-// validate the sequence number around the copy and discard torn reads.
-// `T: Copy` guarantees the data is plain bytes with no drop glue.
-unsafe impl<T: Copy + Send> Sync for Ring<T> {}
-unsafe impl<T: Copy + Send> Send for Ring<T> {}
-
-impl<T: Copy> Ring<T> {
-    fn new(capacity: usize, empty: T) -> Ring<T> {
-        let cap = capacity.next_power_of_two().max(2);
+impl<T> Ring<T> {
+    /// A ring keeping the last `capacity` records, rounded up to a power
+    /// of two (at least 2).
+    fn new(capacity: usize) -> Ring<T> {
         Ring {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    data: UnsafeCell::new(empty),
-                })
-                .collect(),
-            head: AtomicU64::new(0),
+            records: Vec::new(),
+            cap: capacity.next_power_of_two().max(2),
+            pushed: 0,
         }
     }
 
-    fn push(&self, record: T) {
-        let idx = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(idx as usize) & (self.slots.len() - 1)];
-        slot.seq.store(2 * idx + 1, Ordering::Release);
-        // SAFETY: the odd sequence number claims the slot; a concurrent
-        // writer that laps us will store its own odd value and readers
-        // will discard the torn record.
-        unsafe { *slot.data.get() = record };
-        slot.seq.store(2 * idx + 2, Ordering::Release);
-    }
-
-    fn snapshot_into(&self, out: &mut Vec<T>) {
-        for slot in self.slots.iter() {
-            let before = slot.seq.load(Ordering::Acquire);
-            if before == 0 || before % 2 == 1 {
-                continue;
-            }
-            // SAFETY: the copy is validated by re-reading the sequence
-            // number; a torn read is discarded below.
-            let record = unsafe { *slot.data.get() };
-            let after = slot.seq.load(Ordering::Acquire);
-            if before == after {
-                out.push(record);
-            }
+    fn push(&mut self, record: T) {
+        if self.records.len() < self.cap {
+            self.records.push(record);
+        } else {
+            self.records[(self.pushed % self.cap as u64) as usize] = record;
         }
+        self.pushed += 1;
     }
 
-    /// Records pushed past capacity and overwritten — no longer visible
-    /// to [`Ring::snapshot_into`].
+    /// Records pushed past capacity and overwritten.
     fn lost(&self) -> u64 {
-        self.head
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.slots.len() as u64)
+        self.pushed.saturating_sub(self.cap as u64)
     }
+}
+
+/// The ring for `enclave`; enclaves beyond the last index share the
+/// final (overflow) ring.
+fn ring_for<T>(rings: &mut [Ring<T>], enclave: u32) -> &mut Ring<T> {
+    let last = rings.len() - 1;
+    &mut rings[(enclave as usize).min(last)]
 }
 
 // ----------------------------------------------------------------------
@@ -1084,44 +1029,44 @@ struct Frame {
     leaves: Vec<Span>,
 }
 
+/// What the collector's lock guards: each thread's open op frames and
+/// the rings committed spans and edges land in.
+struct Recorded {
+    frames: HashMap<ThreadId, Vec<Frame>>,
+    /// Per-enclave span rings, keyed by the span's enclave.
+    spans: Vec<Ring<Span>>,
+    /// Per-enclave causal-edge rings, keyed by the source enclave.
+    edges: Vec<Ring<Edge>>,
+}
+
 /// Shared state behind an enabled [`TraceHandle`].
 pub struct Collector {
-    /// Per-enclave span rings; enclaves beyond the last index share the
-    /// final (overflow) ring.
-    rings: Vec<Ring<Span>>,
-    /// Per-enclave causal-edge rings (keyed by the source enclave),
-    /// same overflow scheme.
-    edge_rings: Vec<Ring<Edge>>,
     metrics: Metrics,
-    frames: Mutex<HashMap<ThreadId, Vec<Frame>>>,
+    recorded: Mutex<Recorded>,
 }
 
 impl Collector {
     fn new(slots_per_ring: usize, enclave_rings: usize) -> Collector {
+        let rings = enclave_rings.max(1) + 1;
         Collector {
-            rings: (0..enclave_rings.max(1) + 1)
-                .map(|_| Ring::new(slots_per_ring, EMPTY_SPAN))
-                .collect(),
-            edge_rings: (0..enclave_rings.max(1) + 1)
-                .map(|_| Ring::new(slots_per_ring, EMPTY_EDGE))
-                .collect(),
             metrics: Metrics::new(),
-            frames: Mutex::new(HashMap::new()),
+            recorded: Mutex::new(Recorded {
+                frames: HashMap::new(),
+                spans: (0..rings).map(|_| Ring::new(slots_per_ring)).collect(),
+                edges: (0..rings).map(|_| Ring::new(slots_per_ring)).collect(),
+            }),
         }
     }
 
-    fn ring_for(&self, enclave: u32) -> &Ring<Span> {
-        let idx = (enclave as usize).min(self.rings.len() - 1);
-        &self.rings[idx]
-    }
-
-    fn edge_ring_for(&self, enclave: u32) -> &Ring<Edge> {
-        let idx = (enclave as usize).min(self.edge_rings.len() - 1);
-        &self.edge_rings[idx]
+    fn lock(&self) -> MutexGuard<'_, Recorded> {
+        self.recorded
+            .lock()
+            .expect("a thread panicked while recording a trace")
     }
 
     fn leaf(&self, kind: SpanKind, start: SimTime, dur: SimDuration, ctx: Ctx) {
-        let mut frames = self.frames.lock().unwrap();
+        let mut recorded = self.lock();
+        let Recorded { frames, spans, .. } = &mut *recorded;
         let stack = frames.entry(std::thread::current().id()).or_default();
         if let Some(frame) = stack.last_mut() {
             frame.leaves.push(Span {
@@ -1140,7 +1085,6 @@ impl Collector {
             // Self-rooted: a charge observed outside any op frame
             // (direct `*_at` callers). Charge it to the detached
             // timeline as both root and leaf so conservation holds.
-            drop(frames);
             let ns = dur.as_nanos();
             self.metrics
                 .detached_root_ns
@@ -1148,7 +1092,7 @@ impl Collector {
             self.metrics
                 .detached_leaf_ns
                 .fetch_add(ns, Ordering::Relaxed);
-            self.ring_for(ctx.enclave).push(Span {
+            ring_for(spans, ctx.enclave).push(Span {
                 start,
                 dur,
                 op: kind,
@@ -1165,12 +1109,12 @@ impl Collector {
 
     fn edge(&self, edge: Edge) {
         self.metrics.edge_counts[edge.kind as usize].fetch_add(1, Ordering::Relaxed);
-        self.edge_ring_for(edge.src_ctx.enclave).push(edge);
+        ring_for(&mut self.lock().edges, edge.src_ctx.enclave).push(edge);
     }
 
     fn begin_op(&self, kind: SpanKind, start: SimTime, ctx: Ctx, timeline: Timeline) {
-        let mut frames = self.frames.lock().unwrap();
-        frames
+        self.lock()
+            .frames
             .entry(std::thread::current().id())
             .or_default()
             .push(Frame {
@@ -1183,13 +1127,12 @@ impl Collector {
     }
 
     fn commit_op(&self, end: SimTime) {
-        let frame = {
-            let mut frames = self.frames.lock().unwrap();
-            frames
-                .get_mut(&std::thread::current().id())
-                .and_then(Vec::pop)
-        };
-        let Some(frame) = frame else {
+        let mut recorded = self.lock();
+        let Recorded { frames, spans, .. } = &mut *recorded;
+        let Some(frame) = frames
+            .get_mut(&std::thread::current().id())
+            .and_then(Vec::pop)
+        else {
             debug_assert!(false, "commit_op with no open frame");
             return;
         };
@@ -1202,12 +1145,11 @@ impl Collector {
             ),
         };
         root_sum.fetch_add(dur.as_nanos(), Ordering::Relaxed);
-        let ring = self.ring_for(frame.ctx.enclave);
-        for leaf in &frame.leaves {
+        for leaf in frame.leaves {
             leaf_sum.fetch_add(leaf.dur.as_nanos(), Ordering::Relaxed);
-            self.ring_for(leaf.ctx.enclave).push(*leaf);
+            ring_for(spans, leaf.ctx.enclave).push(leaf);
         }
-        ring.push(Span {
+        ring_for(spans, frame.ctx.enclave).push(Span {
             start: frame.start,
             dur,
             op: frame.kind,
@@ -1228,17 +1170,18 @@ impl Collector {
     }
 
     fn abort_op(&self) {
-        let mut frames = self.frames.lock().unwrap();
-        if let Some(stack) = frames.get_mut(&std::thread::current().id()) {
+        if let Some(stack) = self.lock().frames.get_mut(&std::thread::current().id()) {
             stack.pop();
         }
     }
 
     fn spans(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for ring in &self.rings {
-            ring.snapshot_into(&mut out);
-        }
+        let mut out: Vec<Span> = self
+            .lock()
+            .spans
+            .iter()
+            .flat_map(|ring| ring.records.iter().copied())
+            .collect();
         // Total order over every span field: ring push order is
         // nondeterministic when PDES lane workers emit concurrently, so
         // the export order must be reconstructed from span *content*
@@ -1262,10 +1205,12 @@ impl Collector {
     }
 
     fn edges(&self) -> Vec<Edge> {
-        let mut out = Vec::new();
-        for ring in &self.edge_rings {
-            ring.snapshot_into(&mut out);
-        }
+        let mut out: Vec<Edge> = self
+            .lock()
+            .edges
+            .iter()
+            .flat_map(|ring| ring.records.iter().copied())
+            .collect();
         // Content order, for the same reason as `spans()`.
         out.sort_by_key(|e| {
             (
@@ -1285,11 +1230,11 @@ impl Collector {
     }
 
     fn lost_spans(&self) -> u64 {
-        self.rings.iter().map(Ring::lost).sum()
+        self.lock().spans.iter().map(Ring::lost).sum()
     }
 
     fn lost_edges(&self) -> u64 {
-        self.edge_rings.iter().map(Ring::lost).sum()
+        self.lock().edges.iter().map(Ring::lost).sum()
     }
 }
 
@@ -1318,7 +1263,8 @@ impl TraceHandle {
 
     /// An enabled handle with explicit ring sizing. Ring capacity only
     /// bounds how many spans the exporters can see; metrics and the
-    /// conservation auditor are exact regardless.
+    /// conservation auditor are exact regardless. Rings allocate as
+    /// records are written, so an unused capacity costs nothing.
     pub fn with_capacity(slots_per_ring: usize, enclave_rings: usize) -> TraceHandle {
         TraceHandle {
             inner: Some(Arc::new(Collector::new(slots_per_ring, enclave_rings))),
@@ -1569,51 +1515,6 @@ impl TraceHandle {
             .as_ref()
             .map(|c| c.metrics.edge_counts[kind as usize].load(Ordering::Relaxed))
             .unwrap_or(0)
-    }
-
-    /// Serialize this handle's spans, edges, conservation sums and
-    /// metrics registry as a single-run obs report (see
-    /// [`merge_obs_report`] for the format). Empty when disabled.
-    pub fn obs_report(&self) -> String {
-        let mut out = String::from(OBS_REPORT_HEADER);
-        if self.is_enabled() {
-            write_obs_run(&mut out, 0, self);
-        }
-        out
-    }
-
-    /// Export all recorded spans in the chrome://tracing "Trace Event
-    /// Format" (JSON array of complete `"X"` events; open with
-    /// chrome://tracing or https://ui.perfetto.dev). Lanes: `pid` is
-    /// the enclave slot, `tid` the process id.
-    pub fn chrome_trace_json(&self) -> String {
-        let spans = self.spans();
-        let mut out = String::with_capacity(64 + spans.len() * 128);
-        out.push_str("[\n");
-        for (i, s) in spans.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            push_chrome_event(&mut out, s, s.ctx.enclave as u64, None);
-        }
-        out.push_str("\n]\n");
-        out
-    }
-
-    /// Export leaf spans as folded stacks (`op;leaf <ns>` per line,
-    /// semicolon-separated frames, aggregated) for flamegraph tools.
-    /// Root aggregates are excluded — their time is exactly the sum of
-    /// their leaves. Frame names are escaped with [`escape_frame`] so
-    /// merged stacks stay parseable whatever the names contain.
-    pub fn folded_stacks(&self) -> String {
-        let mut agg: HashMap<(SpanKind, SpanKind), u64> = HashMap::new();
-        for s in self.spans() {
-            if s.root {
-                continue;
-            }
-            *agg.entry((s.op, s.kind)).or_insert(0) += s.dur.as_nanos();
-        }
-        render_folded(agg)
     }
 
     /// Point-in-time copy of the whole metrics registry — conservation
@@ -1913,32 +1814,30 @@ fn push_prometheus_hist(out: &mut String, name: &str, labels: &str, s: &HistSnap
 /// run `r`, enclave `e` renders as `pid = r * RUN_PID_STRIDE + e`.
 pub const RUN_PID_STRIDE: u64 = 1000;
 
-fn push_chrome_event(out: &mut String, s: &Span, pid: u64, run: Option<u64>) {
-    let run_arg = match run {
-        Some(r) => format!(",\"run\":{r}"),
-        None => String::new(),
-    };
+fn push_chrome_event(out: &mut String, s: &Span, run: u64) {
     out.push_str(&format!(
         "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-         \"pid\":{},\"tid\":{},\"args\":{{\"segid\":{},\"root\":{}{}}}}}",
+         \"pid\":{},\"tid\":{},\"args\":{{\"segid\":{},\"root\":{},\"run\":{run}}}}}",
         s.kind.as_str(),
         s.op.as_str(),
         s.start.as_nanos() as f64 / 1e3,
         s.dur.as_nanos() as f64 / 1e3,
-        pid,
+        run * RUN_PID_STRIDE + s.ctx.enclave as u64,
         s.ctx.pid,
         s.ctx.segid,
         s.root,
-        run_arg
     ));
 }
 
-/// Merge per-run trace rings into one chrome://tracing JSON document,
-/// keyed by run id — *not* by worker completion order. Runs are sorted
-/// by id, each run's spans keep their own (deterministic) ring order,
-/// and `pid` lanes are namespaced `run * RUN_PID_STRIDE + enclave` so
-/// runs render as separate process groups. Two merges over the same
-/// runs are byte-identical however the runs were scheduled.
+/// Export per-run spans as one chrome://tracing "Trace Event Format"
+/// document (a JSON array of complete `"X"` events; open with
+/// chrome://tracing or https://ui.perfetto.dev), keyed by run id — *not*
+/// by worker completion order. Runs are sorted by id, each run's spans
+/// keep their own (deterministic) ring order, and `pid` lanes are
+/// namespaced `run * RUN_PID_STRIDE + enclave` so runs render as
+/// separate process groups; `tid` is the process id and `args.run` the
+/// run id. Two merges over the same runs are byte-identical however
+/// the runs were scheduled. A single run is `&[(0, handle)]`.
 pub fn merge_chrome_trace_json(runs: &[(u64, TraceHandle)]) -> String {
     let mut sorted: Vec<&(u64, TraceHandle)> = runs.iter().collect();
     sorted.sort_by_key(|(id, _)| *id);
@@ -1950,17 +1849,19 @@ pub fn merge_chrome_trace_json(runs: &[(u64, TraceHandle)]) -> String {
                 out.push_str(",\n");
             }
             first = false;
-            let pid = id * RUN_PID_STRIDE + s.ctx.enclave as u64;
-            push_chrome_event(&mut out, &s, pid, Some(*id));
+            push_chrome_event(&mut out, &s, *id);
         }
     }
     out.push_str("\n]\n");
     out
 }
 
-/// Merge per-run folded stacks into one flamegraph input. Stack counts
-/// are summed across runs (addition commutes, so the result is
-/// schedule-independent) and lines are sorted.
+/// Export per-run leaf spans as folded stacks (`op;leaf <ns>` per line)
+/// for flamegraph tools. Root aggregates are excluded — their time is
+/// exactly the sum of their leaves. Stack counts are summed across runs
+/// (addition commutes, so the result is schedule-independent), lines
+/// are sorted, and frame names are escaped with [`escape_frame`] so the
+/// stacks stay parseable whatever the names contain.
 pub fn merge_folded_stacks(runs: &[(u64, TraceHandle)]) -> String {
     let mut agg: HashMap<(SpanKind, SpanKind), u64> = HashMap::new();
     for (_, handle) in runs {
@@ -1971,7 +1872,26 @@ pub fn merge_folded_stacks(runs: &[(u64, TraceHandle)]) -> String {
             *agg.entry((s.op, s.kind)).or_insert(0) += s.dur.as_nanos();
         }
     }
-    render_folded(agg)
+    let mut lines: Vec<String> = agg
+        .into_iter()
+        .map(|((op, kind), ns)| {
+            if op == kind {
+                format!("{} {ns}", escape_frame(kind.as_str()))
+            } else {
+                format!(
+                    "{};{} {ns}",
+                    escape_frame(op.as_str()),
+                    escape_frame(kind.as_str())
+                )
+            }
+        })
+        .collect();
+    lines.sort();
+    let mut out = lines.join("\n");
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out
 }
 
 /// Escape one frame name for folded-stack output. Flamegraph tooling
@@ -2000,29 +1920,6 @@ pub fn escape_frame(name: &str) -> std::borrow::Cow<'_, str> {
         }
     }
     std::borrow::Cow::Owned(out)
-}
-
-fn render_folded(agg: HashMap<(SpanKind, SpanKind), u64>) -> String {
-    let mut lines: Vec<String> = agg
-        .into_iter()
-        .map(|((op, kind), ns)| {
-            if op == kind {
-                format!("{} {ns}", escape_frame(kind.as_str()))
-            } else {
-                format!(
-                    "{};{} {ns}",
-                    escape_frame(op.as_str()),
-                    escape_frame(kind.as_str())
-                )
-            }
-        })
-        .collect();
-    lines.sort();
-    let mut out = lines.join("\n");
-    if !out.is_empty() {
-        out.push('\n');
-    }
-    out
 }
 
 // ----------------------------------------------------------------------
@@ -2319,12 +2216,14 @@ mod tests {
         h.leaf(SpanKind::IpiXfer, t(0), d(40), Ctx::enclave(0));
         h.leaf(SpanKind::MapInstall, t(40), d(60), Ctx::seg(1, 2, 0x9));
         h.commit_op(t(100));
-        let json = h.chrome_trace_json();
+        let runs = [(0, h)];
+        let json = merge_chrome_trace_json(&runs);
         assert!(json.starts_with('['));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"name\":\"map_install\""));
         assert_eq!(json.matches("{\"name\"").count(), 3);
-        let folded = h.folded_stacks();
+        assert_eq!(json.matches("\"run\":0}").count(), 3);
+        let folded = merge_folded_stacks(&runs);
         assert!(folded.contains("attach;ipi_xfer 40"));
         assert!(folded.contains("attach;map_install 60"));
         assert!(!folded.contains("attach 100"), "roots must be excluded");
@@ -2373,6 +2272,8 @@ mod tests {
         let sums = h.audit().expect("conserved across threads");
         assert_eq!(sums.detached_root_ns, 4 * 250 * 10);
         assert_eq!(h.op_count(SpanKind::Get), 1000);
+        assert_eq!(h.spans().len(), 2000, "every root and leaf kept");
+        assert_eq!(h.lost_spans(), 0);
     }
 
     /// Two handles fed the same sequence snapshot equal; absorb folds
@@ -2536,7 +2437,7 @@ mod tests {
         let r0 = (0u64, mk(1, 40));
         let r1 = (1u64, mk(2, 60));
         let fwd = merge_obs_report(&[r0.clone(), r1.clone()]);
-        let rev = merge_obs_report(&[r1, r0.clone()]);
+        let rev = merge_obs_report(&[r1, r0]);
         assert_eq!(fwd, rev);
         assert!(fwd.starts_with(OBS_REPORT_HEADER));
         assert!(fwd.contains("run 0\n") && fwd.contains("run 1\n"));
@@ -2548,9 +2449,6 @@ mod tests {
         assert!(fwd.contains("edge_count send_recv 1\n"));
         assert!(fwd.contains("lost 0 0\n"));
         assert!(fwd.contains("end 1\n"));
-        // Single-handle convenience: same section under run 0.
-        let single = r0.1.obs_report();
-        assert!(single.contains("run 0\n") && single.contains("sums 40 40 0 0\n"));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! retransmissions, the revocation/reap spans — as a chrome://tracing
 //! JSON you can open in a browser.
 
-use xemem::trace_layer::Counter;
+use xemem::trace_layer::{merge_chrome_trace_json, merge_folded_stacks, Counter};
 use xemem::{FaultPlan, SimDuration, SimTime, SystemBuilder, TraceHandle, XememError};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -118,8 +118,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The whole failure history is in the tracer's metrics.
     print!("{}", tracer.metrics_summary());
     if let Some(path) = trace_out {
-        std::fs::write(&path, tracer.chrome_trace_json())?;
-        std::fs::write(format!("{path}.folded"), tracer.folded_stacks())?;
+        let runs = [(0, tracer)];
+        std::fs::write(&path, merge_chrome_trace_json(&runs))?;
+        std::fs::write(format!("{path}.folded"), merge_folded_stacks(&runs))?;
         println!("tracing: wrote {path} and {path}.folded");
     }
     Ok(())

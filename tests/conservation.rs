@@ -12,7 +12,7 @@
 //! produces bit-identical virtual time and figure outputs to a run
 //! with tracing enabled.
 
-use xemem::trace_layer::{Counter, MetricsSnapshot};
+use xemem::trace_layer::{merge_chrome_trace_json, merge_folded_stacks, Counter, MetricsSnapshot};
 use xemem::{EnclaveRef, FaultPlan, ProcessRef, SimDuration, SimTime, SystemBuilder, TraceHandle};
 use xemem_sim::{RunDriver, RunPlan, SimRng};
 
@@ -266,7 +266,8 @@ fn exports_parse() {
     let tracer = test_tracer();
     xemem_bench::fig6::run_cell_with(1, 4 * MIB, 2, &tracer).unwrap();
 
-    let json = tracer.chrome_trace_json();
+    let runs = [(0, tracer.clone())];
+    let json = merge_chrome_trace_json(&runs);
     let doc = xemem_bench::wallclock::Json::parse(&json).expect("chrome trace JSON parses");
     match doc {
         xemem_bench::wallclock::Json::Arr(events) => {
@@ -282,7 +283,7 @@ fn exports_parse() {
         other => panic!("chrome trace is not a JSON array: {other:?}"),
     }
 
-    let folded = tracer.folded_stacks();
+    let folded = merge_folded_stacks(&runs);
     assert!(!folded.is_empty());
     for line in folded.lines() {
         let (stack, count) = line.rsplit_once(' ').expect("folded line has a count");
