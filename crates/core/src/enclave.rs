@@ -3,10 +3,9 @@
 
 use crate::channel::Link;
 use crate::ids::{Apid, EnclaveId, Segid};
-use std::collections::{HashMap, HashSet};
 use xemem_mem::{MappingKernel, Pid, VirtAddr};
 use xemem_palacios::Vmm;
-use xemem_sim::SimTime;
+use xemem_sim::{FxHashMap, FxHashSet, SimTime};
 
 /// A leased, epoch-fenced name-service cache entry.
 ///
@@ -152,13 +151,13 @@ pub struct Slot {
     /// slot hosts the name server).
     pub ns_via: Option<usize>,
     /// Enclave-ID → neighbor-slot forwarding map (paper §3.2).
-    pub routes: HashMap<EnclaveId, usize>,
+    pub routes: FxHashMap<EnclaveId, usize>,
     /// Segments exported from this enclave.
-    pub segs: HashMap<Segid, SegRecord>,
+    pub segs: FxHashMap<Segid, SegRecord>,
     /// Permits granted to processes of this enclave.
-    pub apids: HashMap<Apid, ApidRecord>,
+    pub apids: FxHashMap<Apid, ApidRecord>,
     /// Live attachments, keyed by (pid, attached base address).
-    pub attachments: HashMap<(Pid, u64), AttachRecord>,
+    pub attachments: FxHashMap<(Pid, u64), AttachRecord>,
     /// False once the enclave crashed or was destroyed; every operation
     /// touching a dead slot fails with `EnclaveDead`.
     pub alive: bool,
@@ -166,15 +165,15 @@ pub struct Slot {
     /// live and epoch-current (each serve counts as
     /// `ShardCounter::LeaseServes`), revoked by removal and fenced by
     /// failover.
-    pub name_leases: HashMap<String, Lease<Segid>>,
+    pub name_leases: FxHashMap<String, Lease<Segid>>,
     /// Leased segid → owning-enclave cache (same protocol).
-    pub owner_leases: HashMap<Segid, Lease<EnclaveId>>,
+    pub owner_leases: FxHashMap<Segid, Lease<EnclaveId>>,
     /// Tombstones of released permits, so a double `xpmem_release` is a
     /// clean `AlreadyReleased` instead of `UnknownApid`.
-    pub released: HashSet<Apid>,
+    pub released: FxHashSet<Apid>,
     /// Tombstones of detached attachment bases, so a double
     /// `xpmem_detach` is a clean `AlreadyDetached`.
-    pub detached: HashSet<(Pid, u64)>,
+    pub detached: FxHashSet<(Pid, u64)>,
 }
 
 impl Slot {
@@ -188,15 +187,15 @@ impl Slot {
             parent_link: None,
             children: Vec::new(),
             ns_via: None,
-            routes: HashMap::new(),
-            segs: HashMap::new(),
-            apids: HashMap::new(),
-            attachments: HashMap::new(),
+            routes: FxHashMap::default(),
+            segs: FxHashMap::default(),
+            apids: FxHashMap::default(),
+            attachments: FxHashMap::default(),
             alive: true,
-            name_leases: HashMap::new(),
-            owner_leases: HashMap::new(),
-            released: HashSet::new(),
-            detached: HashSet::new(),
+            name_leases: FxHashMap::default(),
+            owner_leases: FxHashMap::default(),
+            released: FxHashSet::default(),
+            detached: FxHashSet::default(),
         }
     }
 }

@@ -32,8 +32,8 @@
 
 use crate::error::XememError;
 use crate::ids::{EnclaveId, Segid};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use xemem_sim::{SimDuration, SimTime};
+use std::collections::{BTreeMap, VecDeque};
+use xemem_sim::{FxHashMap, SimDuration, SimTime};
 
 /// Bit position of the shard index inside a segid.
 pub const SHARD_SHIFT: u32 = 48;
@@ -65,11 +65,11 @@ enum PendingInsert {
 #[derive(Debug, Default)]
 struct ShardMaps {
     /// segid → owning enclave.
-    owners: HashMap<Segid, EnclaveId>,
+    owners: FxHashMap<Segid, EnclaveId>,
     /// Optional well-known names for discoverability.
-    names: HashMap<String, Segid>,
+    names: FxHashMap<String, Segid>,
     /// Reverse map for cleanup.
-    segid_names: HashMap<Segid, String>,
+    segid_names: FxHashMap<Segid, String>,
 }
 
 #[derive(Debug)]
@@ -470,6 +470,7 @@ impl NameService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xemem_sim::FxHashSet;
 
     fn at(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -513,7 +514,7 @@ mod tests {
     fn segids_never_repeat() {
         let mut ns = NameService::centralized(0);
         let owner = ns.alloc_enclave_id();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for i in 0..1000 {
             let seg = ns.alloc_segid(owner, None, at(i)).unwrap();
             assert!(seen.insert(seg), "duplicate segid at iteration {i}");
@@ -552,7 +553,7 @@ mod tests {
         let sets = vec![vec![0], vec![1], vec![2], vec![3]];
         let mut ns = NameService::sharded(sets, SimDuration::ZERO, SimDuration::ZERO);
         let owner = ns.alloc_enclave_id();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FxHashSet::default();
         for i in 0..200 {
             let name = format!("k:{i}");
             let seg = ns.alloc_segid(owner, Some(&name), at(0)).unwrap();

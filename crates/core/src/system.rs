@@ -16,7 +16,7 @@
 //! * The clock-based XPMEM API in [`crate::api`] wraps them for
 //!   sequential use.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::api::Framed;
@@ -37,8 +37,8 @@ use xemem_mem::{
 use xemem_palacios::{MemoryMapKind, Vmm};
 use xemem_pisces::{Core0Handler, IpiChannel, NodeResources};
 use xemem_sim::{
-    Clock, CostModel, FaultInjector, FaultKind, FaultPlan, MemTier, SimDuration, SimTime,
-    TierPolicy,
+    Clock, CostModel, FaultInjector, FaultKind, FaultPlan, FxHashMap, MemTier, SimDuration,
+    SimTime, TierPolicy,
 };
 use xemem_trace::{Counter, Ctx, EdgeKind, Hist, ShardCounter, SpanKind, Timeline, TraceHandle};
 
@@ -160,7 +160,7 @@ pub struct System {
     pub(crate) slots: Vec<Slot>,
     ns_slot: usize,
     name_service: NameService,
-    id_to_slot: HashMap<EnclaveId, usize>,
+    id_to_slot: FxHashMap<EnclaveId, usize>,
     next_apid: u64,
     core0: Core0Handler,
     last_vm_breakdown: Option<xemem_palacios::AttachBreakdown>,
@@ -170,10 +170,10 @@ pub struct System {
     injector: Option<FaultInjector>,
     /// (owner slot, segid) → remote attachment sites; fed by every
     /// successful attach, consumed by the revocation protocol.
-    attachers: HashMap<(usize, Segid), Vec<AttachSite>>,
+    attachers: FxHashMap<(usize, Segid), Vec<AttachSite>>,
     /// Exporter-side permit refcounts: (owner slot, segid) → outstanding
     /// `xpmem_get` grants.
-    grants: HashMap<(usize, Segid), u64>,
+    grants: FxHashMap<(usize, Segid), u64>,
     /// Frames on loan from dead exporters (see [`Loan`]).
     loans: Vec<Loan>,
     /// Crashes not yet drained by [`System::drain_crash_notices`].
@@ -1389,11 +1389,11 @@ impl System {
     // Routing internals
     // ------------------------------------------------------------------
 
-    fn link_between(&self, a: usize, b: usize) -> Option<(Link, Direction)> {
+    fn link_between(&self, a: usize, b: usize) -> Option<(&Link, Direction)> {
         if self.slots[a].parent == Some(b) {
-            Some((self.slots[a].parent_link.clone()?, Direction::Up))
+            Some((self.slots[a].parent_link.as_ref()?, Direction::Up))
         } else if self.slots[b].parent == Some(a) {
-            Some((self.slots[b].parent_link.clone()?, Direction::Down))
+            Some((self.slots[b].parent_link.as_ref()?, Direction::Down))
         } else {
             None
         }
@@ -1478,7 +1478,7 @@ impl System {
                 self.tracer.count(Counter::Retransmits, u64::from(dropped));
             }
             let (link, dir) = self.link_between(a, b).expect("path hops are tree edges");
-            at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
+            at = self.send_link(link, at, bytes, dir, Ctx::seg(b, 0, seg));
             // Injected duplication: the receiver pays for a second copy.
             if self
                 .injector
@@ -1486,7 +1486,8 @@ impl System {
                 .is_some_and(|i| i.should_duplicate(at))
             {
                 self.tracer.count(Counter::DupDeliveries, 1);
-                at = self.send_link(&link, at, bytes, dir, Ctx::seg(b, 0, seg));
+                let (link, dir) = self.link_between(a, b).expect("path hops are tree edges");
+                at = self.send_link(link, at, bytes, dir, Ctx::seg(b, 0, seg));
             }
             // The hop's one record: the message leaves slot `a` when the
             // sender first attempts the hop and is received at slot `b`
@@ -2339,7 +2340,7 @@ impl System {
             .link_between(from, to)
             .ok_or_else(|| XememError::Topology("missing link".into()))?;
         let bytes = kind.wire_bytes();
-        let end = self.send_link(&link, at, bytes, dir, Ctx::enclave(to));
+        let end = self.send_link(link, at, bytes, dir, Ctx::enclave(to));
         let (src, dst) = (Ctx::enclave(from), Ctx::enclave(to));
         self.tracer.send_recv(at, end, src, dst, kind.code(), bytes);
         Ok(end)
@@ -3052,7 +3053,7 @@ impl SystemBuilder {
 
         let mut slots: Vec<Slot> = Vec::new();
         let mut zones: Vec<u32> = Vec::new();
-        let mut names: HashMap<String, usize> = HashMap::new();
+        let mut names: FxHashMap<String, usize> = FxHashMap::default();
         for spec in &self.specs {
             match spec {
                 Spec::Native {
@@ -3235,14 +3236,14 @@ impl SystemBuilder {
             slots,
             ns_slot,
             name_service,
-            id_to_slot: HashMap::new(),
+            id_to_slot: FxHashMap::default(),
             next_apid: 0,
             core0,
             last_vm_breakdown: None,
             zones,
             injector,
-            attachers: HashMap::new(),
-            grants: HashMap::new(),
+            attachers: FxHashMap::default(),
+            grants: FxHashMap::default(),
             loans: Vec::new(),
             crash_notices: Vec::new(),
             tier_policy: self.tier_policy,

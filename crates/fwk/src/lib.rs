@@ -21,7 +21,6 @@
 //! Like the Kitten simulator, all operations do real page-table work and
 //! return virtual-time costs per [`xemem_mem::MappingKernel`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use xemem_mem::addr_space::{AddressSpace, RegionKind};
@@ -31,7 +30,7 @@ use xemem_mem::{
     PAGE_SIZE,
 };
 use xemem_sim::noise::CompositeNoise;
-use xemem_sim::{CostModel, Costed, MemTier, SimDuration, SimRng};
+use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration, SimRng};
 
 /// What backs a VMA's pages when they fault in.
 #[derive(Debug, Clone)]
@@ -54,7 +53,7 @@ struct Vma {
 
 struct Proc {
     asp: AddressSpace,
-    vmas: HashMap<u64, Vma>,
+    vmas: FxHashMap<u64, Vma>,
     /// Anonymous frames owned (freed on exit), run-length encoded.
     owned: PfnList,
 }
@@ -64,7 +63,7 @@ pub struct Fwk {
     cost: CostModel,
     phys: Arc<dyn PhysAccess>,
     alloc: FrameAllocator,
-    procs: HashMap<Pid, Proc>,
+    procs: FxHashMap<Pid, Proc>,
     next_pid: u32,
     /// Counters for tests and reporting.
     faults_served: u64,
@@ -85,7 +84,7 @@ impl Fwk {
             cost,
             phys,
             alloc,
-            procs: HashMap::new(),
+            procs: FxHashMap::default(),
             next_pid: 1,
             faults_served: 0,
             tracer: xemem_trace::TraceHandle::disabled(),
@@ -267,7 +266,7 @@ impl MappingKernel for Fwk {
             pid,
             Proc {
                 asp: AddressSpace::new(),
-                vmas: HashMap::new(),
+                vmas: FxHashMap::default(),
                 owned: PfnList::new(),
             },
         );

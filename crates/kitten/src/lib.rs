@@ -20,7 +20,6 @@
 //! The kernel performs real page-table work against shared physical
 //! memory and returns virtual-time costs per [`xemem_mem::MappingKernel`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use xemem_mem::addr_space::{AddressSpace, RegionKind};
@@ -30,7 +29,7 @@ use xemem_mem::{
     VirtAddr, PAGE_SIZE,
 };
 use xemem_sim::noise::CompositeNoise;
-use xemem_sim::{CostModel, Costed, MemTier, SimDuration, SimRng};
+use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration, SimRng};
 
 /// Fixed virtual layout of a Kitten process.
 mod layout {
@@ -78,7 +77,7 @@ pub struct Kitten {
     cost: CostModel,
     phys: Arc<dyn PhysAccess>,
     alloc: FrameAllocator,
-    procs: HashMap<Pid, Proc>,
+    procs: FxHashMap<Pid, Proc>,
     next_pid: u32,
     next_rank: u32,
     /// Observability hooks (metrics only — all virtual-time accounting
@@ -94,7 +93,7 @@ impl Kitten {
             cost,
             phys,
             alloc,
-            procs: HashMap::new(),
+            procs: FxHashMap::default(),
             next_pid: 1,
             next_rank: 1,
             tracer: xemem_trace::TraceHandle::disabled(),

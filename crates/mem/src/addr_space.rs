@@ -218,9 +218,10 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Write bytes at `va` through the page table into physical memory.
-    /// Fails with [`MemError::Fault`] at the first unmapped or read-only
-    /// page.
+    /// Write bytes at `va` through the page table into physical memory,
+    /// one physical access per extent the bytes span. Fails with
+    /// [`MemError::Fault`] at the first unmapped or read-only page, the
+    /// bytes before it written.
     pub fn write_bytes(
         &self,
         phys: &dyn PhysAccess,
@@ -230,12 +231,16 @@ impl AddressSpace {
         let mut remaining = data;
         let mut cur = va;
         while !remaining.is_empty() {
-            let (pa, flags, _) = self.page_table.translate(cur).ok_or(MemError::Fault(cur))?;
+            let (pa, flags, span) = self
+                .page_table
+                .translate_span(cur)
+                .ok_or(MemError::Fault(cur))?;
             if !flags.writable() {
                 return Err(MemError::Fault(cur));
             }
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = remaining.len().min(in_page);
+            let take = remaining
+                .len()
+                .min(usize::try_from(span).unwrap_or(usize::MAX));
             phys.write(pa, &remaining[..take])?;
             remaining = &remaining[take..];
             cur = cur + take as u64;
@@ -243,7 +248,8 @@ impl AddressSpace {
         Ok(())
     }
 
-    /// Read bytes at `va` through the page table.
+    /// Read bytes at `va` through the page table, one physical access per
+    /// extent the bytes span.
     pub fn read_bytes(
         &self,
         phys: &dyn PhysAccess,
@@ -253,9 +259,11 @@ impl AddressSpace {
         let mut filled = 0usize;
         let mut cur = va;
         while filled < out.len() {
-            let (pa, _, _) = self.page_table.translate(cur).ok_or(MemError::Fault(cur))?;
-            let in_page = (PAGE_SIZE - cur.page_offset()) as usize;
-            let take = (out.len() - filled).min(in_page);
+            let (pa, _, span) = self
+                .page_table
+                .translate_span(cur)
+                .ok_or(MemError::Fault(cur))?;
+            let take = (out.len() - filled).min(usize::try_from(span).unwrap_or(usize::MAX));
             phys.read(pa, &mut out[filled..filled + take])?;
             filled += take;
             cur = cur + take as u64;

@@ -186,7 +186,8 @@ impl RangeAlloc {
     }
 
     /// The lowest-addressed run of `n` free frames (first fit), found a
-    /// free stretch at a time.
+    /// free stretch at a time from the first-fit cursor, below which no
+    /// frame is free.
     fn alloc_contiguous(&mut self, n: u64) -> Result<Pfn, MemError> {
         if self.free < n {
             return Err(MemError::OutOfFrames {
@@ -194,7 +195,10 @@ impl RangeAlloc {
                 available: self.free,
             });
         }
-        let mut at = 0;
+        let mut at = match self.policy {
+            Placement::FirstFit => self.cursor,
+            Placement::Scatter => 0,
+        };
         while let Some(s) = self.next_free(at, self.frames) {
             if s + n > self.frames {
                 break;

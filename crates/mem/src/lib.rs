@@ -2,8 +2,8 @@
 //!
 //! The memory-management substrate shared by every simulated kernel in the
 //! XEMEM reproduction: physical frames with sparse byte-level contents,
-//! per-enclave frame allocators, real four-level page tables (4 KiB / 2 MiB
-//! / 1 GiB mappings), address-space region bookkeeping, and the PFN lists
+//! per-enclave frame allocators, page tables (4 KiB / 2 MiB / 1 GiB leaves,
+//! stored as extents), address-space region bookkeeping, and the PFN lists
 //! that the XEMEM attachment protocol ships between enclaves.
 //!
 //! Everything here does *real* structural work — page tables are actually

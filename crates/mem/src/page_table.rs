@@ -1,39 +1,32 @@
-//! A real four-level page table (x86-64 shaped).
+//! Page tables with x86-64 leaf sizes and per-page semantics, stored as
+//! extents.
 //!
-//! Levels are numbered 3 (top, PML4-like) down to 0 (leaf page table).
-//! Leaves may sit at level 0 (4 KiB), level 1 (2 MiB) or level 2 (1 GiB).
-//! Kitten maps process memory with large pages where possible; XEMEM
-//! attachments install 4 KiB mappings one frame at a time, which is exactly
-//! the per-page work the paper's throughput numbers measure.
+//! A mapping is a set of leaves of 4 KiB, 2 MiB or 1 GiB, each aligned to
+//! its size; Kitten maps process memory with large pages where possible,
+//! while XEMEM attachments install 4 KiB leaves, one frame per page — the
+//! per-page work the paper's throughput numbers measure, and what the
+//! *virtual-time* model charges.
 //!
-//! # Run-list chunks
+//! The *host* pays per extent. The table is one ordered map from first
+//! virtual page to maximal extents: runs of leaves that are virtually and
+//! physically contiguous, of one leaf size and one set of flags. Two
+//! extents are merged exactly when they meet in both address spaces with
+//! equal flags and size, so the stored form is a function of the current
+//! mapping alone, never of the calls that produced it. Every operation
+//! finds the extents it touches in O(log n) and then costs O(1) per
+//! extent, whatever the number of pages.
 //!
-//! The *virtual-time* model charges per page — that is the paper's result —
-//! but the *host* pays per extent. Level-0 tables are never materialized:
-//! the 4 KiB leaves of a 2 MiB chunk live in the chunk's level-1 entry as
-//! its sorted, disjoint, maximally merged runs (`LeafRun`s), where two runs
-//! are merged exactly when their slots and frames are contiguous and their
-//! flags are equal. A chunk whose last page is unmapped goes back to an
-//! empty entry. The representation is therefore a function of the current
-//! mapping alone, never of the calls that produced it — no sequence of
-//! unaligned, fragmented or partial operations leaves a chunk that later
-//! calls pay for.
-//!
-//! Every operation descends once per 2 MiB chunk it touches. Inside a
-//! chunk of `r` runs a read costs O(log r) plus O(1) per run it returns,
-//! and a write rebuilds the chunk in O(r) — a lone run, the common case,
-//! is stored inline, so it allocates nothing. An operation over `p` pages
-//! therefore costs O(p / 512 + runs in the chunks it touches) host time,
-//! never O(p).
-//! Every observable — translations, `walk_range` output and
-//! [`WalkStats`], freed-frame order, error values and addresses,
-//! `leaf_count` — is that of one discrete leaf per 4 KiB page, which
-//! `tests/extent_equivalence.rs` checks against a per-page model.
+//! Every observable — translations and leaf sizes, `walk_range` output
+//! and [`WalkStats`], freed-frame order, validate-then-commit, error
+//! values and addresses, `leaf_count` — is that of one discrete leaf per
+//! page (per large page), which `tests/page_table_model.rs` checks
+//! against a per-leaf model.
 
 use crate::error::MemError;
 use crate::pfn_list::{PfnList, PfnRun};
 use crate::types::{PageSize, Pfn, PhysAddr, VirtAddr, PAGE_SIZE};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Page protection / attribute flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,187 +66,6 @@ impl PteFlags {
     }
 }
 
-/// A large-page leaf mapping (2 MiB at level 1, 1 GiB at level 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Leaf {
-    pfn: Pfn,
-    flags: PteFlags,
-    size: PageSize,
-}
-
-/// A run of contiguous 4 KiB leaf mappings within one 2 MiB chunk:
-/// level-0 slot `first + i` maps frame `start + i` for `i < len`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LeafRun {
-    /// First covered level-0 slot (0..512).
-    first: u16,
-    /// Covered slots (1..=512, `first + len <= 512`).
-    len: u16,
-    /// Frame backing slot `first`.
-    start: Pfn,
-    flags: PteFlags,
-}
-
-impl LeafRun {
-    fn end(&self) -> u16 {
-        self.first + self.len
-    }
-
-    /// True when `next` continues this run: adjacent slots, adjacent
-    /// frames, equal flags.
-    fn merges_with(&self, next: &LeafRun) -> bool {
-        self.end() == next.first
-            && self.start.0 + u64::from(self.len) == next.start.0
-            && self.flags == next.flags
-    }
-
-    /// The part of this run inside slots `[s, e)`, if any.
-    fn clip(&self, s: u16, e: u16) -> Option<LeafRun> {
-        let lo = self.first.max(s);
-        let hi = self.end().min(e);
-        (lo < hi).then(|| LeafRun {
-            first: lo,
-            len: hi - lo,
-            start: self.start.offset(u64::from(lo - self.first)),
-            flags: self.flags,
-        })
-    }
-}
-
-/// Level-0 slots per 2 MiB chunk.
-const CHUNK_SLOTS: u16 = 512;
-
-/// The 4 KiB leaves of one 2 MiB chunk in canonical form: runs sorted by
-/// slot, disjoint, and maximally merged (no run `merges_with` its
-/// successor). A lone run — the common case — is stored inline; an empty
-/// chunk is not stored at all.
-#[derive(Debug)]
-enum Chunk {
-    One(LeafRun),
-    /// Two or more runs.
-    Many(Vec<LeafRun>),
-}
-
-impl Chunk {
-    fn runs(&self) -> &[LeafRun] {
-        match self {
-            Chunk::One(run) => std::slice::from_ref(run),
-            Chunk::Many(runs) => runs,
-        }
-    }
-
-    /// The mapped parts of slots `[s, e)`, in slot order.
-    fn clipped(&self, s: u16, e: u16) -> impl Iterator<Item = LeafRun> + '_ {
-        let runs = self.runs();
-        runs[runs.partition_point(|r| r.end() <= s)..]
-            .iter()
-            .map_while(move |r| r.clip(s, e))
-    }
-
-    /// The run mapping `slot`, if any.
-    fn run_at(&self, slot: u16) -> Option<LeafRun> {
-        self.clipped(slot, slot + 1).next()
-    }
-
-    /// First mapped slot in `[s, e)`.
-    fn first_mapped(&self, s: u16, e: u16) -> Option<u16> {
-        self.clipped(s, e).next().map(|r| r.first)
-    }
-
-    /// First unmapped slot in `[s, e)`.
-    fn first_hole(&self, s: u16, e: u16) -> Option<u16> {
-        let mut at = s;
-        for r in self.clipped(s, e) {
-            if r.first > at {
-                break;
-            }
-            at = r.end();
-        }
-        (at < e).then_some(at)
-    }
-}
-
-/// Append `run` after every run of `chunk`, merging when it continues the
-/// last one — so pushing any runs in slot order builds a canonical chunk.
-fn push_run(chunk: &mut Option<Chunk>, run: LeafRun) {
-    match chunk {
-        None => *chunk = Some(Chunk::One(run)),
-        Some(Chunk::One(last)) if last.merges_with(&run) => last.len += run.len,
-        Some(Chunk::One(last)) => *chunk = Some(Chunk::Many(vec![*last, run])),
-        Some(Chunk::Many(runs)) => match runs.last_mut() {
-            Some(last) if last.merges_with(&run) => last.len += run.len,
-            _ => runs.push(run),
-        },
-    }
-}
-
-/// Replace slots `[s, e)` of the chunk in the level-1 entry `slot` (runs,
-/// or empty) with `fill` — runs in slot order tiling the range, or
-/// nothing — handing the frames of every page it unmaps to `freed` in
-/// slot order. The chunk is rebuilt canonically in O(runs); one left with
-/// no page empties the entry. Returns the pages unmapped.
-fn splice_chunk(
-    slot: &mut Option<Entry>,
-    s: u16,
-    e: u16,
-    fill: impl IntoIterator<Item = LeafRun>,
-    mut freed: impl FnMut(Pfn, u64),
-) -> u64 {
-    let old = match slot.take() {
-        None => None,
-        Some(Entry::Runs(chunk)) => Some(chunk),
-        Some(_) => unreachable!("splice into a chunk of 4 KiB leaves"),
-    };
-    let runs = old.as_ref().map_or(&[][..], Chunk::runs);
-    let (before, rest) = runs.split_at(runs.partition_point(|r| r.end() <= s));
-    let (cut, after) = rest.split_at(rest.partition_point(|r| r.first < e));
-    let mut new = None;
-    for &run in before {
-        push_run(&mut new, run);
-    }
-    if let Some(left) = cut.first().and_then(|r| r.clip(0, s)) {
-        push_run(&mut new, left);
-    }
-    let mut unmapped = 0;
-    for run in cut.iter().filter_map(|r| r.clip(s, e)) {
-        freed(run.start, u64::from(run.len));
-        unmapped += u64::from(run.len);
-    }
-    for run in fill {
-        push_run(&mut new, run);
-    }
-    if let Some(right) = cut.last().and_then(|r| r.clip(e, CHUNK_SLOTS)) {
-        push_run(&mut new, right);
-    }
-    for &run in after {
-        push_run(&mut new, run);
-    }
-    *slot = new.map(Entry::Runs);
-    unmapped
-}
-
-#[derive(Debug)]
-enum Entry {
-    Table(Box<Level>),
-    /// A 2 MiB (level 1) or 1 GiB (level 2) leaf.
-    Leaf(Leaf),
-    /// The 4 KiB leaves of a 2 MiB chunk. Level 1 only.
-    Runs(Chunk),
-}
-
-#[derive(Debug)]
-struct Level {
-    entries: Vec<Option<Entry>>,
-}
-
-impl Level {
-    fn new() -> Box<Level> {
-        Box::new(Level {
-            entries: (0..512).map(|_| None).collect(),
-        })
-    }
-}
-
 /// Statistics from a range walk: real structural work performed, used by
 /// kernels to charge virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -261,35 +73,44 @@ pub struct WalkStats {
     /// 4 KiB page translations produced.
     pub pages: u64,
     /// Leaf PTEs actually visited (a 2 MiB leaf covers 512 pages but is
-    /// one visit; a run of 4 KiB leaves counts one visit per covered
-    /// page, exactly like the discrete leaves it stands for).
+    /// one visit; 4 KiB leaves count one visit per page).
     pub leaves_visited: u64,
 }
 
-/// What occupies the 2 MiB chunk containing a given address.
-enum ChunkRef<'a> {
-    /// No table path down to level 1, or an empty level-1 entry — at
-    /// least the whole chunk is unmapped.
-    Hole,
-    /// A 1 GiB leaf at level 2 covers this chunk.
-    Giant(&'a Leaf),
-    /// A 2 MiB leaf occupies exactly this chunk.
-    Large(&'a Leaf),
-    /// 4 KiB leaves.
-    Runs(&'a Chunk),
+/// `pages` 4 KiB pages of leaves of one `size` and `flags`, backed by the
+/// frames from `pfn` on. Keyed by its first page; an extent of large
+/// leaves starts and ends on leaf boundaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Extent {
+    pages: u64,
+    pfn: Pfn,
+    flags: PteFlags,
+    size: PageSize,
 }
 
-/// Split pages `[first, end)` at 2 MiB chunk boundaries, yielding each
-/// chunk's first page and the slots `[s, e)` of it inside the range.
-fn chunks(first: u64, end: u64) -> impl Iterator<Item = (u64, u16, u16)> {
-    let per = u64::from(CHUNK_SLOTS);
-    let last = if end > first { end.div_ceil(per) } else { 0 };
-    (first / per..last).map(move |c| {
-        let base = c * per;
-        let s = first.max(base) - base;
-        let e = end.min(base + per) - base;
-        (base, s as u16, e as u16)
-    })
+impl Extent {
+    /// The part from page `skip` on, `pages` long.
+    fn part(self, skip: u64, pages: u64) -> Extent {
+        Extent {
+            pages,
+            pfn: self.pfn.offset(skip),
+            ..self
+        }
+    }
+
+    /// True when `next`, starting `self.pages` pages after this extent,
+    /// continues it: adjacent frames, equal flags, equal leaf size.
+    fn merges_with(&self, next: &Extent) -> bool {
+        self.pfn.offset(self.pages) == next.pfn
+            && self.flags == next.flags
+            && self.size == next.size
+    }
+
+    /// Leaves of this extent's size that pages `[lo, hi)` touch.
+    fn leaves_in(&self, lo: u64, hi: u64) -> u64 {
+        let per = self.size.frames();
+        (hi.next_multiple_of(per) - lo / per * per) / per
+    }
 }
 
 /// The address of page number `page`.
@@ -297,59 +118,19 @@ fn page_va(page: u64) -> VirtAddr {
     VirtAddr(page * PAGE_SIZE)
 }
 
-/// Descend to the level-`target` table containing `va`, creating
-/// intermediate tables as needed.
-fn table_for(root: &mut Level, va: VirtAddr, target: u8) -> Result<&mut Level, MemError> {
-    let mut level = root;
-    let mut lvl = 3u8;
-    while lvl > target {
-        let slot = &mut level.entries[va.pt_index(lvl)];
-        if slot.is_none() {
-            *slot = Some(Entry::Table(Level::new()));
-        }
-        level = match slot {
-            Some(Entry::Table(t)) => t,
-            _ => return Err(MemError::MappingConflict(va)),
-        };
-        lvl -= 1;
-    }
-    Ok(level)
-}
-
-/// Unmap what is resident in slots `[s, e)` of a chunk's entry — a large
-/// leaf goes whole — handing the freed frames to `freed` in address
-/// order. Returns the leaves cleared.
-fn clear_entry(slot: &mut Option<Entry>, s: u16, e: u16, mut freed: impl FnMut(Pfn, u64)) -> u64 {
-    match slot {
-        Some(Entry::Leaf(leaf)) => {
-            freed(leaf.pfn, leaf.size.frames());
-            *slot = None;
-            1
-        }
-        _ => splice_chunk(slot, s, e, std::iter::empty(), freed),
-    }
-}
-
-/// A four-level page table.
-#[derive(Debug)]
+/// A page table.
+#[derive(Debug, Default)]
 pub struct PageTable {
-    root: Box<Level>,
+    /// Maximal extents keyed by first page: disjoint, and no extent
+    /// merges with one that starts where it ends.
+    extents: BTreeMap<u64, Extent>,
     leaf_count: u64,
-}
-
-impl Default for PageTable {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl PageTable {
     /// An empty table.
     pub fn new() -> Self {
-        PageTable {
-            root: Level::new(),
-            leaf_count: 0,
-        }
+        Self::default()
     }
 
     /// Number of leaf mappings installed (one per 4 KiB page, one per
@@ -358,51 +139,83 @@ impl PageTable {
         self.leaf_count
     }
 
-    /// Resolve the chunk containing `va` without creating tables.
-    fn chunk_ref(&self, va: VirtAddr) -> ChunkRef<'_> {
-        let mut level = &self.root;
-        for lvl in [3u8, 2] {
-            match level.entries[va.pt_index(lvl)].as_ref() {
-                None => return ChunkRef::Hole,
-                Some(Entry::Leaf(l)) => return ChunkRef::Giant(l),
-                Some(Entry::Runs(_)) => unreachable!("runs above level 1"),
-                Some(Entry::Table(t)) => level = t,
+    /// The extent holding `page`, with its first page.
+    fn find(&self, page: u64) -> Option<(u64, Extent)> {
+        let (&start, &ext) = self.extents.range(..=page).next_back()?;
+        (page < start + ext.pages).then_some((start, ext))
+    }
+
+    /// The leaf holding `page`: its first page, and the leaf as an extent
+    /// of its own.
+    fn find_leaf(&self, page: u64) -> Option<(u64, Extent)> {
+        let (start, ext) = self.find(page)?;
+        let per = ext.size.frames();
+        let leaf = page / per * per;
+        Some((leaf, ext.part(leaf - start, per)))
+    }
+
+    /// The mapped parts of pages `[lo, hi)`, clipped to it, in address
+    /// order, each with its first page. A range inside one extent costs
+    /// one search.
+    fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, Extent)> + '_ {
+        let head = self.find(lo);
+        let rest = head.map_or(lo, |(start, ext)| start + ext.pages);
+        let tail = (rest < hi).then(|| self.extents.range(rest..hi));
+        head.into_iter()
+            .chain(tail.into_iter().flatten().map(|(&s, &e)| (s, e)))
+            .filter_map(move |(s, e)| {
+                let (from, to) = (s.max(lo), (s + e.pages).min(hi));
+                (from < to).then(|| (from, e.part(from - s, to - from)))
+            })
+    }
+
+    /// Map `ext` at `page`, where nothing is mapped, merging it with the
+    /// extents it continues and that continue it.
+    fn insert(&mut self, mut page: u64, mut ext: Extent) {
+        if let Some((&start, prev)) = self.extents.range_mut(..page).next_back() {
+            if start + prev.pages == page && prev.merges_with(&ext) {
+                prev.pages += ext.pages;
+                (page, ext) = (start, *prev);
             }
         }
-        match level.entries[va.pt_index(1)].as_ref() {
-            None => ChunkRef::Hole,
-            Some(Entry::Leaf(l)) => ChunkRef::Large(l),
-            Some(Entry::Runs(c)) => ChunkRef::Runs(c),
-            Some(Entry::Table(_)) => unreachable!("table below level 1"),
+        if let Entry::Occupied(next) = self.extents.entry(page + ext.pages) {
+            if ext.merges_with(next.get()) {
+                ext.pages += next.remove().pages;
+            }
         }
+        self.extents.insert(page, ext);
     }
 
-    /// The entry mapping the chunk containing `va` — the level-2 slot of
-    /// a 1 GiB leaf, otherwise the level-1 slot — without creating
-    /// tables. `None` when no table path reaches level 1.
-    fn chunk_slot_mut(&mut self, va: VirtAddr) -> Option<&mut Option<Entry>> {
-        let Some(Entry::Table(l2)) = &mut self.root.entries[va.pt_index(3)] else {
-            return None;
+    /// Unmap pages `[lo, hi)`, handing each removed part to `removed` in
+    /// address order. Extents reaching past either end keep their outer
+    /// parts, which stay maximal.
+    fn cut(&mut self, lo: u64, hi: u64, mut removed: impl FnMut(Extent)) {
+        if lo >= hi {
+            return;
+        }
+        // The part of each extent in the range goes; a part past `hi`
+        // (at most one) is put back after.
+        let mut tail = None;
+        let mut take = |start: u64, ext: Extent| {
+            let end = start + ext.pages;
+            removed(ext.part(0, end.min(hi) - start));
+            if end > hi {
+                tail = Some(ext.part(hi - start, end - hi));
+            }
         };
-        let slot = &mut l2.entries[va.pt_index(2)];
-        if matches!(slot, Some(Entry::Leaf(_))) {
-            return Some(slot);
+        if let Some((&start, ext)) = self.extents.range_mut(..lo).next_back() {
+            if start + ext.pages > lo {
+                let rest = ext.part(lo - start, start + ext.pages - lo);
+                ext.pages = lo - start;
+                take(lo, rest);
+            }
         }
-        match slot {
-            Some(Entry::Table(l1)) => Some(&mut l1.entries[va.pt_index(1)]),
-            _ => None,
+        for (start, ext) in self.extents.extract_if(lo..hi, |_, _| true) {
+            take(start, ext);
         }
-    }
-
-    /// Unmap what is resident in slots `[s, e)` of the chunk containing
-    /// `va` — a large leaf covering it goes whole — appending the freed
-    /// frames to `out`. Returns the leaves cleared.
-    fn clear_chunk(&mut self, va: VirtAddr, s: u16, e: u16, out: &mut PfnList) -> u64 {
-        let cleared = self.chunk_slot_mut(va).map_or(0, |slot| {
-            clear_entry(slot, s, e, |pfn, len| out.push_run(pfn, len))
-        });
-        self.leaf_count -= cleared;
-        cleared
+        if let Some(ext) = tail {
+            self.extents.insert(hi, ext);
+        }
     }
 
     /// Install a mapping of the given size.
@@ -416,43 +229,31 @@ impl PageTable {
         if !va.is_aligned(size) {
             return Err(MemError::Misaligned(va, size));
         }
-        let level = size.leaf_level().max(1);
-        let slot = &mut table_for(&mut self.root, va, level)?.entries[va.pt_index(level)];
-        if size != PageSize::Size4K {
-            match slot {
-                None => *slot = Some(Entry::Leaf(Leaf { pfn, flags, size })),
-                Some(Entry::Leaf(_)) => return Err(MemError::AlreadyMapped(va)),
-                // 4 KiB leaves, or a lower-level table, in the way.
-                Some(_) => return Err(MemError::MappingConflict(va)),
-            }
-        } else {
-            let slot0 = va.pt_index(0) as u16;
-            match slot {
-                Some(Entry::Runs(c)) if c.run_at(slot0).is_some() => {
-                    return Err(MemError::AlreadyMapped(va));
-                }
-                None | Some(Entry::Runs(_)) => {
-                    let run = LeafRun {
-                        first: slot0,
-                        len: 1,
-                        start: pfn,
-                        flags,
-                    };
-                    splice_chunk(slot, slot0, slot0 + 1, [run], |_, _| {});
-                }
-                // A 2 MiB leaf covers the page.
-                Some(_) => return Err(MemError::MappingConflict(va)),
-            }
+        let (page, pages) = (va.0 / PAGE_SIZE, size.frames());
+        if let Some((_, old)) = self.overlapping(page, page + pages).next() {
+            // Only a leaf of the same size can sit exactly where this one
+            // would; any other leaf in the way is a conflict.
+            return Err(if old.size == size {
+                MemError::AlreadyMapped(va)
+            } else {
+                MemError::MappingConflict(va)
+            });
         }
+        self.insert(
+            page,
+            Extent {
+                pages,
+                pfn,
+                flags,
+                size,
+            },
+        );
         self.leaf_count += 1;
         Ok(())
     }
 
     /// Map `pfns.len()` 4 KiB pages starting at `va`, one frame per page,
-    /// in order — the XEMEM attachment fast path. Validates the whole
-    /// range first (no partial installs on error) and installs whole
-    /// contiguous runs per 2 MiB chunk. Returns the number of PTEs
-    /// written.
+    /// in order. Returns the number of PTEs written.
     pub fn map_pages(
         &mut self,
         va: VirtAddr,
@@ -463,8 +264,8 @@ impl PageTable {
         self.map_list(va, &list, flags)
     }
 
-    /// Map a whole PFN list at `va` with one table descent per 2 MiB
-    /// chunk: the extent fast path behind every XEMEM attach.
+    /// Map a whole PFN list of 4 KiB pages at `va`: the extent fast path
+    /// behind every XEMEM attach, one insertion per run of the list.
     /// Validate-then-commit — on error nothing was installed, and the
     /// error is the one the per-page [`PageTable::map`] loop would hit
     /// first. Returns the number of (4 KiB) PTEs written.
@@ -505,70 +306,37 @@ impl PageTable {
             return Err(MemError::Misaligned(va, PageSize::Size4K));
         }
         let first = va.0 / PAGE_SIZE;
-        for (base, s, e) in chunks(first, first + pages) {
-            let cur = page_va(base + u64::from(s));
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => {}
-                ChunkRef::Giant(_) | ChunkRef::Large(_) => {
-                    return Err(MemError::MappingConflict(cur));
-                }
-                ChunkRef::Runs(c) => {
-                    if let Some(slot) = c.first_mapped(s, e) {
-                        return Err(MemError::AlreadyMapped(page_va(base + u64::from(slot))));
-                    }
-                }
-            }
-        }
-        // Commit: feed each chunk the pieces of `runs` that land in it.
-        let mut runs = runs.iter();
-        let mut run = runs.next();
-        let mut used = 0u64;
-        for (base, s, e) in chunks(first, first + pages) {
-            let cur = page_va(base);
-            let slot = &mut table_for(&mut self.root, cur, 1)
-                .expect("range was validated")
-                .entries[cur.pt_index(1)];
-            let mut at = s;
-            let pieces = std::iter::from_fn(|| {
-                if at == e {
-                    return None;
-                }
-                let r = run.expect("runs cover the range");
-                let len = (r.len - used).min(u64::from(e - at)) as u16;
-                let piece = LeafRun {
-                    first: at,
-                    len,
-                    start: r.start.offset(used),
-                    flags,
-                };
-                at += len;
-                used += u64::from(len);
-                if used == r.len {
-                    run = runs.next();
-                    used = 0;
-                }
-                Some(piece)
+        if let Some((page, old)) = self.overlapping(first, first + pages).next() {
+            return Err(if old.size == PageSize::Size4K {
+                MemError::AlreadyMapped(page_va(page))
+            } else {
+                MemError::MappingConflict(page_va(page))
             });
-            splice_chunk(slot, s, e, pieces, |_, _| {});
-            self.leaf_count += u64::from(e - s);
         }
+        let mut page = first;
+        for run in runs {
+            let ext = Extent {
+                pages: run.len,
+                pfn: run.start,
+                flags,
+                size: PageSize::Size4K,
+            };
+            self.insert(page, ext);
+            page += run.len;
+        }
+        self.leaf_count += pages;
         Ok(pages)
     }
 
-    /// Remove the mapping containing `va`. Returns the leaf's frame and
+    /// Remove the leaf containing `va`. Returns the leaf's frame and
     /// size.
     pub fn unmap(&mut self, va: VirtAddr) -> Result<(Pfn, PageSize), MemError> {
-        let slot0 = va.pt_index(0) as u16;
-        let slot = self.chunk_slot_mut(va).ok_or(MemError::NotMapped(va))?;
-        let found = match slot {
-            Some(Entry::Leaf(leaf)) => Some((leaf.pfn, leaf.size)),
-            Some(Entry::Runs(c)) => c.run_at(slot0).map(|r| (r.start, PageSize::Size4K)),
-            _ => None,
-        }
-        .ok_or(MemError::NotMapped(va))?;
-        clear_entry(slot, slot0, slot0 + 1, |_, _| {});
+        let (leaf, ext) = self
+            .find_leaf(va.0 / PAGE_SIZE)
+            .ok_or(MemError::NotMapped(va))?;
+        self.cut(leaf, leaf + ext.pages, |_| {});
         self.leaf_count -= 1;
-        Ok(found)
+        Ok((ext.pfn, ext.size))
     }
 
     /// Unmap `pages` consecutive 4 KiB pages starting at `va`, returning
@@ -577,24 +345,23 @@ impl PageTable {
     /// unmapped.
     pub fn unmap_pages(&mut self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
         let first = va.0 / PAGE_SIZE;
-        for (base, s, e) in chunks(first, first + pages) {
-            let cur = page_va(base + u64::from(s));
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => return Err(MemError::NotMapped(cur)),
-                ChunkRef::Giant(_) | ChunkRef::Large(_) => {
-                    return Err(MemError::MappingConflict(cur));
-                }
-                ChunkRef::Runs(c) => {
-                    if let Some(slot) = c.first_hole(s, e) {
-                        return Err(MemError::NotMapped(page_va(base + u64::from(slot))));
-                    }
-                }
+        let end = first + pages;
+        let mut at = first;
+        for (page, ext) in self.overlapping(first, end) {
+            if page > at {
+                return Err(MemError::NotMapped(page_va(at)));
             }
+            if ext.size != PageSize::Size4K {
+                return Err(MemError::MappingConflict(page_va(page)));
+            }
+            at = page + ext.pages;
+        }
+        if at < end {
+            return Err(MemError::NotMapped(page_va(at)));
         }
         let mut out = PfnList::new();
-        for (base, s, e) in chunks(first, first + pages) {
-            self.clear_chunk(page_va(base), s, e, &mut out);
-        }
+        self.cut(first, end, |ext| out.push_run(ext.pfn, ext.pages));
+        self.leaf_count -= pages;
         Ok(out)
     }
 
@@ -605,73 +372,65 @@ impl PageTable {
     /// produce). A large-page leaf overlapping the range is removed whole
     /// and all of its frames are reported.
     pub fn unmap_resident(&mut self, va: VirtAddr, pages: u64) -> (PfnList, u64) {
-        let first = va.0 / PAGE_SIZE;
         let mut out = PfnList::new();
-        let mut cleared = 0u64;
-        for (base, s, e) in chunks(first, first + pages) {
-            cleared += self.clear_chunk(page_va(base), s, e, &mut out);
+        let mut cleared = 0;
+        if pages > 0 {
+            let (first, last) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages - 1);
+            // Widen the range to the bounds of the leaves at its ends.
+            let lo = self.find_leaf(first).map_or(first, |(leaf, _)| leaf);
+            let hi = self
+                .find_leaf(last)
+                .map_or(last + 1, |(leaf, ext)| leaf + ext.pages);
+            self.cut(lo, hi, |ext| {
+                out.push_run(ext.pfn, ext.pages);
+                cleared += ext.pages / ext.size.frames();
+            });
         }
+        self.leaf_count -= cleared;
         (out, cleared)
     }
 
     /// Translate a virtual address to (physical address, flags, leaf size).
     pub fn translate(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags, PageSize)> {
-        match self.chunk_ref(va) {
-            ChunkRef::Hole => None,
-            ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
-                let within = va.0 & (leaf.size.bytes() - 1);
-                Some((leaf.pfn.base() + within, leaf.flags, leaf.size))
-            }
-            ChunkRef::Runs(c) => {
-                let slot = va.pt_index(0) as u16;
-                let r = c.run_at(slot)?;
-                let within = va.0 & (PAGE_SIZE - 1);
-                Some((r.start.base() + within, r.flags, PageSize::Size4K))
-            }
-        }
+        let page = va.0 / PAGE_SIZE;
+        let (start, ext) = self.find(page)?;
+        let pa = ext.pfn.offset(page - start).base() + va.page_offset();
+        Some((pa, ext.flags, ext.size))
     }
 
-    /// Produce the PFN list for `[va, va + len)` — the export-side
-    /// operation of the XEMEM protocol. Every 4 KiB page in the range must
-    /// be mapped. Returns the list and the real structural work performed.
-    /// One chunk lookup per 2 MiB (or per large leaf), not per page;
-    /// the [`WalkStats`] are computed arithmetically and match the
-    /// per-page walk exactly.
+    /// Translate `va` to its physical address and flags, with the bytes
+    /// from `va` to the end of its extent: contiguous in virtual and
+    /// physical memory alike, under the same flags.
+    pub fn translate_span(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags, u64)> {
+        let page = va.0 / PAGE_SIZE;
+        let (start, ext) = self.find(page)?;
+        let pa = ext.pfn.offset(page - start).base() + va.page_offset();
+        Some((pa, ext.flags, (start + ext.pages) * PAGE_SIZE - va.0))
+    }
+
+    /// Produce the PFN list for the `len.div_ceil(4 KiB)` pages from the
+    /// page of `va` — the export-side operation of the XEMEM protocol.
+    /// Every page must be mapped; a hole is reported at its page plus
+    /// `va`'s offset. Returns the list and the real structural work
+    /// performed, computed per extent and equal to the per-leaf walk's.
     pub fn walk_range(&self, va: VirtAddr, len: u64) -> Result<(PfnList, WalkStats), MemError> {
+        let first = va.0 / PAGE_SIZE;
+        let end = first + len.div_ceil(PAGE_SIZE);
+        let hole = |page: u64| MemError::NotMapped(page_va(page) + va.page_offset());
         let mut list = PfnList::new();
         let mut stats = WalkStats::default();
-        let mut off = 0u64;
-        while off < len {
-            let cur = va + off;
-            let pages_remaining = (len - off).div_ceil(PAGE_SIZE);
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => return Err(MemError::NotMapped(cur)),
-                ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
-                    let bytes = leaf.size.bytes();
-                    let within = cur.0 & (bytes - 1);
-                    let leaf_remaining = bytes - within;
-                    let take = leaf_remaining.min(len - off);
-                    let frames = take.div_ceil(PAGE_SIZE);
-                    list.push_run(leaf.pfn.offset(within / PAGE_SIZE), frames);
-                    stats.pages += frames;
-                    stats.leaves_visited += 1;
-                    off += frames * PAGE_SIZE;
-                }
-                ChunkRef::Runs(c) => {
-                    let s = cur.pt_index(0) as u16;
-                    let e = u64::from(CHUNK_SLOTS).min(u64::from(s) + pages_remaining) as u16;
-                    if let Some(hole) = c.first_hole(s, e) {
-                        return Err(MemError::NotMapped(cur + u64::from(hole - s) * PAGE_SIZE));
-                    }
-                    for r in c.clipped(s, e) {
-                        list.push_run(r.start, u64::from(r.len));
-                    }
-                    let frames = u64::from(e - s);
-                    stats.pages += frames;
-                    stats.leaves_visited += frames;
-                    off += frames * PAGE_SIZE;
-                }
+        let mut at = first;
+        for (page, ext) in self.overlapping(first, end) {
+            if page > at {
+                return Err(hole(at));
             }
+            list.push_run(ext.pfn, ext.pages);
+            stats.pages += ext.pages;
+            stats.leaves_visited += ext.leaves_in(page, page + ext.pages);
+            at = page + ext.pages;
+        }
+        if at < end {
+            return Err(hole(at));
         }
         Ok((list, stats))
     }
@@ -681,20 +440,8 @@ impl PageTable {
     pub fn walk_resident(&self, va: VirtAddr, pages: u64) -> PfnList {
         let first = va.0 / PAGE_SIZE;
         let mut out = PfnList::new();
-        for (base, s, e) in chunks(first, first + pages) {
-            let cur = page_va(base + u64::from(s));
-            match self.chunk_ref(cur) {
-                ChunkRef::Hole => {}
-                ChunkRef::Giant(leaf) | ChunkRef::Large(leaf) => {
-                    let within = (cur.0 & (leaf.size.bytes() - 1)) / PAGE_SIZE;
-                    out.push_run(leaf.pfn.offset(within), u64::from(e - s));
-                }
-                ChunkRef::Runs(c) => {
-                    for r in c.clipped(s, e) {
-                        out.push_run(r.start, u64::from(r.len));
-                    }
-                }
-            }
+        for (_, ext) in self.overlapping(first, first + pages) {
+            out.push_run(ext.pfn, ext.pages);
         }
         out
     }
@@ -704,74 +451,47 @@ impl PageTable {
     /// the demand-fault hole finder.
     pub fn find_unmapped(&self, va: VirtAddr, pages: u64) -> Vec<(u64, u64)> {
         let first = va.0 / PAGE_SIZE;
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        let mut push = |off: u64, len: u64| {
-            if len == 0 {
-                return;
+        let end = first + pages;
+        let mut out = Vec::new();
+        let mut at = first;
+        for (page, ext) in self.overlapping(first, end) {
+            if page > at {
+                out.push((at - first, page - at));
             }
-            match out.last_mut() {
-                Some(last) if last.0 + last.1 == off => last.1 += len,
-                _ => out.push((off, len)),
-            }
-        };
-        for (base, s, e) in chunks(first, first + pages) {
-            let at_page = |slot: u16| base + u64::from(slot) - first;
-            match self.chunk_ref(page_va(base + u64::from(s))) {
-                ChunkRef::Hole => push(at_page(s), u64::from(e - s)),
-                ChunkRef::Giant(_) | ChunkRef::Large(_) => {}
-                ChunkRef::Runs(c) => {
-                    let mut at = s;
-                    for r in c.clipped(s, e) {
-                        push(at_page(at), u64::from(r.first - at));
-                        at = r.end();
-                    }
-                    push(at_page(at), u64::from(e - at));
-                }
-            }
+            at = page + ext.pages;
+        }
+        if at < end {
+            out.push((at - first, end - at));
         }
         out
     }
 
     /// Change the flags on the leaf containing `va`.
     pub fn protect(&mut self, va: VirtAddr, flags: PteFlags) -> Result<(), MemError> {
-        let slot0 = va.pt_index(0) as u16;
-        let slot = self.chunk_slot_mut(va).ok_or(MemError::NotMapped(va))?;
-        let start = match slot {
-            Some(Entry::Leaf(leaf)) => {
-                leaf.flags = flags;
-                return Ok(());
-            }
-            Some(Entry::Runs(c)) => c.run_at(slot0).ok_or(MemError::NotMapped(va))?.start,
-            _ => return Err(MemError::NotMapped(va)),
-        };
-        let run = LeafRun {
-            first: slot0,
-            len: 1,
-            start,
-            flags,
-        };
-        splice_chunk(slot, slot0, slot0 + 1, [run], |_, _| {});
+        let (leaf, ext) = self
+            .find_leaf(va.0 / PAGE_SIZE)
+            .ok_or(MemError::NotMapped(va))?;
+        self.cut(leaf, leaf + ext.pages, |_| {});
+        self.insert(leaf, Extent { flags, ..ext });
         Ok(())
     }
 
-    /// The runs of 4 KiB leaves stored for the 2 MiB chunk containing
+    /// The runs of 4 KiB leaves inside the 2 MiB-aligned chunk containing
     /// `va`, in address order, as `(address of the run's first page,
     /// frames, flags)`; empty unless the chunk holds 4 KiB mappings.
-    /// Chunks are canonical (see the module docs), so two tables with the
+    /// Extents are canonical (see the module docs), so two tables with the
     /// same mappings report the same runs, however they were built.
     pub fn chunk_runs(&self, va: VirtAddr) -> Vec<(VirtAddr, PfnRun, PteFlags)> {
-        let ChunkRef::Runs(c) = self.chunk_ref(va) else {
-            return Vec::new();
-        };
-        let base = va.0 / PAGE_SIZE / u64::from(CHUNK_SLOTS) * u64::from(CHUNK_SLOTS);
-        c.runs()
-            .iter()
-            .map(|r| {
+        let per = PageSize::Size2M.frames();
+        let base = va.0 / PAGE_SIZE / per * per;
+        self.overlapping(base, base + per)
+            .filter(|(_, ext)| ext.size == PageSize::Size4K)
+            .map(|(page, ext)| {
                 let run = PfnRun {
-                    start: r.start,
-                    len: u64::from(r.len),
+                    start: ext.pfn,
+                    len: ext.pages,
                 };
-                (page_va(base + u64::from(r.first)), run, r.flags)
+                (page_va(page), run, ext.flags)
             })
             .collect()
     }
@@ -1153,6 +873,66 @@ mod tests {
                 PteFlags::rw_user()
             )]
         );
+    }
+
+    #[test]
+    fn contiguous_gib_list_is_one_extent() {
+        // A 1 GiB list of one run, starting mid-chunk so it crosses 513
+        // chunk boundaries, is stored, walked and unmapped as one extent.
+        let mut pt = PageTable::new();
+        let va = VirtAddr(G1 + 8 * K4);
+        let pages = G1 / K4;
+        let mut list = PfnList::new();
+        list.push_run(Pfn(1 << 20), pages);
+        assert_eq!(pt.map_list(va, &list, PteFlags::rw_user()), Ok(pages));
+        assert_eq!(pt.extents.len(), 1);
+        assert_eq!(pt.leaf_count(), pages);
+        let (walked, stats) = pt.walk_range(va, G1).unwrap();
+        assert_eq!(walked, list);
+        assert_eq!(
+            stats,
+            WalkStats {
+                pages,
+                leaves_visited: pages
+            }
+        );
+        assert_eq!(
+            pt.translate_span(va + 5),
+            Some((Pfn(1 << 20).base() + 5, PteFlags::rw_user(), G1 - 5))
+        );
+        assert_eq!(pt.unmap_pages(va, pages), Ok(list));
+        assert!(pt.extents.is_empty());
+        assert_eq!(pt.leaf_count(), 0);
+    }
+
+    #[test]
+    fn adjacent_large_leaves_merge_and_split_per_leaf() {
+        // Four physically contiguous 2 MiB leaves are one extent; each
+        // still unmaps, protects and walks as a leaf of its own.
+        let mut pt = PageTable::new();
+        let rw = PteFlags::rw_user();
+        for i in 0..4 {
+            pt.map(VirtAddr(i * M2), Pfn(512 * i), PageSize::Size2M, rw)
+                .unwrap();
+        }
+        assert_eq!(pt.extents.len(), 1);
+        assert_eq!(pt.leaf_count(), 4);
+        let (_, stats) = pt.walk_range(VirtAddr(M2 - K4), 2 * K4 + M2).unwrap();
+        assert_eq!(stats.leaves_visited, 3);
+        pt.protect(VirtAddr(M2 + 7 * K4), PteFlags::ro_user())
+            .unwrap();
+        assert_eq!(pt.extents.len(), 3);
+        assert_eq!(
+            pt.unmap(VirtAddr(2 * M2 + K4)),
+            Ok((Pfn(1024), PageSize::Size2M))
+        );
+        pt.protect(VirtAddr(M2), rw).unwrap();
+        assert_eq!(pt.extents.len(), 2);
+        assert_eq!(
+            pt.unmap_resident(VirtAddr(M2 - K4), 2),
+            (PfnList::from_pages((0..1024).map(Pfn)), 2)
+        );
+        assert_eq!(pt.leaf_count(), 1);
     }
 
     #[test]

@@ -134,23 +134,23 @@ impl PfnList {
     /// the frame-quarantine paths to drop retained frames from a process's
     /// owned list without materializing per-page hash sets.
     pub fn subtract(&self, other: &PfnList) -> PfnList {
-        let mut intervals: Vec<(u64, u64)> = other
+        let mut merged: Vec<(u64, u64)> = other
             .runs
             .iter()
             .map(|r| (r.start.0, r.start.0 + r.len))
             .collect();
-        intervals.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-        for (s, e) in intervals {
-            if let Some(last) = merged.last_mut() {
-                if s <= last.1 {
-                    last.1 = last.1.max(e);
-                    continue;
-                }
+        merged.sort_unstable();
+        merged.dedup_by(|next, kept| {
+            let overlaps = next.0 <= kept.1;
+            if overlaps {
+                kept.1 = kept.1.max(next.1);
             }
-            merged.push((s, e));
-        }
-        let mut out = PfnList::new();
+            overlaps
+        });
+        let mut out = PfnList {
+            runs: Vec::with_capacity(self.runs.len() + merged.len()),
+            pages: 0,
+        };
         for run in &self.runs {
             let mut s = run.start.0;
             let e = run.start.0 + run.len;

@@ -6,6 +6,11 @@
 //! experiments can map multi-GiB regions without multi-GiB allocations
 //! while data-flow tests still verify real byte movement end to end.
 //!
+//! Contents are kept in PFN order, so an access takes one lock and checks
+//! zone bounds once per zone it crosses, and relocating or discarding a
+//! run of frames visits only the materialized frames inside it — never
+//! the run's untouched frames, nor the rest of the node.
+//!
 //! `PhysicalMemory` is shared by every enclave on a node (the whole point
 //! of XEMEM is that enclaves map *the same frames*), so it is internally
 //! synchronized and handed around as `Arc<PhysicalMemory>`.
@@ -14,7 +19,7 @@ use crate::error::MemError;
 use crate::pfn_list::PfnList;
 use crate::types::{Pfn, PhysAddr, PAGE_SIZE};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// One NUMA zone: a contiguous frame range.
@@ -123,8 +128,8 @@ pub trait PhysAccess: Send + Sync {
 pub struct PhysicalMemory {
     zones: Vec<NumaZone>,
     total_frames: u64,
-    /// Lazily materialized frame contents.
-    contents: RwLock<HashMap<u64, Box<[u8]>>>,
+    /// Lazily materialized frame contents, by PFN.
+    contents: RwLock<BTreeMap<u64, Box<[u8]>>>,
 }
 
 impl PhysicalMemory {
@@ -145,7 +150,7 @@ impl PhysicalMemory {
         Arc::new(PhysicalMemory {
             zones,
             total_frames,
-            contents: RwLock::new(HashMap::new()),
+            contents: RwLock::new(BTreeMap::new()),
         })
     }
 
@@ -182,16 +187,27 @@ impl PhysicalMemory {
         self.zones.iter().any(|z| z.contains(pfn))
     }
 
+    /// One past the last frame of the zone holding `pfn`.
+    fn zone_end(&self, pfn: Pfn) -> Result<u64, MemError> {
+        self.zones
+            .iter()
+            .find(|z| z.contains(pfn))
+            .map(|z| z.base.0 + z.frames)
+            .ok_or(MemError::BadPhysAccess(pfn))
+    }
+
     /// Write bytes at a physical address, crossing frame boundaries as
-    /// needed. Frames are materialized on first write.
+    /// needed. Frames are materialized on first write; at the first frame
+    /// outside every zone the bytes before it have been written.
     fn write_impl(&self, at: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         let mut remaining = data;
         let mut addr = at;
+        let mut zone_end = 0;
         let mut contents = self.contents.write();
         while !remaining.is_empty() {
             let pfn = addr.pfn();
-            if !self.frame_exists(pfn) {
-                return Err(MemError::BadPhysAccess(pfn));
+            if pfn.0 >= zone_end {
+                zone_end = self.zone_end(pfn)?;
             }
             let off = addr.page_offset() as usize;
             let take = remaining.len().min(PAGE_SIZE as usize - off);
@@ -210,11 +226,12 @@ impl PhysicalMemory {
     fn read_impl(&self, at: PhysAddr, out: &mut [u8]) -> Result<(), MemError> {
         let mut filled = 0usize;
         let mut addr = at;
+        let mut zone_end = 0;
         let contents = self.contents.read();
         while filled < out.len() {
             let pfn = addr.pfn();
-            if !self.frame_exists(pfn) {
-                return Err(MemError::BadPhysAccess(pfn));
+            if pfn.0 >= zone_end {
+                zone_end = self.zone_end(pfn)?;
             }
             let off = addr.page_offset() as usize;
             let take = (out.len() - filled).min(PAGE_SIZE as usize - off);
@@ -248,8 +265,8 @@ impl PhysicalMemory {
 
 impl PhysicalMemory {
     /// Relocate frame contents for a batch of runs. Only *materialized*
-    /// frames move: the contents map is scanned once (O(materialized ×
-    /// log runs)), so migrating gigabytes of never-touched pages does no
+    /// frames move, found by PFN range (O((runs + moved frames) × log
+    /// materialized)), so migrating gigabytes of never-touched pages does no
     /// per-page host work — the invariant the wallclock gate holds the
     /// `migrate_extent` path to.
     fn relocate_impl(&self, moves: &[FrameMove]) -> Result<(), MemError> {
@@ -259,35 +276,26 @@ impl PhysicalMemory {
             }
             for end in [
                 m.src,
-                Pfn(m.src.0 + m.frames - 1),
+                m.src.offset(m.frames - 1),
                 m.dst,
-                Pfn(m.dst.0 + m.frames - 1),
+                m.dst.offset(m.frames - 1),
             ] {
                 if !self.frame_exists(end) {
                     return Err(MemError::BadPhysAccess(end));
                 }
             }
         }
-        let mut sorted: Vec<&FrameMove> = moves.iter().filter(|m| m.frames > 0).collect();
-        sorted.sort_unstable_by_key(|m| m.src.0);
         let mut contents = self.contents.write();
-        let keys: Vec<u64> = contents.keys().copied().collect();
         // Two passes — remove every moving frame, then insert at the new
         // keys — so a destination that equals another run's source can
         // never clobber data mid-move.
         let mut moved: Vec<(u64, Box<[u8]>)> = Vec::new();
-        for k in keys {
-            let i = sorted.partition_point(|m| m.src.0 + m.frames <= k);
-            if let Some(m) = sorted.get(i) {
-                if m.src.0 <= k {
-                    let data = contents.remove(&k).expect("key just listed");
-                    moved.push((m.dst.0 + (k - m.src.0), data));
-                }
-            }
+        for m in moves {
+            let src = m.src.0..m.src.0 + m.frames;
+            let taken = contents.extract_if(src, |_, _| true);
+            moved.extend(taken.map(|(k, data)| (m.dst.0 + (k - m.src.0), data)));
         }
-        for (k, v) in moved {
-            contents.insert(k, v);
-        }
+        contents.extend(moved);
         Ok(())
     }
 }
@@ -301,20 +309,16 @@ impl PhysAccess for PhysicalMemory {
         self.read_impl(at, out)
     }
 
-    /// Drop the materialized contents inside `frames`' runs. Like
-    /// relocation, one pass over the materialized frames (O(materialized
-    /// × log runs)), never a probe per listed page: one exit can free
+    /// Drop the materialized contents inside `frames`' runs, found by
+    /// PFN range: never a probe per listed page, since one exit can free
     /// 100k frames.
     fn discard(&self, frames: &PfnList) -> Result<(), MemError> {
-        if frames.is_empty() {
-            return Ok(());
+        let mut contents = self.contents.write();
+        for r in frames.runs() {
+            contents
+                .extract_if(r.start.0..r.start.0 + r.len, |_, _| true)
+                .for_each(drop);
         }
-        let mut runs = frames.runs().to_vec();
-        runs.sort_unstable_by_key(|r| r.start.0);
-        self.contents.write().retain(|&k, _| {
-            let i = runs.partition_point(|r| r.start.0 + r.len <= k);
-            runs.get(i).is_none_or(|r| r.start.0 > k)
-        });
         Ok(())
     }
 

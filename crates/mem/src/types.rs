@@ -89,12 +89,6 @@ impl VirtAddr {
     pub fn is_aligned(self, size: PageSize) -> bool {
         self.0 & (size.bytes() - 1) == 0
     }
-
-    /// Page-table index at the given level (3 = top / PML4, 0 = leaf PT).
-    #[inline]
-    pub fn pt_index(self, level: u8) -> usize {
-        ((self.0 >> (PAGE_SHIFT + 9 * level as u32)) & 0x1FF) as usize
-    }
 }
 
 impl Add<u64> for VirtAddr {
@@ -146,16 +140,6 @@ impl PageSize {
     pub const fn frames(self) -> u64 {
         self.bytes() >> PAGE_SHIFT
     }
-
-    /// Page-table level at which this size is a leaf.
-    #[inline]
-    pub const fn leaf_level(self) -> u8 {
-        match self {
-            PageSize::Size4K => 0,
-            PageSize::Size2M => 1,
-            PageSize::Size1G => 2,
-        }
-    }
 }
 
 /// Round `len` up to a whole number of 4 KiB pages.
@@ -178,13 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn virt_addr_indices_decompose() {
-        // va = idx3<<39 | idx2<<30 | idx1<<21 | idx0<<12 | off
+    fn virt_addr_splits_into_page_and_offset() {
         let va = VirtAddr((5u64 << 39) | (6 << 30) | (7 << 21) | (8 << 12) | 9);
-        assert_eq!(va.pt_index(3), 5);
-        assert_eq!(va.pt_index(2), 6);
-        assert_eq!(va.pt_index(1), 7);
-        assert_eq!(va.pt_index(0), 8);
         assert_eq!(va.page_offset(), 9);
         assert_eq!(va.page_base().page_offset(), 0);
     }
@@ -202,8 +181,6 @@ mod tests {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size2M.frames(), 512);
         assert_eq!(PageSize::Size1G.frames(), 512 * 512);
-        assert_eq!(PageSize::Size4K.leaf_level(), 0);
-        assert_eq!(PageSize::Size1G.leaf_level(), 2);
     }
 
     #[test]

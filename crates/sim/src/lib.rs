@@ -32,6 +32,8 @@
 //!   (figure sweep points, fault schedules) across host workers with
 //!   scheduling-independent split RNG streams and plan-order aggregation,
 //!   so `-j1` and `-jN` produce bit-identical results.
+//! * [`fx`] — [`FxHashMap`]/[`FxHashSet`], hash maps with a fast hasher
+//!   that is the same in every process, for the id-keyed maps.
 //! * [`fault`] — deterministic fault injection: scheduled enclave crashes,
 //!   process kills, name-server outages and message drop/duplication
 //!   windows, driven by a seeded [`FaultInjector`].
@@ -40,6 +42,7 @@ pub mod clock;
 pub mod cost;
 pub mod des;
 pub mod fault;
+pub mod fx;
 pub mod noise;
 pub mod pdes;
 pub mod rng;
@@ -51,6 +54,7 @@ pub mod time;
 pub use clock::Clock;
 pub use cost::CostModel;
 pub use fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
+pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use pdes::{lane_of, run_lanes, LaneShared, PdesActor, PdesConfig, PdesStats};
 pub use rng::SimRng;
 pub use run::{host_parallelism, mix64, split_seed, RunCtx, RunDriver, RunPlan};
