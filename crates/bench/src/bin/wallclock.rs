@@ -4,9 +4,7 @@
 //!
 //! Modes:
 //!
-//! * default — measure everything and write the schema-6 report,
-//!   copying the committed `baseline` section through unchanged (if
-//!   none exists, this run becomes the baseline too);
+//! * default — measure everything and write the schema-7 report;
 //! * `--check` — the CI gate: re-measure at smoke size, hold each row
 //!   of [`gate_table`] to its committed column, and require the fig6
 //!   sweep and the `pdes_churn` outcome to be bit-identical across
@@ -202,20 +200,6 @@ fn main() {
         ("full", full.to_json()),
         ("smoke", smoke.to_json()),
     ]);
-    let baseline = std::fs::read_to_string(&out_path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| doc.get("baseline").cloned())
-        .unwrap_or_else(|| {
-            eprintln!("wallclock: no committed baseline found; recording this run as baseline");
-            current.clone()
-        });
-    let baseline_attach = baseline
-        .path(&["full", "attach", "mean_ns"])
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| fail("baseline.full.attach.mean_ns missing"));
-    let speedup = baseline_attach / full.attach.mean_ns;
-    println!("1 GiB attach speedup vs baseline: {speedup:.1}x");
 
     let trace_iters = iters.unwrap_or(20);
     let (off, _) = measure_attach_with(SMOKE_BYTES, trace_iters, &TraceHandle::disabled())
@@ -309,11 +293,9 @@ fn main() {
     ]);
 
     let report = Json::obj([
-        ("schema", num(6)),
+        ("schema", num(7)),
         ("note", Json::Str(NOTE.into())),
-        ("baseline", baseline),
         ("current", current),
-        ("attach_full_speedup_vs_baseline", Json::Num(speedup)),
         ("tracing", tracing),
         ("parallel", parallel),
         ("intra_run", intra_run),

@@ -10,10 +10,8 @@
 //! contention sweep, all timed with [`std::time::Instant`].
 //!
 //! The companion binary (`cargo run --release -p xemem-bench --bin
-//! wallclock`) writes [`COMMITTED_JSON`] with a `baseline` section
-//! (recorded once, before the extent fast path, and copied through
-//! unchanged since) and a `current` section (refreshed on demand), so
-//! the wall-clock trajectory is tracked across PRs. CI runs the binary
+//! wallclock`) writes [`COMMITTED_JSON`] (refreshed on demand), so the
+//! wall-clock trajectory is tracked across PRs. CI runs the binary
 //! in `--check` mode, which re-measures the smoke-size paths and holds
 //! each to its row of [`gate_table`]: a multiple of one committed
 //! column, never below [`CHECK_FLOOR_NS`] of absolute headroom so slow
@@ -497,10 +495,9 @@ pub fn measure_profile(bytes: u64, iters: u32, teardown_iters: u32) -> Result<Pr
 // Minimal JSON reader and writer
 // ----------------------------------------------------------------------
 //
-// BENCH_wallclock.json is read back (to copy the baseline section
-// through and to drive the `--check` gate) and written as one tree. The
-// reader is a deliberately tiny recursive-descent parser for the subset
-// of JSON the writer emits.
+// BENCH_wallclock.json is read back (to drive the `--check` gate) and
+// written as one tree. The reader is a deliberately tiny
+// recursive-descent parser for the subset of JSON the writer emits.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -827,7 +824,7 @@ mod tests {
         key_paths(&doc, "", &mut a);
         key_paths(&again, "", &mut b);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 88);
+        assert_eq!(a.len(), 64);
     }
 
     #[test]

@@ -75,7 +75,8 @@ impl System {
 
     /// `xpmem_make`: export `[va, va + len)` of the calling process as
     /// shared memory. Returns the globally unique segid. The optional
-    /// `name` provides discoverability via [`System::xpmem_search`].
+    /// `name` provides discoverability via [`System::xpmem_search`]. An
+    /// empty range (`len == 0`) is [`XememError::BadWindow`].
     pub fn xpmem_make(
         &mut self,
         p: ProcessRef,

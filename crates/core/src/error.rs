@@ -21,7 +21,8 @@ pub enum XememError {
     BadEnclave(EnclaveRef),
     /// Topology construction error.
     Topology(String),
-    /// The requested window exceeds the exported segment.
+    /// The requested window is empty or exceeds the exported segment
+    /// (an empty segment is refused at make).
     BadWindow { offset: u64, len: u64, seg_len: u64 },
     /// The caller does not own the object it tried to modify.
     PermissionDenied,

@@ -1572,6 +1572,14 @@ impl System {
         let slot_idx = p.enclave.0;
         let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let my_id = slot.id.ok_or(XememError::BadEnclave(p.enclave))?;
+        // An empty export is the empty window attach refuses.
+        if len == 0 {
+            return Err(XememError::BadWindow {
+                offset: 0,
+                len,
+                seg_len: len,
+            });
+        }
         // Registration mutates the name service — no lease fallback;
         // outages and elections are ridden out with exponential backoff.
         let shard = match name {

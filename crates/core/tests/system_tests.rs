@@ -603,6 +603,43 @@ fn migrate_extent_moves_segment_and_repoints_live_attachments() {
     assert_eq!(&own, b"tiered");
 }
 
+/// On `enclave` of a system whose kernels both carry a CXL reserve, an
+/// `xpmem_make` of zero bytes is the empty-window error attach returns,
+/// refused before any protocol step costs virtual time; the same buffer
+/// still exports and migrates whole.
+fn assert_zero_length_make_refused(enclave: &str) {
+    let mut sys = SystemBuilder::new()
+        .tier_reserve(MemTier::Cxl, 64 * MIB)
+        .linux_management("linux0", 4, 256 * MIB)
+        .tier_reserve(MemTier::Cxl, 64 * MIB)
+        .kitten_cokernel("kitten0", 1, 128 * MIB)
+        .build()
+        .unwrap();
+    let e = sys.enclave_by_name(enclave).unwrap();
+    let p = sys.spawn_process(e, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(p, 2 * MIB).unwrap();
+    sys.prepare_buffer(p, buf, 2 * MIB).unwrap();
+    let t = sys.clock().now();
+    let made = sys.xpmem_make(p, buf, 0, None);
+    assert!(
+        matches!(made, Err(XememError::BadWindow { len: 0, .. })),
+        "{enclave}: {made:?}"
+    );
+    assert_eq!(sys.clock().now(), t, "{enclave}: no time charged");
+    let segid = sys.xpmem_make(p, buf, 2 * MIB, None).unwrap();
+    assert_eq!(sys.migrate_extent(p, segid, MemTier::Cxl).unwrap(), 512);
+}
+
+#[test]
+fn zero_length_make_is_a_bad_window_on_kitten() {
+    assert_zero_length_make_refused("kitten0");
+}
+
+#[test]
+fn zero_length_make_is_a_bad_window_on_linux() {
+    assert_zero_length_make_refused("linux0");
+}
+
 #[test]
 fn tier_policy_promotes_hot_chunks_and_demotes_them_when_idle() {
     let policy = TierPolicy {

@@ -14,23 +14,27 @@
 //! * **`vm_mmap` + `remap_pfn_range`** — remote attachments reserve a
 //!   virtual range and eagerly install one PTE per remote frame; this
 //!   per-page cost is half of the Fig. 5 native-attach pipeline.
-//! * **Background noise** — timer ticks and heavy-tailed daemon activity
-//!   (via [`xemem_sim::noise`]), the cause of the Linux-only variance in
-//!   Figs. 8–9.
+//! * **Background noise** — timer ticks and heavy-tailed daemon activity,
+//!   the cause of the Linux-only variance in Figs. 8–9, which the
+//!   workloads draw from `xemem_sim::noise::CompositeNoise::fwk`.
 //!
 //! Like the Kitten simulator, all operations do real page-table work and
-//! return virtual-time costs per [`xemem_mem::MappingKernel`].
+//! return virtual-time costs per [`xemem_mem::MappingKernel`]. Tier
+//! migration, attachment remap and frame retention, return and release
+//! run through [`KernelMemory`], shared with Kitten; the FWK adds its
+//! precondition (a migrated range lies in one anonymous VMA), the lazy
+//! attachment's backing list that a remap re-points, and its own cost
+//! constants.
 
 use std::sync::Arc;
 
 use xemem_mem::addr_space::{AddressSpace, RegionKind};
 use xemem_mem::kernel::{AttachSemantics, KernelError, KernelKind, MappingKernel, Pid};
 use xemem_mem::{
-    FrameAllocator, FrameMove, MemError, MigrateOutcome, PfnList, PhysAccess, PteFlags, VirtAddr,
-    PAGE_SIZE,
+    FrameAllocator, KernelMemory, MemError, MigrateOutcome, PfnList, PhysAccess, PteFlags,
+    VirtAddr, PAGE_SIZE,
 };
-use xemem_sim::noise::CompositeNoise;
-use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration, SimRng};
+use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration};
 
 /// What backs a VMA's pages when they fault in.
 #[derive(Debug, Clone)]
@@ -42,10 +46,9 @@ enum Backing {
     Remote(PfnList),
 }
 
+/// What backs the region of the same start, and at what protection.
 #[derive(Debug, Clone)]
 struct Vma {
-    start: VirtAddr,
-    len: u64,
     backing: Backing,
     /// Protection for pages faulted into this VMA.
     prot: PteFlags,
@@ -53,6 +56,7 @@ struct Vma {
 
 struct Proc {
     asp: AddressSpace,
+    /// One VMA per region, keyed by the region's start.
     vmas: FxHashMap<u64, Vma>,
     /// Anonymous frames owned (freed on exit), run-length encoded.
     owned: PfnList,
@@ -60,13 +64,9 @@ struct Proc {
 
 /// The Linux-like full-weight kernel for one enclave.
 pub struct Fwk {
-    cost: CostModel,
-    phys: Arc<dyn PhysAccess>,
-    alloc: FrameAllocator,
+    mem: KernelMemory,
     procs: FxHashMap<Pid, Proc>,
     next_pid: u32,
-    /// Counters for tests and reporting.
-    faults_served: u64,
     /// Observability hooks (metrics only — all virtual-time accounting
     /// stays with the caller).
     tracer: xemem_trace::TraceHandle,
@@ -81,12 +81,9 @@ impl Fwk {
     /// Boot an FWK instance over the given physical view and frame range.
     pub fn new(cost: CostModel, phys: Arc<dyn PhysAccess>, alloc: FrameAllocator) -> Self {
         Fwk {
-            cost,
-            phys,
-            alloc,
+            mem: KernelMemory { cost, phys, alloc },
             procs: FxHashMap::default(),
             next_pid: 1,
-            faults_served: 0,
             tracer: xemem_trace::TraceHandle::disabled(),
             hugepage_attach: false,
         }
@@ -98,135 +95,16 @@ impl Fwk {
     }
 
     /// Attach an observability handle; demand-fault activity is then
-    /// counted and its virtual latency recorded in
-    /// [`xemem_trace::Hist::FaultInNs`].
+    /// counted in [`xemem_trace::Counter::FaultsServed`] and its virtual
+    /// latency recorded in [`xemem_trace::Hist::FaultInNs`].
     pub fn set_tracer(&mut self, tracer: xemem_trace::TraceHandle) {
         self.tracer = tracer;
-    }
-
-    /// The FWK noise profile (timer ticks + daemons + hardware + SMIs).
-    pub fn noise(rng: &mut SimRng) -> CompositeNoise {
-        CompositeNoise::fwk(rng)
-    }
-
-    /// Total demand-paging faults served (diagnostic).
-    pub fn faults_served(&self) -> u64 {
-        self.faults_served
-    }
-
-    /// Frames still free in this enclave's partition.
-    pub fn free_frames(&self) -> u64 {
-        self.alloc.free_frames()
     }
 
     fn proc_mut(&mut self, pid: Pid) -> Result<&mut Proc, KernelError> {
         self.procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))
-    }
-
-    /// Fault in every non-resident page of `[va, va+len)` in `pid`.
-    /// Returns the number of pages newly faulted and the virtual cost.
-    ///
-    /// Structurally O(extents): holes are discovered as runs and each run
-    /// segment (bounded by its covering VMA) is installed with one batched
-    /// call. The virtual charge stays per page faulted.
-    fn populate(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<Costed<u64>, KernelError> {
-        // Two-phase to satisfy the borrow checker: find the hole runs,
-        // then fill them.
-        let holes: Vec<(VirtAddr, u64)> = {
-            let proc = self
-                .procs
-                .get(&pid)
-                .ok_or(KernelError::NoSuchProcess(pid))?;
-            let first = va.page_base();
-            let pages = (va.0 + len - first.0).div_ceil(PAGE_SIZE);
-            proc.asp
-                .page_table()
-                .find_unmapped(first, pages)
-                .into_iter()
-                .map(|(off, n)| (first + off * PAGE_SIZE, n))
-                .collect()
-        };
-        let mut faulted = 0u64;
-        // Pages faulted onto this kernel's own frames, by the tier the
-        // frame came from — first-touch tier surcharges (zero on flat
-        // DRAM). Remote-backed faults are priced by the protocol layer,
-        // which knows the exporter's tier placement.
-        let mut touched = [0u64; MemTier::COUNT];
-        for (start, run_pages) in holes {
-            let mut page = start;
-            let mut remaining = run_pages;
-            while remaining > 0 {
-                // The VMA covering this stretch bounds one batch.
-                let (backing, vma_start, vma_end, prot) = {
-                    let proc = self.procs.get(&pid).unwrap();
-                    let vma = proc
-                        .vmas
-                        .values()
-                        .find(|v| page >= v.start && page < v.start + v.len)
-                        .ok_or(MemError::Fault(page))?;
-                    (
-                        vma.backing.clone(),
-                        vma.start,
-                        vma.start + vma.len,
-                        vma.prot,
-                    )
-                };
-                let batch = remaining.min((vma_end.0 - page.0) / PAGE_SIZE);
-                match backing {
-                    Backing::Anon => {
-                        // The frames `batch` single-frame faults would
-                        // take, in VA order, then one install. A shortfall
-                        // keeps what it got (owned, so freed at exit) and
-                        // fails as the fault that found no frame would.
-                        let frames = self.alloc.alloc_upto(batch);
-                        self.procs.get_mut(&pid).unwrap().owned.extend(&frames);
-                        if frames.pages() < batch {
-                            return Err(MemError::OutOfFrames {
-                                requested: 1,
-                                available: 0,
-                            }
-                            .into());
-                        }
-                        let by_tier = self.alloc.pages_by_tier(&frames);
-                        for t in MemTier::ALL {
-                            touched[t.index()] += by_tier[t.index()];
-                        }
-                        let proc = self.procs.get_mut(&pid).unwrap();
-                        proc.asp.page_table_mut().map_list(page, &frames, prot)?;
-                    }
-                    Backing::Remote(list) => {
-                        let idx = (page.0 - vma_start.0) / PAGE_SIZE;
-                        let avail = list.pages().saturating_sub(idx).min(batch);
-                        if avail > 0 {
-                            let seg = list.slice(idx, avail).expect("bounds checked");
-                            let proc = self.procs.get_mut(&pid).unwrap();
-                            proc.asp.page_table_mut().map_list(page, &seg, prot)?;
-                        }
-                        if avail < batch {
-                            // The remote list ends inside the VMA.
-                            return Err(MemError::Fault(page + avail * PAGE_SIZE).into());
-                        }
-                    }
-                }
-                faulted += batch;
-                page = page + batch * PAGE_SIZE;
-                remaining -= batch;
-            }
-        }
-        self.faults_served += faulted;
-        let mut cost = self.cost.fwk_fault_in(faulted);
-        for t in MemTier::ALL {
-            cost += self.cost.tier_touch_surcharge(t, touched[t.index()]);
-        }
-        if faulted > 0 {
-            self.tracer
-                .count(xemem_trace::Counter::FaultsServed, faulted);
-            self.tracer
-                .observe(xemem_trace::Hist::FaultInNs, cost.as_nanos());
-        }
-        Ok(Costed::new(faulted, cost))
     }
 
     fn create_vma(
@@ -240,16 +118,7 @@ impl Fwk {
     ) -> Result<VirtAddr, KernelError> {
         let proc = self.proc_mut(pid)?;
         let va = proc.asp.reserve_free(len, kind, name)?;
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        proc.vmas.insert(
-            va.0,
-            Vma {
-                start: va,
-                len,
-                backing,
-                prot,
-            },
-        );
+        proc.vmas.insert(va.0, Vma { backing, prot });
         Ok(va)
     }
 }
@@ -295,8 +164,7 @@ impl MappingKernel for Fwk {
             .procs
             .remove(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        self.alloc.free_list(&proc.owned)?;
-        self.phys.discard(&proc.owned)?;
+        self.mem.release(&proc.owned)?;
         Ok(Costed::new((), SimDuration::from_micros(40)))
     }
 
@@ -311,12 +179,91 @@ impl MappingKernel for Fwk {
         )?;
         Ok(Costed::new(
             va,
-            SimDuration::from_nanos(self.cost.fwk_vm_mmap_ns),
+            SimDuration::from_nanos(self.mem.cost.fwk_vm_mmap_ns),
         ))
     }
 
+    /// Fault in every non-resident page of `[va, va+len)` in `pid`.
+    /// Returns the number of pages newly faulted and the virtual cost.
+    ///
+    /// Structurally O(extents): holes are discovered as runs and each run
+    /// segment (bounded by its covering VMA) is installed with one batched
+    /// call. The virtual charge stays per page faulted.
     fn populate(&mut self, pid: Pid, va: VirtAddr, len: u64) -> Result<Costed<u64>, KernelError> {
-        Fwk::populate(self, pid, va, len)
+        let Fwk {
+            mem, procs, tracer, ..
+        } = self;
+        let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
+        let (first, pages) = va.page_span(len);
+        let holes = proc.asp.page_table().find_unmapped(first, pages);
+        let mut faulted = 0u64;
+        // Pages faulted onto this kernel's own frames, by the tier the
+        // frame came from — first-touch tier surcharges (zero on flat
+        // DRAM). Remote-backed faults are priced by the protocol layer,
+        // which knows the exporter's tier placement.
+        let mut touched = [0u64; MemTier::COUNT];
+        for (off, run_pages) in holes {
+            let mut page = first + off * PAGE_SIZE;
+            let mut remaining = run_pages;
+            while remaining > 0 {
+                // The VMA covering this stretch bounds one batch.
+                let region = proc
+                    .asp
+                    .region_containing(page)
+                    .ok_or(MemError::Fault(page))?;
+                let (vma_start, vma_end) = (region.start, region.end());
+                let vma = proc.vmas.get(&vma_start.0).ok_or(MemError::Fault(page))?;
+                let batch = remaining.min((vma_end.0 - page.0) / PAGE_SIZE);
+                match &vma.backing {
+                    Backing::Anon => {
+                        // The frames `batch` single-frame faults would
+                        // take, in VA order, then one install. A shortfall
+                        // keeps what it got (owned, so freed at exit) and
+                        // fails as the fault that found no frame would.
+                        let frames = mem.alloc.alloc_upto(batch);
+                        proc.owned.extend(&frames);
+                        if frames.pages() < batch {
+                            return Err(MemError::OutOfFrames {
+                                requested: 1,
+                                available: 0,
+                            }
+                            .into());
+                        }
+                        let by_tier = mem.alloc.pages_by_tier(&frames);
+                        for t in MemTier::ALL {
+                            touched[t.index()] += by_tier[t.index()];
+                        }
+                        let pt = proc.asp.page_table_mut();
+                        pt.map_list(page, &frames, vma.prot)?;
+                    }
+                    Backing::Remote(list) => {
+                        let idx = (page.0 - vma_start.0) / PAGE_SIZE;
+                        let avail = list.pages().saturating_sub(idx).min(batch);
+                        if avail > 0 {
+                            let seg = list.slice(idx, avail).expect("bounds checked");
+                            let pt = proc.asp.page_table_mut();
+                            pt.map_list(page, &seg, vma.prot)?;
+                        }
+                        if avail < batch {
+                            // The remote list ends inside the VMA.
+                            return Err(MemError::Fault(page + avail * PAGE_SIZE).into());
+                        }
+                    }
+                }
+                faulted += batch;
+                page = page + batch * PAGE_SIZE;
+                remaining -= batch;
+            }
+        }
+        let mut cost = mem.cost.fwk_fault_in(faulted);
+        for t in MemTier::ALL {
+            cost += mem.cost.tier_touch_surcharge(t, touched[t.index()]);
+        }
+        if faulted > 0 {
+            tracer.count(xemem_trace::Counter::FaultsServed, faulted);
+            tracer.observe(xemem_trace::Hist::FaultInNs, cost.as_nanos());
+        }
+        Ok(Costed::new(faulted, cost))
     }
 
     fn export_walk(
@@ -333,7 +280,7 @@ impl MappingKernel for Fwk {
             .get(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
         let (list, stats) = proc.asp.page_table().walk_range(va, len)?;
-        let cost = populate.cost + self.cost.pin_and_walk(stats.pages);
+        let cost = populate.cost + self.mem.cost.pin_and_walk(stats.pages);
         Ok(Costed::new(list, cost))
     }
 
@@ -350,61 +297,22 @@ impl MappingKernel for Fwk {
                 // Future-work path: 2 MiB-aligned reservation, huge-page
                 // leaves over co-aligned contiguous runs, 4 KiB fill-in
                 // elsewhere. One `remap` charge per *leaf* written.
-                let two_m = xemem_mem::PageSize::Size2M;
                 let proc = self.proc_mut(pid)?;
                 let va = proc.asp.reserve_free_aligned(
                     len,
-                    two_m.bytes(),
+                    xemem_mem::PageSize::Size2M.bytes(),
                     RegionKind::XememAttach,
                     "xemem-huge",
                 )?;
-                proc.vmas.insert(
-                    va.0,
-                    Vma {
-                        start: va,
-                        len,
-                        backing: Backing::Remote(pfns.clone()),
-                        prot,
-                    },
-                );
-                let mut written = 0u64;
-                let mut page_idx = 0u64;
+                let backing = Backing::Remote(pfns.clone());
+                proc.vmas.insert(va.0, Vma { backing, prot });
+                let (mut written, mut at) = (0, va);
                 for run in pfns.runs() {
-                    let mut off = 0u64;
-                    while off < run.len {
-                        let cur_va = va + (page_idx + off) * PAGE_SIZE;
-                        let frame = run.start.offset(off);
-                        let frames_left = run.len - off;
-                        if cur_va.is_aligned(two_m)
-                            && frame.0 % two_m.frames() == 0
-                            && frames_left >= two_m.frames()
-                        {
-                            proc.asp.page_table_mut().map(cur_va, frame, two_m, prot)?;
-                            off += two_m.frames();
-                            written += 1;
-                        } else {
-                            // 4 KiB fill-in, batched up to the next
-                            // co-aligned 2 MiB boundary (or the run end
-                            // when VA and frame can never co-align).
-                            let va_page = cur_va.0 / PAGE_SIZE;
-                            let to_boundary =
-                                (two_m.frames() - va_page % two_m.frames()) % two_m.frames();
-                            let co_alignable = va_page % two_m.frames() == frame.0 % two_m.frames();
-                            let tail = if co_alignable && to_boundary > 0 {
-                                frames_left.min(to_boundary)
-                            } else {
-                                frames_left
-                            };
-                            written += proc
-                                .asp
-                                .page_table_mut()
-                                .map_extent(cur_va, frame, tail, prot)?;
-                            off += tail;
-                        }
-                    }
-                    page_idx += run.len;
+                    let pt = proc.asp.page_table_mut();
+                    written += pt.map_extent_large(at, run.start, run.len, prot)?;
+                    at = at + run.len * PAGE_SIZE;
                 }
-                Ok(Costed::new(va, self.cost.fwk_eager_attach(written)))
+                Ok(Costed::new(va, self.mem.cost.fwk_eager_attach(written)))
             }
             AttachSemantics::Eager => {
                 // vm_mmap + remap_pfn_range: every PTE installed now.
@@ -418,7 +326,7 @@ impl MappingKernel for Fwk {
                 )?;
                 let proc = self.proc_mut(pid)?;
                 let written = proc.asp.page_table_mut().map_list(va, pfns, prot)?;
-                Ok(Costed::new(va, self.cost.fwk_eager_attach(written)))
+                Ok(Costed::new(va, self.mem.cost.fwk_eager_attach(written)))
             }
             AttachSemantics::Lazy => {
                 // Single-OS XEMEM attachment: reserve only; pages fault in
@@ -433,7 +341,7 @@ impl MappingKernel for Fwk {
                 )?;
                 Ok(Costed::new(
                     va,
-                    SimDuration::from_nanos(self.cost.fwk_vm_mmap_ns),
+                    SimDuration::from_nanos(self.mem.cost.fwk_vm_mmap_ns),
                 ))
             }
         }
@@ -463,7 +371,7 @@ impl MappingKernel for Fwk {
             Backing::Remote(list) => list,
             Backing::Anon => PfnList::new(),
         };
-        Ok(Costed::new(list, self.cost.fwk_detach(cleared)))
+        Ok(Costed::new(list, self.mem.cost.fwk_detach(cleared)))
     }
 
     fn retain_frames(
@@ -476,19 +384,11 @@ impl MappingKernel for Fwk {
             .procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        let first = va.page_base();
-        let pages = (va.0 + len - first.0).div_ceil(PAGE_SIZE);
-        // Quarantine whatever is resident (unpopulated holes own no
-        // frame), run-wise; the charge covers the full per-page scan.
-        let resident = proc.asp.page_table().walk_resident(first, pages);
-        proc.owned = proc.owned.subtract(&resident);
-        Ok(Costed::new(resident, self.cost.walk(pages)))
+        Ok(self.mem.retain(&proc.asp, &mut proc.owned, va, len))
     }
 
     fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
-        self.alloc.free_list(frames)?;
-        self.phys.discard(frames)?;
-        Ok(Costed::new((), self.cost.frame_return(frames.pages())))
+        self.mem.return_frames(frames)
     }
 
     fn migrate_region(
@@ -498,86 +398,26 @@ impl MappingKernel for Fwk {
         len: u64,
         dst_tier: MemTier,
     ) -> Result<Costed<MigrateOutcome>, KernelError> {
-        if !self.alloc.has_tier(dst_tier) {
-            return Err(KernelError::Unsupported("destination tier not configured"));
-        }
-        if !self.phys.can_relocate() {
-            return Err(KernelError::Unsupported("physical view cannot relocate"));
-        }
-        let first = va.page_base();
-        let pages = (va.0 + len - first.0).div_ceil(PAGE_SIZE);
-        // Only the resident subset moves — unpopulated holes own no
-        // frame and will fault into the allocator's spill order later.
-        let (old, prot, segs) = {
-            let proc = self
-                .procs
-                .get(&pid)
-                .ok_or(KernelError::NoSuchProcess(pid))?;
+        let procs = &mut self.procs;
+        self.mem.migrate(va, len, dst_tier, move |first, pages| {
+            let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
+            // One VMA holds the range, and it is the owner's own memory.
+            let region = proc
+                .asp
+                .region_containing(first)
+                .filter(|r| first + pages * PAGE_SIZE <= r.end())
+                .ok_or(MemError::Fault(first))?;
             let vma = proc
                 .vmas
-                .values()
-                .find(|v| first >= v.start && first + (pages - 1) * PAGE_SIZE < v.start + v.len)
+                .get(&region.start.0)
                 .ok_or(MemError::Fault(first))?;
             if !matches!(vma.backing, Backing::Anon) {
                 return Err(KernelError::Unsupported(
                     "migrating an attachment (owner-side only)",
                 ));
             }
-            let prot = vma.prot;
-            let old = proc.asp.page_table().walk_resident(first, pages);
-            // Resident VA segments: the complement of the hole runs, as
-            // (va, pages) pairs in address order.
-            let holes = proc.asp.page_table().find_unmapped(first, pages);
-            let mut segs: Vec<(VirtAddr, u64)> = Vec::new();
-            let mut at = 0u64;
-            for (off, n) in &holes {
-                if *off > at {
-                    segs.push((first + at * PAGE_SIZE, off - at));
-                }
-                at = off + n;
-            }
-            if pages > at {
-                segs.push((first + at * PAGE_SIZE, pages - at));
-            }
-            (old, prot, segs)
-        };
-        if old.is_empty() {
-            return Ok(Costed::new(
-                MigrateOutcome {
-                    old,
-                    new: PfnList::new(),
-                    pages: 0,
-                    moved_by_tier: [0; MemTier::COUNT],
-                },
-                SimDuration::ZERO,
-            ));
-        }
-        let moved = old.pages();
-        let new = self.alloc.alloc_pages_in(dst_tier, moved)?;
-        self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
-        let moved_by_tier = self.alloc.pages_by_tier(&old);
-        let proc = self.procs.get_mut(&pid).expect("checked above");
-        let mut idx = 0u64;
-        for (seg_va, seg_pages) in segs {
-            proc.asp.page_table_mut().unmap_pages(seg_va, seg_pages)?;
-            let slice = new.slice(idx, seg_pages).expect("sized from old list");
-            proc.asp.page_table_mut().map_list(seg_va, &slice, prot)?;
-            idx += seg_pages;
-        }
-        proc.owned = proc.owned.subtract(&old);
-        proc.owned.extend(&new);
-        self.alloc.free_list(&old)?;
-        let extents = (old.run_count() + new.run_count()) as u64;
-        let cost = self.cost.walk(pages) + self.cost.migrate_remap(extents, moved);
-        Ok(Costed::new(
-            MigrateOutcome {
-                old,
-                new,
-                pages: moved,
-                moved_by_tier,
-            },
-            cost,
-        ))
+            Ok((&mut proc.asp, &mut proc.owned))
+        })
     }
 
     fn remap_attached(
@@ -586,59 +426,25 @@ impl MappingKernel for Fwk {
         va: VirtAddr,
         new: &PfnList,
     ) -> Result<Costed<u64>, KernelError> {
-        let proc = self.proc_mut(pid)?;
-        let region = proc
-            .asp
-            .region_containing(va)
-            .filter(|r| r.kind == RegionKind::XememAttach)
-            .ok_or(MemError::NoSuchRegion(va))?;
-        let (start, pages) = (region.start, region.len / PAGE_SIZE);
-        if new.pages() != pages {
-            return Err(KernelError::Unsupported("remap length mismatch"));
-        }
-        let vma = proc
-            .vmas
-            .get_mut(&start.0)
-            .ok_or(MemError::NoSuchRegion(start))?;
-        let prot = vma.prot;
-        // Future faults must resolve to the new frames (lazy
-        // attachments fault positionally out of the backing list).
+        let proc = self
+            .procs
+            .get_mut(&pid)
+            .ok_or(KernelError::NoSuchProcess(pid))?;
+        let remapped = self.mem.remap_attached(&mut proc.asp, va, new)?;
+        // Future faults must resolve to the new frames (lazy attachments
+        // fault positionally out of the backing list).
+        let start = proc.asp.region_containing(va).expect("remapped").start;
+        let vma = proc.vmas.get_mut(&start.0).expect("one VMA per region");
         vma.backing = Backing::Remote(new.clone());
-        // Re-point the resident subset in place, segment by segment.
-        let holes = proc.asp.page_table().find_unmapped(start, pages);
-        let mut segs: Vec<(u64, u64)> = Vec::new();
-        let mut at = 0u64;
-        for (off, n) in &holes {
-            if *off > at {
-                segs.push((at, off - at));
-            }
-            at = off + n;
-        }
-        if pages > at {
-            segs.push((at, pages - at));
-        }
-        let mut remapped = 0u64;
-        for (off, seg_pages) in segs {
-            let seg_va = start + off * PAGE_SIZE;
-            proc.asp.page_table_mut().unmap_pages(seg_va, seg_pages)?;
-            let slice = new.slice(off, seg_pages).expect("length checked");
-            proc.asp.page_table_mut().map_list(seg_va, &slice, prot)?;
-            remapped += seg_pages;
-        }
-        Ok(Costed::new(
-            remapped,
-            self.cost.migrate_remap(new.run_count() as u64, remapped),
-        ))
+        Ok(remapped)
     }
 
     fn tier_free_frames(&self, tier: MemTier) -> Option<u64> {
-        self.alloc
-            .has_tier(tier)
-            .then(|| self.alloc.free_frames_in(tier))
+        self.mem.tier_free_frames(tier)
     }
 
     fn free_frame_count(&self) -> u64 {
-        self.alloc.free_frames()
+        self.mem.alloc.free_frames()
     }
 
     fn write(&mut self, pid: Pid, va: VirtAddr, data: &[u8]) -> Result<Costed<()>, KernelError> {
@@ -647,14 +453,10 @@ impl MappingKernel for Fwk {
             .procs
             .get(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        proc.asp.write_bytes(&*self.phys, va, data)?;
-        Ok(Costed::new(
-            (),
-            populate.cost
-                + self
-                    .cost
-                    .tier_stream_write(self.alloc.home_tier(), data.len() as u64),
-        ))
+        proc.asp.write_bytes(&*self.mem.phys, va, data)?;
+        let home = self.mem.alloc.home_tier();
+        let stream = self.mem.cost.tier_stream_write(home, data.len() as u64);
+        Ok(Costed::new((), populate.cost + stream))
     }
 
     fn read(&mut self, pid: Pid, va: VirtAddr, out: &mut [u8]) -> Result<Costed<()>, KernelError> {
@@ -663,14 +465,10 @@ impl MappingKernel for Fwk {
             .procs
             .get(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        proc.asp.read_bytes(&*self.phys, va, out)?;
-        Ok(Costed::new(
-            (),
-            populate.cost
-                + self
-                    .cost
-                    .tier_stream_read(self.alloc.home_tier(), out.len() as u64),
-        ))
+        proc.asp.read_bytes(&*self.mem.phys, va, out)?;
+        let home = self.mem.alloc.home_tier();
+        let stream = self.mem.cost.tier_stream_read(home, out.len() as u64);
+        Ok(Costed::new((), populate.cost + stream))
     }
 }
 
@@ -678,21 +476,29 @@ impl MappingKernel for Fwk {
 mod tests {
     use super::*;
     use xemem_mem::{Pfn, PhysicalMemory};
+    use xemem_trace::{Counter, TraceHandle};
 
+    /// An FWK with an enabled tracer, so [`faults`] can read it.
     fn boot(frames: u64) -> (Fwk, Arc<PhysicalMemory>) {
         let phys = PhysicalMemory::new(frames);
         let alloc = FrameAllocator::new(Pfn(0), frames);
-        let f = Fwk::new(CostModel::default(), phys.clone(), alloc);
+        let mut f = Fwk::new(CostModel::default(), phys.clone(), alloc);
+        f.set_tracer(TraceHandle::enabled());
         (f, phys)
+    }
+
+    /// Demand faults served so far.
+    fn faults(f: &Fwk) -> u64 {
+        f.tracer.counter(Counter::FaultsServed)
     }
 
     #[test]
     fn spawn_creates_unmapped_regions() {
         let (mut f, _) = boot(1 << 12);
-        let before = f.free_frames();
+        let before = f.free_frame_count();
         let _pid = f.spawn(4 << 20).unwrap().value;
         // Demand paging: nothing allocated yet.
-        assert_eq!(f.free_frames(), before);
+        assert_eq!(f.free_frame_count(), before);
     }
 
     #[test]
@@ -700,12 +506,12 @@ mod tests {
         let (mut f, _) = boot(1 << 12);
         let pid = f.spawn(1 << 20).unwrap().value;
         let va = f.alloc_buffer(pid, 8192).unwrap().value;
-        assert_eq!(f.faults_served(), 0);
+        assert_eq!(faults(&f), 0);
         let w = f.write(pid, va, &[7u8; 8192]).unwrap();
-        assert_eq!(f.faults_served(), 2);
+        assert_eq!(faults(&f), 2);
         // Second touch does not fault again and is cheaper.
         let w2 = f.write(pid, va, &[8u8; 8192]).unwrap();
-        assert_eq!(f.faults_served(), 2);
+        assert_eq!(faults(&f), 2);
         assert!(w2.cost < w.cost);
     }
 
@@ -717,7 +523,7 @@ mod tests {
         // Untouched region: get_user_pages faults everything in.
         let walked = f.export_walk(pid, va, 16 * 4096).unwrap();
         assert_eq!(walked.value.pages(), 16);
-        assert_eq!(f.faults_served(), 16);
+        assert_eq!(faults(&f), 16);
         // A second export of the same range is fault-free and cheaper.
         let walked2 = f.export_walk(pid, va, 16 * 4096).unwrap();
         assert!(walked2.cost < walked.cost);
@@ -733,11 +539,11 @@ mod tests {
             .attach_map(pid, &remote, AttachSemantics::Eager, PteFlags::rw_user())
             .unwrap();
         // Reading must not fault: PTEs are present.
-        let before = f.faults_served();
+        let before = faults(&f);
         let mut buf = [0u8; 4];
         f.read(pid, attached.value + 7 * 4096, &mut buf).unwrap();
         assert_eq!(&buf, b"tail");
-        assert_eq!(f.faults_served(), before);
+        assert_eq!(faults(&f), before);
         // Per-page cost near fwk_remap_page_ns.
         let per_page = (attached.cost.as_nanos() - 2500) / 8;
         assert!((150..350).contains(&per_page), "per-page {per_page} ns");
@@ -754,15 +560,11 @@ mod tests {
             .unwrap();
         // Setup is O(1).
         assert!(attached.cost < SimDuration::from_micros(10));
-        let before = f.faults_served();
+        let before = faults(&f);
         let mut buf = [0u8; 4];
         f.read(pid, attached.value + 2 * 4096, &mut buf).unwrap();
         assert_eq!(&buf, b"lazy");
-        assert_eq!(
-            f.faults_served(),
-            before + 1,
-            "exactly the touched page faults"
-        );
+        assert_eq!(faults(&f), before + 1, "exactly the touched page faults");
     }
 
     #[test]
@@ -801,13 +603,13 @@ mod tests {
     #[test]
     fn exit_frees_anonymous_frames() {
         let (mut f, _) = boot(1 << 10);
-        let before = f.free_frames();
+        let before = f.free_frame_count();
         let pid = f.spawn(1 << 20).unwrap().value;
         let va = f.alloc_buffer(pid, 16 * 4096).unwrap().value;
         f.write(pid, va, &[1u8; 16 * 4096]).unwrap();
-        assert!(f.free_frames() < before);
+        assert!(f.free_frame_count() < before);
         f.exit(pid).unwrap();
-        assert_eq!(f.free_frames(), before);
+        assert_eq!(f.free_frame_count(), before);
     }
 
     #[test]
@@ -816,6 +618,7 @@ mod tests {
         let mut alloc = FrameAllocator::new(Pfn(0), 1 << 12);
         alloc.push_range(MemTier::Cxl, Pfn(1 << 12), 1 << 12);
         let mut f = Fwk::new(CostModel::default(), phys, alloc);
+        f.set_tracer(TraceHandle::enabled());
         let pid = f.spawn(1 << 20).unwrap().value;
         let va = f.alloc_buffer(pid, 16 * 4096).unwrap().value;
         // Touch pages 0-3 and 8-11 only; 8 pages stay unpopulated.
@@ -830,12 +633,15 @@ mod tests {
         f.read(pid, va + 8 * 4096, &mut got).unwrap();
         assert_eq!(&got, b"sparse resident data");
         // Untouched pages still fault in on demand afterwards.
-        let before = f.faults_served();
+        let before = faults(&f);
         f.write(pid, va + 14 * 4096, &[2u8; 4096]).unwrap();
-        assert_eq!(f.faults_served(), before + 1);
+        assert_eq!(faults(&f), before + 1);
+        // An empty range moves nothing.
+        let empty = f.migrate_region(pid, va, 0, MemTier::Cxl).unwrap();
+        assert_eq!((empty.value.pages, empty.cost), (0, SimDuration::ZERO));
         // Exit still returns everything: no leaked frames in any tier.
         f.exit(pid).unwrap();
-        assert_eq!(f.free_frames(), 2 << 12);
+        assert_eq!(f.free_frame_count(), 2 << 12);
     }
 
     #[test]
@@ -925,6 +731,28 @@ mod hugepage_tests {
         f.detach(pid, huge.value).unwrap();
         let mut b = [0u8; 1];
         assert!(f.read(pid, huge.value, &mut b).is_err());
+    }
+
+    #[test]
+    fn remap_repoints_huge_page_attachments_onto_4k_leaves() {
+        let (mut f, phys) = boot(8192);
+        f.set_hugepage_attach(true);
+        let pid = f.spawn(1 << 20).unwrap().value;
+        let mut old = PfnList::new();
+        old.push_run(Pfn(1024), 1024);
+        let rw = PteFlags::rw_user();
+        let va = (f.attach_map(pid, &old, AttachSemantics::Eager, rw))
+            .unwrap()
+            .value;
+        let mut new = PfnList::new();
+        new.push_run(Pfn(4096), 1024);
+        phys.write(Pfn(4096 + 700).base(), b"moved").unwrap();
+        assert_eq!(f.remap_attached(pid, va, &new).unwrap().value, 1024);
+        let mut got = [0u8; 5];
+        f.read(pid, va + 700 * 4096, &mut got).unwrap();
+        assert_eq!(&got, b"moved");
+        let pt = f.procs[&pid].asp.page_table();
+        assert_eq!(pt.translate(va).unwrap().2, xemem_mem::PageSize::Size4K);
     }
 
     #[test]

@@ -19,17 +19,20 @@
 //!
 //! The kernel performs real page-table work against shared physical
 //! memory and returns virtual-time costs per [`xemem_mem::MappingKernel`].
+//! Tier migration, attachment remap and frame retention, return and
+//! release run through [`KernelMemory`], shared with the FWK; Kitten adds
+//! its precondition (a migrated range is statically mapped end to end)
+//! and its own cost constants.
 
 use std::sync::Arc;
 
 use xemem_mem::addr_space::{AddressSpace, RegionKind};
 use xemem_mem::kernel::{AttachSemantics, KernelError, KernelKind, MappingKernel, Pid};
 use xemem_mem::{
-    FrameAllocator, FrameMove, MemError, MigrateOutcome, PageSize, PfnList, PhysAccess, PteFlags,
+    FrameAllocator, KernelMemory, MemError, MigrateOutcome, PfnList, PhysAccess, PteFlags,
     VirtAddr, PAGE_SIZE,
 };
-use xemem_sim::noise::CompositeNoise;
-use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration, SimRng};
+use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration};
 
 /// Fixed virtual layout of a Kitten process.
 mod layout {
@@ -74,9 +77,7 @@ struct Proc {
 
 /// The Kitten lightweight kernel for one enclave.
 pub struct Kitten {
-    cost: CostModel,
-    phys: Arc<dyn PhysAccess>,
-    alloc: FrameAllocator,
+    mem: KernelMemory,
     procs: FxHashMap<Pid, Proc>,
     next_pid: u32,
     next_rank: u32,
@@ -90,9 +91,7 @@ impl Kitten {
     /// range.
     pub fn new(cost: CostModel, phys: Arc<dyn PhysAccess>, alloc: FrameAllocator) -> Self {
         Kitten {
-            cost,
-            phys,
-            alloc,
+            mem: KernelMemory { cost, phys, alloc },
             procs: FxHashMap::default(),
             next_pid: 1,
             next_rank: 1,
@@ -106,16 +105,6 @@ impl Kitten {
         self.tracer = tracer;
     }
 
-    /// The Kitten noise profile (near-silent: hardware baseline + SMIs).
-    pub fn noise(rng: &mut SimRng) -> CompositeNoise {
-        CompositeNoise::kitten(rng)
-    }
-
-    /// Frames still free in this enclave's partition.
-    pub fn free_frames(&self) -> u64 {
-        self.alloc.free_frames()
-    }
-
     fn proc_mut(&mut self, pid: Pid) -> Result<&mut Proc, KernelError> {
         self.procs
             .get_mut(&pid)
@@ -124,41 +113,6 @@ impl Kitten {
 
     fn proc_ref(&self, pid: Pid) -> Result<&Proc, KernelError> {
         self.procs.get(&pid).ok_or(KernelError::NoSuchProcess(pid))
-    }
-
-    /// Map `len` bytes at `va` from the contiguous frame run starting at
-    /// `base`, using 2 MiB pages where alignment permits. Returns leaf
-    /// PTEs written.
-    fn map_static(
-        asp: &mut AddressSpace,
-        va: VirtAddr,
-        base: xemem_mem::Pfn,
-        len: u64,
-    ) -> Result<u64, MemError> {
-        let mut written = 0u64;
-        let mut off = 0u64;
-        while off < len {
-            let cur = va + off;
-            let remaining = len - off;
-            let frame = base.offset(off / PAGE_SIZE);
-            // Use a 2 MiB page when virtual and physical are co-aligned
-            // and the remainder covers it.
-            let two_m = PageSize::Size2M.bytes();
-            if cur.is_aligned(PageSize::Size2M)
-                && frame.0.is_multiple_of(PageSize::Size2M.frames())
-                && remaining >= two_m
-            {
-                asp.page_table_mut()
-                    .map(cur, frame, PageSize::Size2M, PteFlags::rw_user())?;
-                off += two_m;
-            } else {
-                asp.page_table_mut()
-                    .map(cur, frame, PageSize::Size4K, PteFlags::rw_user())?;
-                off += PAGE_SIZE;
-            }
-            written += 1;
-        }
-        Ok(written)
     }
 
     /// SMARTMAP: map `peer`'s entire static image into `pid`'s SMARTMAP
@@ -204,7 +158,7 @@ impl Kitten {
         }
         Ok(Costed::new(
             window,
-            SimDuration::from_nanos(self.cost.smartmap_ns),
+            SimDuration::from_nanos(self.mem.cost.smartmap_ns),
         ))
     }
 }
@@ -220,7 +174,7 @@ impl MappingKernel for Kitten {
         let frames = total / PAGE_SIZE;
         // The whole process image is one physically contiguous run — the
         // LWK property that keeps exported PFN lists single-run.
-        let base = self.alloc.alloc_contiguous(frames)?;
+        let base = self.mem.alloc.alloc_contiguous(frames)?;
         let mut asp = AddressSpace::with_arena(layout::ATTACH_ARENA, layout::ATTACH_ARENA_TOP);
         let mut off = 0u64;
         let mut leaves = 0u64;
@@ -231,7 +185,9 @@ impl MappingKernel for Kitten {
             (layout::STACK, layout::STACK_LEN, RegionKind::Stack, "stack"),
         ] {
             asp.insert_region(start, len, kind, name)?;
-            leaves += Self::map_static(&mut asp, start, base.offset(off / PAGE_SIZE), len)?;
+            let (frame, pages) = (base.offset(off / PAGE_SIZE), len / PAGE_SIZE);
+            let pt = asp.page_table_mut();
+            leaves += pt.map_extent_large(start, frame, pages, PteFlags::rw_user())?;
             off += len;
         }
         let mut owned = PfnList::new();
@@ -251,8 +207,8 @@ impl MappingKernel for Kitten {
             },
         );
         // Static mapping cost: one PTE install per leaf written.
-        let cost = SimDuration::from_nanos(self.cost.lwk_map_page_ns).times(leaves)
-            + SimDuration::from_nanos(self.cost.frame_alloc_ns).times(frames);
+        let cost = SimDuration::from_nanos(self.mem.cost.lwk_map_page_ns).times(leaves)
+            + SimDuration::from_nanos(self.mem.cost.frame_alloc_ns).times(frames);
         Ok(Costed::new(pid, cost))
     }
 
@@ -261,8 +217,7 @@ impl MappingKernel for Kitten {
             .procs
             .remove(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        self.alloc.free_list(&proc.owned)?;
-        self.phys.discard(&proc.owned)?;
+        self.mem.release(&proc.owned)?;
         Ok(Costed::new((), SimDuration::from_micros(5)))
     }
 
@@ -288,7 +243,7 @@ impl MappingKernel for Kitten {
         let (list, stats) = proc.asp.page_table().walk_range(va, len)?;
         // The service generates one list entry per 4 KiB page (paper
         // §4.3); this is the Fig. 7 detour duration.
-        let cost = self.cost.walk(stats.pages);
+        let cost = self.mem.cost.walk(stats.pages);
         Ok(Costed::new(list, cost))
     }
 
@@ -314,7 +269,7 @@ impl MappingKernel for Kitten {
         let written = proc.asp.page_table_mut().map_list(va, pfns, prot)?;
         self.tracer
             .count(xemem_trace::Counter::LwkAttachPages, written);
-        Ok(Costed::new(va, self.cost.lwk_attach(written)))
+        Ok(Costed::new(va, self.mem.cost.lwk_attach(written)))
     }
 
     fn detach(&mut self, pid: Pid, va: VirtAddr) -> Result<Costed<PfnList>, KernelError> {
@@ -328,7 +283,7 @@ impl MappingKernel for Kitten {
         let freed = proc.asp.page_table_mut().unmap_pages(start, pages)?;
         proc.asp.remove_region(start)?;
         // PTE clears are cheaper than installs.
-        Ok(Costed::new(freed, self.cost.lwk_detach(pages)))
+        Ok(Costed::new(freed, self.mem.cost.lwk_detach(pages)))
     }
 
     fn retain_frames(
@@ -337,23 +292,15 @@ impl MappingKernel for Kitten {
         va: VirtAddr,
         len: u64,
     ) -> Result<Costed<PfnList>, KernelError> {
-        let proc = self.proc_mut(pid)?;
-        let first = va.page_base();
-        let pages = (va.0 + len - first.0).div_ceil(PAGE_SIZE);
-        // The image is statically mapped, so every page resolves; the
-        // walk and the ownership subtraction are both run-wise, while
-        // the charge covers the full per-page scan the real kernel does.
-        let quarantined = proc.asp.page_table().walk_resident(first, pages);
-        // Drop the quarantined frames from the ownership list so a later
-        // exit will not free them.
-        proc.owned = proc.owned.subtract(&quarantined);
-        Ok(Costed::new(quarantined, self.cost.walk(pages)))
+        let proc = self
+            .procs
+            .get_mut(&pid)
+            .ok_or(KernelError::NoSuchProcess(pid))?;
+        Ok(self.mem.retain(&proc.asp, &mut proc.owned, va, len))
     }
 
     fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
-        self.alloc.free_list(frames)?;
-        self.phys.discard(frames)?;
-        Ok(Costed::new((), self.cost.frame_return(frames.pages())))
+        self.mem.return_frames(frames)
     }
 
     fn migrate_region(
@@ -363,62 +310,13 @@ impl MappingKernel for Kitten {
         len: u64,
         dst_tier: MemTier,
     ) -> Result<Costed<MigrateOutcome>, KernelError> {
-        if !self.alloc.has_tier(dst_tier) {
-            return Err(KernelError::Unsupported("destination tier not configured"));
-        }
-        if !self.phys.can_relocate() {
-            return Err(KernelError::Unsupported("physical view cannot relocate"));
-        }
-        let first = va.page_base();
-        let pages = (va.0 + len - first.0).div_ceil(PAGE_SIZE);
-        let proc = self
-            .procs
-            .get(&pid)
-            .ok_or(KernelError::NoSuchProcess(pid))?;
-        // The image is statically mapped, so the whole range resolves.
-        let (old, _) = proc.asp.page_table().walk_range(first, pages * PAGE_SIZE)?;
-        // A large-page leaf straddling the range boundary would be
-        // unmapped whole below, taking out-of-range frames with it.
-        let (_, flags, front_size) = proc
-            .asp
-            .page_table()
-            .translate(first)
-            .ok_or(MemError::Fault(first))?;
-        if front_size != PageSize::Size4K && !first.is_aligned(front_size) {
-            return Err(KernelError::Unsupported("range starts inside a large page"));
-        }
-        let last = VirtAddr(first.0 + (pages - 1) * PAGE_SIZE);
-        let (_, _, back_size) = proc
-            .asp
-            .page_table()
-            .translate(last)
-            .ok_or(MemError::Fault(last))?;
-        if back_size != PageSize::Size4K
-            && !(first.0 + pages * PAGE_SIZE).is_multiple_of(back_size.bytes())
-        {
-            return Err(KernelError::Unsupported("range ends inside a large page"));
-        }
-        let new = self.alloc.alloc_pages_in(dst_tier, pages)?;
-        self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
-        let moved_by_tier = self.alloc.pages_by_tier(&old);
-        let proc = self.procs.get_mut(&pid).expect("checked above");
-        let (removed, _) = proc.asp.page_table_mut().unmap_resident(first, pages);
-        debug_assert_eq!(removed.pages(), pages);
-        proc.asp.page_table_mut().map_list(first, &new, flags)?;
-        proc.owned = proc.owned.subtract(&old);
-        proc.owned.extend(&new);
-        self.alloc.free_list(&old)?;
-        let extents = (old.run_count() + new.run_count()) as u64;
-        let cost = self.cost.walk(pages) + self.cost.migrate_remap(extents, pages);
-        Ok(Costed::new(
-            MigrateOutcome {
-                old,
-                new,
-                pages,
-                moved_by_tier,
-            },
-            cost,
-        ))
+        let procs = &mut self.procs;
+        self.mem.migrate(va, len, dst_tier, move |first, pages| {
+            let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
+            // The image is statically mapped: the whole range resolves.
+            proc.asp.page_table().walk_range(first, pages * PAGE_SIZE)?;
+            Ok((&mut proc.asp, &mut proc.owned))
+        })
     }
 
     fn remap_attached(
@@ -427,57 +325,35 @@ impl MappingKernel for Kitten {
         va: VirtAddr,
         new: &PfnList,
     ) -> Result<Costed<u64>, KernelError> {
-        let proc = self.proc_mut(pid)?;
-        let region = proc
-            .asp
-            .region_containing(va)
-            .filter(|r| r.kind == RegionKind::XememAttach)
-            .ok_or(MemError::NoSuchRegion(va))?;
-        let (start, pages) = (region.start, region.len / PAGE_SIZE);
-        if new.pages() != pages {
-            return Err(KernelError::Unsupported("remap length mismatch"));
-        }
-        let (_, flags, _) = proc
-            .asp
-            .page_table()
-            .translate(start)
-            .ok_or(MemError::Fault(start))?;
-        proc.asp.page_table_mut().unmap_pages(start, pages)?;
-        proc.asp.page_table_mut().map_list(start, new, flags)?;
-        Ok(Costed::new(
-            pages,
-            self.cost.migrate_remap(new.run_count() as u64, pages),
-        ))
+        let proc = self
+            .procs
+            .get_mut(&pid)
+            .ok_or(KernelError::NoSuchProcess(pid))?;
+        self.mem.remap_attached(&mut proc.asp, va, new)
     }
 
     fn tier_free_frames(&self, tier: MemTier) -> Option<u64> {
-        self.alloc
-            .has_tier(tier)
-            .then(|| self.alloc.free_frames_in(tier))
+        self.mem.tier_free_frames(tier)
     }
 
     fn free_frame_count(&self) -> u64 {
-        self.alloc.free_frames()
+        self.mem.alloc.free_frames()
     }
 
     fn write(&mut self, pid: Pid, va: VirtAddr, data: &[u8]) -> Result<Costed<()>, KernelError> {
         let proc = self.proc_ref(pid)?;
-        proc.asp.write_bytes(&*self.phys, va, data)?;
-        Ok(Costed::new(
-            (),
-            self.cost
-                .tier_stream_write(self.alloc.home_tier(), data.len() as u64),
-        ))
+        proc.asp.write_bytes(&*self.mem.phys, va, data)?;
+        let home = self.mem.alloc.home_tier();
+        let cost = self.mem.cost.tier_stream_write(home, data.len() as u64);
+        Ok(Costed::new((), cost))
     }
 
     fn read(&mut self, pid: Pid, va: VirtAddr, out: &mut [u8]) -> Result<Costed<()>, KernelError> {
         let proc = self.proc_ref(pid)?;
-        proc.asp.read_bytes(&*self.phys, va, out)?;
-        Ok(Costed::new(
-            (),
-            self.cost
-                .tier_stream_read(self.alloc.home_tier(), out.len() as u64),
-        ))
+        proc.asp.read_bytes(&*self.mem.phys, va, out)?;
+        let home = self.mem.alloc.home_tier();
+        let cost = self.mem.cost.tier_stream_read(home, out.len() as u64);
+        Ok(Costed::new((), cost))
     }
 }
 
@@ -629,11 +505,11 @@ mod tests {
     #[test]
     fn exit_returns_frames() {
         let (mut k, _) = boot(1 << 12);
-        let before = k.free_frames();
+        let before = k.free_frame_count();
         let pid = k.spawn(1 << 20).unwrap().value;
-        assert!(k.free_frames() < before);
+        assert!(k.free_frame_count() < before);
         k.exit(pid).unwrap();
-        assert_eq!(k.free_frames(), before);
+        assert_eq!(k.free_frame_count(), before);
         assert!(matches!(k.exit(pid), Err(KernelError::NoSuchProcess(_))));
     }
 
@@ -647,7 +523,7 @@ mod tests {
 #[cfg(test)]
 mod more_tests {
     use super::*;
-    use xemem_mem::{Pfn, PhysicalMemory};
+    use xemem_mem::{PageSize, Pfn, PhysicalMemory};
 
     fn boot(frames: u64) -> Kitten {
         let phys = PhysicalMemory::new(frames);
@@ -748,9 +624,9 @@ mod more_tests {
         assert_eq!(&got, b"tiered payload");
         // The new frames live in the NVM range and are now owned, so
         // exit returns every frame (no leaks either way).
-        let free_before_exit = k.free_frames();
+        let free_before_exit = k.free_frame_count();
         k.exit(pid).unwrap();
-        assert!(k.free_frames() > free_before_exit);
+        assert!(k.free_frame_count() > free_before_exit);
         // Migrating to an unconfigured tier is a clean error.
         let pid2 = k.spawn(1 << 20).unwrap().value;
         let va2 = k.alloc_buffer(pid2, 1 << 20).unwrap().value;
@@ -758,6 +634,52 @@ mod more_tests {
             k.migrate_region(pid2, va2, 1 << 20, MemTier::Cxl),
             Err(KernelError::Unsupported(_))
         ));
+        // An empty range moves nothing.
+        let empty = k.migrate_region(pid2, va2, 0, MemTier::Nvm).unwrap();
+        assert_eq!((empty.value.pages, empty.cost), (0, SimDuration::ZERO));
+    }
+
+    #[test]
+    fn migration_cutting_a_large_leaf_is_refused_before_anything_moves() {
+        use xemem_sim::MemTier;
+        let phys = PhysicalMemory::new(1 << 14);
+        let mut alloc = FrameAllocator::new(Pfn(0), 1 << 13);
+        alloc.push_range(MemTier::Nvm, Pfn(1 << 13), 1 << 13);
+        let mut k = Kitten::new(CostModel::default(), phys, alloc);
+        let pid = k.spawn(4 << 20).unwrap().value;
+        // The heap's first 4 MiB: two 2 MiB leaves.
+        let heap = k.alloc_buffer(pid, 4 << 20).unwrap().value;
+        let state = |k: &Kitten| {
+            let proc = &k.procs[&pid];
+            let pt = proc.asp.page_table();
+            let leaves = [heap, heap + (2 << 20)].map(|va| pt.translate(va));
+            let (frames, _) = pt.walk_range(heap, 4 << 20).unwrap();
+            let free = MemTier::ALL.map(|t| k.tier_free_frames(t));
+            (leaves, frames, pt.leaf_count(), proc.owned.clone(), free)
+        };
+        let before = state(&k);
+        assert_eq!(before.0[0].unwrap().2, PageSize::Size2M);
+        let mib = 1 << 20;
+        for (va, len) in [
+            (heap + 4096, 2 * mib - 4096), // starts inside the first leaf
+            (heap, 2 * mib + 4096),        // ends inside the second
+            (heap + mib, 2 * mib),         // both
+        ] {
+            assert!(
+                matches!(
+                    k.migrate_region(pid, va, len, MemTier::Nvm),
+                    Err(KernelError::Unsupported(_))
+                ),
+                "[{va}, +{len:#x})"
+            );
+            assert_eq!(state(&k), before, "[{va}, +{len:#x}) changed state");
+        }
+        // Whole leaves move, and become 4 KiB leaves.
+        let moved = k.migrate_region(pid, heap, 2 * mib, MemTier::Nvm).unwrap();
+        assert_eq!(moved.value.pages, 512);
+        let pt = k.procs[&pid].asp.page_table();
+        assert_eq!(pt.translate(heap).unwrap().2, PageSize::Size4K);
+        assert_eq!(pt.translate(heap + 2 * mib), before.0[1]);
     }
 
     #[test]

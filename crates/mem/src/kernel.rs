@@ -13,15 +13,26 @@
 //! All operations return [`Costed`] values: real structural work is done
 //! immediately, and the virtual-time cost is returned for the caller to
 //! account on the enclave's timeline.
+//!
+//! Kernels differ in policy, not mechanism (paper §4.3: Kitten maps
+//! statically, Linux demand-pages). [`KernelMemory`] holds, once, every
+//! routine whose body does not depend on the policy: tier migration and
+//! attachment remap (each one in-place [`crate::PageTable::remap`]),
+//! frame retention and return, the release at exit, and the tier
+//! queries. A kernel adds only its preconditions and cost constants.
 
+use crate::addr_space::{AddressSpace, RegionKind};
+use crate::alloc::FrameAllocator;
 use crate::error::MemError;
 use crate::pfn_list::PfnList;
-use crate::types::VirtAddr;
+use crate::phys::{FrameMove, PhysAccess};
+use crate::types::{VirtAddr, PAGE_SIZE};
 use std::fmt;
-use xemem_sim::{Costed, MemTier};
+use std::sync::Arc;
+use xemem_sim::{CostModel, Costed, MemTier, SimDuration};
 
 /// What a [`MappingKernel::migrate_region`] call moved.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MigrateOutcome {
     /// The frames the region used to occupy, in region order.
     pub old: PfnList,
@@ -154,31 +165,24 @@ pub trait MappingKernel: Send {
     /// protocol to quarantine frames that remote enclaves still map: after
     /// retention, a later `exit` of the process will no longer free them,
     /// and the caller becomes responsible for handing them back through
-    /// [`MappingKernel::free_frames`] once the last remote reference
-    /// drops. Kernels that cannot transfer frame ownership report
-    /// [`KernelError::Unsupported`].
+    /// [`MappingKernel::return_frames`] once the last remote reference
+    /// drops.
     fn retain_frames(
         &mut self,
         pid: Pid,
         va: VirtAddr,
         len: u64,
-    ) -> Result<Costed<PfnList>, KernelError> {
-        let _ = (pid, va, len);
-        Err(KernelError::Unsupported("frame retention"))
-    }
+    ) -> Result<Costed<PfnList>, KernelError>;
 
     /// Hand frames previously taken out of process ownership by
     /// [`MappingKernel::retain_frames`] back to this kernel's allocator.
-    fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
-        let _ = frames;
-        Err(KernelError::Unsupported("frame return"))
-    }
+    fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError>;
 
     /// Move the resident pages of `[va, va + len)` onto frames from
     /// `dst_tier`, remapping the process's own page tables in place. The
     /// returned [`MigrateOutcome`] reports the old and new frame lists so
     /// the protocol layer can re-point remote attachments and price the
-    /// data copy. Kernels without tiered allocators report
+    /// data copy. An unconfigured destination tier is
     /// [`KernelError::Unsupported`].
     fn migrate_region(
         &mut self,
@@ -186,32 +190,23 @@ pub trait MappingKernel: Send {
         va: VirtAddr,
         len: u64,
         dst_tier: MemTier,
-    ) -> Result<Costed<MigrateOutcome>, KernelError> {
-        let _ = (pid, va, len, dst_tier);
-        Err(KernelError::Unsupported("tier migration"))
-    }
+    ) -> Result<Costed<MigrateOutcome>, KernelError>;
 
     /// Re-point an existing attachment at `va` in `pid` to a new frame
     /// list (same length and layout as the original), after the owning
     /// enclave migrated the underlying segment. Returns the number of
-    /// pages remapped. Kernels that cannot edit live attachments report
+    /// pages remapped; a list of another length is
     /// [`KernelError::Unsupported`].
     fn remap_attached(
         &mut self,
         pid: Pid,
         va: VirtAddr,
         new: &PfnList,
-    ) -> Result<Costed<u64>, KernelError> {
-        let _ = (pid, va, new);
-        Err(KernelError::Unsupported("attachment remap"))
-    }
+    ) -> Result<Costed<u64>, KernelError>;
 
     /// Free frames available in the given tier of this kernel's
     /// allocator, or `None` if the tier is not configured at all.
-    fn tier_free_frames(&self, tier: MemTier) -> Option<u64> {
-        let _ = tier;
-        None
-    }
+    fn tier_free_frames(&self, tier: MemTier) -> Option<u64>;
 
     /// Number of free physical frames in this kernel's allocator. Used by
     /// leak detection in tests and by capacity probes.
@@ -223,4 +218,136 @@ pub trait MappingKernel: Send {
 
     /// Read process memory.
     fn read(&mut self, pid: Pid, va: VirtAddr, out: &mut [u8]) -> Result<Costed<()>, KernelError>;
+}
+
+/// The mechanism under every kernel's policy: its cost model, the physical
+/// view its page tables point into, and the frame allocator over its
+/// partition. The routines here work on that and on one process's
+/// address space and owned frames (the frames its `exit` frees).
+pub struct KernelMemory {
+    /// Virtual-time constants.
+    pub cost: CostModel,
+    /// The physical memory the page tables point into.
+    pub phys: Arc<dyn PhysAccess>,
+    /// The frames of this kernel's partition, by tier.
+    pub alloc: FrameAllocator,
+}
+
+impl KernelMemory {
+    /// Free `frames` back to the allocator and drop their contents — a
+    /// process's owned frames at `exit`, retained frames on return.
+    pub fn release(&mut self, frames: &PfnList) -> Result<(), KernelError> {
+        self.alloc.free_list(frames)?;
+        self.phys.discard(frames)?;
+        Ok(())
+    }
+
+    /// [`MappingKernel::retain_frames`] in a process with address space
+    /// `asp` and owned frames `owned`: the frames of the resident pages
+    /// (holes own none) leave `owned`. The work is run-wise; the charge
+    /// covers the per-page scan the real kernel does.
+    pub fn retain(
+        &self,
+        asp: &AddressSpace,
+        owned: &mut PfnList,
+        va: VirtAddr,
+        len: u64,
+    ) -> Costed<PfnList> {
+        let (first, pages) = va.page_span(len);
+        let retained = asp.page_table().walk_resident(first, pages);
+        *owned = owned.subtract(&retained);
+        Costed::new(retained, self.cost.walk(pages))
+    }
+
+    /// [`MappingKernel::return_frames`].
+    pub fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
+        self.release(frames)?;
+        Ok(Costed::new((), self.cost.frame_return(frames.pages())))
+    }
+
+    /// [`MappingKernel::migrate_region`]. `find(first, pages)` is the
+    /// kernel's part: it looks the process up, checks its precondition on
+    /// the page range and returns the process's address space and owned
+    /// frames. Only the resident pages move — a hole owns no frame — onto
+    /// new frames taken in address order, and the table is re-pointed in
+    /// place. Refusals come in order (destination tier, relocation,
+    /// `find`, a large leaf the range cuts, the allocator's
+    /// `OutOfFrames`), all before any frame is allocated or moved.
+    pub fn migrate<'p, F>(
+        &mut self,
+        va: VirtAddr,
+        len: u64,
+        dst: MemTier,
+        find: F,
+    ) -> Result<Costed<MigrateOutcome>, KernelError>
+    where
+        F: FnOnce(VirtAddr, u64) -> Result<(&'p mut AddressSpace, &'p mut PfnList), KernelError>,
+    {
+        if !self.alloc.has_tier(dst) {
+            return Err(KernelError::Unsupported("destination tier not configured"));
+        }
+        if !self.phys.can_relocate() {
+            return Err(KernelError::Unsupported("physical view cannot relocate"));
+        }
+        let (first, pages) = va.page_span(len);
+        let (asp, owned) = find(first, pages)?;
+        let old = asp
+            .page_table()
+            .walk_remap(first, pages)
+            .map_err(|_| KernelError::Unsupported("range starts or ends inside a large page"))?;
+        if old.is_empty() {
+            return Ok(Costed::new(MigrateOutcome::default(), SimDuration::ZERO));
+        }
+        let new = self.alloc.alloc_pages_in(dst, old.pages())?;
+        self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
+        let mut taken = 0;
+        asp.page_table_mut().remap(first, pages, |_, n| {
+            taken += n;
+            new.slice(taken - n, n)
+                .expect("one new frame per resident page")
+        })?;
+        *owned = owned.subtract(&old);
+        owned.extend(&new);
+        self.alloc.free_list(&old)?;
+        let extents = (old.run_count() + new.run_count()) as u64;
+        let cost = self.cost.walk(pages) + self.cost.migrate_remap(extents, old.pages());
+        let outcome = MigrateOutcome {
+            pages: old.pages(),
+            moved_by_tier: self.alloc.pages_by_tier(&old),
+            old,
+            new,
+        };
+        Ok(Costed::new(outcome, cost))
+    }
+
+    /// [`MappingKernel::remap_attached`] in address space `asp`: the
+    /// resident pages of the attachment holding `va` are re-pointed onto
+    /// the frames of `new` at their own offsets.
+    pub fn remap_attached(
+        &self,
+        asp: &mut AddressSpace,
+        va: VirtAddr,
+        new: &PfnList,
+    ) -> Result<Costed<u64>, KernelError> {
+        let region = asp
+            .region_containing(va)
+            .filter(|r| r.kind == RegionKind::XememAttach)
+            .ok_or(MemError::NoSuchRegion(va))?;
+        let (start, pages) = (region.start, region.len / PAGE_SIZE);
+        if new.pages() != pages {
+            return Err(KernelError::Unsupported("remap length mismatch"));
+        }
+        let remapped = asp.page_table_mut().remap(start, pages, |off, n| {
+            new.slice(off, n).expect("length checked")
+        })?;
+        let cost = self.cost.migrate_remap(new.run_count() as u64, remapped);
+        Ok(Costed::new(remapped, cost))
+    }
+
+    /// [`MappingKernel::tier_free_frames`].
+    pub fn tier_free_frames(&self, tier: MemTier) -> Option<u64> {
+        self.alloc
+            .has_tier(tier)
+            .then(|| self.alloc.free_frames_in(tier))
+    }
 }

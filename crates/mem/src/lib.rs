@@ -25,7 +25,9 @@ pub mod types;
 pub use addr_space::{AddressSpace, Region, RegionKind};
 pub use alloc::FrameAllocator;
 pub use error::MemError;
-pub use kernel::{AttachSemantics, KernelError, KernelKind, MappingKernel, MigrateOutcome, Pid};
+pub use kernel::{
+    AttachSemantics, KernelError, KernelKind, KernelMemory, MappingKernel, MigrateOutcome, Pid,
+};
 pub use page_table::{PageTable, PteFlags};
 pub use pfn_list::PfnList;
 pub use phys::{FrameMove, PhysAccess, PhysicalMemory};

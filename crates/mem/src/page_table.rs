@@ -14,7 +14,10 @@
 //! equal flags and size, so the stored form is a function of the current
 //! mapping alone, never of the calls that produced it. Every operation
 //! finds the extents it touches in O(log n) and then costs O(1) per
-//! extent, whatever the number of pages.
+//! extent, whatever the number of pages. So [`PageTable::remap`], which
+//! re-points the resident pages of a range onto new frames in place (tier
+//! migration, attachment remap), leaves exactly the table an unmap and a
+//! `map_list` per resident run would.
 //!
 //! Every observable — translations and leaf sizes, `walk_range` output
 //! and [`WalkStats`], freed-frame order, validate-then-commit, error
@@ -48,11 +51,6 @@ impl PteFlags {
     /// Read-only user mapping.
     pub fn ro_user() -> PteFlags {
         PteFlags(1 | 4)
-    }
-
-    /// Set union.
-    pub fn union(self, other: PteFlags) -> PteFlags {
-        PteFlags(self.0 | other.0)
     }
 
     /// True when all bits of `other` are present.
@@ -187,9 +185,9 @@ impl PageTable {
     }
 
     /// Unmap pages `[lo, hi)`, handing each removed part to `removed` in
-    /// address order. Extents reaching past either end keep their outer
-    /// parts, which stay maximal.
-    fn cut(&mut self, lo: u64, hi: u64, mut removed: impl FnMut(Extent)) {
+    /// address order, with its first page. Extents reaching past either
+    /// end keep their outer parts, which stay maximal.
+    fn cut(&mut self, lo: u64, hi: u64, mut removed: impl FnMut(u64, Extent)) {
         if lo >= hi {
             return;
         }
@@ -198,7 +196,7 @@ impl PageTable {
         let mut tail = None;
         let mut take = |start: u64, ext: Extent| {
             let end = start + ext.pages;
-            removed(ext.part(0, end.min(hi) - start));
+            removed(start, ext.part(0, end.min(hi) - start));
             if end > hi {
                 tail = Some(ext.part(hi - start, end - hi));
             }
@@ -290,6 +288,53 @@ impl PageTable {
         self.map_runs(va, &[PfnRun { start, len: pages }], pages, flags)
     }
 
+    /// Map `pages` physically contiguous frames from (`va`, `start`) as
+    /// [`PageTable::map_extent`] does, but with a 2 MiB leaf wherever a
+    /// page and its frame are both 2 MiB-aligned and a whole leaf
+    /// remains — how Kitten maps its static image and the FWK its
+    /// huge-page attachments. Validate-then-commit: a misaligned `va` is
+    /// `Misaligned`, a mapped page in the range a `MappingConflict` at the
+    /// first one. Returns the number of leaves written.
+    pub fn map_extent_large(
+        &mut self,
+        va: VirtAddr,
+        start: Pfn,
+        pages: u64,
+        flags: PteFlags,
+    ) -> Result<u64, MemError> {
+        if !va.is_aligned(PageSize::Size4K) {
+            return Err(MemError::Misaligned(va, PageSize::Size4K));
+        }
+        let (first, per) = (va.0 / PAGE_SIZE, PageSize::Size2M.frames());
+        if let Some((page, _)) = self.overlapping(first, first + pages).next() {
+            return Err(MemError::MappingConflict(page_va(page)));
+        }
+        // Pages and frames reach 2 MiB boundaries together or never.
+        let co_aligned = first % per == start.0 % per;
+        let (mut off, mut leaves) = (0, 0);
+        while off < pages {
+            let (page, left) = (first + off, pages - off);
+            let (n, size) = match page % per {
+                0 if co_aligned && left >= per => (per, PageSize::Size2M),
+                into_leaf if co_aligned && into_leaf > 0 => {
+                    ((per - into_leaf).min(left), PageSize::Size4K)
+                }
+                _ => (left, PageSize::Size4K),
+            };
+            let ext = Extent {
+                pages: n,
+                pfn: start.offset(off),
+                flags,
+                size,
+            };
+            self.insert(page, ext);
+            leaves += n / size.frames();
+            off += n;
+        }
+        self.leaf_count += leaves;
+        Ok(leaves)
+    }
+
     /// Map the frames of `runs` (`pages` in all) at consecutive pages from
     /// `va`. Validate-then-commit.
     fn map_runs(
@@ -334,7 +379,7 @@ impl PageTable {
         let (leaf, ext) = self
             .find_leaf(va.0 / PAGE_SIZE)
             .ok_or(MemError::NotMapped(va))?;
-        self.cut(leaf, leaf + ext.pages, |_| {});
+        self.cut(leaf, leaf + ext.pages, |_, _| {});
         self.leaf_count -= 1;
         Ok((ext.pfn, ext.size))
     }
@@ -360,7 +405,7 @@ impl PageTable {
             return Err(MemError::NotMapped(page_va(at)));
         }
         let mut out = PfnList::new();
-        self.cut(first, end, |ext| out.push_run(ext.pfn, ext.pages));
+        self.cut(first, end, |_, ext| out.push_run(ext.pfn, ext.pages));
         self.leaf_count -= pages;
         Ok(out)
     }
@@ -381,13 +426,56 @@ impl PageTable {
             let hi = self
                 .find_leaf(last)
                 .map_or(last + 1, |(leaf, ext)| leaf + ext.pages);
-            self.cut(lo, hi, |ext| {
+            self.cut(lo, hi, |_, ext| {
                 out.push_run(ext.pfn, ext.pages);
                 cleared += ext.pages / ext.size.frames();
             });
         }
         self.leaf_count -= cleared;
         (out, cleared)
+    }
+
+    /// Re-point the resident pages of `[va, va + pages * 4 KiB)` onto new
+    /// frames in place, leaving holes unmapped — the migration and
+    /// attachment-remap path. For each resident run (one extent's part of
+    /// the range), in address order, `frames(offset, n)` supplies the `n`
+    /// new frames of the run that starts `offset` pages into the range.
+    /// Each run keeps its flags and becomes 4 KiB leaves. Validate-then-commit: a large leaf reaching
+    /// past either end is refused as by [`PageTable::walk_remap`], and
+    /// nothing changes. Returns the number of pages re-pointed.
+    ///
+    /// # Panics
+    ///
+    /// When `frames` supplies a run of another length.
+    pub fn remap(
+        &mut self,
+        va: VirtAddr,
+        pages: u64,
+        mut frames: impl FnMut(u64, u64) -> PfnList,
+    ) -> Result<u64, MemError> {
+        let first = va.0 / PAGE_SIZE;
+        self.whole_leaves(first, first + pages)?;
+        let mut runs = Vec::new();
+        self.cut(first, first + pages, |page, ext| runs.push((page, ext)));
+        let mut repointed = 0;
+        for (page, ext) in runs {
+            let new = frames(page - first, ext.pages);
+            assert_eq!(new.pages(), ext.pages, "one new frame per resident page");
+            let mut at = page;
+            for run in new.runs() {
+                let leaves = Extent {
+                    pages: run.len,
+                    pfn: run.start,
+                    size: PageSize::Size4K,
+                    ..ext
+                };
+                self.insert(at, leaves);
+                at += run.len;
+            }
+            self.leaf_count += ext.pages - ext.pages / ext.size.frames();
+            repointed += ext.pages;
+        }
+        Ok(repointed)
     }
 
     /// Translate a virtual address to (physical address, flags, leaf size).
@@ -446,6 +534,32 @@ impl PageTable {
         out
     }
 
+    /// The frames [`PageTable::remap`] of the same range would replace:
+    /// those of [`PageTable::walk_resident`], refused with a
+    /// `MappingConflict` at the range's first (or else last) page when a
+    /// large leaf there reaches past the range, since re-pointing part of
+    /// it would split the leaf.
+    pub fn walk_remap(&self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
+        let first = va.0 / PAGE_SIZE;
+        self.whole_leaves(first, first + pages)?;
+        Ok(self.walk_resident(va, pages))
+    }
+
+    /// Refuse a leaf that pages `[lo, hi)` hold only part of: only a large
+    /// leaf at either end can reach past the range.
+    fn whole_leaves(&self, lo: u64, hi: u64) -> Result<(), MemError> {
+        if lo >= hi {
+            return Ok(());
+        }
+        for end in [lo, hi - 1] {
+            let leaf = self.find_leaf(end);
+            if leaf.is_some_and(|(start, ext)| start < lo || start + ext.pages > hi) {
+                return Err(MemError::MappingConflict(page_va(end)));
+            }
+        }
+        Ok(())
+    }
+
     /// The unmapped sub-ranges of `[va, va + pages * 4 KiB)`, as
     /// `(page_offset_from_va, run_length)` pairs in address order —
     /// the demand-fault hole finder.
@@ -471,7 +585,7 @@ impl PageTable {
         let (leaf, ext) = self
             .find_leaf(va.0 / PAGE_SIZE)
             .ok_or(MemError::NotMapped(va))?;
-        self.cut(leaf, leaf + ext.pages, |_| {});
+        self.cut(leaf, leaf + ext.pages, |_, _| {});
         self.insert(leaf, Extent { flags, ..ext });
         Ok(())
     }
@@ -973,5 +1087,73 @@ mod tests {
             )]
         );
         assert_eq!(pt.leaf_count(), 8);
+    }
+
+    #[test]
+    fn large_extents_take_2m_leaves_only_where_page_and_frame_align() {
+        let mut pt = PageTable::new();
+        let rw = PteFlags::rw_user();
+        // 8 pages of fill-in, one 2 MiB leaf, then a 4 KiB tail of 8.
+        let va = VirtAddr(M2 - 8 * K4);
+        assert_eq!(pt.map_extent_large(va, Pfn(504), 528, rw), Ok(17));
+        let sizes = [0, 8, 519, 520].map(|i| pt.translate(va + i * K4).unwrap().2);
+        assert_eq!(
+            sizes.map(|s| s == PageSize::Size2M),
+            [false, true, true, false]
+        );
+        // Frames one off the pages' alignment: 4 KiB leaves throughout.
+        let skewed = VirtAddr(8 * M2);
+        assert_eq!(pt.map_extent_large(skewed, Pfn(4097), 600, rw), Ok(600));
+        assert_eq!(pt.leaf_count(), 617);
+        // Overlap is refused whole, at the first mapped page.
+        assert_eq!(
+            pt.map_extent_large(VirtAddr(0), Pfn(0), 1024, rw),
+            Err(MemError::MappingConflict(va))
+        );
+        assert_eq!(pt.leaf_count(), 617);
+    }
+
+    #[test]
+    fn remap_repoints_resident_pages_in_place() {
+        let mut pt = PageTable::new();
+        let (rw, ro) = (PteFlags::rw_user(), PteFlags::ro_user());
+        // A read-only 4 KiB page, a hole, then a 2 MiB leaf.
+        pt.map(VirtAddr(M2 - 2 * K4), Pfn(7), PageSize::Size4K, ro)
+            .unwrap();
+        pt.map(VirtAddr(M2), Pfn(512), PageSize::Size2M, rw)
+            .unwrap();
+        let (va, pages) = (VirtAddr(M2 - 2 * K4), 514);
+        // Cutting the large leaf is refused at the range's last page, and
+        // changes nothing.
+        let cut = MemError::MappingConflict(VirtAddr(2 * M2 - 2 * K4));
+        assert_eq!(pt.walk_remap(va, pages - 1), Err(cut.clone()));
+        let frames = |_, n| (0..n).map(Pfn).collect();
+        assert_eq!(pt.remap(va, pages - 1, frames), Err(cut));
+        assert_eq!(pt.leaf_count(), 2);
+        assert_eq!(pt.walk_remap(va, pages).map(|old| old.pages()), Ok(513));
+        // Frames by offset: the run at offset `off` takes 1000 + off on.
+        let mut calls = Vec::new();
+        let moved = pt.remap(va, pages, |off, n| {
+            calls.push((off, n));
+            (1000 + off..1000 + off + n).map(Pfn).collect()
+        });
+        assert_eq!(moved, Ok(513));
+        assert_eq!(calls, [(0, 1), (2, 512)]);
+        assert_eq!(
+            pt.translate(va),
+            Some((Pfn(1000).base(), ro, PageSize::Size4K))
+        );
+        assert!(pt.translate(va + K4).is_none());
+        assert_eq!(
+            pt.translate(VirtAddr(2 * M2 - K4)),
+            Some((Pfn(1513).base(), rw, PageSize::Size4K))
+        );
+        assert_eq!(pt.leaf_count(), 513);
+        assert_eq!(pt.walk_resident(va, pages), {
+            let mut new = PfnList::new();
+            new.push_run(Pfn(1000), 1);
+            new.push_run(Pfn(1002), 512);
+            new
+        });
     }
 }

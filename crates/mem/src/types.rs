@@ -89,6 +89,14 @@ impl VirtAddr {
     pub fn is_aligned(self, size: PageSize) -> bool {
         self.0 & (size.bytes() - 1) == 0
     }
+
+    /// The first page of `[self, self + len)` and the number of 4 KiB
+    /// pages the range touches.
+    #[inline]
+    pub fn page_span(self, len: u64) -> (VirtAddr, u64) {
+        let first = self.page_base();
+        (first, (self.0 + len - first.0).div_ceil(PAGE_SIZE))
+    }
 }
 
 impl Add<u64> for VirtAddr {
@@ -142,12 +150,6 @@ impl PageSize {
     }
 }
 
-/// Round `len` up to a whole number of 4 KiB pages.
-#[inline]
-pub fn pages_for(len: u64) -> u64 {
-    len.div_ceil(PAGE_SIZE)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +168,8 @@ mod tests {
         let va = VirtAddr((5u64 << 39) | (6 << 30) | (7 << 21) | (8 << 12) | 9);
         assert_eq!(va.page_offset(), 9);
         assert_eq!(va.page_base().page_offset(), 0);
+        assert_eq!(VirtAddr(0x1fff).page_span(2), (VirtAddr(0x1000), 2));
+        assert_eq!(VirtAddr(0x2000).page_span(0), (VirtAddr(0x2000), 0));
     }
 
     #[test]
@@ -181,13 +185,5 @@ mod tests {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size2M.frames(), 512);
         assert_eq!(PageSize::Size1G.frames(), 512 * 512);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(4096), 1);
-        assert_eq!(pages_for(4097), 2);
     }
 }

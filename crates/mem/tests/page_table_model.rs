@@ -3,9 +3,11 @@
 //! `PageTable` stores maximal extents. The model here stores one record
 //! per leaf — per 4 KiB page, per 2 MiB or 1 GiB large page — never
 //! merged, and answers every query page by page, the way a table of
-//! discrete leaves would. Random histories of every mutating operation at
-//! all three leaf sizes, in a window around the first 1 GiB boundary,
-//! must leave the two indistinguishable after every step: each call's
+//! discrete leaves would. Random histories of every mutating operation
+//! (the large-leaf `map_extent_large` of static images and the in-place
+//! `remap` of migrations and attachments included) at all three leaf
+//! sizes, in a window around the first 1 GiB boundary, must
+//! leave the two indistinguishable after every step: each call's
 //! result and error (kind and address), translations and leaf sizes,
 //! spans, strict and resident walks with their `WalkStats`, holes,
 //! `leaf_count`, and the `chunk_runs` of every 2 MiB chunk.
@@ -125,6 +127,35 @@ impl Model {
         Ok(list.pages())
     }
 
+    /// Refused whole at the first mapped page; otherwise leaf by leaf, a
+    /// 2 MiB leaf wherever page and frame are both 2 MiB-aligned and a
+    /// whole leaf remains, a 4 KiB leaf elsewhere.
+    fn map_extent_large(
+        &mut self,
+        va: VirtAddr,
+        pfn: u64,
+        pages: u64,
+        flags: PteFlags,
+    ) -> Result<u64, MemError> {
+        let first = va.0 / PAGE_SIZE;
+        if let Some(p) = (first..first + pages).find(|&p| self.page(p).is_some()) {
+            return Err(MemError::MappingConflict(va_of(p)));
+        }
+        let (mut off, mut leaves) = (0, 0);
+        while off < pages {
+            let aligned = (first + off).is_multiple_of(CHUNK) && (pfn + off).is_multiple_of(CHUNK);
+            let size = if aligned && pages - off >= CHUNK {
+                PageSize::Size2M
+            } else {
+                K4
+            };
+            self.map(va_of(first + off), pfn + off, size, flags)
+                .expect("range checked free");
+            (off, leaves) = (off + size.frames(), leaves + 1);
+        }
+        Ok(leaves)
+    }
+
     fn unmap(&mut self, va: VirtAddr) -> Result<(Pfn, PageSize), MemError> {
         let (start, leaf) = self
             .leaf_of(va.0 / PAGE_SIZE)
@@ -164,6 +195,60 @@ impl Model {
             }
         }
         (freed, cleared)
+    }
+
+    /// A leaf at either end of the range that reaches past it is refused
+    /// at that end's page.
+    fn whole_leaves(&self, va: VirtAddr, pages: u64) -> Result<(), MemError> {
+        let (first, end) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        let ends = if pages > 0 {
+            vec![first, end - 1]
+        } else {
+            vec![]
+        };
+        for p in ends {
+            let leaf = self.leaf_of(p);
+            if leaf.is_some_and(|(start, l)| start < first || start + l.size.frames() > end) {
+                return Err(MemError::MappingConflict(va_of(p)));
+            }
+        }
+        Ok(())
+    }
+
+    fn walk_remap(&self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
+        self.whole_leaves(va, pages)?;
+        Ok(self.walk_resident(va, pages))
+    }
+
+    /// Refused as [`Model::whole_leaves`]; otherwise every resident page
+    /// becomes a 4 KiB leaf with its old flags, on frame `new(offset, k)`
+    /// for the page `offset` pages into the range and `k`-th resident in
+    /// it.
+    fn remap(
+        &mut self,
+        va: VirtAddr,
+        pages: u64,
+        new: impl Fn(u64, u64) -> u64,
+    ) -> Result<u64, MemError> {
+        self.whole_leaves(va, pages)?;
+        let (first, end) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        let resident: Vec<(u64, PteFlags)> = (first..end)
+            .filter_map(|p| self.page(p).map(|(_, flags, _)| (p, flags)))
+            .collect();
+        self.leaves
+            .retain(|&start, _| start < first || start >= end);
+        for (k, &(p, flags)) in resident.iter().enumerate() {
+            let pfn = new(p - first, k as u64);
+            self.leaves.insert(
+                p,
+                Leaf {
+                    pfn,
+                    flags,
+                    size: K4,
+                },
+            );
+        }
+        Ok(resident.len() as u64)
     }
 
     fn protect(&mut self, va: VirtAddr, flags: PteFlags) -> Result<(), MemError> {
@@ -283,6 +368,17 @@ enum Step {
         runs: Vec<(u64, u64)>,
         read_only: bool,
     },
+    /// One physically contiguous run with large leaves where they fit;
+    /// `align` starts at a 2 MiB chunk, `skew` shifts the frames off
+    /// 2 MiB alignment so that no large leaf fits.
+    MapLarge {
+        page: u64,
+        align: bool,
+        pages: u64,
+        family: u64,
+        skew: bool,
+        read_only: bool,
+    },
     /// `aim` picks the page (see [`aimed`]) for this and the strict
     /// steps below, so that they often hit a mapping.
     Unmap {
@@ -300,6 +396,17 @@ enum Step {
     Protect {
         aim: u64,
         read_only: bool,
+    },
+    /// Frames come by offset in the range, or `packed` in resident
+    /// order (the same frames when the range has no hole); `align`
+    /// starts at one of the model's large leaves, if any, so that they
+    /// are often remapped whole, or cut and refused.
+    Remap {
+        aim: u64,
+        align: bool,
+        pages: u64,
+        family: u64,
+        packed: bool,
     },
     Walk {
         aim: u64,
@@ -362,6 +469,37 @@ fn map_list() -> impl Strategy<Value = Step> {
         })
 }
 
+fn map_large_extent() -> impl Strategy<Value = Step> {
+    let flags = (0u64..3, any::<bool>(), 0u8..5);
+    (LO..HI, 0u8..4, 0u64..1100, flags).prop_map(|(page, align, pages, (family, skew, ro))| {
+        Step::MapLarge {
+            page,
+            align: align > 0,
+            pages,
+            family,
+            skew,
+            read_only: ro == 0,
+        }
+    })
+}
+
+fn remap() -> impl Strategy<Value = Step> {
+    (
+        0u64..1 << 40,
+        any::<bool>(),
+        0u64..1200,
+        0u64..4,
+        any::<bool>(),
+    )
+        .prop_map(|(aim, align, pages, family, packed)| Step::Remap {
+            aim,
+            align,
+            pages,
+            family,
+            packed,
+        })
+}
+
 fn step() -> impl Strategy<Value = Step> {
     let page = LO..HI;
     prop_oneof![
@@ -372,11 +510,15 @@ fn step() -> impl Strategy<Value = Step> {
         map_list(),
         map_list(),
         map_list(),
+        map_large_extent(),
+        map_large_extent(),
         (0u64..1 << 40, 0u64..PAGE_SIZE).prop_map(|(aim, off)| Step::Unmap { aim, off }),
         (0u64..1 << 40, 0u64..48).prop_map(|(aim, pages)| Step::UnmapPages { aim, pages }),
         (page.clone(), 0u64..1200).prop_map(|(page, pages)| Step::UnmapResident { page, pages }),
         (0u64..1 << 40, any::<bool>())
             .prop_map(|(aim, read_only)| Step::Protect { aim, read_only }),
+        remap(),
+        remap(),
         (0u64..1 << 40, 0u64..PAGE_SIZE, 0u64..96 * PAGE_SIZE)
             .prop_map(|(aim, off, len)| Step::Walk { aim, off, len }),
     ]
@@ -414,6 +556,22 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
                 model.map_list(va, &list, flags)
             );
         }
+        Step::MapLarge {
+            page,
+            align,
+            pages,
+            family,
+            skew,
+            read_only,
+        } => {
+            let page = if align { page / CHUNK * CHUNK } else { page };
+            let pfn = frame(page, family) + u64::from(skew);
+            let (va, flags) = (va_of(page), flags_of(read_only));
+            assert_eq!(
+                pt.map_extent_large(va, Pfn(pfn), pages, flags),
+                model.map_extent_large(va, pfn, pages, flags)
+            );
+        }
         Step::Unmap { aim, off } => {
             let va = va_of(aimed(model, aim)) + off;
             assert_eq!(pt.unmap(va), model.unmap(va));
@@ -433,6 +591,31 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
             let va = va_of(aimed(model, aim));
             let flags = flags_of(read_only);
             assert_eq!(pt.protect(va, flags), model.protect(va, flags));
+        }
+        Step::Remap {
+            aim,
+            align,
+            pages,
+            family,
+            packed,
+        } => {
+            let large: Vec<u64> = (model.leaves.iter())
+                .filter(|(_, leaf)| leaf.size != K4)
+                .map(|(&start, _)| start)
+                .collect();
+            let first = match large.len() as u64 {
+                n if align && n > 0 => large[(aim % n) as usize],
+                _ => aimed(model, aim),
+            };
+            let new = |off: u64, k: u64| frame(first + if packed { k } else { off }, family);
+            let va = va_of(first);
+            assert_eq!(pt.walk_remap(va, pages), model.walk_remap(va, pages));
+            let mut taken = 0;
+            let got = pt.remap(va, pages, |off, n| {
+                taken += n;
+                (0..n).map(|i| Pfn(new(off + i, taken - n + i))).collect()
+            });
+            assert_eq!(got, model.remap(va, pages, new));
         }
         Step::Walk { aim, off, len } => {
             let va = va_of(aimed(model, aim)) + off;
