@@ -1620,7 +1620,7 @@ impl System {
         // chunk.
         let home = MemTier::LocalDram;
         let chunk_bytes = self.tier_policy.chunk_pages * PAGE_SIZE;
-        let chunks = len.div_ceil(chunk_bytes).max(1) as usize;
+        let chunks = len.div_ceil(chunk_bytes) as usize;
         self.tier_dir.insert(
             (slot_idx, segid),
             TierSeg {

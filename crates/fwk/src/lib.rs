@@ -430,11 +430,13 @@ impl MappingKernel for Fwk {
             .procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        let remapped = self.mem.remap_attached(&mut proc.asp, va, new)?;
+        let (start, remapped) = self.mem.remap_attached(&mut proc.asp, va, new)?;
         // Future faults must resolve to the new frames (lazy attachments
         // fault positionally out of the backing list).
-        let start = proc.asp.region_containing(va).expect("remapped").start;
-        let vma = proc.vmas.get_mut(&start.0).expect("one VMA per region");
+        let vma = proc
+            .vmas
+            .get_mut(&start.0)
+            .ok_or(MemError::NoSuchRegion(start))?;
         vma.backing = Backing::Remote(new.clone());
         Ok(remapped)
     }

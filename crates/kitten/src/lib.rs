@@ -314,7 +314,9 @@ impl MappingKernel for Kitten {
         self.mem.migrate(va, len, dst_tier, move |first, pages| {
             let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
             // The image is statically mapped: the whole range resolves.
-            proc.asp.page_table().walk_range(first, pages * PAGE_SIZE)?;
+            if let Some(&(off, _)) = proc.asp.page_table().find_unmapped(first, pages).first() {
+                return Err(MemError::NotMapped(first + off * PAGE_SIZE).into());
+            }
             Ok((&mut proc.asp, &mut proc.owned))
         })
     }
@@ -329,7 +331,9 @@ impl MappingKernel for Kitten {
             .procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        self.mem.remap_attached(&mut proc.asp, va, new)
+        self.mem
+            .remap_attached(&mut proc.asp, va, new)
+            .map(|(_, remapped)| remapped)
     }
 
     fn tier_free_frames(&self, tier: MemTier) -> Option<u64> {
@@ -637,6 +641,18 @@ mod more_tests {
         // An empty range moves nothing.
         let empty = k.migrate_region(pid2, va2, 0, MemTier::Nvm).unwrap();
         assert_eq!((empty.value.pages, empty.cost), (0, SimDuration::ZERO));
+        // A range running off the static image is refused at its first
+        // unmapped page, and one of an unknown process as such.
+        let gap = layout::DATA + layout::DATA_LEN;
+        let into_gap = VirtAddr(gap.0 - 4096 + 5);
+        assert_eq!(
+            k.migrate_region(pid2, into_gap, 8192, MemTier::Nvm).err(),
+            Some(KernelError::Mem(MemError::NotMapped(gap)))
+        );
+        assert_eq!(
+            k.migrate_region(Pid(99), va2, 4096, MemTier::Nvm).err(),
+            Some(KernelError::NoSuchProcess(Pid(99)))
+        );
     }
 
     #[test]

@@ -322,13 +322,14 @@ impl KernelMemory {
 
     /// [`MappingKernel::remap_attached`] in address space `asp`: the
     /// resident pages of the attachment holding `va` are re-pointed onto
-    /// the frames of `new` at their own offsets.
+    /// the frames of `new` at their own offsets. Returns the attachment's
+    /// start with the pages re-pointed.
     pub fn remap_attached(
         &self,
         asp: &mut AddressSpace,
         va: VirtAddr,
         new: &PfnList,
-    ) -> Result<Costed<u64>, KernelError> {
+    ) -> Result<(VirtAddr, Costed<u64>), KernelError> {
         let region = asp
             .region_containing(va)
             .filter(|r| r.kind == RegionKind::XememAttach)
@@ -341,7 +342,7 @@ impl KernelMemory {
             new.slice(off, n).expect("length checked")
         })?;
         let cost = self.cost.migrate_remap(new.run_count() as u64, remapped);
-        Ok(Costed::new(remapped, cost))
+        Ok((start, Costed::new(remapped, cost)))
     }
 
     /// [`MappingKernel::tier_free_frames`].

@@ -94,8 +94,7 @@ impl VirtAddr {
     /// pages the range touches.
     #[inline]
     pub fn page_span(self, len: u64) -> (VirtAddr, u64) {
-        let first = self.page_base();
-        (first, (self.0 + len - first.0).div_ceil(PAGE_SIZE))
+        (self.page_base(), pages_for(self.page_offset() + len))
     }
 }
 
@@ -150,6 +149,12 @@ impl PageSize {
     }
 }
 
+/// Round `len` up to a whole number of 4 KiB pages.
+#[inline]
+pub fn pages_for(len: u64) -> u64 {
+    len.div_ceil(PAGE_SIZE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,5 +190,13 @@ mod tests {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size2M.frames(), 512);
         assert_eq!(PageSize::Size1G.frames(), 512 * 512);
+    }
+
+    #[test]
+    fn pages_for_rounds_up() {
+        assert_eq!(pages_for(0), 0);
+        assert_eq!(pages_for(1), 1);
+        assert_eq!(pages_for(4096), 1);
+        assert_eq!(pages_for(4097), 2);
     }
 }
