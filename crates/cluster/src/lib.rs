@@ -191,8 +191,8 @@ pub fn run_cluster(cfg: &ClusterConfig) -> Result<ClusterResult, XememError> {
 }
 
 /// [`run_cluster`] with an explicit tracer: every node's system charges
-/// into `tracer` (instead of the process-global fallback), so parallel
-/// bench units can trace into per-unit handles.
+/// into `tracer`, so parallel bench units can trace into per-unit
+/// handles.
 pub fn run_cluster_traced(
     cfg: &ClusterConfig,
     tracer: &TraceHandle,

@@ -3,6 +3,7 @@
 
 use crate::channel::Link;
 use crate::ids::{Apid, EnclaveId, Segid};
+use crate::system::tier::TierState;
 use xemem_mem::{MappingKernel, Pid, VirtAddr};
 use xemem_palacios::Vmm;
 use xemem_sim::{FxHashMap, FxHashSet, SimTime};
@@ -71,8 +72,10 @@ impl std::fmt::Debug for EnclaveKind {
     }
 }
 
-/// An exported segment owned by this enclave.
-#[derive(Debug, Clone)]
+/// An exported segment owned by this enclave, with everything that
+/// lives exactly as long as the export: `make` creates the record and
+/// the export's withdrawal drops it.
+#[derive(Debug)]
 pub struct SegRecord {
     /// Exporting process.
     pub pid: Pid,
@@ -80,6 +83,22 @@ pub struct SegRecord {
     pub va: VirtAddr,
     /// Length in bytes.
     pub len: u64,
+    /// Every attachment of the segment, in attach order: whom the
+    /// revocation protocol notifies and a migration re-points.
+    pub(crate) sites: Vec<AttachSite>,
+    /// Where each policy chunk's frames live and how hot it has been.
+    pub(crate) tiers: TierState,
+}
+
+/// One attachment of an exported segment, indexed exporter-side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AttachSite {
+    /// Slot of the attaching enclave.
+    pub(crate) slot: usize,
+    /// The attaching process.
+    pub(crate) pid: Pid,
+    /// Base of the attachment in that process.
+    pub(crate) va: u64,
 }
 
 /// A granted access permit.

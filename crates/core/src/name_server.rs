@@ -33,7 +33,7 @@
 use crate::error::XememError;
 use crate::ids::{EnclaveId, Segid};
 use std::collections::{BTreeMap, VecDeque};
-use xemem_sim::{FxHashMap, SimDuration, SimTime};
+use xemem_sim::{mix64, FxHashMap, SimDuration, SimTime};
 
 /// Bit position of the shard index inside a segid.
 pub const SHARD_SHIFT: u32 = 48;
@@ -151,11 +151,9 @@ pub struct NameService {
     election_timeout: SimDuration,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+/// One splitmix64 output: the generator's state step, then its mixer.
+fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 fn hash_name(name: &str) -> u64 {

@@ -16,13 +16,16 @@
 //! * The clock-based XPMEM API in [`crate::api`] wraps them for
 //!   sequential use.
 
-use std::collections::BTreeMap;
+pub(crate) mod tier;
+
 use std::sync::Arc;
+
+use tier::TierState;
 
 use crate::api::Framed;
 use crate::channel::{Direction, Link, LinkCharge};
 use crate::enclave::{
-    ApidRecord, AttachRecord, AttachState, EnclaveKind, GuestOs, Lease, SegRecord, Slot,
+    ApidRecord, AttachRecord, AttachSite, AttachState, EnclaveKind, GuestOs, Lease, SegRecord, Slot,
 };
 use crate::error::XememError;
 use crate::ids::{AccessMode, Apid, EnclaveId, EnclaveRef, ProcessRef, Segid};
@@ -46,15 +49,6 @@ use xemem_trace::{Counter, Ctx, EdgeKind, Hist, ShardCounter, SpanKind, Timeline
 /// this many consecutive drops the channel is assumed to have recovered
 /// (keeps pathological probability-1.0 loss windows from livelocking).
 const MAX_RETRANSMITS: u32 = 64;
-
-/// One remote mapping of an exported segment, indexed exporter-side so
-/// the revocation protocol knows whom to notify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct AttachSite {
-    slot: usize,
-    pid: Pid,
-    va: u64,
-}
 
 /// Frames quarantined out of a dead exporter's ownership, held until the
 /// last remote attachment reap drops the refcount — only then do they
@@ -116,42 +110,6 @@ pub struct TierMove {
     pub pages: u64,
 }
 
-/// Hot/cold state of one policy chunk of an exported segment.
-#[derive(Debug, Clone, Copy)]
-struct ChunkState {
-    /// Tier the chunk's resident frames currently live in.
-    tier: MemTier,
-    /// Accesses observed in the open window.
-    hits: u64,
-    /// Consecutive closed windows at or above the hot threshold.
-    hot: u32,
-    /// Consecutive closed windows at or below the cold threshold.
-    cold: u32,
-}
-
-impl ChunkState {
-    fn new(tier: MemTier) -> Self {
-        ChunkState {
-            tier,
-            hits: 0,
-            hot: 0,
-            cold: 0,
-        }
-    }
-}
-
-/// Tier-directory record of one exported segment: where each policy
-/// chunk's frames live and how hot it has been, all in virtual time.
-#[derive(Debug, Clone)]
-struct TierSeg {
-    /// Tier cold chunks demote back to (the exporter's home tier).
-    home: MemTier,
-    /// Per-chunk tier + access-frequency state.
-    chunks: Vec<ChunkState>,
-    /// Start of the currently open counting window.
-    window_start: SimTime,
-}
-
 /// The multi-enclave node.
 pub struct System {
     pub(crate) cost: CostModel,
@@ -168,12 +126,6 @@ pub struct System {
     zones: Vec<u32>,
     /// Deterministic fault injector (None when no plan is armed).
     injector: Option<FaultInjector>,
-    /// (owner slot, segid) → remote attachment sites; fed by every
-    /// successful attach, consumed by the revocation protocol.
-    attachers: FxHashMap<(usize, Segid), Vec<AttachSite>>,
-    /// Exporter-side permit refcounts: (owner slot, segid) → outstanding
-    /// `xpmem_get` grants.
-    grants: FxHashMap<(usize, Segid), u64>,
     /// Frames on loan from dead exporters (see [`Loan`]).
     loans: Vec<Loan>,
     /// Crashes not yet drained by [`System::drain_crash_notices`].
@@ -181,10 +133,6 @@ pub struct System {
     /// Hot/cold migration policy (disabled by default: counters tick,
     /// nothing moves, every charge stays byte-identical to pre-tier).
     tier_policy: TierPolicy,
-    /// Tier directory: (owner slot, segid) → per-chunk tier + access
-    /// state. A `BTreeMap` so policy sweeps iterate in a deterministic
-    /// order at any `--jobs`/`--lanes`.
-    tier_dir: BTreeMap<(usize, Segid), TierSeg>,
     /// Virtual-time span/metrics sink. Disabled handles are inert
     /// (inlined `None` branch — no allocation on any hot path), and the
     /// virtual-time arithmetic is identical either way.
@@ -296,10 +244,29 @@ impl System {
         std::mem::take(&mut self.crash_notices)
     }
 
-    /// Outstanding `xpmem_get` grants against a segment — the
-    /// exporter-side refcount dropped by release and by attacher exit.
+    /// Outstanding `xpmem_get` grants against a live export: the permits
+    /// that name it, which release and attacher exit drop.
     pub fn outstanding_grants(&self, e: EnclaveRef, segid: Segid) -> u64 {
-        self.grants.get(&(e.0, segid)).copied().unwrap_or(0)
+        let Some(owner) = self.slots.get(e.0).filter(|s| s.segs.contains_key(&segid)) else {
+            return 0;
+        };
+        let permits = self.slots.iter().flat_map(|s| s.apids.values());
+        permits
+            .filter(|r| Some(r.owner) == owner.id && r.segid == segid)
+            .count() as u64
+    }
+
+    /// The live export `segid` of slot `owner`: `EnclaveDead` once that
+    /// enclave died, `UnknownSegid` once the export was withdrawn. Every
+    /// step that needs the export to exist looks it up here.
+    fn export(&mut self, owner: usize, segid: Segid) -> Result<&mut SegRecord, XememError> {
+        let slot = &mut self.slots[owner];
+        if !slot.alive {
+            return Err(XememError::EnclaveDead(EnclaveRef(owner)));
+        }
+        slot.segs
+            .get_mut(&segid)
+            .ok_or(XememError::UnknownSegid(segid))
     }
 
     // ------------------------------------------------------------------
@@ -596,11 +563,11 @@ impl System {
     ///    partition is retired whole);
     /// 2. drop the sites of attachments it held against other exporters,
     ///    with their loan refcounts;
-    /// 3. drop the exporter-side grant refcounts its permits pinned.
+    /// 3. retire its permits.
     ///
-    /// Each step runs in sorted order, so teardown (and thus the trace
-    /// and any RNG-dependent hop decisions) never depends on map
-    /// iteration. Returns the completion time.
+    /// The first two steps run in sorted order, so teardown (and thus the
+    /// trace and any RNG-dependent hop decisions) never depends on map
+    /// iteration; the third charges nothing. Returns the completion time.
     fn tear_down(&mut self, slot_idx: usize, pid: Option<Pid>, mut t: SimTime) -> SimTime {
         let dead = |p: Pid| pid.is_none_or(|d| d == p);
         let my_id = self.slots[slot_idx].id;
@@ -629,30 +596,22 @@ impl System {
         for ((p, va), rec) in held {
             self.drop_site(slot_idx, p, va, rec);
         }
-        let mut permits: Vec<(Apid, Segid, EnclaveId)> = self.slots[slot_idx]
-            .apids
-            .iter()
-            .filter(|(_, r)| dead(r.pid))
-            .map(|(a, r)| (*a, r.segid, r.owner))
-            .collect();
-        permits.sort();
-        for (apid, segid, owner) in permits {
-            self.slots[slot_idx].apids.remove(&apid);
-            self.slots[slot_idx].released.insert(apid);
-            self.drop_grant(owner, segid);
-        }
+        let slot = &mut self.slots[slot_idx];
+        let permits = slot.apids.extract_if(|_, r| dead(r.pid));
+        slot.released.extend(permits.map(|(apid, _)| apid));
         t
     }
 
     /// Withdraw one export whose name-service registration is already
-    /// gone: revoke every live lease on it, drop its local record, grant
-    /// refcounts and tier-directory entry, then run the revocation
-    /// protocol ([`Self::revoke_segment`]). `crashed` names the exporting
-    /// process when it died: frames remote enclaves still map are then
-    /// quarantined out of it and lent to the attachers until the last
-    /// reap. Quarantine stays between the lease revocation and the
-    /// segment's: moving it would shift when the revocation notices
-    /// contend for the IPI calendar. Returns the completion time.
+    /// gone: revoke every live lease on it, drop its record — and with it
+    /// its attachment sites and tier state — then run the revocation
+    /// protocol over those sites ([`Self::revoke_segment`]). `crashed`
+    /// names the exporting process when it died: frames remote enclaves
+    /// still map are then quarantined out of it and lent to the
+    /// attachers until the last reap. Quarantine stays between the lease
+    /// revocation and the segment's: moving it would shift when the
+    /// revocation notices contend for the IPI calendar. Returns the
+    /// completion time.
     fn withdraw_export(
         &mut self,
         slot_idx: usize,
@@ -661,15 +620,11 @@ impl System {
         t: SimTime,
     ) -> SimTime {
         let mut t = self.revoke_leases(segid, t);
-        let seg = self.slots[slot_idx].segs.remove(&segid);
-        self.grants.remove(&(slot_idx, segid));
-        self.tier_dir.remove(&(slot_idx, segid));
-        let mapped = self
-            .attachers
-            .get(&(slot_idx, segid))
-            .is_some_and(|v| !v.is_empty());
+        let Some(seg) = self.slots[slot_idx].segs.remove(&segid) else {
+            return t;
+        };
         let mut loan = None;
-        if let (Some(pid), Some(seg), true) = (crashed, seg, mapped) {
+        if let (Some(pid), false) = (crashed, seg.sites.is_empty()) {
             let kernel = self.slots[slot_idx].kind.kernel_mut();
             if let Ok(c) = kernel.retain_frames(pid, seg.va, seg.len) {
                 let ctx = Ctx::seg(slot_idx, pid.0, segid.0);
@@ -679,12 +634,12 @@ impl System {
                 loan = Some(c.value);
             }
         }
-        self.revoke_segment(slot_idx, segid, loan, t)
+        self.revoke_segment(slot_idx, segid, seg.sites, loan, t)
     }
 
     /// Owner-side revocation of one segment: notify every attaching
-    /// enclave (charged Revoke/RevokeAck hops through the routing
-    /// fabric), run their reapers, and drain the loan refcounts.
+    /// enclave in `sites` (charged Revoke/RevokeAck hops through the
+    /// routing fabric), run their reapers, and drain the loan refcounts.
     /// `loan_frames` carries quarantined frames when the exporter died;
     /// `None` when the exporter lives on (`xpmem_remove`) and keeps its
     /// own frames.
@@ -692,13 +647,10 @@ impl System {
         &mut self,
         owner_slot: usize,
         segid: Segid,
+        sites: Vec<AttachSite>,
         loan_frames: Option<PfnList>,
         mut at: SimTime,
     ) -> SimTime {
-        let sites = self
-            .attachers
-            .remove(&(owner_slot, segid))
-            .unwrap_or_default();
         if let Some(frames) = loan_frames {
             self.loans.push(Loan {
                 owner_slot,
@@ -828,33 +780,18 @@ impl System {
         }
     }
 
-    /// Remove one attachment site from the exporter-side index and drop
-    /// its loan refcount (attacher-side teardown: detach, exit, crash).
+    /// Remove one attachment site from its export's record and drop its
+    /// loan refcount (attacher-side teardown: detach, exit, crash).
     fn drop_site(&mut self, slot_idx: usize, pid: Pid, va: u64, rec: AttachRecord) {
         if let Some(&owner_slot) = self.id_to_slot.get(&rec.owner) {
-            if let Some(sites) = self.attachers.get_mut(&(owner_slot, rec.segid)) {
-                sites.retain(|s| !(s.slot == slot_idx && s.pid == pid && s.va == va));
-                if sites.is_empty() {
-                    self.attachers.remove(&(owner_slot, rec.segid));
-                }
+            if let Some(seg) = self.slots[owner_slot].segs.get_mut(&rec.segid) {
+                seg.sites
+                    .retain(|s| (s.slot, s.pid, s.va) != (slot_idx, pid, va));
             }
             self.drop_loan_ref(owner_slot, rec.segid);
         }
         self.slots[slot_idx].attachments.remove(&(pid, va));
         self.slots[slot_idx].detached.insert((pid, va));
-    }
-
-    /// Decrement the exporter-side grant refcount for one released (or
-    /// abandoned) permit.
-    fn drop_grant(&mut self, owner: EnclaveId, segid: Segid) {
-        if let Some(&owner_slot) = self.id_to_slot.get(&owner) {
-            if let Some(g) = self.grants.get_mut(&(owner_slot, segid)) {
-                *g = g.saturating_sub(1);
-                if *g == 0 {
-                    self.grants.remove(&(owner_slot, segid));
-                }
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -879,11 +816,11 @@ impl System {
     }
 
     /// Destroy a process gracefully: detach its live attachments
-    /// (dropping any loan refcounts they held), release its permits
-    /// (dropping the exporter-side grant refcounts), withdraw its
-    /// exported segments — [`Self::remove_at`] drives the revocation
-    /// protocol, so remote attachments are reaped and subsequent access
-    /// through them fails with `SourceGone` — and free its memory.
+    /// (dropping any loan refcounts they held), release its permits,
+    /// withdraw its exported segments — [`Self::remove_at`] drives the
+    /// revocation protocol, so remote attachments are reaped and
+    /// subsequent access through them fails with `SourceGone` — and free
+    /// its memory.
     pub fn exit_process(&mut self, p: ProcessRef) -> Result<(), XememError> {
         self.process_faults(self.clock.now());
         let slot_idx = p.enclave.0;
@@ -900,9 +837,7 @@ impl System {
         for va in attached {
             self.xpmem_detach(p, VirtAddr(va))?;
         }
-        // Release permits, dropping the exporter-side grant refcounts
-        // they pinned (left dangling before the teardown protocol
-        // existed).
+        // Release permits, in the same deterministic order.
         let mut permits: Vec<Apid> = self.slots[slot_idx]
             .apids
             .iter()
@@ -998,12 +933,9 @@ impl System {
     // ------------------------------------------------------------------
 
     /// The tier the given policy chunk of a segment currently lives in
-    /// (test/bench visibility into the tier directory).
+    /// (test/bench visibility into the export's tier state).
     pub fn tier_of_chunk(&self, e: EnclaveRef, segid: Segid, chunk: u64) -> Option<MemTier> {
-        self.tier_dir
-            .get(&(e.0, segid))
-            .and_then(|d| d.chunks.get(chunk as usize))
-            .map(|c| c.tier)
+        self.slots.get(e.0)?.segs.get(&segid)?.tiers.tier_of(chunk)
     }
 
     /// Free frames the enclave's allocator holds on `tier`, or `None`
@@ -1016,40 +948,9 @@ impl System {
         }
     }
 
-    /// Per-tier page classification of the window `[offset, offset+len)`
-    /// of a segment, read from the tier directory at chunk granularity.
-    /// Unknown segments classify as all-local (zero surcharge).
-    fn tier_window_pages(
-        &self,
-        owner_slot: usize,
-        segid: Segid,
-        offset: u64,
-        len: u64,
-    ) -> [u64; MemTier::COUNT] {
-        let mut out = [0u64; MemTier::COUNT];
-        let Some(dir) = self.tier_dir.get(&(owner_slot, segid)) else {
-            out[MemTier::LocalDram.index()] = len.div_ceil(PAGE_SIZE);
-            return out;
-        };
-        let chunk_bytes = self.tier_policy.chunk_pages * PAGE_SIZE;
-        let mut cur = offset;
-        let end = offset + len;
-        while cur < end {
-            let ci = (cur / chunk_bytes) as usize;
-            let span = end.min((cur / chunk_bytes + 1) * chunk_bytes) - cur;
-            let tier = dir.chunks.get(ci).map(|c| c.tier).unwrap_or(dir.home);
-            out[tier.index()] += span.div_ceil(PAGE_SIZE);
-            cur += span;
-        }
-        out
-    }
-
-    /// Account one data access against the tier directory and return the
-    /// stream surcharge over the flat-DRAM charge the kernel already
-    /// made. Bumps the access-frequency counter of every chunk the range
-    /// touches (rolling the segment's counting window first) — the
-    /// signal the hot/cold policy runs on. Zero for local-DRAM chunks,
-    /// so pre-tier runs are reproduced byte for byte.
+    /// Account one data access against the tier state of the export it
+    /// reads or writes, through an attachment or in the exporter itself,
+    /// and return the stream surcharge ([`TierState::access`]).
     fn tier_access(
         &mut self,
         slot_idx: usize,
@@ -1083,32 +984,12 @@ impl System {
         let Some((owner_slot, segid, off)) = target else {
             return SimDuration::ZERO;
         };
-        let policy = self.tier_policy;
-        let chunk_bytes = policy.chunk_pages * PAGE_SIZE;
-        let Some(dir) = self.tier_dir.get_mut(&(owner_slot, segid)) else {
-            return SimDuration::ZERO;
-        };
-        roll_windows(dir, &policy, at);
-        let mut extra = SimDuration::ZERO;
-        let mut cur = off;
-        let end = off + len;
-        while cur < end {
-            let ci = (cur / chunk_bytes) as usize;
-            let span = end.min((cur / chunk_bytes + 1) * chunk_bytes) - cur;
-            if let Some(c) = dir.chunks.get_mut(ci) {
-                c.hits = c.hits.saturating_add(1);
-                if c.tier != MemTier::LocalDram {
-                    let tiered = if write {
-                        self.cost.tier_stream_write(c.tier, span)
-                    } else {
-                        self.cost.tier_stream_read(c.tier, span)
-                    };
-                    extra += tiered - self.cost.dram_stream(span);
-                }
-            }
-            cur += span;
+        match self.slots[owner_slot].segs.get_mut(&segid) {
+            Some(seg) => seg
+                .tiers
+                .access(&self.tier_policy, &self.cost, off, len, at, write),
+            None => SimDuration::ZERO,
         }
-        extra
     }
 
     /// Migrate a segment (`chunk: None`) or one policy chunk of it to
@@ -1162,12 +1043,11 @@ impl System {
                 "tier migration inside a VM guest",
             )));
         }
-        let seg = slot
-            .segs
-            .get(&segid)
-            .ok_or(XememError::UnknownSegid(segid))?
-            .clone();
-        if seg.pid != p.pid {
+        let policy = self.tier_policy;
+        let seg = self.export(slot_idx, segid)?;
+        let (pid, seg_va, n_sites) = (seg.pid, seg.va, seg.sites.len());
+        let span = seg.tiers.span(&policy, chunk, seg.len);
+        if pid != p.pid {
             return Err(XememError::PermissionDenied);
         }
         if let Some(inj) = &self.injector {
@@ -1178,57 +1058,31 @@ impl System {
                 });
             }
         }
-        let dir_chunks = self
-            .tier_dir
-            .get(&(slot_idx, segid))
-            .map(|d| d.chunks.len())
-            .unwrap_or(0);
-        let chunk_bytes = self.tier_policy.chunk_pages * PAGE_SIZE;
-        let (span_off, span_len, chunk_range) = match chunk {
-            Some(i) => {
-                if i as usize >= dir_chunks {
-                    return Err(XememError::BadWindow {
-                        offset: i * chunk_bytes,
-                        len: chunk_bytes,
-                        seg_len: seg.len,
-                    });
-                }
-                let off = i * chunk_bytes;
-                (
-                    off,
-                    (seg.len - off).min(chunk_bytes),
-                    i as usize..i as usize + 1,
-                )
-            }
-            None => (0, seg.len, 0..dir_chunks),
-        };
+        let (span_off, span_len) = span?;
         // Attachments inside VM guests cannot be re-pointed (the VMM owns
         // the GPA map); refuse before touching any state.
-        let sites: Vec<AttachSite> = self
-            .attachers
-            .get(&(slot_idx, segid))
-            .cloned()
-            .unwrap_or_default();
-        for site in &sites {
-            let live = self.slots[site.slot]
-                .attachments
-                .get(&(site.pid, site.va))
-                .is_some_and(|r| r.state == AttachState::Live);
-            if live && self.slots[site.slot].kind.is_vm() {
-                return Err(XememError::Kernel(KernelError::Unsupported(
-                    "migrating a segment attached from a VM",
-                )));
-            }
+        let live_rec = |sys: &Self, site: AttachSite| {
+            let rec = sys.slots[site.slot].attachments.get(&(site.pid, site.va));
+            rec.filter(|r| r.state == AttachState::Live).copied()
+        };
+        let sites = &self.slots[slot_idx].segs[&segid].sites;
+        if sites
+            .iter()
+            .any(|&s| self.slots[s.slot].kind.is_vm() && live_rec(self, s).is_some())
+        {
+            return Err(XememError::Kernel(KernelError::Unsupported(
+                "migrating a segment attached from a VM",
+            )));
         }
         // 1. The owner's kernel relocates the resident subset, batched
         //    over extents.
         let out = self.slots[slot_idx].kind.kernel_mut().migrate_region(
-            seg.pid,
-            VirtAddr(seg.va.0 + span_off),
+            pid,
+            VirtAddr(seg_va.0 + span_off),
             span_len,
             dst,
         )?;
-        let octx = Ctx::seg(slot_idx, seg.pid.0, segid.0);
+        let octx = Ctx::seg(slot_idx, pid.0, segid.0);
         let mut bytes_by_tier = [0u64; MemTier::COUNT];
         for t in MemTier::ALL {
             bytes_by_tier[t.index()] = out.value.moved_by_tier[t.index()] * PAGE_SIZE;
@@ -1238,25 +1092,19 @@ impl System {
         let mut t = self
             .tracer
             .charge(SpanKind::MigrateRemap, t, out.cost, octx);
-        // 2. Re-point every live attachment overlapping the span: the
-        //    owner re-serves the attached window, the attaching kernel
-        //    swaps the backing frames in place.
-        for site in &sites {
-            let Some(rec) = self.slots[site.slot]
-                .attachments
-                .get(&(site.pid, site.va))
-                .copied()
-            else {
+        // 2. Re-point every live attachment overlapping the span, in
+        //    attach order: the owner re-serves the attached window, the
+        //    attaching kernel swaps the backing frames in place.
+        for i in 0..n_sites {
+            let site = self.slots[slot_idx].segs[&segid].sites[i];
+            let Some(rec) = live_rec(self, site) else {
                 continue;
             };
-            if rec.state != AttachState::Live
-                || rec.offset + rec.len <= span_off
-                || rec.offset >= span_off + span_len
-            {
+            if rec.offset + rec.len <= span_off || rec.offset >= span_off + span_len {
                 continue;
             }
             let (list, serve) =
-                self.serve_export(slot_idx, seg.pid, VirtAddr(seg.va.0 + rec.offset), rec.len)?;
+                self.serve_export(slot_idx, pid, VirtAddr(seg_va.0 + rec.offset), rec.len)?;
             t = self.tracer.charge(SpanKind::ServeWalk, t, serve, octx);
             let actx = Ctx::seg(site.slot, site.pid.0, segid.0);
             let remapped = self.slots[site.slot].kind.kernel_mut().remap_attached(
@@ -1270,20 +1118,8 @@ impl System {
             self.tracer.edge(EdgeKind::MigrateRemap, t, end, octx, actx);
             t = end;
         }
-        // 3. Directory + metrics. A whole-segment move re-homes the
-        //    segment: the policy's cold demotions now target the new
-        //    parking tier, not the original export tier.
-        if let Some(dir) = self.tier_dir.get_mut(&(slot_idx, segid)) {
-            if chunk.is_none() {
-                dir.home = dst;
-            }
-            for c in &mut dir.chunks[chunk_range] {
-                c.tier = dst;
-                c.hits = 0;
-                c.hot = 0;
-                c.cold = 0;
-            }
-        }
+        // 3. Tier state + metrics.
+        self.export(slot_idx, segid)?.tiers.moved(chunk, dst);
         let pages = out.value.pages;
         self.tracer.count(Counter::TierMigrations, 1);
         self.tracer.count(Counter::TierPagesMigrated, pages);
@@ -1297,9 +1133,9 @@ impl System {
     /// Run the hot/cold policy over every segment `p` exports on the
     /// clock: close counting windows up to now, then migrate each chunk
     /// whose hot (cold) streak reached the hysteresis threshold to the
-    /// fast (home) tier. Deterministic: the directory iterates in
-    /// `(slot, segid)` order and every decision is a pure function of
-    /// virtual-time access counts. Returns the executed moves.
+    /// fast (home) tier. Deterministic: the segments are visited in
+    /// segid order and every decision is a pure function of virtual-time
+    /// access counts. Returns the executed moves.
     pub fn tier_policy_tick(&mut self, p: ProcessRef) -> Result<Vec<TierMove>, XememError> {
         // A disarmed policy makes the tick a true no-op — no span, no
         // clock motion — so hysteresis-off runs are observationally
@@ -1326,40 +1162,18 @@ impl System {
         let policy = self.tier_policy;
         let mut moves = Vec::new();
         let mut t = at;
-        let segids: Vec<Segid> = self
-            .tier_dir
-            .range((slot_idx, Segid(0))..=(slot_idx, Segid(u64::MAX)))
-            .map(|((_, s), _)| *s)
+        let segs = self.slots[slot_idx].segs.iter();
+        let mut segids: Vec<Segid> = segs
+            .filter(|(_, s)| s.pid == p.pid)
+            .map(|(s, _)| *s)
             .collect();
+        segids.sort_unstable();
         for segid in segids {
-            let owned = self.slots[slot_idx]
-                .segs
-                .get(&segid)
-                .is_some_and(|s| s.pid == p.pid);
-            if !owned {
+            // An earlier move's fault poll may have withdrawn it.
+            let Ok(seg) = self.export(slot_idx, segid) else {
                 continue;
-            }
-            let dir = self
-                .tier_dir
-                .get_mut(&(slot_idx, segid))
-                .expect("listed above");
-            roll_windows(dir, &policy, t);
-            let home = dir.home;
-            let wants: Vec<(u64, MemTier, MemTier)> = dir
-                .chunks
-                .iter()
-                .enumerate()
-                .filter_map(|(i, c)| {
-                    if c.hot >= policy.hysteresis && c.tier != policy.fast_tier {
-                        Some((i as u64, c.tier, policy.fast_tier))
-                    } else if c.cold >= policy.hysteresis && c.tier != home {
-                        Some((i as u64, c.tier, home))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            for (i, from, dst) in wants {
+            };
+            for (i, from, dst) in seg.tiers.due_moves(&policy, t) {
                 match self.migrate_extent_inner(p, segid, Some(i), dst, t) {
                     Ok((pages, end)) => {
                         moves.push(TierMove {
@@ -1606,29 +1420,14 @@ impl System {
         let bk = SimDuration::from_nanos(300);
         let ctx = Ctx::seg(slot_idx, p.pid.0, segid.0);
         let t = self.tracer.charge(SpanKind::Bookkeeping, t, bk, ctx);
-        self.slots[slot_idx].segs.insert(
-            segid,
-            SegRecord {
-                pid: p.pid,
-                va,
-                len,
-            },
-        );
-        // Tier directory: every export starts on socket DRAM, where
-        // partitions are carved ([`SystemBuilder::tier_reserve`] adds
-        // non-home capacity on top), with one hot/cold record per policy
-        // chunk.
-        let home = MemTier::LocalDram;
-        let chunk_bytes = self.tier_policy.chunk_pages * PAGE_SIZE;
-        let chunks = len.div_ceil(chunk_bytes) as usize;
-        self.tier_dir.insert(
-            (slot_idx, segid),
-            TierSeg {
-                home,
-                chunks: vec![ChunkState::new(home); chunks],
-                window_start: t,
-            },
-        );
+        let seg = SegRecord {
+            pid: p.pid,
+            va,
+            len,
+            sites: Vec::new(),
+            tiers: TierState::new(&self.tier_policy, len, t),
+        };
+        self.slots[slot_idx].segs.insert(segid, seg);
         Ok((segid, t))
     }
 
@@ -1647,11 +1446,7 @@ impl System {
         let slot_idx = p.enclave.0;
         let slot = live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
         let my_id = slot.id.ok_or(XememError::BadEnclave(p.enclave))?;
-        let rec = self.slots[slot_idx]
-            .segs
-            .get(&segid)
-            .ok_or(XememError::UnknownSegid(segid))?;
-        if rec.pid != p.pid {
+        if self.export(slot_idx, segid)?.pid != p.pid {
             return Err(XememError::PermissionDenied);
         }
         // Unregistration mutates the name service — backoff, no lease
@@ -1833,7 +1628,7 @@ impl System {
         let cached = (self.name_service.leader_slot(shard) != Some(slot_idx))
             .then(|| self.slots[slot_idx].owner_leases.get(&segid).copied())
             .flatten();
-        let (owner, t) = if self.slots[slot_idx].segs.contains_key(&segid) {
+        let (owner, t) = if self.export(slot_idx, segid).is_ok() {
             // Locally owned: no messages needed.
             let my_id = self.slots[slot_idx].id.expect("registered");
             let bk = SimDuration::from_nanos(300);
@@ -1864,17 +1659,11 @@ impl System {
                 mode,
             },
         );
-        // Exporter-side grant refcount (dropped by release / attacher
-        // exit — the GC that used to leak).
-        if let Some(&owner_slot) = self.id_to_slot.get(&owner) {
-            *self.grants.entry((owner_slot, segid)).or_insert(0) += 1;
-        }
         Ok((apid, t))
     }
 
-    /// Release a permission grant (`xpmem_release`), dropping the
-    /// exporter-side grant refcount. A second release of the same permit
-    /// fails cleanly with `AlreadyReleased`.
+    /// Release a permission grant (`xpmem_release`). A second release of
+    /// the same permit fails cleanly with `AlreadyReleased`.
     pub fn release_at(
         &mut self,
         p: ProcessRef,
@@ -1893,10 +1682,9 @@ impl System {
         if rec.pid != p.pid {
             return Err(XememError::PermissionDenied);
         }
-        let (owner, segid) = (rec.owner, rec.segid);
+        let segid = rec.segid;
         slot.apids.remove(&apid);
         slot.released.insert(apid);
-        self.drop_grant(owner, segid);
         let bk = SimDuration::from_nanos(200);
         let ctx = Ctx::seg(p.enclave.0, p.pid.0, segid.0);
         Ok(self.tracer.charge(SpanKind::Bookkeeping, at, bk, ctx))
@@ -1924,16 +1712,11 @@ impl System {
             .id_to_slot
             .get(&rec.owner)
             .ok_or(XememError::UnknownSegid(rec.segid))?;
-        if !self.slots[owner_slot].alive {
-            return Err(XememError::EnclaveDead(EnclaveRef(owner_slot)));
-        }
 
-        // Resolve the window against the owner's registration.
-        let seg = self.slots[owner_slot]
-            .segs
-            .get(&rec.segid)
-            .ok_or(XememError::UnknownSegid(rec.segid))?
-            .clone();
+        // Resolve the window against the owner's registration, with the
+        // tiers its pages sit on (nothing migrates during an attach).
+        let policy = self.tier_policy;
+        let seg = self.export(owner_slot, rec.segid)?;
         if !offset.is_multiple_of(PAGE_SIZE) || len == 0 || offset + len > seg.len {
             return Err(XememError::BadWindow {
                 offset,
@@ -1941,7 +1724,8 @@ impl System {
                 seg_len: seg.len,
             });
         }
-        let src_va = VirtAddr(seg.va.0 + offset);
+        let (src_pid, src_va) = (seg.pid, VirtAddr(seg.va.0 + offset));
+        let by_tier = seg.tiers.pages_by_tier(&policy, offset, len);
 
         let prot = match rec.mode {
             AccessMode::ReadWrite => xemem_mem::PteFlags::rw_user(),
@@ -1957,7 +1741,7 @@ impl System {
         };
 
         if owner_slot == slot_idx {
-            return self.attach_local(p, record, seg.pid, src_va, prot, at);
+            return self.attach_local(p, record, (src_pid, src_va), prot, by_tier, at);
         }
 
         // 1. Route the attachment request to the owner (via the name
@@ -1967,22 +1751,14 @@ impl System {
         let route_request = t1.duration_since(at);
 
         // A crash injected while the request was in flight lands here:
-        // the owner (or the attacher) may now be dead, and the attach
+        // the export or the attacher may now be gone, and the attach
         // fails cleanly before any state is installed.
         self.process_faults(t1);
-        if !self.slots[owner_slot].alive || !self.slots[owner_slot].segs.contains_key(&rec.segid) {
-            return Err(if self.slots[owner_slot].alive {
-                XememError::UnknownSegid(rec.segid)
-            } else {
-                XememError::EnclaveDead(EnclaveRef(owner_slot))
-            });
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        self.export(owner_slot, rec.segid)?;
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
 
         // 2. The owner generates the PFN list with its local OS routines.
-        let (list, mut serve) = self.serve_export(owner_slot, seg.pid, src_va, len)?;
+        let (list, mut serve) = self.serve_export(owner_slot, src_pid, src_va, len)?;
         // Cross-socket attachments touch remote page tables and frames
         // (the overhead the paper's single-socket pinning avoids, §5.1).
         let cross_numa = self.zones[owner_slot] != self.zones[slot_idx];
@@ -1994,11 +1770,10 @@ impl System {
         } else {
             SpanKind::ServeWalk
         };
-        let sctx = Ctx::seg(owner_slot, seg.pid.0, rec.segid.0);
+        let sctx = Ctx::seg(owner_slot, src_pid.0, rec.segid.0);
         let t2 = self.tracer.charge(serve_kind, t1, serve, sctx);
         // Media surcharge for walking PTEs whose frames migrated off
         // local DRAM (zero — and traceless — for all-local segments).
-        let by_tier = self.tier_window_pages(owner_slot, rec.segid, offset, len);
         let tier_walk = self.cost.tier_walk_surcharge(&by_tier);
         let t2 = self.tracer.charge(SpanKind::TierWalk, t2, tier_walk, sctx);
         let serve = t2.duration_since(t1);
@@ -2011,18 +1786,14 @@ impl System {
         let t3 = self.charge_hops(&back, reply_kind, Some(rec.segid), t2);
         let route_reply = t3.duration_since(t2);
 
-        // A crash injected while the reply was in flight: if the owner
-        // died after serving, its frames are being retired — installing
-        // the mapping now would resurrect a revoked segment, so the
-        // attach fails instead. If the attacher died, there is no
-        // process to map into.
+        // A crash injected while the reply was in flight: if the export
+        // was withdrawn after serving, its frames are being retired or
+        // freed — installing the mapping now would resurrect a revoked
+        // segment, so the attach fails instead. If the attacher died,
+        // there is no process to map into.
         self.process_faults(t3);
-        if !self.slots[owner_slot].alive {
-            return Err(XememError::EnclaveDead(EnclaveRef(owner_slot)));
-        }
-        if !self.slots[slot_idx].alive {
-            return Err(XememError::EnclaveDead(p.enclave));
-        }
+        self.export(owner_slot, rec.segid)?;
+        live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
 
         // 4. Map locally with the attaching enclave's OS routines.
         let is_vm_attacher = self.slots[slot_idx].kind.is_vm();
@@ -2072,16 +1843,18 @@ impl System {
         })
     }
 
-    /// Local (single-enclave) attachment of the window `record` names:
-    /// the conventions of the local OS apply (paper §4.2) — Linux uses
-    /// page-faulting semantics, the LWK maps eagerly.
+    /// Local (single-enclave) attachment of the window `record` names,
+    /// at `src` (pid, address) in the exporter, whose pages sit on the
+    /// tiers `by_tier` counts: the conventions of the local OS apply
+    /// (paper §4.2) — Linux uses page-faulting semantics, the LWK maps
+    /// eagerly.
     fn attach_local(
         &mut self,
         p: ProcessRef,
         record: AttachRecord,
-        src_pid: Pid,
-        src_va: VirtAddr,
+        (src_pid, src_va): (Pid, VirtAddr),
         prot: xemem_mem::PteFlags,
+        by_tier: [u64; MemTier::COUNT],
         at: SimTime,
     ) -> Result<AttachOutcome, XememError> {
         let slot_idx = p.enclave.0;
@@ -2105,7 +1878,6 @@ impl System {
         let t = self.tracer.charge(map_kind, t, map, lctx);
         // Tier surcharges for windows whose frames migrated off DRAM
         // (zero and traceless on the all-local fast path).
-        let by_tier = self.tier_window_pages(slot_idx, record.segid, record.offset, record.len);
         let tier_walk = self.cost.tier_walk_surcharge(&by_tier);
         let t = self.tracer.charge(SpanKind::TierWalk, t, tier_walk, lctx);
         let tier_map = self.cost.tier_map_surcharge(&by_tier);
@@ -2122,8 +1894,8 @@ impl System {
     }
 
     /// Record a new live attachment on both sides: the attacher's record
-    /// (clearing any earlier detach of the same base) and the
-    /// exporter-side site the revocation protocol notifies.
+    /// (clearing any earlier detach of the same base) and the site in
+    /// the export's record that the revocation protocol notifies.
     fn record_attachment(
         &mut self,
         p: ProcessRef,
@@ -2134,14 +1906,14 @@ impl System {
         let slot = &mut self.slots[p.enclave.0];
         slot.attachments.insert((p.pid, va.0), record);
         slot.detached.remove(&(p.pid, va.0));
-        self.attachers
-            .entry((owner_slot, record.segid))
-            .or_default()
-            .push(AttachSite {
-                slot: p.enclave.0,
-                pid: p.pid,
-                va: va.0,
-            });
+        let site = AttachSite {
+            slot: p.enclave.0,
+            pid: p.pid,
+            va: va.0,
+        };
+        if let Ok(seg) = self.export(owner_slot, record.segid) {
+            seg.sites.push(site);
+        }
     }
 
     /// Owner-side PFN-list generation.
@@ -2446,8 +2218,8 @@ fn slot_check_data_access(slot: &Slot, pid: Pid, va: VirtAddr, len: u64) -> Resu
 }
 
 /// The live attachment of `pid` fully containing `[va, va+len)`, if
-/// any, as `(attached base, record)` — the tier directory needs the
-/// base to turn a process address into a segment offset. Ties (nested
+/// any, as `(attached base, record)` — tier accounting needs the base
+/// to turn a process address into a segment offset. Ties (nested
 /// windows over one range) resolve to the lowest base for determinism.
 fn slot_find_live_attachment(
     slot: &Slot,
@@ -2465,41 +2237,6 @@ fn slot_find_live_attachment(
         })
         .min_by_key(|((_, base), _)| *base)
         .map(|((_, base), rec)| (*base, *rec))
-}
-
-/// Advance a segment's access-counting window to cover `at`, closing
-/// every elapsed window: a closed window at or above the hot threshold
-/// extends each chunk's hot streak, one at or below the cold threshold
-/// extends the cold streak, anything between clears both. Windows after
-/// the first close with zero hits, so a long idle gap is O(1) — the
-/// cold streak saturates rather than looping per window.
-fn roll_windows(dir: &mut TierSeg, policy: &TierPolicy, at: SimTime) {
-    let elapsed = at.duration_since(dir.window_start);
-    if elapsed < policy.window {
-        return;
-    }
-    let k = elapsed.as_nanos() / policy.window.as_nanos().max(1);
-    for c in &mut dir.chunks {
-        // Window 1 closes with the counted hits…
-        if c.hits >= policy.hot_threshold {
-            c.hot = c.hot.saturating_add(1);
-            c.cold = 0;
-        } else if c.hits <= policy.cold_threshold {
-            c.cold = c.cold.saturating_add(1);
-            c.hot = 0;
-        } else {
-            c.hot = 0;
-            c.cold = 0;
-        }
-        c.hits = 0;
-        // …windows 2..=k close empty (always at or below the cold
-        // threshold).
-        if k > 1 {
-            c.cold = c.cold.saturating_add((k - 1).min(u32::MAX as u64) as u32);
-            c.hot = 0;
-        }
-    }
-    dir.window_start += policy.window.times(k);
 }
 
 /// True when `[va, va+len)` overlaps a live attachment of `pid` — used
@@ -3250,12 +2987,9 @@ impl SystemBuilder {
             last_vm_breakdown: None,
             zones,
             injector,
-            attachers: FxHashMap::default(),
-            grants: FxHashMap::default(),
             loans: Vec::new(),
             crash_notices: Vec::new(),
             tier_policy: self.tier_policy,
-            tier_dir: BTreeMap::new(),
             tracer,
         };
         system.register_all()?;

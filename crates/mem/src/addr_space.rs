@@ -200,27 +200,6 @@ impl AddressSpace {
             .filter(|r| r.contains(va))
     }
 
-    /// Grow a region in place (dynamic heap expansion, added to Kitten for
-    /// XEMEM — paper §4.3). Fails if the expansion would collide with the
-    /// next region.
-    pub fn grow_region(&mut self, start: VirtAddr, extra: u64) -> Result<(), MemError> {
-        let extra = extra.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let end = {
-            let region = self
-                .regions
-                .get(&start.0)
-                .ok_or(MemError::NoSuchRegion(start))?;
-            region.end().0
-        };
-        if let Some((_, next)) = self.regions.range(start.0 + 1..).next() {
-            if next.start.0 < end + extra {
-                return Err(MemError::RegionOverlap(VirtAddr(end)));
-            }
-        }
-        self.regions.get_mut(&start.0).expect("checked above").len += extra;
-        Ok(())
-    }
-
     /// Write bytes at `va` through the page table into physical memory,
     /// one physical access per extent the bytes span. Fails with
     /// [`MemError::Fault`] at the first unmapped or read-only page, the
@@ -280,9 +259,6 @@ impl Default for AddressSpace {
         Self::new()
     }
 }
-
-/// Re-export for convenience in kernel crates.
-pub use crate::page_table::PteFlags as Flags;
 
 #[cfg(test)]
 mod tests {
@@ -360,22 +336,6 @@ mod tests {
         );
         assert!(asp.region_containing(VirtAddr(0x2000)).is_none());
         assert!(asp.region_containing(VirtAddr(0x800)).is_none());
-    }
-
-    #[test]
-    fn grow_region_respects_neighbours() {
-        let mut asp = AddressSpace::new();
-        asp.insert_region(VirtAddr(0x1000), 0x1000, RegionKind::Heap, "heap")
-            .unwrap();
-        asp.insert_region(VirtAddr(0x4000), 0x1000, RegionKind::Stack, "stack")
-            .unwrap();
-        asp.grow_region(VirtAddr(0x1000), 0x2000).unwrap();
-        assert_eq!(
-            asp.region_containing(VirtAddr(0x2FFF)).unwrap().name,
-            "heap"
-        );
-        // Further growth collides with the stack.
-        assert!(asp.grow_region(VirtAddr(0x1000), 0x1000 + 1).is_err());
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl PteFlags {
         PteFlags(1 | 4)
     }
 
-    /// Set union.
-    pub fn union(self, other: PteFlags) -> PteFlags {
-        PteFlags(self.0 | other.0)
-    }
-
     /// True when all bits of `other` are present.
     pub fn contains(self, other: PteFlags) -> bool {
         self.0 & other.0 == other.0

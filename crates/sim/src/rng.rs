@@ -45,11 +45,8 @@ impl SimRng {
     pub fn fork(&mut self, salt: u64) -> SimRng {
         // Mix the salt through splitmix64 so forks with adjacent salts do
         // not produce correlated StdRng seeds.
-        let mut z = self.inner.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        SimRng::seed_from_u64(z)
+        let z = self.inner.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        SimRng::seed_from_u64(crate::run::mix64(z))
     }
 
     /// Uniform in `[0, 1)`.

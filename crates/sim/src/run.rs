@@ -42,9 +42,10 @@ pub fn split_seed(root: u64, index: u64) -> u64 {
 
 /// The splitmix64 output mixer: a stateless bijective 64-bit hash.
 ///
-/// Shared by [`split_seed`] and the PDES lane assignment
-/// ([`crate::pdes::lane_of`]) so both derivations are documented by one
-/// function and depend only on their inputs.
+/// Shared by [`split_seed`], [`SimRng::fork`], the PDES lane assignment
+/// ([`crate::pdes::lane_of`]) and the name service's hash ring, so every
+/// derivation is documented by one function and depends only on its
+/// inputs.
 #[inline]
 pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

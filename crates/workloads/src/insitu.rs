@@ -204,9 +204,8 @@ pub fn run_insitu(cfg: &InsituConfig) -> Result<InsituResult, XememError> {
 }
 
 /// [`run_insitu`] with an explicit tracer: every charge the workload
-/// drives through the system lands on `tracer` (instead of the
-/// process-global fallback), so parallel bench units can trace into
-/// per-unit handles.
+/// drives through the system lands on `tracer`, so parallel bench units
+/// can trace into per-unit handles.
 pub fn run_insitu_traced(
     cfg: &InsituConfig,
     tracer: &TraceHandle,

@@ -459,6 +459,61 @@ fn injected_exporter_kill_mid_attach_fails_cleanly() {
     assert_eq!(&got, b"redo");
 }
 
+/// A kill of the exporter that lands after the PFN-list request reached
+/// the owner but before the reply is back withdraws the export while
+/// the reply is in flight, and the kernel frees its frames. The attach
+/// fails with `UnknownSegid`, as it does when the kill lands before the
+/// request arrives, instead of mapping frames another process may get
+/// next.
+#[test]
+fn exporter_kill_while_the_pfn_reply_is_in_flight_fails_the_attach() {
+    let setup = |plan: Option<FaultPlan>| {
+        let mut b = SystemBuilder::new()
+            .linux_management("linux", 4, 256 * MIB)
+            .kitten_cokernel("kitten", 1, 128 * MIB)
+            .with_tracer(TraceHandle::enabled());
+        if let Some(plan) = plan {
+            b = b.with_fault_plan(plan, 42);
+        }
+        let mut sys = b.build().unwrap();
+        let kitten = sys.enclave_by_name("kitten").unwrap();
+        let linux = sys.enclave_by_name("linux").unwrap();
+        let baseline = sys.free_frames_of(kitten).unwrap();
+        let exporter = sys.spawn_process(kitten, 16 * MIB).unwrap();
+        assert_eq!((kitten.0, exporter.pid.0), (1, 1), "the plan's target");
+        let attacher = sys.spawn_process(linux, 16 * MIB).unwrap();
+        let buf = sys.alloc_buffer(exporter, MIB).unwrap();
+        sys.write(exporter, buf, b"payload").unwrap();
+        let segid = sys.xpmem_make(exporter, buf, MIB, None).unwrap();
+        let apid = sys.xpmem_get(attacher, segid).unwrap();
+        (sys, baseline, attacher, apid)
+    };
+    // On an identical system without faults, the request reaches the
+    // owner `route_request` after the attach starts.
+    let (mut sys, _, attacher, apid) = setup(None);
+    let start = sys.clock().now();
+    let arrival = start
+        + sys
+            .xpmem_attach_outcome(attacher, apid, 0, MIB)
+            .unwrap()
+            .route_request;
+
+    let kill = SimTime::from_nanos(arrival.as_nanos() + 1);
+    let (mut sys, baseline, attacher, apid) =
+        setup(Some(FaultPlan::new().kill_process(kill, 1, 1)));
+    assert_eq!(sys.clock().now(), start);
+    assert!(matches!(
+        sys.xpmem_attach(attacher, apid, 0, MIB),
+        Err(XememError::UnknownSegid(_))
+    ));
+    assert_eq!(sys.tracer().op_count(SpanKind::InjectedKill), 1);
+    assert_eq!(sys.outstanding_loans(), 0);
+    assert_eq!(
+        sys.free_frames_of(sys.enclave_by_name("kitten").unwrap()),
+        Some(baseline)
+    );
+}
+
 #[test]
 fn injected_enclave_crash_mid_attach_reports_dead_enclave() {
     const T: u64 = 1_000_000;

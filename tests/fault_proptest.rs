@@ -6,9 +6,10 @@
 //! process kills, name-server outages, lossy-link windows), drives a
 //! fixed make/get/attach/read/remove/detach workload through it while
 //! virtual time marches across the fault horizon, then gracefully exits
-//! every process that is still reachable. Afterwards every surviving
-//! enclave's allocator must hold exactly its pre-workload frame count:
-//! fewer means a leak, more means a double-free.
+//! every process that is still reachable. Every read through a fresh
+//! attachment must see the bytes its exporter wrote. Afterwards every
+//! surviving enclave's allocator must hold exactly its pre-workload
+//! frame count: fewer means a leak, more means a double-free.
 
 use proptest::prelude::*;
 use xemem::trace_layer::MetricsSnapshot;
@@ -135,6 +136,9 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
     // later lookup that succeeds with the old segid is a lease served
     // past its revocation.
     let mut removed: Vec<(String, xemem::Segid)> = Vec::new();
+    // Names whose exporter wrote `payload` into the buffer it exports:
+    // every read through an attachment to one of them must see it.
+    let mut written: Vec<String> = Vec::new();
     for round in 0..ROUNDS {
         // Each enclave's first process exports a named segment...
         for (e, ps) in procs.clone().into_iter().enumerate() {
@@ -142,8 +146,10 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
                 continue;
             };
             if let Some(buf) = attempt!(sys.alloc_buffer(exporter, MIB)) {
-                attempt!(sys.write(exporter, buf, b"payload"));
                 let name = format!("seg:{e}:{round}");
+                if attempt!(sys.write(exporter, buf, b"payload")).is_some() {
+                    written.push(name.clone());
+                }
                 if let Some(segid) = attempt!(sys.xpmem_make(exporter, buf, MIB, Some(&name))) {
                     exported.push((exporter, segid, name));
                 }
@@ -162,7 +168,12 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
             };
             if let Some(va) = attempt!(sys.xpmem_attach(consumer, apid, 0, MIB)) {
                 let mut b = [0u8; 7];
-                attempt!(sys.read(consumer, va, &mut b));
+                if attempt!(sys.read(consumer, va, &mut b)).is_some() && written.contains(&name) {
+                    assert_eq!(
+                        &b, b"payload",
+                        "an attachment to {name:?} read bytes its exporter never wrote (seed {seed})"
+                    );
+                }
                 attached.push((consumer, va));
             }
             // Re-probe a previously removed name from every consumer:
