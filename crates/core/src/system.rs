@@ -922,8 +922,8 @@ impl System {
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
         self.clocked(access.kinds().0, ctx, |sys, at| {
             let slot = live_slot(sys.slots.get_mut(p.enclave.0), p.enclave)?;
-            let end = slot_access(slot, &sys.tracer, p, va, access, at)?;
-            let extra = sys.tier_access(p.enclave.0, p.pid, va, len, at, write);
+            let (end, attached) = slot_access(slot, &sys.tracer, p, va, access, at)?;
+            let extra = sys.tier_access(p, va, len, attached, at, write);
             Ok(((), sys.tracer.charge(SpanKind::TierStream, end, extra, ctx)))
         })
     }
@@ -949,23 +949,25 @@ impl System {
     }
 
     /// Account one data access against the tier state of the export it
-    /// reads or writes, through an attachment or in the exporter itself,
-    /// and return the stream surcharge ([`TierState::access`]).
+    /// reads or writes, through `attached` — the live attachment holding
+    /// it, as [`slot_access`] found it — or in the exporter itself, and
+    /// return the stream surcharge ([`TierState::access`]).
     fn tier_access(
         &mut self,
-        slot_idx: usize,
-        pid: Pid,
+        p: ProcessRef,
         va: VirtAddr,
         len: u64,
+        attached: Option<(u64, AttachRecord)>,
         at: SimTime,
         write: bool,
     ) -> SimDuration {
         if len == 0 {
             return SimDuration::ZERO;
         }
+        let (slot_idx, pid) = (p.enclave.0, p.pid);
         let target = {
             let slot = &self.slots[slot_idx];
-            slot_find_live_attachment(slot, pid, va, len)
+            attached
                 .and_then(|(base, rec)| {
                     self.id_to_slot
                         .get(&rec.owner)
@@ -2202,53 +2204,36 @@ fn live_slot(slot: Option<&mut Slot>, e: EnclaveRef) -> Result<&mut Slot, XememE
     Ok(slot)
 }
 
-/// Guard a data access: any overlap with a revoked (non-live)
-/// attachment fails with `SourceGone` — never stale bytes.
-fn slot_check_data_access(slot: &Slot, pid: Pid, va: VirtAddr, len: u64) -> Result<(), XememError> {
-    for ((rpid, base), rec) in &slot.attachments {
-        if *rpid == pid
-            && rec.state != AttachState::Live
-            && va.0 < base + rec.len
-            && va.0 + len > *base
-        {
-            return Err(XememError::SourceGone);
-        }
-    }
-    Ok(())
-}
-
-/// The live attachment of `pid` fully containing `[va, va+len)`, if
-/// any, as `(attached base, record)` — tier accounting needs the base
-/// to turn a process address into a segment offset. Ties (nested
-/// windows over one range) resolve to the lowest base for determinism.
-fn slot_find_live_attachment(
+/// One scan of `pid`'s attachments in `slot` for a data access to
+/// `[va, va+len)`. Any overlap with a revoked (non-live) attachment fails
+/// with `SourceGone` — never stale bytes. Otherwise it returns whether
+/// the access overlaps a live attachment (which attributes its bytes to
+/// the cross-enclave data path in the metrics registry) and the live
+/// attachment fully containing it, if any, as `(attached base, record)`:
+/// tier accounting needs the base to turn a process address into a
+/// segment offset. Ties (nested windows over one range) resolve to the
+/// lowest base for determinism.
+fn slot_scan_attachments(
     slot: &Slot,
     pid: Pid,
     va: VirtAddr,
     len: u64,
-) -> Option<(u64, AttachRecord)> {
-    slot.attachments
-        .iter()
-        .filter(|((rpid, base), rec)| {
-            *rpid == pid
-                && rec.state == AttachState::Live
-                && va.0 >= *base
-                && va.0 + len <= *base + rec.len
-        })
-        .min_by_key(|((_, base), _)| *base)
-        .map(|((_, base), rec)| (*base, *rec))
-}
-
-/// True when `[va, va+len)` overlaps a live attachment of `pid` — used
-/// only to attribute cross-enclave data-path bytes to the metrics
-/// registry (the access-guard twin of [`slot_check_data_access`]).
-fn slot_overlaps_live_attachment(slot: &Slot, pid: Pid, va: VirtAddr, len: u64) -> bool {
-    slot.attachments.iter().any(|((rpid, base), rec)| {
-        *rpid == pid
-            && rec.state == AttachState::Live
-            && va.0 < base + rec.len
-            && va.0 + len > *base
-    })
+) -> Result<(bool, Option<(u64, AttachRecord)>), XememError> {
+    let (mut overlaps_live, mut holding) = (false, None::<(u64, AttachRecord)>);
+    for (&(rpid, base), rec) in &slot.attachments {
+        if rpid != pid || va.0 >= base + rec.len || va.0 + len <= base {
+            continue;
+        }
+        if rec.state != AttachState::Live {
+            return Err(XememError::SourceGone);
+        }
+        overlaps_live = true;
+        let holds = va.0 >= base && va.0 + len <= base + rec.len;
+        if holds && holding.is_none_or(|(lowest, _)| base < lowest) {
+            holding = Some((base, *rec));
+        }
+    }
+    Ok((overlaps_live, holding))
 }
 
 /// One lane's disjoint slice of a [`System`] for the PDES lane phase:
@@ -2359,7 +2344,7 @@ impl LanePart<'_> {
         let framed = self.framed(access.kinds().0, ctx, Timeline::Detached, at, |lane, at| {
             let tracer = lane.tracer;
             let slot = live_slot(lane.slot_mut(p.enclave), p.enclave)?;
-            let end = slot_access(slot, tracer, p, va, access, at)?;
+            let (end, _) = slot_access(slot, tracer, p, va, access, at)?;
             Ok(((), end))
         });
         framed.map(|((), end)| end)
@@ -2418,7 +2403,9 @@ fn slot_alloc_buffer(
 /// Slot-local body of every read and write — [`System::read`],
 /// [`System::write`], [`LanePart::read_at`] and [`LanePart::write_at`]:
 /// the revoked-attachment guard, attached-byte accounting and the
-/// kernel's flat-DRAM stream charge. Returns the end time.
+/// kernel's flat-DRAM stream charge, from one scan of the attachments
+/// ([`slot_scan_attachments`]). Returns the end time and the live
+/// attachment holding the access, for [`System::tier_access`].
 fn slot_access(
     slot: &mut Slot,
     tracer: &TraceHandle,
@@ -2426,10 +2413,10 @@ fn slot_access(
     va: VirtAddr,
     access: Access<'_>,
     at: SimTime,
-) -> Result<SimTime, XememError> {
+) -> Result<(SimTime, Option<(u64, AttachRecord)>), XememError> {
     let (len, counter) = (access.len(), access.kinds().1);
-    slot_check_data_access(slot, p.pid, va, len)?;
-    if tracer.is_enabled() && slot_overlaps_live_attachment(slot, p.pid, va, len) {
+    let (overlaps_live, attached) = slot_scan_attachments(slot, p.pid, va, len)?;
+    if tracer.is_enabled() && overlaps_live {
         tracer.count(counter, len);
     }
     let kernel = slot.kind.kernel_mut();
@@ -2438,7 +2425,7 @@ fn slot_access(
         Access::Write(data) => kernel.write(p.pid, va, data)?.cost,
     };
     let ctx = Ctx::proc(p.enclave.0, p.pid.0);
-    Ok(tracer.charge(SpanKind::DramStream, at, cost, ctx))
+    Ok((tracer.charge(SpanKind::DramStream, at, cost, ctx), attached))
 }
 
 impl xemem_sim::pdes::LaneShared for System {

@@ -603,6 +603,49 @@ fn migrate_extent_moves_segment_and_repoints_live_attachments() {
     assert_eq!(&own, b"tiered");
 }
 
+/// A Kitten process that re-exports its attachment of another Kitten
+/// process's segment cannot migrate it: the frames are the exporter's.
+/// The refusal is Linux's, and it comes before any frame is allocated or
+/// moved, so the exporter keeps its bytes and no tier frame is taken.
+#[test]
+fn migrate_extent_of_a_kitten_reexported_attachment_is_refused() {
+    let mut sys = SystemBuilder::new()
+        .linux_management("linux0", 4, 256 * MIB)
+        .kitten_cokernel("kittenA", 1, 128 * MIB)
+        .tier_reserve(MemTier::Nvm, 64 * MIB)
+        .kitten_cokernel("kittenB", 1, 128 * MIB)
+        .build()
+        .unwrap();
+    let a = sys.enclave_by_name("kittenA").unwrap();
+    let b = sys.enclave_by_name("kittenB").unwrap();
+    let owner = sys.spawn_process(a, 16 * MIB).unwrap();
+    let reuser = sys.spawn_process(b, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(owner, 4 * MIB).unwrap();
+    let payload: Vec<u8> = (0..4 * MIB).map(|i| (i % 241) as u8).collect();
+    sys.write(owner, buf, &payload).unwrap();
+    let segid = sys.xpmem_make(owner, buf, 4 * MIB, None).unwrap();
+    let apid = sys.xpmem_get(reuser, segid).unwrap();
+    let window = sys.xpmem_attach(reuser, apid, 0, 4 * MIB).unwrap();
+    let again = sys.xpmem_make(reuser, window, 4 * MIB, None).unwrap();
+    let nvm = sys.tier_free_frames(b, MemTier::Nvm);
+    let migrated = sys.migrate_extent(reuser, again, MemTier::Nvm);
+    assert!(
+        matches!(
+            migrated,
+            Err(XememError::Kernel(xemem_mem::KernelError::Unsupported(
+                "migrating an attachment (owner-side only)"
+            )))
+        ),
+        "{migrated:?}"
+    );
+    assert_eq!(sys.tier_free_frames(b, MemTier::Nvm), nvm);
+    for (p, va) in [(owner, buf), (reuser, window)] {
+        let mut got = vec![0u8; payload.len()];
+        sys.read(p, va, &mut got).unwrap();
+        assert!(got == payload, "{p:?} reads the exporter's bytes");
+    }
+}
+
 /// On `enclave` of a system whose kernels both carry a CXL reserve, an
 /// `xpmem_make` of zero bytes is the empty-window error attach returns,
 /// refused before any protocol step costs virtual time; the same buffer

@@ -32,7 +32,7 @@ use xemem_mem::addr_space::{AddressSpace, RegionKind};
 use xemem_mem::kernel::{AttachSemantics, KernelError, KernelKind, MappingKernel, Pid};
 use xemem_mem::{
     FrameAllocator, KernelMemory, MemError, MigrateOutcome, PfnList, PhysAccess, PteFlags,
-    VirtAddr, PAGE_SIZE,
+    RemapWalk, VirtAddr, PAGE_SIZE,
 };
 use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration};
 
@@ -399,25 +399,33 @@ impl MappingKernel for Fwk {
         dst_tier: MemTier,
     ) -> Result<Costed<MigrateOutcome>, KernelError> {
         let procs = &mut self.procs;
-        self.mem.migrate(va, len, dst_tier, move |first, pages| {
-            let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
-            // One VMA holds the range, and it is the owner's own memory.
-            let region = proc
-                .asp
-                .region_containing(first)
-                .filter(|r| first + pages * PAGE_SIZE <= r.end())
-                .ok_or(MemError::Fault(first))?;
-            let vma = proc
-                .vmas
-                .get(&region.start.0)
-                .ok_or(MemError::Fault(first))?;
-            if !matches!(vma.backing, Backing::Anon) {
-                return Err(KernelError::Unsupported(
-                    "migrating an attachment (owner-side only)",
-                ));
-            }
-            Ok((&mut proc.asp, &mut proc.owned))
-        })
+        // Demand paging leaves holes, which own no frame and stay holes.
+        let holes = |_: &RemapWalk| Ok(());
+        self.mem.migrate(
+            va,
+            len,
+            dst_tier,
+            move |first, pages| {
+                let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
+                // One VMA holds the range, and it is the owner's own memory.
+                let region = proc
+                    .asp
+                    .region_containing(first)
+                    .filter(|r| first + pages * PAGE_SIZE <= r.end())
+                    .ok_or(MemError::Fault(first))?;
+                let vma = proc
+                    .vmas
+                    .get(&region.start.0)
+                    .ok_or(MemError::Fault(first))?;
+                if !matches!(vma.backing, Backing::Anon) {
+                    return Err(KernelError::Unsupported(
+                        "migrating an attachment (owner-side only)",
+                    ));
+                }
+                Ok((&mut proc.asp, &mut proc.owned))
+            },
+            holes,
+        )
     }
 
     fn remap_attached(

@@ -21,8 +21,9 @@
 //! memory and returns virtual-time costs per [`xemem_mem::MappingKernel`].
 //! Tier migration, attachment remap and frame retention, return and
 //! release run through [`KernelMemory`], shared with the FWK; Kitten adds
-//! its precondition (a migrated range is statically mapped end to end)
-//! and its own cost constants.
+//! its precondition (a migrated range is its own statically mapped
+//! image, end to end — never an attachment or SMARTMAP window) and its
+//! own cost constants.
 
 use std::sync::Arc;
 
@@ -30,7 +31,7 @@ use xemem_mem::addr_space::{AddressSpace, RegionKind};
 use xemem_mem::kernel::{AttachSemantics, KernelError, KernelKind, MappingKernel, Pid};
 use xemem_mem::{
     FrameAllocator, KernelMemory, MemError, MigrateOutcome, PfnList, PhysAccess, PteFlags,
-    VirtAddr, PAGE_SIZE,
+    RemapWalk, VirtAddr, PAGE_SIZE,
 };
 use xemem_sim::{CostModel, Costed, FxHashMap, MemTier, SimDuration};
 
@@ -311,14 +312,31 @@ impl MappingKernel for Kitten {
         dst_tier: MemTier,
     ) -> Result<Costed<MigrateOutcome>, KernelError> {
         let procs = &mut self.procs;
-        self.mem.migrate(va, len, dst_tier, move |first, pages| {
-            let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
-            // The image is statically mapped: the whole range resolves.
-            if let Some(&(off, _)) = proc.asp.page_table().find_unmapped(first, pages).first() {
-                return Err(MemError::NotMapped(first + off * PAGE_SIZE).into());
-            }
-            Ok((&mut proc.asp, &mut proc.owned))
-        })
+        // The image is statically mapped: the whole range resolves.
+        let mapped = |walk: &RemapWalk| match walk.hole {
+            Some(hole) => Err(MemError::NotMapped(hole).into()),
+            None => Ok(()),
+        };
+        self.mem.migrate(
+            va,
+            len,
+            dst_tier,
+            move |first, _| {
+                let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
+                // Only the process's own image moves: an attachment or a
+                // SMARTMAP window maps another process's frames.
+                let region = proc.asp.region_containing(first);
+                if region.is_some_and(|r| {
+                    matches!(r.kind, RegionKind::XememAttach | RegionKind::SmartMap)
+                }) {
+                    return Err(KernelError::Unsupported(
+                        "migrating an attachment (owner-side only)",
+                    ));
+                }
+                Ok((&mut proc.asp, &mut proc.owned))
+            },
+            mapped,
+        )
     }
 
     fn remap_attached(

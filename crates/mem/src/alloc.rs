@@ -2,7 +2,9 @@
 //!
 //! Pisces hands each enclave a disjoint frame range; the enclave's kernel
 //! allocates from its range with a [`FrameAllocator`]. The allocator is a
-//! first-fit bitmap allocator with an optional *scatter* policy that
+//! first-fit bitmap allocator. A summary level — one bit per bitmap word
+//! for "full" and one for "any used" — lets its scans skip 64 full or
+//! free words at a time. An optional *scatter* policy
 //! deliberately fragments allocations — the paper notes that host frames
 //! mapped through XEMEM "are not guaranteed to be contiguous", which is
 //! what makes the Palacios memory map grow one red-black-tree entry per
@@ -45,6 +47,10 @@ struct RangeAlloc {
     frames: u64,
     /// One bit per frame; `true` = allocated.
     bitmap: Vec<u64>,
+    /// One bit per bitmap word: set when the word is all allocated.
+    full: Vec<u64>,
+    /// One bit per bitmap word: set when the word has an allocated bit.
+    used: Vec<u64>,
     free: u64,
     policy: Placement,
     /// Scan start. First-fit keeps it at or below the lowest free frame
@@ -62,6 +68,8 @@ impl RangeAlloc {
             base,
             frames,
             bitmap: vec![0; words],
+            full: vec![0; words.div_ceil(64)],
+            used: vec![0; words.div_ceil(64)],
             free: frames,
             policy,
             cursor: 0,
@@ -73,37 +81,89 @@ impl RangeAlloc {
         pfn.0 >= self.base.0 && pfn.0 - self.base.0 < self.frames
     }
 
-    /// The bitmap words covering frames `[idx, idx + len)`, as
-    /// `(word index, mask of the covered bits)` pairs.
-    fn word_masks(idx: u64, len: u64) -> impl Iterator<Item = (usize, u64)> {
-        let end = idx + len;
-        let mut i = idx;
-        std::iter::from_fn(move || {
-            if i >= end {
-                return None;
-            }
-            let bit = i % 64;
-            let span = (64 - bit).min(end - i);
-            let mask = if span == 64 {
-                !0u64
-            } else {
-                ((1u64 << span) - 1) << bit
-            };
-            let word = (i / 64) as usize;
-            i += span;
-            Some((word, mask))
-        })
-    }
-
-    /// Mark frames `[idx, idx + len)` allocated, word-wise.
-    fn set_run(&mut self, idx: u64, len: u64) {
-        for (word, mask) in Self::word_masks(idx, len) {
-            self.bitmap[word] |= mask;
+    /// The first and last bitmap words that frames `[idx, idx + len)`
+    /// touch (`len > 0`), with the masks of the bits covered in each; the
+    /// words between them are covered whole.
+    fn span(idx: u64, len: u64) -> (usize, usize, u64, u64) {
+        let end = idx + len - 1;
+        let (first, last) = ((idx / 64) as usize, (end / 64) as usize);
+        let (head, tail) = (!0 << (idx % 64), !0 >> (63 - end % 64));
+        match first == last {
+            true => (first, last, head & tail, head & tail),
+            false => (first, last, head, tail),
         }
     }
 
-    /// First free frame index in `[from, to)`: all-allocated words are
-    /// skipped whole, a mixed word is resolved by a trailing-zero count.
+    /// Set (`on`) or clear the bits `[idx, idx + len)` of `bits`: the two
+    /// end words by mask, the words between filled whole.
+    fn write_bits(bits: &mut [u64], idx: u64, len: u64, on: bool) {
+        if len == 0 {
+            return;
+        }
+        let (first, last, head, tail) = Self::span(idx, len);
+        let fill = if on { !0 } else { 0 };
+        for (w, mask) in [(first, head), (last, tail)] {
+            bits[w] = bits[w] & !mask | fill & mask;
+        }
+        if last > first + 1 {
+            bits[first + 1..last].fill(fill);
+        }
+    }
+
+    /// Mark frames `[idx, idx + len)` allocated and bring the summaries
+    /// up to date a summary word at a time: every touched word is used,
+    /// and all but a partly covered end word are full.
+    fn set_run(&mut self, idx: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        Self::write_bits(&mut self.bitmap, idx, len, true);
+        let (first, last, _, _) = Self::span(idx, len);
+        let words = (last - first + 1) as u64;
+        Self::write_bits(&mut self.used, first as u64, words, true);
+        Self::write_bits(&mut self.full, first as u64, words, true);
+        for w in [first, last] {
+            if self.bitmap[w] != !0 {
+                Self::write_bits(&mut self.full, w as u64, 1, false);
+            }
+        }
+    }
+
+    /// Mark a run free: the mirror of [`RangeAlloc::set_run`]. No touched
+    /// word stays full, and only a partly covered end word can stay used.
+    fn unset_run(&mut self, idx: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        Self::write_bits(&mut self.bitmap, idx, len, false);
+        let (first, last, _, _) = Self::span(idx, len);
+        let words = (last - first + 1) as u64;
+        Self::write_bits(&mut self.full, first as u64, words, false);
+        Self::write_bits(&mut self.used, first as u64, words, false);
+        for w in [first, last] {
+            if self.bitmap[w] != 0 {
+                Self::write_bits(&mut self.used, w as u64, 1, true);
+            }
+        }
+    }
+
+    /// The first word in `[from, end)` whose summary bit in `summary`,
+    /// xor `flip`, is set, or `end`: 64 words per summary word.
+    fn next_word(summary: &[u64], from: u64, end: u64, flip: u64) -> u64 {
+        let mut w = from;
+        while w < end {
+            let bits = (summary[(w / 64) as usize] ^ flip) >> (w % 64);
+            if bits != 0 {
+                return (w + u64::from(bits.trailing_zeros())).min(end);
+            }
+            w = (w / 64 + 1) * 64;
+        }
+        end
+    }
+
+    /// First free frame index in `[from, to)`: full words are skipped
+    /// through the summary, 64 at a time, and a mixed word is resolved by
+    /// a trailing-zero count.
     fn next_free(&self, from: u64, to: u64) -> Option<u64> {
         let mut i = from;
         while i < to {
@@ -112,7 +172,7 @@ impl RangeAlloc {
                 let at = i + u64::from(free.trailing_zeros());
                 return (at < to).then_some(at);
             }
-            i = (i / 64 + 1) * 64;
+            i = Self::next_word(&self.full, i / 64 + 1, to.div_ceil(64), !0) * 64;
         }
         None
     }
@@ -126,7 +186,7 @@ impl RangeAlloc {
             if used != 0 {
                 return (i + u64::from(used.trailing_zeros())).min(to);
             }
-            i = (i / 64 + 1) * 64;
+            i = Self::next_word(&self.used, i / 64 + 1, to.div_ceil(64), 0) * 64;
         }
         to
     }
@@ -218,24 +278,33 @@ impl RangeAlloc {
     }
 
     /// Verify that `len` frames from `start` (all inside this range) are
-    /// allocated, word-wise. Errors name the first offending frame.
+    /// allocated: the end words by mask, the words between 64 at a time
+    /// through the `full` summary. Errors name the first offending frame.
     fn check_run(&self, start: Pfn, len: u64) -> Result<(), MemError> {
-        for (word, mask) in Self::word_masks(start.0 - self.base.0, len) {
-            let missing = !self.bitmap[word] & mask;
-            if missing != 0 {
-                let first = word as u64 * 64 + u64::from(missing.trailing_zeros());
-                return Err(MemError::BadFree(self.base.offset(first)));
-            }
+        if len == 0 {
+            return Ok(());
+        }
+        let (first, last, head, tail) = Self::span(start.0 - self.base.0, len);
+        let missing = |w: usize, mask: u64| !self.bitmap[w] & mask;
+        let inner = Self::next_word(&self.full, first as u64 + 1, last as u64, !0) as usize;
+        let (mut at, mut bad) = (first, missing(first, head));
+        if bad == 0 && inner < last {
+            (at, bad) = (inner, missing(inner, !0));
+        }
+        if bad == 0 {
+            (at, bad) = (last, missing(last, tail));
+        }
+        if bad != 0 {
+            let frame = at as u64 * 64 + u64::from(bad.trailing_zeros());
+            return Err(MemError::BadFree(self.base.offset(frame)));
         }
         Ok(())
     }
 
-    /// Clear a validated run, word-wise.
+    /// Clear a validated run.
     fn clear_run(&mut self, start: Pfn, len: u64) {
         let idx = start.0 - self.base.0;
-        for (word, mask) in Self::word_masks(idx, len) {
-            self.bitmap[word] &= !mask;
-        }
+        self.unset_run(idx, len);
         self.free += len;
         if self.policy == Placement::FirstFit && idx < self.cursor {
             self.cursor = idx;
@@ -448,16 +517,17 @@ impl FrameAllocator {
     /// twice): on error nothing has been freed.
     pub fn free_list(&mut self, list: &PfnList) -> Result<(), MemError> {
         // Reject duplicate frames across runs up front — committed runs
-        // would otherwise corrupt the free count.
-        let mut spans: Vec<(u64, u64)> = list
-            .runs()
-            .iter()
-            .map(|r| (r.start.0, r.start.0 + r.len))
-            .collect();
-        spans.sort_unstable();
-        for pair in spans.windows(2) {
-            if pair[1].0 < pair[0].1 {
-                return Err(MemError::BadFree(Pfn(pair[1].0)));
+        // would otherwise corrupt the free count. An ascending list has
+        // none; any other is sorted to find them.
+        if !list.is_ascending() {
+            let mut spans: Vec<(u64, u64)> = (list.runs().iter())
+                .map(|r| (r.start.0, r.start.0 + r.len))
+                .collect();
+            spans.sort_unstable();
+            for pair in spans.windows(2) {
+                if pair[1].0 < pair[0].1 {
+                    return Err(MemError::BadFree(Pfn(pair[1].0)));
+                }
             }
         }
         for run in list.runs() {
@@ -650,6 +720,26 @@ mod tests {
         // Out-of-range and double frees are still rejected.
         assert_eq!(a.free_run(Pfn(199), 2), Err(MemError::BadFree(Pfn(200))));
         assert_eq!(a.free_run(Pfn(0), 1), Err(MemError::BadFree(Pfn(0))));
+    }
+
+    #[test]
+    fn free_run_names_the_first_hole_in_any_word() {
+        // Holes in the head word, a whole word inside, and the tail word
+        // of a run over frames 10..290 (words 0..=4).
+        for (holes, first) in [
+            (vec![200, 280], 200),
+            (vec![12, 200], 12),
+            (vec![289], 289),
+            (vec![128, 191], 128),
+        ] {
+            let mut a = FrameAllocator::new(Pfn(0), 300);
+            a.alloc_pages(300).unwrap();
+            for &h in &holes {
+                a.free(Pfn(h)).unwrap();
+            }
+            assert_eq!(a.free_run(Pfn(10), 280), Err(MemError::BadFree(Pfn(first))));
+            assert_eq!(a.free_frames(), holes.len() as u64, "{holes:?}");
+        }
     }
 
     #[test]

@@ -20,10 +20,18 @@
 //! attachment remap (each one in-place [`crate::PageTable::remap`]),
 //! frame retention and return, the release at exit, and the tier
 //! queries. A kernel adds only its preconditions and cost constants.
+//!
+//! A migration costs the host a handful of searches, whatever the number
+//! of pages: one pass over the range's extents before anything is
+//! allocated ([`crate::PageTable::walk_remap`]), one allocation of new
+//! runs, one block move per run of materialized contents, one in-place
+//! remap, and a free and an owned-list update that need no sort when the
+//! replaced frames ascend.
 
 use crate::addr_space::{AddressSpace, RegionKind};
 use crate::alloc::FrameAllocator;
 use crate::error::MemError;
+use crate::page_table::{Frames, RemapWalk};
 use crate::pfn_list::PfnList;
 use crate::phys::{FrameMove, PhysAccess};
 use crate::types::{VirtAddr, PAGE_SIZE};
@@ -265,23 +273,28 @@ impl KernelMemory {
         Ok(Costed::new((), self.cost.frame_return(frames.pages())))
     }
 
-    /// [`MappingKernel::migrate_region`]. `find(first, pages)` is the
-    /// kernel's part: it looks the process up, checks its precondition on
-    /// the page range and returns the process's address space and owned
-    /// frames. Only the resident pages move — a hole owns no frame — onto
-    /// new frames taken in address order, and the table is re-pointed in
-    /// place. Refusals come in order (destination tier, relocation,
-    /// `find`, a large leaf the range cuts, the allocator's
-    /// `OutOfFrames`), all before any frame is allocated or moved.
-    pub fn migrate<'p, F>(
+    /// [`MappingKernel::migrate_region`]. `find(first, pages)` and
+    /// `check` are the kernel's part: `find` looks the process up, checks
+    /// its precondition on the page range and returns the process's
+    /// address space and owned frames; `check` refuses what the one pass
+    /// over the range ([`crate::PageTable::walk_remap`]) finds, if the
+    /// kernel's precondition says so. Only the resident pages move — a
+    /// hole owns no frame — onto new frames taken in address order, and
+    /// the table is re-pointed in place. Refusals come in order
+    /// (destination tier, relocation, `find`, `check`, a large leaf the
+    /// range cuts, the allocator's `OutOfFrames`), all before any frame
+    /// is allocated or moved.
+    pub fn migrate<'p, F, C>(
         &mut self,
         va: VirtAddr,
         len: u64,
         dst: MemTier,
         find: F,
+        check: C,
     ) -> Result<Costed<MigrateOutcome>, KernelError>
     where
         F: FnOnce(VirtAddr, u64) -> Result<(&'p mut AddressSpace, &'p mut PfnList), KernelError>,
+        C: FnOnce(&RemapWalk) -> Result<(), KernelError>,
     {
         if !self.alloc.has_tier(dst) {
             return Err(KernelError::Unsupported("destination tier not configured"));
@@ -291,21 +304,17 @@ impl KernelMemory {
         }
         let (first, pages) = va.page_span(len);
         let (asp, owned) = find(first, pages)?;
-        let old = asp
-            .page_table()
-            .walk_remap(first, pages)
+        let walk = asp.page_table().walk_remap(first, pages);
+        check(&walk)?;
+        (walk.whole)
             .map_err(|_| KernelError::Unsupported("range starts or ends inside a large page"))?;
+        let old = walk.resident;
         if old.is_empty() {
             return Ok(Costed::new(MigrateOutcome::default(), SimDuration::ZERO));
         }
         let new = self.alloc.alloc_pages_in(dst, old.pages())?;
         self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
-        let mut taken = 0;
-        asp.page_table_mut().remap(first, pages, |_, n| {
-            taken += n;
-            new.slice(taken - n, n)
-                .expect("one new frame per resident page")
-        })?;
+        (asp.page_table_mut()).remap(first, pages, &new, Frames::Packed, |_, _| {})?;
         *owned = owned.subtract(&old);
         owned.extend(&new);
         self.alloc.free_list(&old)?;
@@ -338,9 +347,8 @@ impl KernelMemory {
         if new.pages() != pages {
             return Err(KernelError::Unsupported("remap length mismatch"));
         }
-        let remapped = asp.page_table_mut().remap(start, pages, |off, n| {
-            new.slice(off, n).expect("length checked")
-        })?;
+        let remapped =
+            (asp.page_table_mut()).remap(start, pages, new, Frames::AtOffset, |_, _| {})?;
         let cost = self.cost.migrate_remap(new.run_count() as u64, remapped);
         Ok((start, Costed::new(remapped, cost)))
     }

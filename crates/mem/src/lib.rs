@@ -28,7 +28,7 @@ pub use error::MemError;
 pub use kernel::{
     AttachSemantics, KernelError, KernelKind, KernelMemory, MappingKernel, MigrateOutcome, Pid,
 };
-pub use page_table::{PageTable, PteFlags};
+pub use page_table::{Frames, PageTable, PteFlags, RemapWalk};
 pub use pfn_list::PfnList;
 pub use phys::{FrameMove, PhysAccess, PhysicalMemory};
 pub use slab::{SlabLayout, SLOT_HEADER_BYTES};

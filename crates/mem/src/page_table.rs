@@ -17,7 +17,10 @@
 //! extent, whatever the number of pages. So [`PageTable::remap`], which
 //! re-points the resident pages of a range onto new frames in place (tier
 //! migration, attachment remap), leaves exactly the table an unmap and a
-//! `map_list` per resident run would.
+//! `map_list` per resident run would. It reads the new frames through one
+//! forward cursor over their list and allocates nothing of its own;
+//! [`PageTable::walk_remap`] finds, in one pass before it, the frames it
+//! will replace, the first hole and whether it would refuse the range.
 //!
 //! Every observable — translations and leaf sizes, `walk_range` output
 //! and [`WalkStats`], freed-frame order, validate-then-commit, error
@@ -116,6 +119,89 @@ fn page_va(page: u64) -> VirtAddr {
     VirtAddr(page * PAGE_SIZE)
 }
 
+/// Refuse, with a `MappingConflict` at `page`, the leaf of `ext` holding
+/// `page` when it reaches outside pages `[lo, hi)`: re-pointing part of a
+/// leaf would split it.
+fn whole_leaf(page: u64, ext: &Extent, lo: u64, hi: u64) -> Result<(), MemError> {
+    let per = ext.size.frames();
+    let leaf = page / per * per;
+    if leaf < lo || leaf + per > hi {
+        return Err(MemError::MappingConflict(page_va(page)));
+    }
+    Ok(())
+}
+
+/// Which frames of a new list [`PageTable::remap`] gives each resident
+/// run of its range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frames {
+    /// The next ones: the list holds one frame per resident page, in
+    /// address order (tier migration).
+    Packed,
+    /// Those at the run's offset into the range: the list holds one frame
+    /// per page of the range (attachment remap).
+    AtOffset,
+}
+
+/// What one pass over a range finds before [`PageTable::remap`] of the
+/// same range re-points it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RemapWalk {
+    /// The frames backing the resident pages, in address order: those of
+    /// [`PageTable::walk_resident`], which `remap` replaces.
+    pub resident: PfnList,
+    /// The first unmapped page of the range, if any.
+    pub hole: Option<VirtAddr>,
+    /// `remap`'s refusal: a `MappingConflict` at the range's first (or
+    /// else last) page when a large leaf there reaches past the range.
+    pub whole: Result<(), MemError>,
+}
+
+/// A forward cursor over the frames of a list.
+struct Cursor<'a> {
+    runs: std::slice::Iter<'a, PfnRun>,
+    /// What is left of the current run.
+    run: PfnRun,
+    /// Frames of the list before the cursor.
+    at: u64,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(list: &'a PfnList) -> Self {
+        let run = PfnRun {
+            start: Pfn(0),
+            len: 0,
+        };
+        Cursor {
+            runs: list.runs().iter(),
+            run,
+            at: 0,
+        }
+    }
+
+    /// The next frames, at most `n` and at most the rest of one run.
+    fn next(&mut self, n: u64) -> PfnRun {
+        while self.run.len == 0 {
+            self.run = *self.runs.next().expect("one new frame per page");
+        }
+        let take = PfnRun {
+            start: self.run.start,
+            len: n.min(self.run.len),
+        };
+        self.run.start = self.run.start.offset(take.len);
+        self.run.len -= take.len;
+        self.at += take.len;
+        take
+    }
+
+    /// Move forward to frame `at` of the list.
+    fn seek(&mut self, at: u64) {
+        while self.at < at {
+            self.next(at - self.at);
+        }
+    }
+}
+
 /// A page table.
 #[derive(Debug, Default)]
 pub struct PageTable {
@@ -152,19 +238,24 @@ impl PageTable {
         Some((leaf, ext.part(leaf - start, per)))
     }
 
-    /// The mapped parts of pages `[lo, hi)`, clipped to it, in address
-    /// order, each with its first page. A range inside one extent costs
-    /// one search.
-    fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, Extent)> + '_ {
+    /// The extents meeting pages `[lo, hi)`, whole, in address order,
+    /// each with its first page. A range inside one extent costs one
+    /// search.
+    fn meeting(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, Extent)> + '_ {
         let head = self.find(lo);
         let rest = head.map_or(lo, |(start, ext)| start + ext.pages);
         let tail = (rest < hi).then(|| self.extents.range(rest..hi));
         head.into_iter()
             .chain(tail.into_iter().flatten().map(|(&s, &e)| (s, e)))
-            .filter_map(move |(s, e)| {
-                let (from, to) = (s.max(lo), (s + e.pages).min(hi));
-                (from < to).then(|| (from, e.part(from - s, to - from)))
-            })
+    }
+
+    /// The mapped parts of pages `[lo, hi)`, clipped to it, in address
+    /// order, each with its first page.
+    fn overlapping(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, Extent)> + '_ {
+        self.meeting(lo, hi).filter_map(move |(s, e)| {
+            let (from, to) = (s.max(lo), (s + e.pages).min(hi));
+            (from < to).then(|| (from, e.part(from - s, to - from)))
+        })
     }
 
     /// Map `ext` at `page`, where nothing is mapped, merging it with the
@@ -435,45 +526,64 @@ impl PageTable {
         (out, cleared)
     }
 
-    /// Re-point the resident pages of `[va, va + pages * 4 KiB)` onto new
-    /// frames in place, leaving holes unmapped — the migration and
-    /// attachment-remap path. For each resident run (one extent's part of
-    /// the range), in address order, `frames(offset, n)` supplies the `n`
-    /// new frames of the run that starts `offset` pages into the range.
-    /// Each run keeps its flags and becomes 4 KiB leaves. Validate-then-commit: a large leaf reaching
-    /// past either end is refused as by [`PageTable::walk_remap`], and
+    /// Re-point the resident pages of `[va, va + pages * 4 KiB)` onto the
+    /// frames of `new` in place, leaving holes unmapped — the migration
+    /// and attachment-remap path. Resident runs (one extent's part of the
+    /// range each) take their frames in address order through one
+    /// forward cursor over `new`, as `take` says, keep their flags and
+    /// become 4 KiB leaves; `replaced` sees each run's old frames, in
+    /// address order. Validate-then-commit: a large leaf reaching past
+    /// either end is refused as [`PageTable::walk_remap`] reports it, and
     /// nothing changes. Returns the number of pages re-pointed.
     ///
     /// # Panics
     ///
-    /// When `frames` supplies a run of another length.
+    /// When `new` runs out of frames.
     pub fn remap(
         &mut self,
         va: VirtAddr,
         pages: u64,
-        mut frames: impl FnMut(u64, u64) -> PfnList,
+        new: &PfnList,
+        take: Frames,
+        mut replaced: impl FnMut(Pfn, u64),
     ) -> Result<u64, MemError> {
-        let first = va.0 / PAGE_SIZE;
-        self.whole_leaves(first, first + pages)?;
-        let mut runs = Vec::new();
-        self.cut(first, first + pages, |page, ext| runs.push((page, ext)));
-        let mut repointed = 0;
-        for (page, ext) in runs {
-            let new = frames(page - first, ext.pages);
-            assert_eq!(new.pages(), ext.pages, "one new frame per resident page");
-            let mut at = page;
-            for run in new.runs() {
+        let (lo, hi) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        if lo < hi {
+            for end in [lo, hi - 1] {
+                if let Some((_, ext)) = self.find(end) {
+                    whole_leaf(end, &ext, lo, hi)?;
+                }
+            }
+        }
+        let mut frames = Cursor::new(new);
+        let (mut at, mut repointed) = (lo, 0);
+        while at < hi {
+            let Some((page, ext)) = self.overlapping(at, hi).next() else {
+                break;
+            };
+            replaced(ext.pfn, ext.pages);
+            let end = page + ext.pages;
+            self.cut(page, end, |_, _| {});
+            if take == Frames::AtOffset {
+                frames.seek(page - lo);
+            }
+            // A run may merge with the next one still to re-point; the
+            // search from `end` finds that one's part all the same.
+            let mut p = page;
+            while p < end {
+                let run = frames.next(end - p);
                 let leaves = Extent {
                     pages: run.len,
                     pfn: run.start,
                     size: PageSize::Size4K,
                     ..ext
                 };
-                self.insert(at, leaves);
-                at += run.len;
+                self.insert(p, leaves);
+                p += run.len;
             }
             self.leaf_count += ext.pages - ext.pages / ext.size.frames();
             repointed += ext.pages;
+            at = end;
         }
         Ok(repointed)
     }
@@ -534,30 +644,43 @@ impl PageTable {
         out
     }
 
-    /// The frames [`PageTable::remap`] of the same range would replace:
-    /// those of [`PageTable::walk_resident`], refused with a
-    /// `MappingConflict` at the range's first (or else last) page when a
-    /// large leaf there reaches past the range, since re-pointing part of
-    /// it would split the leaf.
-    pub fn walk_remap(&self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
-        let first = va.0 / PAGE_SIZE;
-        self.whole_leaves(first, first + pages)?;
-        Ok(self.walk_resident(va, pages))
-    }
-
-    /// Refuse a leaf that pages `[lo, hi)` hold only part of: only a large
-    /// leaf at either end can reach past the range.
-    fn whole_leaves(&self, lo: u64, hi: u64) -> Result<(), MemError> {
-        if lo >= hi {
-            return Ok(());
-        }
-        for end in [lo, hi - 1] {
-            let leaf = self.find_leaf(end);
-            if leaf.is_some_and(|(start, ext)| start < lo || start + ext.pages > hi) {
-                return Err(MemError::MappingConflict(page_va(end)));
+    /// What [`PageTable::remap`] of the same range would find, from one
+    /// pass over its extents: the frames it would replace, the first hole,
+    /// and its refusal when a large leaf at the range's first (or else
+    /// last) page reaches past the range.
+    pub fn walk_remap(&self, va: VirtAddr, pages: u64) -> RemapWalk {
+        let (lo, hi) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        let mut walk = RemapWalk {
+            resident: PfnList::new(),
+            hole: None,
+            whole: Ok(()),
+        };
+        // The extents holding the range's first and last pages.
+        let (mut at, mut ends) = (lo, [None, None]);
+        for (start, ext) in self.meeting(lo, hi) {
+            let (from, to) = (start.max(lo), (start + ext.pages).min(hi));
+            if from >= to {
+                continue;
             }
+            if from > at {
+                walk.hole.get_or_insert(page_va(at));
+            }
+            walk.resident
+                .push_run(ext.pfn.offset(from - start), to - from);
+            if start <= lo {
+                ends[0] = Some((lo, ext));
+            }
+            if to == hi {
+                ends[1] = Some((hi - 1, ext));
+            }
+            at = to;
         }
-        Ok(())
+        if at < hi {
+            walk.hole.get_or_insert(page_va(at));
+        }
+        walk.whole =
+            (ends.iter().flatten()).try_for_each(|(page, ext)| whole_leaf(*page, ext, lo, hi));
+        walk
     }
 
     /// The unmapped sub-ranges of `[va, va + pages * 4 KiB)`, as
@@ -1123,22 +1246,36 @@ mod tests {
         pt.map(VirtAddr(M2), Pfn(512), PageSize::Size2M, rw)
             .unwrap();
         let (va, pages) = (VirtAddr(M2 - 2 * K4), 514);
+        let old = PfnList::from_pages([7].into_iter().chain(512..1024).map(Pfn));
         // Cutting the large leaf is refused at the range's last page, and
         // changes nothing.
         let cut = MemError::MappingConflict(VirtAddr(2 * M2 - 2 * K4));
-        assert_eq!(pt.walk_remap(va, pages - 1), Err(cut.clone()));
-        let frames = |_, n| (0..n).map(Pfn).collect();
-        assert_eq!(pt.remap(va, pages - 1, frames), Err(cut));
+        let walk = pt.walk_remap(va, pages - 1);
+        let hole = Some(va + K4);
+        assert_eq!((walk.hole, walk.whole), (hole, Err(cut.clone())));
+        let any = PfnList::from_pages((0..pages).map(Pfn));
+        assert_eq!(
+            pt.remap(va, pages - 1, &any, Frames::Packed, |_, _| {}),
+            Err(cut)
+        );
         assert_eq!(pt.leaf_count(), 2);
-        assert_eq!(pt.walk_remap(va, pages).map(|old| old.pages()), Ok(513));
-        // Frames by offset: the run at offset `off` takes 1000 + off on.
-        let mut calls = Vec::new();
-        let moved = pt.remap(va, pages, |off, n| {
-            calls.push((off, n));
-            (1000 + off..1000 + off + n).map(Pfn).collect()
+        let walk = pt.walk_remap(va, pages);
+        assert_eq!(
+            (&walk.resident, walk.hole, walk.whole),
+            (&old, hole, Ok(()))
+        );
+        // Frames by offset, from a list of three runs: page `off` of the
+        // range takes frame 1000 + off, except the last eight, which take
+        // 3000 on.
+        let mut new = PfnList::new();
+        new.push_run(Pfn(1000), 100);
+        new.push_run(Pfn(1100), pages - 108);
+        new.push_run(Pfn(3000), 8);
+        let mut replaced = PfnList::new();
+        let moved = pt.remap(va, pages, &new, Frames::AtOffset, |pfn, n| {
+            replaced.push_run(pfn, n)
         });
-        assert_eq!(moved, Ok(513));
-        assert_eq!(calls, [(0, 1), (2, 512)]);
+        assert_eq!((moved, replaced), (Ok(513), old));
         assert_eq!(
             pt.translate(va),
             Some((Pfn(1000).base(), ro, PageSize::Size4K))
@@ -1146,14 +1283,22 @@ mod tests {
         assert!(pt.translate(va + K4).is_none());
         assert_eq!(
             pt.translate(VirtAddr(2 * M2 - K4)),
-            Some((Pfn(1513).base(), rw, PageSize::Size4K))
+            Some((Pfn(3007).base(), rw, PageSize::Size4K))
         );
         assert_eq!(pt.leaf_count(), 513);
-        assert_eq!(pt.walk_resident(va, pages), {
-            let mut new = PfnList::new();
-            new.push_run(Pfn(1000), 1);
-            new.push_run(Pfn(1002), 512);
-            new
-        });
+        let mut want = PfnList::new();
+        want.push_run(Pfn(1000), 1);
+        want.push_run(Pfn(1002), 504);
+        want.push_run(Pfn(3000), 8);
+        assert_eq!(pt.walk_resident(va, pages), want);
+        // Packed frames: resident pages take the list's frames in turn.
+        let packed = PfnList::from_pages((5000..5000 + 513).map(Pfn));
+        let moved = pt.remap(va, pages, &packed, Frames::Packed, |_, _| {});
+        assert_eq!(moved, Ok(513));
+        let mut want = PfnList::new();
+        want.push_run(Pfn(5000), 1);
+        want.push_run(Pfn(5001), 512);
+        assert_eq!(pt.walk_resident(va, pages), want);
+        assert_eq!(pt.translate(va + 2 * K4).unwrap().0, Pfn(5001).base());
     }
 }

@@ -129,42 +129,52 @@ impl PfnList {
         Some(out)
     }
 
+    /// True when every run starts past the end of the one before it: the
+    /// frames ascend and none repeats.
+    pub fn is_ascending(&self) -> bool {
+        self.runs
+            .windows(2)
+            .all(|w| w[0].start.0 + w[0].len <= w[1].start.0)
+    }
+
     /// Frames of `self` in order, minus every frame appearing anywhere in
-    /// `other` — set subtraction over run lists, O(runs·log runs). Used by
-    /// the frame-quarantine paths to drop retained frames from a process's
-    /// owned list without materializing per-page hash sets.
+    /// `other` — set subtraction over run lists, O(runs) when `other`
+    /// ascends and O(runs·log runs) otherwise. Used by migration and the
+    /// frame-quarantine paths to drop frames from a process's owned list
+    /// without materializing per-page hash sets.
     pub fn subtract(&self, other: &PfnList) -> PfnList {
-        let mut merged: Vec<(u64, u64)> = other
-            .runs
-            .iter()
-            .map(|r| (r.start.0, r.start.0 + r.len))
-            .collect();
-        merged.sort_unstable();
-        merged.dedup_by(|next, kept| {
-            let overlaps = next.0 <= kept.1;
-            if overlaps {
-                kept.1 = kept.1.max(next.1);
-            }
-            overlaps
-        });
+        if !other.is_ascending() {
+            let mut runs = other.runs.clone();
+            runs.sort_unstable_by_key(|r| r.start);
+            runs.dedup_by(|next, kept| {
+                let overlaps = next.start.0 <= kept.start.0 + kept.len;
+                if overlaps {
+                    kept.len = kept.len.max(next.start.0 + next.len - kept.start.0);
+                }
+                overlaps
+            });
+            let pages = runs.iter().map(|r| r.len).sum();
+            return self.subtract(&PfnList { runs, pages });
+        }
+        let gone = &other.runs;
         let mut out = PfnList {
-            runs: Vec::with_capacity(self.runs.len() + merged.len()),
+            runs: Vec::with_capacity(self.runs.len() + gone.len()),
             pages: 0,
         };
         for run in &self.runs {
             let mut s = run.start.0;
             let e = run.start.0 + run.len;
-            let mut i = merged.partition_point(|&(_, ie)| ie <= s);
+            let mut i = gone.partition_point(|g| g.start.0 + g.len <= s);
             while s < e {
-                if i >= merged.len() || merged[i].0 >= e {
+                if i >= gone.len() || gone[i].start.0 >= e {
                     out.push_run(Pfn(s), e - s);
                     break;
                 }
-                let (is, ie) = merged[i];
-                if is > s {
-                    out.push_run(Pfn(s), is - s);
+                let (gs, ge) = (gone[i].start.0, gone[i].start.0 + gone[i].len);
+                if gs > s {
+                    out.push_run(Pfn(s), gs - s);
                 }
-                s = s.max(ie);
+                s = s.max(ge);
                 i += 1;
             }
         }

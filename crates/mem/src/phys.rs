@@ -6,10 +6,16 @@
 //! experiments can map multi-GiB regions without multi-GiB allocations
 //! while data-flow tests still verify real byte movement end to end.
 //!
-//! Contents are kept in PFN order, so an access takes one lock and checks
-//! zone bounds once per zone it crosses, and relocating or discarding a
-//! run of frames visits only the materialized frames inside it — never
-//! the run's untouched frames, nor the rest of the node.
+//! Contents are one `Vec` sorted by PFN. An access takes one lock, finds
+//! its first frame with one binary search and walks forward, checking
+//! zone bounds once per zone it crosses. Relocating or discarding a run
+//! of frames finds the run's materialized frames with one binary search
+//! and moves them as one contiguous block — never a probe per page of
+//! the run, nor a visit to the rest of the node. Inserting or removing a
+//! block moves the entries above it; with the 60–180 materialized frames
+//! the benchmarks' nodes hold on average, that costs less than the
+//! per-frame removal and reinsertion of an ordered map (DESIGN.md §7
+//! gives the worst case).
 //!
 //! `PhysicalMemory` is shared by every enclave on a node (the whole point
 //! of XEMEM is that enclaves map *the same frames*), so it is internally
@@ -19,7 +25,7 @@ use crate::error::MemError;
 use crate::pfn_list::PfnList;
 use crate::types::{Pfn, PhysAddr, PAGE_SIZE};
 use parking_lot::RwLock;
-use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// One NUMA zone: a contiguous frame range.
@@ -123,13 +129,16 @@ pub trait PhysAccess: Send + Sync {
     }
 }
 
+/// The contents of one materialized frame.
+type Frame = Box<[u8; PAGE_SIZE as usize]>;
+
 /// The physical memory of one simulated node.
 #[derive(Debug)]
 pub struct PhysicalMemory {
     zones: Vec<NumaZone>,
     total_frames: u64,
-    /// Lazily materialized frame contents, by PFN.
-    contents: RwLock<BTreeMap<u64, Box<[u8]>>>,
+    /// Lazily materialized frame contents, sorted by PFN.
+    contents: RwLock<Vec<(u64, Frame)>>,
 }
 
 impl PhysicalMemory {
@@ -146,11 +155,16 @@ impl PhysicalMemory {
     /// A node with the given NUMA zones. Zones must be disjoint; the paper
     /// systems use two 16 GiB sockets.
     pub fn with_zones(zones: Vec<NumaZone>) -> Arc<Self> {
-        let total_frames = zones.iter().map(|z| z.frames).sum();
+        let total_frames: u64 = zones.iter().map(|z| z.frames).sum();
+        // Room for every frame of a small node and for 65,536 (1 MiB of
+        // index) on a large one, so the index does not reallocate as a
+        // node's contents grow. A reservation this large is mapped apart
+        // from the allocator's heap and costs memory only as it fills.
+        let reserve = total_frames.min(1 << 16) as usize;
         Arc::new(PhysicalMemory {
             zones,
             total_frames,
-            contents: RwLock::new(BTreeMap::new()),
+            contents: RwLock::new(Vec::with_capacity(reserve)),
         })
     }
 
@@ -197,26 +211,37 @@ impl PhysicalMemory {
     }
 
     /// Write bytes at a physical address, crossing frame boundaries as
-    /// needed. Frames are materialized on first write; at the first frame
-    /// outside every zone the bytes before it have been written.
+    /// needed. Frames are materialized on first write, each stretch of new
+    /// frames as one block; at the first frame outside every zone the
+    /// bytes before it have been written.
     fn write_impl(&self, at: PhysAddr, data: &[u8]) -> Result<(), MemError> {
         let mut remaining = data;
         let mut addr = at;
         let mut zone_end = 0;
         let mut contents = self.contents.write();
+        let mut i = contents.partition_point(|(p, _)| *p < at.pfn().0);
         while !remaining.is_empty() {
-            let pfn = addr.pfn();
-            if pfn.0 >= zone_end {
-                zone_end = self.zone_end(pfn)?;
+            let pfn = addr.pfn().0;
+            if pfn >= zone_end {
+                zone_end = self.zone_end(Pfn(pfn))?;
             }
-            let off = addr.page_offset() as usize;
-            let take = remaining.len().min(PAGE_SIZE as usize - off);
-            let frame = contents
-                .entry(pfn.0)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
-            frame[off..off + take].copy_from_slice(&remaining[..take]);
-            remaining = &remaining[take..];
-            addr = addr + take as u64;
+            let next = contents.get(i).map_or(u64::MAX, |(p, _)| *p);
+            if next == pfn {
+                copy_in(&mut contents[i].1[..], &mut addr, &mut remaining);
+                i += 1;
+                continue;
+            }
+            // Every frame up to the next materialized one, the zone's end
+            // or the write's end is new.
+            let end = (addr + (remaining.len() as u64 - 1)).pfn().0 + 1;
+            let new = next.min(zone_end).min(end) - pfn;
+            let block = (pfn..pfn + new).map(|p| {
+                let mut frame: Frame = vec![0; PAGE_SIZE as usize].try_into().expect("one page");
+                copy_in(&mut frame[..], &mut addr, &mut remaining);
+                (p, frame)
+            });
+            contents.splice(i..i, block);
+            i += new as usize;
         }
         Ok(())
     }
@@ -228,6 +253,7 @@ impl PhysicalMemory {
         let mut addr = at;
         let mut zone_end = 0;
         let contents = self.contents.read();
+        let mut i = contents.partition_point(|(p, _)| *p < at.pfn().0);
         while filled < out.len() {
             let pfn = addr.pfn();
             if pfn.0 >= zone_end {
@@ -235,9 +261,12 @@ impl PhysicalMemory {
             }
             let off = addr.page_offset() as usize;
             let take = (out.len() - filled).min(PAGE_SIZE as usize - off);
-            match contents.get(&pfn.0) {
-                Some(frame) => out[filled..filled + take].copy_from_slice(&frame[off..off + take]),
-                None => out[filled..filled + take].fill(0),
+            match contents.get(i) {
+                Some((p, frame)) if *p == pfn.0 => {
+                    out[filled..filled + take].copy_from_slice(&frame[off..off + take]);
+                    i += 1;
+                }
+                _ => out[filled..filled + take].fill(0),
             }
             filled += take;
             addr = addr + take as u64;
@@ -263,12 +292,30 @@ impl PhysicalMemory {
     }
 }
 
+/// Copy the head of `data` into `frame` from `at`'s offset in its page to
+/// at most the page's end, and advance both past what was copied.
+fn copy_in(frame: &mut [u8], at: &mut PhysAddr, data: &mut &[u8]) {
+    let off = at.page_offset() as usize;
+    let take = data.len().min(PAGE_SIZE as usize - off);
+    frame[off..off + take].copy_from_slice(&data[..take]);
+    *data = &data[take..];
+    *at = *at + take as u64;
+}
+
+/// The positions in `contents` of the materialized frames among
+/// `frames` frames from `start`: two binary searches.
+fn block(contents: &[(u64, Frame)], start: u64, frames: u64) -> Range<usize> {
+    let lo = contents.partition_point(|(p, _)| *p < start);
+    let hi = lo + contents[lo..].partition_point(|(p, _)| *p < start + frames);
+    lo..hi
+}
+
 impl PhysicalMemory {
     /// Relocate frame contents for a batch of runs. Only *materialized*
-    /// frames move, found by PFN range (O((runs + moved frames) × log
-    /// materialized)), so migrating gigabytes of never-touched pages does no
-    /// per-page host work — the invariant the wallclock gate holds the
-    /// `migrate_extent` path to.
+    /// frames move, each run's as one block found by binary search
+    /// (O(runs × (log m + m)) for `m` materialized frames), so migrating
+    /// gigabytes of never-touched pages does no per-page host work — the
+    /// invariant the wallclock gate holds the `migrate_extent` path to.
     fn relocate_impl(&self, moves: &[FrameMove]) -> Result<(), MemError> {
         for m in moves {
             if m.frames == 0 {
@@ -286,16 +333,38 @@ impl PhysicalMemory {
             }
         }
         let mut contents = self.contents.write();
-        // Two passes — remove every moving frame, then insert at the new
-        // keys — so a destination that equals another run's source can
-        // never clobber data mid-move.
-        let mut moved: Vec<(u64, Box<[u8]>)> = Vec::new();
+        // Two passes — lift every moving block out, then land each at its
+        // destination — so a destination that equals another run's source
+        // can never clobber data mid-move. `landing` holds each block's
+        // length and first and last destination frame.
+        let (mut lifted, mut landing) = (Vec::new(), Vec::new());
         for m in moves {
-            let src = m.src.0..m.src.0 + m.frames;
-            let taken = contents.extract_if(src, |_, _| true);
-            moved.extend(taken.map(|(k, data)| (m.dst.0 + (k - m.src.0), data)));
+            let from = block(&contents, m.src.0, m.frames);
+            if from.is_empty() {
+                continue;
+            }
+            let dst = |pfn: u64| m.dst.0 + (pfn - m.src.0);
+            let (first, last) = (dst(contents[from.start].0), dst(contents[from.end - 1].0));
+            landing.push((from.len(), first, last));
+            lifted.extend(contents.drain(from).map(|(pfn, data)| (dst(pfn), data)));
         }
-        contents.extend(moved);
+        let mut lifted = lifted.into_iter();
+        for (n, first, last) in landing {
+            let frames = lifted.by_ref().take(n);
+            let to = block(&contents, first, last - first + 1);
+            if to.is_empty() {
+                contents.splice(to, frames);
+                continue;
+            }
+            // The destination already holds frames: land one at a time,
+            // each replacing the contents it meets.
+            for (pfn, data) in frames {
+                match contents.binary_search_by_key(&pfn, |(p, _)| *p) {
+                    Ok(i) => contents[i].1 = data,
+                    Err(i) => contents.insert(i, (pfn, data)),
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -309,15 +378,14 @@ impl PhysAccess for PhysicalMemory {
         self.read_impl(at, out)
     }
 
-    /// Drop the materialized contents inside `frames`' runs, found by
-    /// PFN range: never a probe per listed page, since one exit can free
-    /// 100k frames.
+    /// Drop the materialized contents inside `frames`' runs, each run's
+    /// as one block found by binary search: never a probe per listed
+    /// page, since one exit can free 100k frames.
     fn discard(&self, frames: &PfnList) -> Result<(), MemError> {
         let mut contents = self.contents.write();
         for r in frames.runs() {
-            contents
-                .extract_if(r.start.0..r.start.0 + r.len, |_, _| true)
-                .for_each(drop);
+            let gone = block(&contents, r.start.0, r.len);
+            contents.drain(gone);
         }
         Ok(())
     }

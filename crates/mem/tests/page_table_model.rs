@@ -10,11 +10,14 @@
 //! leave the two indistinguishable after every step: each call's
 //! result and error (kind and address), translations and leaf sizes,
 //! spans, strict and resident walks with their `WalkStats`, holes,
-//! `leaf_count`, and the `chunk_runs` of every 2 MiB chunk.
+//! `leaf_count`, and the `chunk_runs` of every 2 MiB chunk. Before each
+//! `remap`, the one-pass `walk_remap` must report what the model finds
+//! page by page, and `remap` must report replacing exactly the frames of
+//! the model's resident walk.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use xemem_mem::page_table::WalkStats;
+use xemem_mem::page_table::{Frames, RemapWalk, WalkStats};
 use xemem_mem::pfn_list::PfnRun;
 use xemem_mem::{
     MemError, PageSize, PageTable, Pfn, PfnList, PhysAddr, PteFlags, VirtAddr, PAGE_SIZE,
@@ -215,9 +218,14 @@ impl Model {
         Ok(())
     }
 
-    fn walk_remap(&self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
-        self.whole_leaves(va, pages)?;
-        Ok(self.walk_resident(va, pages))
+    /// The resident walk, the first hole and the end-leaf refusal.
+    fn walk_remap(&self, va: VirtAddr, pages: u64) -> RemapWalk {
+        let holes = self.find_unmapped(va, pages);
+        RemapWalk {
+            resident: self.walk_resident(va, pages),
+            hole: holes.first().map(|&(off, _)| va + off * PAGE_SIZE),
+            whole: self.whole_leaves(va, pages),
+        }
     }
 
     /// Refused as [`Model::whole_leaves`]; otherwise every resident page
@@ -398,15 +406,17 @@ enum Step {
         read_only: bool,
     },
     /// Frames come by offset in the range, or `packed` in resident
-    /// order (the same frames when the range has no hole); `align`
-    /// starts at one of the model's large leaves, if any, so that they
-    /// are often remapped whole, or cut and refused.
+    /// order (the same frames when the range has no hole), from a list
+    /// whose runs break every `brk` frames; `align` starts at one of the
+    /// model's large leaves, if any, so that they are often remapped
+    /// whole, or cut and refused.
     Remap {
         aim: u64,
         align: bool,
         pages: u64,
         family: u64,
         packed: bool,
+        brk: u64,
     },
     Walk {
         aim: u64,
@@ -490,13 +500,15 @@ fn remap() -> impl Strategy<Value = Step> {
         0u64..1200,
         0u64..4,
         any::<bool>(),
+        1u64..700,
     )
-        .prop_map(|(aim, align, pages, family, packed)| Step::Remap {
+        .prop_map(|(aim, align, pages, family, packed, brk)| Step::Remap {
             aim,
             align,
             pages,
             family,
             packed,
+            brk,
         })
 }
 
@@ -598,6 +610,7 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
             pages,
             family,
             packed,
+            brk,
         } => {
             let large: Vec<u64> = (model.leaves.iter())
                 .filter(|(_, leaf)| leaf.size != K4)
@@ -607,15 +620,26 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
                 n if align && n > 0 => large[(aim % n) as usize],
                 _ => aimed(model, aim),
             };
-            let new = |off: u64, k: u64| frame(first + if packed { k } else { off }, family);
+            // Frame `i` of the new list; a gap follows every `brk` frames.
+            let pick = |i: u64| frame(first + i, family) + i / brk;
             let va = va_of(first);
-            assert_eq!(pt.walk_remap(va, pages), model.walk_remap(va, pages));
-            let mut taken = 0;
-            let got = pt.remap(va, pages, |off, n| {
-                taken += n;
-                (0..n).map(|i| Pfn(new(off + i, taken - n + i))).collect()
-            });
+            let walk = model.walk_remap(va, pages);
+            assert_eq!(pt.walk_remap(va, pages), walk);
+            let (take, listed) = match packed {
+                true => (Frames::Packed, walk.resident.pages()),
+                false => (Frames::AtOffset, pages),
+            };
+            let list: PfnList = (0..listed).map(|i| Pfn(pick(i))).collect();
+            let mut replaced = PfnList::new();
+            let got = pt.remap(va, pages, &list, take, |pfn, n| replaced.push_run(pfn, n));
+            let new = |off: u64, k: u64| pick(if packed { k } else { off });
             assert_eq!(got, model.remap(va, pages, new));
+            let expect = if got.is_ok() {
+                walk.resident
+            } else {
+                PfnList::new()
+            };
+            assert_eq!(replaced, expect, "frames remap replaced");
         }
         Step::Walk { aim, off, len } => {
             let va = va_of(aimed(model, aim)) + off;

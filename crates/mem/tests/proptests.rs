@@ -213,17 +213,21 @@ enum AllocOp {
 
 const TIERS: [MemTier; 3] = [MemTier::LocalDram, MemTier::Cxl, MemTier::Nvm];
 
-fn alloc_op() -> impl Strategy<Value = AllocOp> {
+/// Requests of up to about `scale` frames, and frees of up to about
+/// `scale` of the allocated frames.
+fn alloc_op(scale: u64) -> impl Strategy<Value = AllocOp> {
     let tier = (0usize..3).prop_map(|i| TIERS[i]);
+    let n = 0..scale + scale / 7;
+    let free_len = 0..(scale * 6 / 7) as usize;
     prop_oneof![
         Just(AllocOp::Alloc),
-        (0u64..140).prop_map(AllocOp::Contiguous),
-        (tier, 0u64..160).prop_map(|(t, n)| AllocOp::PagesIn(t, n)),
-        (0u64..160).prop_map(AllocOp::Upto),
-        (0u64..160).prop_map(AllocOp::Pages),
+        (0..scale).prop_map(AllocOp::Contiguous),
+        (tier, n.clone()).prop_map(|(t, n)| AllocOp::PagesIn(t, n)),
+        n.clone().prop_map(AllocOp::Upto),
+        n.prop_map(AllocOp::Pages),
         (
-            0usize..400,
-            0usize..120,
+            0..(scale * 20 / 7) as usize,
+            free_len,
             1usize..5,
             (0u32..10).prop_map(|x| x == 0)
         )
@@ -244,6 +248,160 @@ fn alloc_layout() -> impl Strategy<Value = (Vec<(MemTier, u64)>, bool)> {
         prop::collection::vec(range, 1..4),
         (0u32..5).prop_map(|x| x == 0),
     )
+}
+
+/// A first range of more than 64 × 64 frames — more than one summary
+/// word of bitmap words — then up to two small ones, plus the placement
+/// policy.
+fn alloc_layout_at_summary_scale() -> impl Strategy<Value = (Vec<(MemTier, u64)>, bool)> {
+    let tier = (0usize..3).prop_map(|i| TIERS[i]);
+    let big = (tier.clone(), 64 * 64 + 1..12_000u64);
+    let small = prop::collection::vec((tier, 1u64..300), 0..3);
+    (big, small, any::<bool>()).prop_map(|(big, small, scatter)| {
+        let layout = std::iter::once(big).chain(small).collect();
+        (layout, scatter)
+    })
+}
+
+/// Apply `ops` to a [`FrameAllocator`] over `layout` and to the
+/// bit-serial reference, requiring the same frames, errors, per-tier free
+/// counts and cursors after every step.
+fn matches_bit_serial_reference(layout: &[(MemTier, u64)], scatter: bool, ops: Vec<AllocOp>) {
+    let (home_tier, home_frames) = layout[0];
+    let mut real = if scatter {
+        FrameAllocator::with_policy(Pfn(1000), home_frames, Placement::Scatter)
+    } else {
+        FrameAllocator::new_in(home_tier, Pfn(1000), home_frames)
+    };
+    let mut model = RefAlloc { ranges: Vec::new() };
+    let mut base = 1000u64;
+    for (i, &(tier, frames)) in layout.iter().enumerate() {
+        let tier = if i == 0 && scatter {
+            MemTier::LocalDram
+        } else {
+            tier
+        };
+        if i > 0 {
+            real.push_range(tier, Pfn(base), frames);
+        }
+        model.ranges.push(RefRange {
+            tier,
+            base,
+            used: vec![false; frames as usize],
+            free: frames,
+            cursor: 0,
+            scatter,
+        });
+        // A gap between ranges keeps them from touching.
+        base += frames + 37;
+    }
+    let mut allocated: BTreeSet<u64> = BTreeSet::new();
+    let frames_of = |list: &PfnList| -> Vec<Pfn> { list.iter_pages().collect() };
+    for op in ops {
+        let got: Result<Vec<Pfn>, MemError> = match op.clone() {
+            AllocOp::Alloc => {
+                let r = real.alloc();
+                prop_assert_eq!(&r, &model.alloc());
+                r.map(|p| vec![p])
+            }
+            AllocOp::Contiguous(n) => {
+                let r = real.alloc_contiguous(n);
+                prop_assert_eq!(&r, &model.alloc_contiguous(n));
+                r.map(|p| (0..n).map(|i| p.offset(i)).collect())
+            }
+            AllocOp::PagesIn(tier, n) => {
+                let r = real.alloc_pages_in(tier, n).map(|l| frames_of(&l));
+                prop_assert_eq!(&r, &model.alloc_pages_in(tier, n));
+                r
+            }
+            AllocOp::Upto(n) => {
+                let r = frames_of(&real.alloc_upto(n));
+                let expect: Vec<Pfn> = (0..n).map_while(|_| model.alloc().ok()).collect();
+                prop_assert_eq!(&r, &expect);
+                Ok(r)
+            }
+            AllocOp::Pages(n) => {
+                let r = real.alloc_pages(n).map(|l| frames_of(&l));
+                let free: u64 = model.ranges.iter().map(|r| r.free).sum();
+                if free < n {
+                    prop_assert_eq!(
+                        &r,
+                        &Err(MemError::OutOfFrames {
+                            requested: n,
+                            available: free
+                        })
+                    );
+                } else {
+                    let expect: Vec<Pfn> =
+                        (0..n).map(|_| model.alloc().expect("counted")).collect();
+                    prop_assert_eq!(&r, &Ok(expect));
+                }
+                r
+            }
+            AllocOp::Free {
+                at,
+                len,
+                step,
+                bogus,
+            } => {
+                let live: Vec<u64> = allocated.iter().copied().collect();
+                let mut frames: Vec<u64> = live
+                    .iter()
+                    .skip(at)
+                    .step_by(step)
+                    .take(len)
+                    .copied()
+                    .collect();
+                if bogus {
+                    let spare = model.ranges.iter().find_map(|r| {
+                        (0..r.frames())
+                            .find(|&i| !r.used[i as usize])
+                            .map(|i| r.base + i)
+                    });
+                    frames.extend(spare);
+                }
+                let mut list = PfnList::new();
+                for &p in &frames {
+                    list.push_run(Pfn(p), 1);
+                }
+                let r = real.free_list(&list);
+                prop_assert_eq!(&r, &model.free_list(&frames));
+                if r.is_ok() {
+                    for p in &frames {
+                        allocated.remove(p);
+                    }
+                }
+                Ok(Vec::new())
+            }
+        };
+        for p in got.into_iter().flatten() {
+            prop_assert!(allocated.insert(p.0), "frame {} handed out twice", p);
+        }
+        for tier in TIERS {
+            prop_assert_eq!(real.free_frames_in(tier), model.free_in(tier));
+        }
+        prop_assert_eq!(
+            real.clone().alloc(),
+            model.clone().alloc(),
+            "cursor diverged"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The reference equivalence where the summary level matters: one
+    /// range spans several summary words, and requests and frees of up
+    /// to a few thousand frames leave long full and long free stretches
+    /// for the scans to skip.
+    #[test]
+    fn allocator_matches_bit_serial_reference_at_summary_scale(
+        (layout, scatter) in alloc_layout_at_summary_scale(),
+        ops in prop::collection::vec(alloc_op(3000), 1..60),
+    ) {
+        matches_bit_serial_reference(&layout, scatter, ops);
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -390,106 +548,9 @@ proptest! {
     #[test]
     fn allocator_matches_bit_serial_reference(
         (layout, scatter) in alloc_layout(),
-        ops in prop::collection::vec(alloc_op(), 1..80),
+        ops in prop::collection::vec(alloc_op(140), 1..80),
     ) {
-        let (home_tier, home_frames) = layout[0];
-        let mut real = if scatter {
-            FrameAllocator::with_policy(Pfn(1000), home_frames, Placement::Scatter)
-        } else {
-            FrameAllocator::new_in(home_tier, Pfn(1000), home_frames)
-        };
-        let mut model = RefAlloc { ranges: Vec::new() };
-        let mut base = 1000u64;
-        for (i, &(tier, frames)) in layout.iter().enumerate() {
-            let tier = if i == 0 && scatter { MemTier::LocalDram } else { tier };
-            if i > 0 {
-                real.push_range(tier, Pfn(base), frames);
-            }
-            model.ranges.push(RefRange {
-                tier,
-                base,
-                used: vec![false; frames as usize],
-                free: frames,
-                cursor: 0,
-                scatter,
-            });
-            // A gap between ranges keeps them from touching.
-            base += frames + 37;
-        }
-        let mut allocated: BTreeSet<u64> = BTreeSet::new();
-        let frames_of = |list: &PfnList| -> Vec<Pfn> { list.iter_pages().collect() };
-        for op in ops {
-            let got: Result<Vec<Pfn>, MemError> = match op.clone() {
-                AllocOp::Alloc => {
-                    let r = real.alloc();
-                    prop_assert_eq!(&r, &model.alloc());
-                    r.map(|p| vec![p])
-                }
-                AllocOp::Contiguous(n) => {
-                    let r = real.alloc_contiguous(n);
-                    prop_assert_eq!(&r, &model.alloc_contiguous(n));
-                    r.map(|p| (0..n).map(|i| p.offset(i)).collect())
-                }
-                AllocOp::PagesIn(tier, n) => {
-                    let r = real.alloc_pages_in(tier, n).map(|l| frames_of(&l));
-                    prop_assert_eq!(&r, &model.alloc_pages_in(tier, n));
-                    r
-                }
-                AllocOp::Upto(n) => {
-                    let r = frames_of(&real.alloc_upto(n));
-                    let expect: Vec<Pfn> = (0..n).map_while(|_| model.alloc().ok()).collect();
-                    prop_assert_eq!(&r, &expect);
-                    Ok(r)
-                }
-                AllocOp::Pages(n) => {
-                    let r = real.alloc_pages(n).map(|l| frames_of(&l));
-                    let free: u64 = model.ranges.iter().map(|r| r.free).sum();
-                    if free < n {
-                        prop_assert_eq!(
-                            &r,
-                            &Err(MemError::OutOfFrames { requested: n, available: free })
-                        );
-                    } else {
-                        let expect: Vec<Pfn> =
-                            (0..n).map(|_| model.alloc().expect("counted")).collect();
-                        prop_assert_eq!(&r, &Ok(expect));
-                    }
-                    r
-                }
-                AllocOp::Free { at, len, step, bogus } => {
-                    let live: Vec<u64> = allocated.iter().copied().collect();
-                    let mut frames: Vec<u64> =
-                        live.iter().skip(at).step_by(step).take(len).copied().collect();
-                    if bogus {
-                        let spare = model.ranges.iter().find_map(|r| {
-                            (0..r.frames())
-                                .find(|&i| !r.used[i as usize])
-                                .map(|i| r.base + i)
-                        });
-                        frames.extend(spare);
-                    }
-                    let mut list = PfnList::new();
-                    for &p in &frames {
-                        list.push_run(Pfn(p), 1);
-                    }
-                    let r = real.free_list(&list);
-                    prop_assert_eq!(&r, &model.free_list(&frames));
-                    if r.is_ok() {
-                        for p in &frames {
-                            allocated.remove(p);
-                        }
-                    }
-                    Ok(Vec::new())
-                }
-            };
-            for p in got.into_iter().flatten() {
-                prop_assert!(allocated.insert(p.0), "frame {} handed out twice", p);
-            }
-            for tier in TIERS {
-                prop_assert_eq!(real.free_frames_in(tier), model.free_in(tier));
-            }
-            prop_assert_eq!(real.clone().alloc(), model.clone().alloc(), "cursor diverged");
-        }
+        matches_bit_serial_reference(&layout, scatter, ops);
     }
 
     // ------------------------------------------------------------------
