@@ -764,9 +764,12 @@ impl System {
             let returned = self.slots[owner_slot]
                 .kind
                 .kernel_mut()
-                .return_frames(&loan.frames)
-                .is_ok();
-            if returned {
+                .return_frames(&loan.frames);
+            // The owner lent these frames and nothing else holds them: a
+            // refusal means the quarantine lent a frame twice or one the
+            // owner still maps.
+            debug_assert!(returned.is_ok(), "loan of {segid} refused: {returned:?}");
+            if returned.is_ok() {
                 // return_frames' cost is deliberately not charged (the
                 // owner's allocator absorbs it asynchronously), so this
                 // records a counter only — adding a time leaf here would

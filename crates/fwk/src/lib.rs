@@ -22,9 +22,9 @@
 //! return virtual-time costs per [`xemem_mem::MappingKernel`]. Tier
 //! migration, attachment remap and frame retention, return and release
 //! run through [`KernelMemory`], shared with Kitten; the FWK adds its
-//! precondition (a migrated range lies in one anonymous VMA), the lazy
-//! attachment's backing list that a remap re-points, and its own cost
-//! constants.
+//! precondition (a migrated range lies in one region of the process's
+//! own memory), the lazy attachment's backing list that a remap
+//! re-points, and its own cost constants.
 
 use std::sync::Arc;
 
@@ -54,12 +54,11 @@ struct Vma {
     prot: PteFlags,
 }
 
+/// A process; its page table is the one record of the frames it owns.
 struct Proc {
     asp: AddressSpace,
     /// One VMA per region, keyed by the region's start.
     vmas: FxHashMap<u64, Vma>,
-    /// Anonymous frames owned (freed on exit), run-length encoded.
-    owned: PfnList,
 }
 
 /// The Linux-like full-weight kernel for one enclave.
@@ -136,7 +135,6 @@ impl MappingKernel for Fwk {
             Proc {
                 asp: AddressSpace::new(),
                 vmas: FxHashMap::default(),
-                owned: PfnList::new(),
             },
         );
         // Regions exist immediately; pages fault in on demand.
@@ -164,7 +162,7 @@ impl MappingKernel for Fwk {
             .procs
             .remove(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        self.mem.release(&proc.owned)?;
+        self.mem.release(&proc.asp.own_frames())?;
         Ok(Costed::new((), SimDuration::from_micros(40)))
     }
 
@@ -218,10 +216,11 @@ impl MappingKernel for Fwk {
                     Backing::Anon => {
                         // The frames `batch` single-frame faults would
                         // take, in VA order, then one install. A shortfall
-                        // keeps what it got (owned, so freed at exit) and
-                        // fails as the fault that found no frame would.
+                        // maps what it got and fails as the fault that
+                        // found no frame would.
                         let frames = mem.alloc.alloc_upto(batch);
-                        proc.owned.extend(&frames);
+                        let pt = proc.asp.page_table_mut();
+                        pt.map_list(page, &frames, vma.prot)?;
                         if frames.pages() < batch {
                             return Err(MemError::OutOfFrames {
                                 requested: 1,
@@ -233,8 +232,6 @@ impl MappingKernel for Fwk {
                         for t in MemTier::ALL {
                             touched[t.index()] += by_tier[t.index()];
                         }
-                        let pt = proc.asp.page_table_mut();
-                        pt.map_list(page, &frames, vma.prot)?;
                     }
                     Backing::Remote(list) => {
                         let idx = (page.0 - vma_start.0) / PAGE_SIZE;
@@ -384,7 +381,7 @@ impl MappingKernel for Fwk {
             .procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        Ok(self.mem.retain(&proc.asp, &mut proc.owned, va, len))
+        Ok(self.mem.retain(&mut proc.asp, va, len))
     }
 
     fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
@@ -407,22 +404,18 @@ impl MappingKernel for Fwk {
             dst_tier,
             move |first, pages| {
                 let proc = procs.get_mut(&pid).ok_or(KernelError::NoSuchProcess(pid))?;
-                // One VMA holds the range, and it is the owner's own memory.
+                // One region of the owner's own memory holds the range.
                 let region = proc
                     .asp
                     .region_containing(first)
                     .filter(|r| first + pages * PAGE_SIZE <= r.end())
                     .ok_or(MemError::Fault(first))?;
-                let vma = proc
-                    .vmas
-                    .get(&region.start.0)
-                    .ok_or(MemError::Fault(first))?;
-                if !matches!(vma.backing, Backing::Anon) {
+                if !region.kind.is_own() {
                     return Err(KernelError::Unsupported(
                         "migrating an attachment (owner-side only)",
                     ));
                 }
-                Ok((&mut proc.asp, &mut proc.owned))
+                Ok(&mut proc.asp)
             },
             holes,
         )
@@ -608,6 +601,9 @@ mod tests {
             err,
             KernelError::Mem(MemError::OutOfFrames { .. })
         ));
+        // The frames the faults did get are mapped, so exit frees them.
+        f.exit(pid).unwrap();
+        assert_eq!(f.free_frame_count(), 4);
     }
 
     #[test]

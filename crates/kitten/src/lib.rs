@@ -65,15 +65,15 @@ mod layout {
     pub const ATTACH_ARENA_TOP: VirtAddr = VirtAddr(160 << 40);
 }
 
+/// A process; its page table is the one record of the frames it owns.
 struct Proc {
     asp: AddressSpace,
-    /// Contiguous physical base frame of the whole process image.
+    /// Bytes of the heap `alloc_buffer` has handed out: the next buffer
+    /// starts this far past `layout::HEAP`.
     heap_bump: u64,
     heap_len: u64,
     /// SMARTMAP rank (1-based slot index).
     rank: u32,
-    /// Frames owned by this process (freed on exit).
-    owned: PfnList,
 }
 
 /// The Kitten lightweight kernel for one enclave.
@@ -132,7 +132,7 @@ impl Kitten {
         let peer_rank = peer_proc.rank;
         let mut mappings = Vec::new();
         for region in peer_proc.asp.regions() {
-            if matches!(region.kind, RegionKind::SmartMap | RegionKind::XememAttach) {
+            if !region.kind.is_own() {
                 continue;
             }
             let (list, _) = peer_proc
@@ -191,8 +191,6 @@ impl MappingKernel for Kitten {
             leaves += pt.map_extent_large(start, frame, pages, PteFlags::rw_user())?;
             off += len;
         }
-        let mut owned = PfnList::new();
-        owned.push_run(base, frames);
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
         let rank = self.next_rank;
@@ -204,7 +202,6 @@ impl MappingKernel for Kitten {
                 heap_bump: 0,
                 heap_len,
                 rank,
-                owned,
             },
         );
         // Static mapping cost: one PTE install per leaf written.
@@ -218,7 +215,7 @@ impl MappingKernel for Kitten {
             .procs
             .remove(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        self.mem.release(&proc.owned)?;
+        self.mem.release(&proc.asp.own_frames())?;
         Ok(Costed::new((), SimDuration::from_micros(5)))
     }
 
@@ -281,7 +278,7 @@ impl MappingKernel for Kitten {
             .filter(|r| r.kind == RegionKind::XememAttach)
             .ok_or(MemError::NoSuchRegion(va))?;
         let (start, pages) = (region.start, region.len / PAGE_SIZE);
-        let freed = proc.asp.page_table_mut().unmap_pages(start, pages)?;
+        let (freed, _) = proc.asp.page_table_mut().unmap_resident(start, pages);
         proc.asp.remove_region(start)?;
         // PTE clears are cheaper than installs.
         Ok(Costed::new(freed, self.mem.cost.lwk_detach(pages)))
@@ -297,7 +294,7 @@ impl MappingKernel for Kitten {
             .procs
             .get_mut(&pid)
             .ok_or(KernelError::NoSuchProcess(pid))?;
-        Ok(self.mem.retain(&proc.asp, &mut proc.owned, va, len))
+        Ok(self.mem.retain(&mut proc.asp, va, len))
     }
 
     fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
@@ -326,14 +323,12 @@ impl MappingKernel for Kitten {
                 // Only the process's own image moves: an attachment or a
                 // SMARTMAP window maps another process's frames.
                 let region = proc.asp.region_containing(first);
-                if region.is_some_and(|r| {
-                    matches!(r.kind, RegionKind::XememAttach | RegionKind::SmartMap)
-                }) {
+                if region.is_some_and(|r| !r.kind.is_own()) {
                     return Err(KernelError::Unsupported(
                         "migrating an attachment (owner-side only)",
                     ));
                 }
-                Ok((&mut proc.asp, &mut proc.owned))
+                Ok(&mut proc.asp)
             },
             mapped,
         )
@@ -689,7 +684,7 @@ mod more_tests {
             let leaves = [heap, heap + (2 << 20)].map(|va| pt.translate(va));
             let (frames, _) = pt.walk_range(heap, 4 << 20).unwrap();
             let free = MemTier::ALL.map(|t| k.tier_free_frames(t));
-            (leaves, frames, pt.leaf_count(), proc.owned.clone(), free)
+            (leaves, frames, pt.leaf_count(), free)
         };
         let before = state(&k);
         assert_eq!(before.0[0].unwrap().2, PageSize::Size2M);

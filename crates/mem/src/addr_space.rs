@@ -4,13 +4,19 @@
 //! process creation; the FWK demand-pages), but both need the same
 //! *mechanism*: a set of non-overlapping virtual regions, a free-range
 //! finder for `mmap`-style allocation, and byte-level access that
-//! translates through the page table into shared physical memory. The
-//! routines over an address space and its owner's frames that both
-//! kernels run — migration, attachment remap, frame retention — are
-//! [`crate::kernel::KernelMemory`]'s.
+//! translates through the page table into shared physical memory.
+//!
+//! The page table is the only record of what a process owns: the frames
+//! its own memory maps ([`RegionKind::is_own`]), which its exit frees
+//! ([`AddressSpace::own_frames`]) and the crash quarantine unmaps and
+//! lends ([`AddressSpace::unmap_own`]). An XEMEM attachment or a
+//! SMARTMAP window maps frames another process owns. The routines over
+//! an address space that both kernels run — migration, attachment
+//! remap, frame retention — are [`crate::kernel::KernelMemory`]'s.
 
 use crate::error::MemError;
 use crate::page_table::PageTable;
+use crate::pfn_list::PfnList;
 use crate::phys::PhysAccess;
 use crate::types::{VirtAddr, PAGE_SIZE};
 use std::collections::BTreeMap;
@@ -33,6 +39,15 @@ pub enum RegionKind {
     SmartMap,
     /// A mapped XEMEM attachment.
     XememAttach,
+}
+
+impl RegionKind {
+    /// True for the process's own memory, whose frames it owns; false for
+    /// an XEMEM attachment or a SMARTMAP window, which map frames another
+    /// process owns.
+    pub fn is_own(self) -> bool {
+        !matches!(self, RegionKind::XememAttach | RegionKind::SmartMap)
+    }
 }
 
 /// A contiguous virtual region.
@@ -198,6 +213,32 @@ impl AddressSpace {
             .next_back()
             .map(|(_, r)| r)
             .filter(|r| r.contains(va))
+    }
+
+    /// The frames the process owns: those backing the resident pages of
+    /// its own memory, in address order — what its exit frees.
+    pub fn own_frames(&self) -> PfnList {
+        let mut frames = PfnList::new();
+        for r in self.regions.values().filter(|r| r.kind.is_own()) {
+            frames.extend(&self.page_table.walk_resident(r.start, r.len / PAGE_SIZE));
+        }
+        frames
+    }
+
+    /// Unmap the resident pages of the process's own memory in pages
+    /// `[first, first + pages)`, returning their frames in address order:
+    /// they leave the process, so its exit no longer frees them.
+    pub fn unmap_own(&mut self, first: VirtAddr, pages: u64) -> PfnList {
+        let end = first + pages * PAGE_SIZE;
+        let mut frames = PfnList::new();
+        for r in self.regions.range(..end.0).map(|(_, r)| r) {
+            if r.kind.is_own() && r.end() > first {
+                let from = r.start.max(first);
+                let n = (r.end().min(end).0 - from.0) / PAGE_SIZE;
+                frames.extend(&self.page_table.unmap_resident(from, n).0);
+            }
+        }
+        frames
     }
 
     /// Write bytes at `va` through the page table into physical memory,

@@ -21,12 +21,15 @@
 //! frame retention and return, the release at exit, and the tier
 //! queries. A kernel adds only its preconditions and cost constants.
 //!
+//! What a process owns is what its own memory maps
+//! ([`AddressSpace::own_frames`]): a migration re-points the table and
+//! the ownership with it, and retention unmaps what it lends.
+//!
 //! A migration costs the host a handful of searches, whatever the number
 //! of pages: one pass over the range's extents before anything is
 //! allocated ([`crate::PageTable::walk_remap`]), one allocation of new
 //! runs, one block move per run of materialized contents, one in-place
-//! remap, and a free and an owned-list update that need no sort when the
-//! replaced frames ascend.
+//! remap, and a free that needs no sort when the replaced frames ascend.
 
 use crate::addr_space::{AddressSpace, RegionKind};
 use crate::alloc::FrameAllocator;
@@ -168,13 +171,14 @@ pub trait MappingKernel: Send {
     /// Unmap a previously attached region, returning the frames it covered.
     fn detach(&mut self, pid: Pid, va: VirtAddr) -> Result<Costed<PfnList>, KernelError>;
 
-    /// Remove the frames backing `[va, va + len)` from `pid`'s *ownership*
-    /// without unmapping them, returning the list. Used by the teardown
-    /// protocol to quarantine frames that remote enclaves still map: after
-    /// retention, a later `exit` of the process will no longer free them,
-    /// and the caller becomes responsible for handing them back through
-    /// [`MappingKernel::return_frames`] once the last remote reference
-    /// drops.
+    /// Unmap the resident pages of `pid`'s own memory in `[va, va + len)`
+    /// and return their frames: the process no longer owns them. Used by
+    /// the teardown protocol to quarantine frames that remote enclaves
+    /// still map: after retention, a later `exit` of the process will no
+    /// longer free them, and the caller becomes responsible for handing
+    /// them back through [`MappingKernel::return_frames`] once the last
+    /// remote reference drops. The parts of the range in an attachment or
+    /// a SMARTMAP window map frames another process owns, and lend none.
     fn retain_frames(
         &mut self,
         pid: Pid,
@@ -231,7 +235,7 @@ pub trait MappingKernel: Send {
 /// The mechanism under every kernel's policy: its cost model, the physical
 /// view its page tables point into, and the frame allocator over its
 /// partition. The routines here work on that and on one process's
-/// address space and owned frames (the frames its `exit` frees).
+/// address space, whose own memory maps the frames the process owns.
 pub struct KernelMemory {
     /// Virtual-time constants.
     pub cost: CostModel,
@@ -243,7 +247,7 @@ pub struct KernelMemory {
 
 impl KernelMemory {
     /// Free `frames` back to the allocator and drop their contents — a
-    /// process's owned frames at `exit`, retained frames on return.
+    /// process's own frames at `exit`, retained frames on return.
     pub fn release(&mut self, frames: &PfnList) -> Result<(), KernelError> {
         self.alloc.free_list(frames)?;
         self.phys.discard(frames)?;
@@ -251,20 +255,12 @@ impl KernelMemory {
     }
 
     /// [`MappingKernel::retain_frames`] in a process with address space
-    /// `asp` and owned frames `owned`: the frames of the resident pages
-    /// (holes own none) leave `owned`. The work is run-wise; the charge
-    /// covers the per-page scan the real kernel does.
-    pub fn retain(
-        &self,
-        asp: &AddressSpace,
-        owned: &mut PfnList,
-        va: VirtAddr,
-        len: u64,
-    ) -> Costed<PfnList> {
+    /// `asp`: the resident pages of the range's own memory are unmapped
+    /// (holes own none) and their frames returned. The work is run-wise;
+    /// the charge covers the per-page scan the real kernel does.
+    pub fn retain(&self, asp: &mut AddressSpace, va: VirtAddr, len: u64) -> Costed<PfnList> {
         let (first, pages) = va.page_span(len);
-        let retained = asp.page_table().walk_resident(first, pages);
-        *owned = owned.subtract(&retained);
-        Costed::new(retained, self.cost.walk(pages))
+        Costed::new(asp.unmap_own(first, pages), self.cost.walk(pages))
     }
 
     /// [`MappingKernel::return_frames`].
@@ -276,11 +272,12 @@ impl KernelMemory {
     /// [`MappingKernel::migrate_region`]. `find(first, pages)` and
     /// `check` are the kernel's part: `find` looks the process up, checks
     /// its precondition on the page range and returns the process's
-    /// address space and owned frames; `check` refuses what the one pass
-    /// over the range ([`crate::PageTable::walk_remap`]) finds, if the
-    /// kernel's precondition says so. Only the resident pages move — a
-    /// hole owns no frame — onto new frames taken in address order, and
-    /// the table is re-pointed in place. Refusals come in order
+    /// address space; `check` refuses what the one pass over the range
+    /// ([`crate::PageTable::walk_remap`]) finds, if the kernel's
+    /// precondition says so. Only the resident pages move — a hole owns
+    /// no frame — onto new frames taken in address order, and the table
+    /// is re-pointed in place, which moves the ownership with it.
+    /// Refusals come in order
     /// (destination tier, relocation, `find`, `check`, a large leaf the
     /// range cuts, the allocator's `OutOfFrames`), all before any frame
     /// is allocated or moved.
@@ -293,7 +290,7 @@ impl KernelMemory {
         check: C,
     ) -> Result<Costed<MigrateOutcome>, KernelError>
     where
-        F: FnOnce(VirtAddr, u64) -> Result<(&'p mut AddressSpace, &'p mut PfnList), KernelError>,
+        F: FnOnce(VirtAddr, u64) -> Result<&'p mut AddressSpace, KernelError>,
         C: FnOnce(&RemapWalk) -> Result<(), KernelError>,
     {
         if !self.alloc.has_tier(dst) {
@@ -303,7 +300,7 @@ impl KernelMemory {
             return Err(KernelError::Unsupported("physical view cannot relocate"));
         }
         let (first, pages) = va.page_span(len);
-        let (asp, owned) = find(first, pages)?;
+        let asp = find(first, pages)?;
         let walk = asp.page_table().walk_remap(first, pages);
         check(&walk)?;
         (walk.whole)
@@ -314,9 +311,7 @@ impl KernelMemory {
         }
         let new = self.alloc.alloc_pages_in(dst, old.pages())?;
         self.phys.relocate_frames(&FrameMove::pair(&old, &new))?;
-        (asp.page_table_mut()).remap(first, pages, &new, Frames::Packed, |_, _| {})?;
-        *owned = owned.subtract(&old);
-        owned.extend(&new);
+        (asp.page_table_mut()).remap(first, pages, &new, Frames::Packed)?;
         self.alloc.free_list(&old)?;
         let extents = (old.run_count() + new.run_count()) as u64;
         let cost = self.cost.walk(pages) + self.cost.migrate_remap(extents, old.pages());
@@ -347,8 +342,7 @@ impl KernelMemory {
         if new.pages() != pages {
             return Err(KernelError::Unsupported("remap length mismatch"));
         }
-        let remapped =
-            (asp.page_table_mut()).remap(start, pages, new, Frames::AtOffset, |_, _| {})?;
+        let remapped = (asp.page_table_mut()).remap(start, pages, new, Frames::AtOffset)?;
         let cost = self.cost.migrate_remap(new.run_count() as u64, remapped);
         Ok((start, Costed::new(remapped, cost)))
     }

@@ -21,6 +21,9 @@
 //! forward cursor over their list and allocates nothing of its own;
 //! [`PageTable::walk_remap`] finds, in one pass before it, the frames it
 //! will replace, the first hole and whether it would refuse the range.
+//! [`PageTable::unmap_resident`] removes exactly the pages of its range:
+//! a large leaf the range cuts becomes 4 KiB leaves first, as a kernel
+//! splits a huge page it partly unmaps.
 //!
 //! Every observable — translations and leaf sizes, `walk_range` output
 //! and [`WalkStats`], freed-frame order, validate-then-commit, error
@@ -95,6 +98,16 @@ impl Extent {
         Extent {
             pages,
             pfn: self.pfn.offset(skip),
+            ..self
+        }
+    }
+
+    /// `pages` 4 KiB leaves on the frames from `pfn` on, with these flags.
+    fn small(self, pfn: Pfn, pages: u64) -> Extent {
+        Extent {
+            pages,
+            pfn,
+            size: PageSize::Size4K,
             ..self
         }
     }
@@ -475,48 +488,27 @@ impl PageTable {
         Ok((ext.pfn, ext.size))
     }
 
-    /// Unmap `pages` consecutive 4 KiB pages starting at `va`, returning
-    /// the freed frames in address order. Validate-then-commit: on error
-    /// (a hole, or a large-page leaf in the range) nothing has been
-    /// unmapped.
-    pub fn unmap_pages(&mut self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
-        let first = va.0 / PAGE_SIZE;
-        let end = first + pages;
-        let mut at = first;
-        for (page, ext) in self.overlapping(first, end) {
-            if page > at {
-                return Err(MemError::NotMapped(page_va(at)));
-            }
-            if ext.size != PageSize::Size4K {
-                return Err(MemError::MappingConflict(page_va(page)));
-            }
-            at = page + ext.pages;
-        }
-        if at < end {
-            return Err(MemError::NotMapped(page_va(at)));
-        }
-        let mut out = PfnList::new();
-        self.cut(first, end, |_, ext| out.push_run(ext.pfn, ext.pages));
-        self.leaf_count -= pages;
-        Ok(out)
-    }
-
     /// Unmap whatever is resident in `[va, va + pages * 4 KiB)`, skipping
-    /// holes — the teardown/reaper path. Returns the freed frames and the
-    /// number of *leaves* cleared (one per 4 KiB page, one per large-page
-    /// leaf — the count the per-page translate-then-unmap loop would
-    /// produce). A large-page leaf overlapping the range is removed whole
-    /// and all of its frames are reported.
+    /// holes — the detach, quarantine and reaper path. A large leaf the
+    /// range cuts is first split into 4 KiB leaves on the same frames, so
+    /// exactly the range's pages go. Returns their frames, in address
+    /// order, and the number of *leaves* cleared (one per 4 KiB page, one
+    /// per large leaf inside the range — the count the per-page
+    /// translate-then-unmap loop over the split table would produce).
     pub fn unmap_resident(&mut self, va: VirtAddr, pages: u64) -> (PfnList, u64) {
-        let mut out = PfnList::new();
-        let mut cleared = 0;
-        if pages > 0 {
-            let (first, last) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages - 1);
-            // Widen the range to the bounds of the leaves at its ends.
-            let lo = self.find_leaf(first).map_or(first, |(leaf, _)| leaf);
-            let hi = self
-                .find_leaf(last)
-                .map_or(last + 1, |(leaf, ext)| leaf + ext.pages);
+        let (lo, hi) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        let (mut out, mut cleared) = (PfnList::new(), 0);
+        if lo < hi {
+            for end in [lo, hi - 1] {
+                match self.find_leaf(end) {
+                    Some((leaf, ext)) if whole_leaf(end, &ext, lo, hi).is_err() => {
+                        self.cut(leaf, leaf + ext.pages, |_, _| {});
+                        self.insert(leaf, ext.small(ext.pfn, ext.pages));
+                        self.leaf_count += ext.pages - 1;
+                    }
+                    _ => {}
+                }
+            }
             self.cut(lo, hi, |_, ext| {
                 out.push_run(ext.pfn, ext.pages);
                 cleared += ext.pages / ext.size.frames();
@@ -531,10 +523,11 @@ impl PageTable {
     /// and attachment-remap path. Resident runs (one extent's part of the
     /// range each) take their frames in address order through one
     /// forward cursor over `new`, as `take` says, keep their flags and
-    /// become 4 KiB leaves; `replaced` sees each run's old frames, in
-    /// address order. Validate-then-commit: a large leaf reaching past
-    /// either end is refused as [`PageTable::walk_remap`] reports it, and
-    /// nothing changes. Returns the number of pages re-pointed.
+    /// become 4 KiB leaves. The frames they leave are those of
+    /// [`PageTable::walk_resident`] over the range. Validate-then-commit:
+    /// a large leaf reaching past either end is refused as
+    /// [`PageTable::walk_remap`] reports it, and nothing changes. Returns
+    /// the number of pages re-pointed.
     ///
     /// # Panics
     ///
@@ -545,7 +538,6 @@ impl PageTable {
         pages: u64,
         new: &PfnList,
         take: Frames,
-        mut replaced: impl FnMut(Pfn, u64),
     ) -> Result<u64, MemError> {
         let (lo, hi) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
         if lo < hi {
@@ -561,7 +553,6 @@ impl PageTable {
             let Some((page, ext)) = self.overlapping(at, hi).next() else {
                 break;
             };
-            replaced(ext.pfn, ext.pages);
             let end = page + ext.pages;
             self.cut(page, end, |_, _| {});
             if take == Frames::AtOffset {
@@ -572,13 +563,7 @@ impl PageTable {
             let mut p = page;
             while p < end {
                 let run = frames.next(end - p);
-                let leaves = Extent {
-                    pages: run.len,
-                    pfn: run.start,
-                    size: PageSize::Size4K,
-                    ..ext
-                };
-                self.insert(p, leaves);
+                self.insert(p, ext.small(run.start, run.len));
                 p += run.len;
             }
             self.leaf_count += ext.pages - ext.pages / ext.size.frames();
@@ -886,8 +871,8 @@ mod tests {
             let (pa, _, _) = pt.translate(VirtAddr(0x10000 + i as u64 * K4)).unwrap();
             assert_eq!(pa.pfn(), *pfn);
         }
-        let freed = pt.unmap_pages(VirtAddr(0x10000), 3).unwrap();
-        assert_eq!(freed, PfnList::from_pages(pfns));
+        let freed = pt.unmap_resident(VirtAddr(0x10000), 3);
+        assert_eq!(freed, (PfnList::from_pages(pfns), 3));
     }
 
     #[test]
@@ -913,9 +898,9 @@ mod tests {
         assert_eq!(list.run_count(), 1);
         assert_eq!(stats.pages, pages);
         assert_eq!(stats.leaves_visited, pages);
-        // Strict unmap returns the same frames and empties the table.
-        let freed = pt.unmap_pages(base, pages).unwrap();
-        assert_eq!(freed, list);
+        // Unmapping the range returns the same frames and empties the
+        // table.
+        assert_eq!(pt.unmap_resident(base, pages), (list, pages));
         assert_eq!(pt.leaf_count(), 0);
     }
 
@@ -940,19 +925,37 @@ mod tests {
     }
 
     #[test]
-    fn unmap_pages_is_atomic_on_error() {
+    fn unmap_resident_splits_a_cut_large_leaf() {
         let mut pt = PageTable::new();
-        pt.map_extent(VirtAddr(0), Pfn(50), 3, PteFlags::rw_user())
-            .unwrap();
-        // Page 3 is a hole: strict unmap of 5 pages fails...
+        let rw = PteFlags::rw_user();
+        for (i, pfn) in [(1, 512), (2, 4096), (3, 8192)] {
+            pt.map(VirtAddr(i * M2), Pfn(pfn), PageSize::Size2M, rw)
+                .unwrap();
+        }
+        // Pages 2 and 3 of the first leaf go; the rest of it stays mapped,
+        // on the same frames, as 4 KiB leaves.
+        let freed = pt.unmap_resident(VirtAddr(M2 + 2 * K4), 2);
+        assert_eq!(freed, (PfnList::from_pages([Pfn(514), Pfn(515)]), 2));
+        assert_eq!(pt.leaf_count(), 510 + 2);
+        assert!(pt.translate(VirtAddr(M2 + 3 * K4)).is_none());
         assert_eq!(
-            pt.unmap_pages(VirtAddr(0), 5),
-            Err(MemError::NotMapped(VirtAddr(3 * K4)))
+            pt.translate(VirtAddr(M2 + 4 * K4)),
+            Some((Pfn(516).base(), rw, PageSize::Size4K))
         );
-        // ...and nothing was unmapped.
-        assert_eq!(pt.leaf_count(), 3);
-        assert!(pt.translate(VirtAddr(0)).is_some());
-        assert!(pt.translate(VirtAddr(2 * K4)).is_some());
+        assert_eq!(pt.chunk_runs(VirtAddr(M2)).len(), 2);
+        // The first leaf's last page, the second leaf whole and eight
+        // pages of the third: one leaf cleared per page, and one for the
+        // whole leaf.
+        let freed = pt.unmap_resident(VirtAddr(2 * M2 - K4), 1 + 512 + 8);
+        let mut want = PfnList::from_pages([Pfn(1023)]);
+        want.push_run(Pfn(4096), 512);
+        want.push_run(Pfn(8192), 8);
+        assert_eq!(freed, (want, 1 + 1 + 8));
+        assert_eq!(pt.leaf_count(), 509 + 504);
+        assert_eq!(
+            pt.translate(VirtAddr(3 * M2 + 8 * K4)),
+            Some((Pfn(8200).base(), rw, PageSize::Size4K))
+        );
     }
 
     #[test]
@@ -1137,7 +1140,7 @@ mod tests {
             pt.translate_span(va + 5),
             Some((Pfn(1 << 20).base() + 5, PteFlags::rw_user(), G1 - 5))
         );
-        assert_eq!(pt.unmap_pages(va, pages), Ok(list));
+        assert_eq!(pt.unmap_resident(va, pages), (list, pages));
         assert!(pt.extents.is_empty());
         assert_eq!(pt.leaf_count(), 0);
     }
@@ -1145,7 +1148,7 @@ mod tests {
     #[test]
     fn adjacent_large_leaves_merge_and_split_per_leaf() {
         // Four physically contiguous 2 MiB leaves are one extent; each
-        // still unmaps, protects and walks as a leaf of its own.
+        // still unmaps, protects, walks and splits as a leaf of its own.
         let mut pt = PageTable::new();
         let rw = PteFlags::rw_user();
         for i in 0..4 {
@@ -1167,9 +1170,11 @@ mod tests {
         assert_eq!(pt.extents.len(), 2);
         assert_eq!(
             pt.unmap_resident(VirtAddr(M2 - K4), 2),
-            (PfnList::from_pages((0..1024).map(Pfn)), 2)
+            (PfnList::from_pages([Pfn(511), Pfn(512)]), 2)
         );
-        assert_eq!(pt.leaf_count(), 1);
+        assert_eq!(pt.leaf_count(), 1 + 2 * 511);
+        assert_eq!(pt.translate(VirtAddr(0)).unwrap().2, PageSize::Size4K);
+        assert_eq!(pt.translate(VirtAddr(3 * M2)).unwrap().2, PageSize::Size2M);
     }
 
     #[test]
@@ -1254,10 +1259,7 @@ mod tests {
         let hole = Some(va + K4);
         assert_eq!((walk.hole, walk.whole), (hole, Err(cut.clone())));
         let any = PfnList::from_pages((0..pages).map(Pfn));
-        assert_eq!(
-            pt.remap(va, pages - 1, &any, Frames::Packed, |_, _| {}),
-            Err(cut)
-        );
+        assert_eq!(pt.remap(va, pages - 1, &any, Frames::Packed), Err(cut));
         assert_eq!(pt.leaf_count(), 2);
         let walk = pt.walk_remap(va, pages);
         assert_eq!(
@@ -1271,11 +1273,7 @@ mod tests {
         new.push_run(Pfn(1000), 100);
         new.push_run(Pfn(1100), pages - 108);
         new.push_run(Pfn(3000), 8);
-        let mut replaced = PfnList::new();
-        let moved = pt.remap(va, pages, &new, Frames::AtOffset, |pfn, n| {
-            replaced.push_run(pfn, n)
-        });
-        assert_eq!((moved, replaced), (Ok(513), old));
+        assert_eq!(pt.remap(va, pages, &new, Frames::AtOffset), Ok(513));
         assert_eq!(
             pt.translate(va),
             Some((Pfn(1000).base(), ro, PageSize::Size4K))
@@ -1293,7 +1291,7 @@ mod tests {
         assert_eq!(pt.walk_resident(va, pages), want);
         // Packed frames: resident pages take the list's frames in turn.
         let packed = PfnList::from_pages((5000..5000 + 513).map(Pfn));
-        let moved = pt.remap(va, pages, &packed, Frames::Packed, |_, _| {});
+        let moved = pt.remap(va, pages, &packed, Frames::Packed);
         assert_eq!(moved, Ok(513));
         let mut want = PfnList::new();
         want.push_run(Pfn(5000), 1);

@@ -137,50 +137,6 @@ impl PfnList {
             .all(|w| w[0].start.0 + w[0].len <= w[1].start.0)
     }
 
-    /// Frames of `self` in order, minus every frame appearing anywhere in
-    /// `other` — set subtraction over run lists, O(runs) when `other`
-    /// ascends and O(runs·log runs) otherwise. Used by migration and the
-    /// frame-quarantine paths to drop frames from a process's owned list
-    /// without materializing per-page hash sets.
-    pub fn subtract(&self, other: &PfnList) -> PfnList {
-        if !other.is_ascending() {
-            let mut runs = other.runs.clone();
-            runs.sort_unstable_by_key(|r| r.start);
-            runs.dedup_by(|next, kept| {
-                let overlaps = next.start.0 <= kept.start.0 + kept.len;
-                if overlaps {
-                    kept.len = kept.len.max(next.start.0 + next.len - kept.start.0);
-                }
-                overlaps
-            });
-            let pages = runs.iter().map(|r| r.len).sum();
-            return self.subtract(&PfnList { runs, pages });
-        }
-        let gone = &other.runs;
-        let mut out = PfnList {
-            runs: Vec::with_capacity(self.runs.len() + gone.len()),
-            pages: 0,
-        };
-        for run in &self.runs {
-            let mut s = run.start.0;
-            let e = run.start.0 + run.len;
-            let mut i = gone.partition_point(|g| g.start.0 + g.len <= s);
-            while s < e {
-                if i >= gone.len() || gone[i].start.0 >= e {
-                    out.push_run(Pfn(s), e - s);
-                    break;
-                }
-                let (gs, ge) = (gone[i].start.0, gone[i].start.0 + gone[i].len);
-                if gs > s {
-                    out.push_run(Pfn(s), gs - s);
-                }
-                s = s.max(ge);
-                i += 1;
-            }
-        }
-        out
-    }
-
     /// Size of the flat wire representation (8 bytes per page) — what the
     /// paper's implementation ships between enclaves, used for transfer
     /// cost accounting.
@@ -273,20 +229,6 @@ mod tests {
         a.extend(&b);
         assert_eq!(a.run_count(), 2);
         assert_eq!(a.pages(), 4);
-    }
-
-    #[test]
-    fn subtract_removes_frames_preserving_order() {
-        let owned = PfnList::from_pages((0..10).map(Pfn).chain([Pfn(50), Pfn(51)]));
-        let mut retained = PfnList::new();
-        retained.push_run(Pfn(3), 4); // 3..7
-        retained.push_run(Pfn(51), 1);
-        let rest = owned.subtract(&retained);
-        let back: Vec<u64> = rest.iter_pages().map(|p| p.0).collect();
-        assert_eq!(back, vec![0, 1, 2, 7, 8, 9, 50]);
-        // Subtracting everything leaves nothing; subtracting nothing is id.
-        assert!(owned.subtract(&owned).is_empty());
-        assert_eq!(owned.subtract(&PfnList::new()), owned);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Batched-vs-per-page observational equivalence for the extent fast
 //! paths.
 //!
-//! The performance contract of `map_list` / `map_extent` / `unmap_pages`
-//! / `unmap_resident` / `walk_resident` is that they change *host*
+//! The performance contract of `map_list` / `map_extent` /
+//! `unmap_resident` / `walk_resident` is that they change *host*
 //! wall-clock complexity only: every observable of the page table
 //! (translations, leaf counts, walk output, freed-frame order, error
 //! values and error addresses) and every virtual-time charge must be
@@ -12,7 +12,7 @@
 //! runs crossing 2 MiB chunk boundaries and ranges butting against holes
 //! — and require the two to be indistinguishable. A last property drives
 //! long mixed histories (multi-run lists at unaligned, overlapping bases,
-//! resident and strict unmaps, protection changes) against a per-page
+//! resident unmaps long and short, protection changes) against a per-page
 //! `HashMap` model and requires every chunk to hold exactly the runs the
 //! model's mapping implies, however it was built.
 
@@ -122,10 +122,6 @@ enum PtStep {
         base: u64,
         pages: u64,
     },
-    UnmapPages {
-        base: u64,
-        pages: u64,
-    },
     Protect {
         page: u64,
         read_only: bool,
@@ -149,7 +145,7 @@ fn pt_step() -> impl Strategy<Value = PtStep> {
         )
             .prop_map(|(base, runs)| PtStep::MapList { base, runs }),
         (0u64..WINDOW, 1u64..600).prop_map(|(base, pages)| PtStep::UnmapResident { base, pages }),
-        (0u64..WINDOW, 1u64..40).prop_map(|(base, pages)| PtStep::UnmapPages { base, pages }),
+        (0u64..WINDOW, 1u64..40).prop_map(|(base, pages)| PtStep::UnmapResident { base, pages }),
         (page.clone(), any::<bool>())
             .prop_map(|(page, read_only)| PtStep::Protect { page, read_only }),
         page.prop_map(|page| PtStep::Unmap { page }),
@@ -274,18 +270,6 @@ fn apply_step(pt: &mut PageTable, model: &mut PageModel, step: PtStep) {
             }
             let cleared = freed.pages();
             assert_eq!(pt.unmap_resident(va_of(base), pages), (freed, cleared));
-        }
-        PtStep::UnmapPages { base, pages } => {
-            let got = pt.unmap_pages(va_of(base), pages);
-            match (base..base + pages).find(|p| !model.contains_key(p)) {
-                Some(p) => assert_eq!(got, Err(MemError::NotMapped(va_of(p)))),
-                None => {
-                    let freed: PfnList = (base..base + pages)
-                        .map(|p| Pfn(model.remove(&p).expect("checked").0))
-                        .collect();
-                    assert_eq!(got, Ok(freed));
-                }
-            }
         }
         PtStep::Protect { page, read_only } => {
             let flags = if read_only { PteFlags::ro_user() } else { rw };
@@ -420,12 +404,12 @@ proptest! {
         assert_same_translations(&fast, &slow, base.saturating_sub(1), base + list.pages());
     }
 
-    /// `unmap_pages` over a fully mapped subrange frees the same frames in
-    /// the same order as the per-page `unmap` loop and leaves an identical
-    /// table; over a range touching a hole it fails with the per-page
-    /// loop's first error and changes nothing (validate-then-commit).
+    /// `unmap_resident` over a fully mapped subrange frees the same frames
+    /// in the same order as the per-page `unmap` loop and leaves an
+    /// identical table; over a range running on past holes it skips them,
+    /// as the per-page translate-then-unmap loop does.
     #[test]
-    fn unmap_pages_matches_per_page_unmap(
+    fn unmap_resident_of_a_subrange_matches_per_page_unmap(
         (base, segs) in layout(),
         pick in 0u64..1 << 32,
         frac in 0u64..1 << 32,
@@ -450,29 +434,31 @@ proptest! {
             page += s.len;
         }
         let (start, n) = range;
-        let freed_fast = fast.unmap_pages(VirtAddr(start << 12), n).unwrap();
+        let freed_fast = fast.unmap_resident(VirtAddr(start << 12), n);
         let mut freed_slow = PfnList::new();
         for p in start..start + n {
             let (pfn, size) = slow.unmap(VirtAddr(p << 12)).unwrap();
             prop_assert_eq!(size, PageSize::Size4K);
             freed_slow.push_run(pfn, 1);
         }
-        prop_assert_eq!(&freed_fast, &freed_slow);
+        prop_assert_eq!(freed_fast, (freed_slow, n));
         prop_assert_eq!(fast.leaf_count(), slow.leaf_count());
         assert_same_translations(&fast, &slow, lo, hi);
 
-        // A window that starts in the (still mapped) remainder or at a
-        // hole and extends past the segment end must fail identically and
-        // atomically.
+        // Then a window from the same start to past the last mapped page:
+        // the pages just unmapped and the gaps are skipped, the later
+        // segments go.
         let window = (start, hi - start + 1);
-        let expect = (window.0..window.0 + window.1)
-            .find(|p| fast.translate(VirtAddr(p << 12)).is_none())
-            .map(|p| MemError::NotMapped(VirtAddr(p << 12)))
-            .expect("window extends past the last mapped page");
-        let before = fast.leaf_count();
-        let err = fast.unmap_pages(VirtAddr(window.0 << 12), window.1).unwrap_err();
-        prop_assert_eq!(err, expect);
-        prop_assert_eq!(fast.leaf_count(), before, "failed unmap must not commit");
+        let freed_fast = fast.unmap_resident(VirtAddr(window.0 << 12), window.1);
+        let mut freed_slow = PfnList::new();
+        for p in window.0..window.0 + window.1 {
+            if let Ok((pfn, _)) = slow.unmap(VirtAddr(p << 12)) {
+                freed_slow.push_run(pfn, 1);
+            }
+        }
+        let cleared = freed_slow.pages();
+        prop_assert_eq!(freed_fast, (freed_slow, cleared));
+        prop_assert_eq!(fast.leaf_count(), slow.leaf_count());
         assert_same_translations(&fast, &slow, lo, hi);
     }
 

@@ -12,8 +12,9 @@
 //! spans, strict and resident walks with their `WalkStats`, holes,
 //! `leaf_count`, and the `chunk_runs` of every 2 MiB chunk. Before each
 //! `remap`, the one-pass `walk_remap` must report what the model finds
-//! page by page, and `remap` must report replacing exactly the frames of
-//! the model's resident walk.
+//! page by page; after it, the whole window is compared again. An
+//! `unmap_resident` that cuts a large leaf splits it into 4 KiB leaves
+//! first, so exactly the range's pages go.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -167,26 +168,34 @@ impl Model {
         Ok((Pfn(leaf.pfn), leaf.size))
     }
 
-    fn unmap_pages(&mut self, va: VirtAddr, pages: u64) -> Result<PfnList, MemError> {
-        let first = va.0 / PAGE_SIZE;
-        for p in first..first + pages {
-            match self.page(p) {
-                None => return Err(MemError::NotMapped(va_of(p))),
-                Some((_, _, K4)) => {}
-                Some(_) => return Err(MemError::MappingConflict(va_of(p))),
+    /// A large leaf reaching past either end of the range first becomes
+    /// 4 KiB leaves on the same frames; then every leaf in the range goes.
+    fn unmap_resident(&mut self, va: VirtAddr, pages: u64) -> (PfnList, u64) {
+        let (first, end) = (va.0 / PAGE_SIZE, va.0 / PAGE_SIZE + pages);
+        let ends = if pages > 0 {
+            vec![first, end - 1]
+        } else {
+            vec![]
+        };
+        for p in ends {
+            let Some((start, leaf)) = self.leaf_of(p) else {
+                continue;
+            };
+            let frames = leaf.size.frames();
+            if start < first || start + frames > end {
+                for i in 0..frames {
+                    let small = Leaf {
+                        pfn: leaf.pfn + i,
+                        size: K4,
+                        ..leaf
+                    };
+                    self.leaves.insert(start + i, small);
+                }
             }
         }
-        Ok((first..first + pages)
-            .map(|p| Pfn(self.leaves.remove(&p).expect("validated").pfn))
-            .collect())
-    }
-
-    /// Every leaf touching the range goes whole.
-    fn unmap_resident(&mut self, va: VirtAddr, pages: u64) -> (PfnList, u64) {
-        let first = va.0 / PAGE_SIZE;
         let (mut freed, mut cleared) = (PfnList::new(), 0);
         let mut p = first;
-        while p < first + pages {
+        while p < end {
             match self.leaf_of(p) {
                 Some((start, leaf)) => {
                     self.leaves.remove(&start);
@@ -276,20 +285,17 @@ impl Model {
     /// leaf that breaks physical contiguity, flags or leaf size.
     fn translate_span(&self, va: VirtAddr) -> Option<(PhysAddr, PteFlags, u64)> {
         let (pa, flags, size) = self.translate(va)?;
-        let (mut start, mut leaf) = self.leaf_of(va.0 / PAGE_SIZE).expect("translated");
-        loop {
-            let end = start + leaf.size.frames();
-            match self.leaves.get(&end) {
-                Some(&next)
-                    if next.size == size
-                        && next.flags == flags
-                        && next.pfn == leaf.pfn + leaf.size.frames() =>
-                {
-                    (start, leaf) = (end, next);
-                }
-                _ => return Some((pa, flags, end * PAGE_SIZE - va.0)),
+        let (start, leaf) = self.leaf_of(va.0 / PAGE_SIZE).expect("translated");
+        let mut end = start + leaf.size.frames();
+        let mut pfn = leaf.pfn + leaf.size.frames();
+        for (&next_start, next) in self.leaves.range(end..) {
+            if next_start != end || next.size != size || next.flags != flags || next.pfn != pfn {
+                break;
             }
+            end += size.frames();
+            pfn += size.frames();
         }
+        Some((pa, flags, end * PAGE_SIZE - va.0))
     }
 
     /// `len.div_ceil(4 KiB)` pages from `va`'s page, one visit per leaf;
@@ -387,18 +393,15 @@ enum Step {
         skew: bool,
         read_only: bool,
     },
-    /// `aim` picks the page (see [`aimed`]) for this and the strict
-    /// steps below, so that they often hit a mapping.
+    /// `aim` picks the page (see [`aimed`]) for this and the steps
+    /// below, so that they often hit a mapping, and often cut a large
+    /// leaf.
     Unmap {
         aim: u64,
         off: u64,
     },
-    UnmapPages {
-        aim: u64,
-        pages: u64,
-    },
     UnmapResident {
-        page: u64,
+        aim: u64,
         pages: u64,
     },
     Protect {
@@ -513,7 +516,6 @@ fn remap() -> impl Strategy<Value = Step> {
 }
 
 fn step() -> impl Strategy<Value = Step> {
-    let page = LO..HI;
     prop_oneof![
         map_4k(),
         map_4k(),
@@ -525,8 +527,8 @@ fn step() -> impl Strategy<Value = Step> {
         map_large_extent(),
         map_large_extent(),
         (0u64..1 << 40, 0u64..PAGE_SIZE).prop_map(|(aim, off)| Step::Unmap { aim, off }),
-        (0u64..1 << 40, 0u64..48).prop_map(|(aim, pages)| Step::UnmapPages { aim, pages }),
-        (page.clone(), 0u64..1200).prop_map(|(page, pages)| Step::UnmapResident { page, pages }),
+        (0u64..1 << 40, 0u64..48).prop_map(|(aim, pages)| Step::UnmapResident { aim, pages }),
+        (0u64..1 << 40, 0u64..1200).prop_map(|(aim, pages)| Step::UnmapResident { aim, pages }),
         (0u64..1 << 40, any::<bool>())
             .prop_map(|(aim, read_only)| Step::Protect { aim, read_only }),
         remap(),
@@ -588,12 +590,8 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
             let va = va_of(aimed(model, aim)) + off;
             assert_eq!(pt.unmap(va), model.unmap(va));
         }
-        Step::UnmapPages { aim, pages } => {
+        Step::UnmapResident { aim, pages } => {
             let va = va_of(aimed(model, aim));
-            assert_eq!(pt.unmap_pages(va, pages), model.unmap_pages(va, pages));
-        }
-        Step::UnmapResident { page, pages } => {
-            let va = va_of(page);
             assert_eq!(
                 pt.unmap_resident(va, pages),
                 model.unmap_resident(va, pages)
@@ -630,16 +628,11 @@ fn apply(pt: &mut PageTable, model: &mut Model, step: &Step) {
                 false => (Frames::AtOffset, pages),
             };
             let list: PfnList = (0..listed).map(|i| Pfn(pick(i))).collect();
-            let mut replaced = PfnList::new();
-            let got = pt.remap(va, pages, &list, take, |pfn, n| replaced.push_run(pfn, n));
             let new = |off: u64, k: u64| pick(if packed { k } else { off });
-            assert_eq!(got, model.remap(va, pages, new));
-            let expect = if got.is_ok() {
-                walk.resident
-            } else {
-                PfnList::new()
-            };
-            assert_eq!(replaced, expect, "frames remap replaced");
+            assert_eq!(
+                pt.remap(va, pages, &list, take),
+                model.remap(va, pages, new)
+            );
         }
         Step::Walk { aim, off, len } => {
             let va = va_of(aimed(model, aim)) + off;

@@ -284,6 +284,89 @@ fn exporter_graceful_exit_drives_revocation() {
     ));
 }
 
+/// An exporter with two exports over one buffer, each attached from the
+/// other enclave, crashes. Quarantine lends each frame once, to the
+/// first export that reaches it, so every loan returns whole and the
+/// exporter's enclave gets every frame back: with the same window twice,
+/// and with two windows that overlap by half, from either kernel.
+#[test]
+fn exporter_crash_with_overlapping_exports_returns_every_frame() {
+    for kitten_exports in [true, false] {
+        for second in [0, MIB / 2] {
+            let case = format!("kitten exports: {kitten_exports}, second window at +{second:#x}");
+            let mut sys = sys2();
+            let kitten = sys.enclave_by_name("kitten").unwrap();
+            let linux = sys.enclave_by_name("linux").unwrap();
+            let (home, away) = match kitten_exports {
+                true => (kitten, linux),
+                false => (linux, kitten),
+            };
+            let baseline = sys.free_frames_of(home).unwrap();
+            let exporter = sys.spawn_process(home, 16 * MIB).unwrap();
+            let attacher = sys.spawn_process(away, 16 * MIB).unwrap();
+            let buf = sys.alloc_buffer(exporter, 2 * MIB).unwrap();
+            sys.write(exporter, buf, &vec![7u8; (2 * MIB) as usize])
+                .unwrap();
+            for off in [0, second] {
+                let segid = sys.xpmem_make(exporter, buf + off, MIB, None).unwrap();
+                let apid = sys.xpmem_get(attacher, segid).unwrap();
+                sys.xpmem_attach(attacher, apid, 0, MIB).unwrap();
+            }
+
+            sys.crash_process(exporter).unwrap();
+
+            let tracer = sys.tracer();
+            let lent = (MIB + second) / 4096;
+            assert_eq!(tracer.counter(Counter::FramesQuarantined), lent, "{case}");
+            assert_eq!(tracer.counter(Counter::FramesReturned), lent, "{case}");
+            assert_eq!(sys.outstanding_loans(), 0, "{case}");
+            assert_eq!(sys.free_frames_of(home), Some(baseline), "{case}");
+        }
+    }
+}
+
+/// A Kitten process that re-exported its attachment of another Kitten
+/// process's buffer crashes while a Linux process maps the re-export.
+/// The attachment window is not the crashed process's own memory, so the
+/// quarantine lends none of it: the original exporter keeps its bytes,
+/// exits cleanly, and the enclave gets every frame back.
+#[test]
+fn crash_of_a_reexporter_leaves_the_original_exporter_its_frames() {
+    let mut sys = sys2();
+    let kitten = sys.enclave_by_name("kitten").unwrap();
+    let linux = sys.enclave_by_name("linux").unwrap();
+    let baseline = sys.free_frames_of(kitten).unwrap();
+    let a = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let b = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let c = sys.spawn_process(linux, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(a, MIB).unwrap();
+    sys.write(a, buf, b"the exporter's own bytes").unwrap();
+    let segid = sys.xpmem_make(a, buf, MIB, None).unwrap();
+    let apid = sys.xpmem_get(b, segid).unwrap();
+    let window = sys.xpmem_attach(b, apid, 0, MIB).unwrap();
+    let again = sys.xpmem_make(b, window, MIB, None).unwrap();
+    let apid = sys.xpmem_get(c, again).unwrap();
+    let va = sys.xpmem_attach(c, apid, 0, MIB).unwrap();
+    let before = sys.free_frames_of(kitten).unwrap();
+
+    sys.crash_process(b).unwrap();
+
+    // Only B's own image came back; A's frames were never lent.
+    let image = (2 + 2 + 16 + 8) * MIB / 4096;
+    assert_eq!(sys.free_frames_of(kitten), Some(before + image));
+    assert_eq!(sys.tracer().counter(Counter::FramesQuarantined), 0);
+    let mut got = [0u8; 24];
+    assert!(matches!(
+        sys.read(c, va, &mut got),
+        Err(XememError::SourceGone)
+    ));
+    sys.read(a, buf, &mut got).unwrap();
+    assert_eq!(&got, b"the exporter's own bytes");
+    sys.exit_process(a).unwrap();
+    assert_eq!(sys.outstanding_loans(), 0);
+    assert_eq!(sys.free_frames_of(kitten), Some(baseline));
+}
+
 #[test]
 fn release_and_attacher_exit_drop_exporter_side_grants() {
     let mut sys = sys2();

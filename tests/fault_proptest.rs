@@ -6,7 +6,9 @@
 //! process kills, name-server outages, lossy-link windows), drives a
 //! fixed make/get/attach/read/remove/detach workload through it while
 //! virtual time marches across the fault horizon, then gracefully exits
-//! every process that is still reachable. Every read through a fresh
+//! every process that is still reachable. Each buffer is exported twice,
+//! whole and its second half under a second name, so a killed exporter
+//! leaves overlapping exports to quarantine. Every read through a fresh
 //! attachment must see the bytes its exporter wrote. Afterwards every
 //! surviving enclave's allocator must hold exactly its pre-workload
 //! frame count: fewer means a leak, more means a double-free.
@@ -150,16 +152,43 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
                 if attempt!(sys.write(exporter, buf, b"payload")).is_some() {
                     written.push(name.clone());
                 }
+                // The second half first, under a second name, then the
+                // whole: a crash quarantines the half's frames first, and
+                // then the whole export's, which hold them too.
+                let (half, at) = (format!("{name}:half"), buf + MIB / 2);
+                if attempt!(sys.write(exporter, at, b"payload")).is_some() {
+                    written.push(half.clone());
+                }
+                if let Some(segid) = attempt!(sys.xpmem_make(exporter, at, MIB / 2, Some(&half))) {
+                    exported.push((exporter, segid, half));
+                }
                 if let Some(segid) = attempt!(sys.xpmem_make(exporter, buf, MIB, Some(&name))) {
                     exported.push((exporter, segid, name));
                 }
             }
         }
-        // ...and each enclave's second process attaches to a neighbor's.
+        // ...and each enclave's second process attaches to a neighbor's,
+        // its second half first.
         for (e, ps) in procs.clone().into_iter().enumerate() {
             let Some(&consumer) = ps.get(1) else { continue };
             let target = (e + 1) % encs.len();
             let name = format!("seg:{target}:{round}");
+            let half = format!("{name}:half");
+            if let Some(segid) = attempt!(sys.xpmem_search(consumer, &half)) {
+                if let Some(apid) = attempt!(sys.xpmem_get(consumer, segid)) {
+                    if let Some(va) = attempt!(sys.xpmem_attach(consumer, apid, 0, MIB / 2)) {
+                        let mut b = [0u8; 7];
+                        let read = attempt!(sys.read(consumer, va, &mut b));
+                        if read.is_some() && written.contains(&half) {
+                            assert_eq!(
+                                &b, b"payload",
+                                "an attachment to {half:?} read bytes its exporter never wrote (seed {seed})"
+                            );
+                        }
+                        attached.push((consumer, va));
+                    }
+                }
+            }
             let Some(segid) = attempt!(sys.xpmem_search(consumer, &name)) else {
                 continue;
             };
