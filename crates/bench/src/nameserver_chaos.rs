@@ -14,7 +14,8 @@
 //! asserts, in-run:
 //!
 //! * **zero leaked frames** — every surviving enclave ends at its
-//!   pre-workload free-frame count, and no frame loan stays open;
+//!   pre-workload free-frame count, and its allocator took back every
+//!   crash quarantine;
 //! * **zero post-revocation stale reads** — once a named segment's
 //!   removal completes at virtual time T, no lookup at or after T may
 //!   return that segid (leases are revoked eagerly and epoch-fenced
@@ -572,7 +573,7 @@ pub fn run_unit(
     }
 
     // Graceful teardown, then the leak audit: every surviving enclave
-    // must be back at its baseline and every crash loan drained.
+    // must be back at its baseline, and no crash quarantine refused.
     for p in exporters.iter().chain(consumers.iter()) {
         attempt!(sys.exit_process(*p));
     }
@@ -589,7 +590,7 @@ pub fn run_unit(
     assert_eq!(
         sys.outstanding_loans(),
         0,
-        "unit {unit}: unsettled frame loans"
+        "unit {unit}: refused quarantine returns"
     );
     assert_eq!(stale_reads, 0, "unit {unit}: post-revocation stale reads");
 

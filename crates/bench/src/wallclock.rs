@@ -313,7 +313,7 @@ pub fn measure_teardown(size: u64, iters: u32) -> Result<BenchStats, XememError>
         let t0 = Instant::now();
         sys.crash_process(exporter)?;
         samples.push(t0.elapsed().as_nanos() as u64);
-        assert_eq!(sys.outstanding_loans(), 0, "teardown left loans");
+        assert_eq!(sys.outstanding_loans(), 0, "quarantine return refused");
     }
     Ok(BenchStats::from_samples(&samples))
 }

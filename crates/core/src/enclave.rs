@@ -118,18 +118,15 @@ pub struct ApidRecord {
 /// Lifecycle of an attachment (teardown protocol).
 ///
 /// ```text
-///   Live ──(Revoke received)──▶ Revoking ──(reaper unmapped)──▶ Reaped
+///   Live ──(Revoke received, reaper unmapped)──▶ Reaped
 /// ```
 ///
-/// `Revoking` is transient within one synchronous revocation round. Data
-/// access through a `Reaped` attachment fails with
+/// Data access through a `Reaped` attachment fails with
 /// [`crate::XememError::SourceGone`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttachState {
     /// Mapped and backed by the exporter's frames.
     Live,
-    /// A revocation notice arrived; the reaper has not yet unmapped.
-    Revoking,
     /// Unmapped by the reaper; the source is gone.
     Reaped,
 }
@@ -148,7 +145,7 @@ pub struct AttachRecord {
     pub offset: u64,
     /// Attached length in bytes.
     pub len: u64,
-    /// Where in the live → revoking → reaped lifecycle this attachment is.
+    /// Where in the live → reaped lifecycle this attachment is.
     pub state: AttachState,
 }
 

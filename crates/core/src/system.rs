@@ -50,18 +50,6 @@ use xemem_trace::{Counter, Ctx, EdgeKind, Hist, ShardCounter, SpanKind, Timeline
 /// (keeps pathological probability-1.0 loss windows from livelocking).
 const MAX_RETRANSMITS: u32 = 64;
 
-/// Frames quarantined out of a dead exporter's ownership, held until the
-/// last remote attachment reap drops the refcount — only then do they
-/// return to the owner enclave's allocator (or retire with its
-/// partition, when the whole enclave is gone).
-#[derive(Debug)]
-struct Loan {
-    owner_slot: usize,
-    segid: Segid,
-    frames: PfnList,
-    refs: usize,
-}
-
 /// Timing breakdown of one attachment, for experiment drivers.
 #[derive(Debug, Clone, Copy)]
 pub struct AttachOutcome {
@@ -126,8 +114,9 @@ pub struct System {
     zones: Vec<u32>,
     /// Deterministic fault injector (None when no plan is armed).
     injector: Option<FaultInjector>,
-    /// Frames on loan from dead exporters (see [`Loan`]).
-    loans: Vec<Loan>,
+    /// Crash quarantines whose frames the owner's allocator refused
+    /// back ([`Self::outstanding_loans`]).
+    refused_returns: usize,
     /// Crashes not yet drained by [`System::drain_crash_notices`].
     crash_notices: Vec<CrashNotice>,
     /// Hot/cold migration policy (disabled by default: counters tick,
@@ -230,10 +219,12 @@ impl System {
         })
     }
 
-    /// Number of unresolved frame loans (teardown still draining
-    /// refcounts). Zero once every revocation has settled.
+    /// Number of crash quarantines whose frames the owner's allocator
+    /// refused back when their revocation round ended. Zero unless a
+    /// quarantine lent a frame twice or one the owner still maps, which
+    /// debug builds also assert.
     pub fn outstanding_loans(&self) -> usize {
-        self.loans.len()
+        self.refused_returns
     }
 
     /// Crashes (process kills, enclave crashes, destroys) recorded since
@@ -468,17 +459,20 @@ impl System {
     ) -> Result<SimTime, XememError> {
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
+        let t = self.tear_down(slot_idx, Some(p.pid), at);
+        let end = self.kernel_exit(p, t)?;
+        // Only a kill that found its process is a crash to subscribers.
         self.crash_notices.push(CrashNotice {
             slot: slot_idx,
             pid: Some(p.pid.0),
             at,
         });
-        let t = self.tear_down(slot_idx, Some(p.pid), at);
-        self.kernel_exit(p, t)
+        Ok(end)
     }
 
-    /// The kernel reclaims whatever the process still owns (quarantined
-    /// frames excluded — they are on loan). Returns the completion time.
+    /// The kernel reclaims whatever the process still owns (a crash's
+    /// quarantined frames excluded: they went home when their revocation
+    /// round ended). Returns the completion time.
     fn kernel_exit(&mut self, p: ProcessRef, at: SimTime) -> Result<SimTime, XememError> {
         let exited = self.slots[p.enclave.0].kind.kernel_mut().exit(p.pid)?;
         let ctx = Ctx::proc(p.enclave.0, p.pid.0);
@@ -550,8 +544,7 @@ impl System {
             );
         }
         // Its partition is retired wholesale, so there is nothing to
-        // quarantine: remote reapers unmap and the refcounts drain to
-        // nothing.
+        // quarantine: remote reapers only unmap.
         self.tear_down(slot_idx, None, t)
     }
 
@@ -561,8 +554,7 @@ impl System {
     ///    ([`Self::withdraw_export`]; with `Some(pid)` the still-mapped
     ///    frames are quarantined first, while a dead enclave's
     ///    partition is retired whole);
-    /// 2. drop the sites of attachments it held against other exporters,
-    ///    with their loan refcounts;
+    /// 2. drop the sites of attachments it held against other exporters;
     /// 3. retire its permits.
     ///
     /// The first two steps run in sorted order, so teardown (and thus the
@@ -607,11 +599,11 @@ impl System {
     /// its attachment sites and tier state — then run the revocation
     /// protocol over those sites ([`Self::revoke_segment`]). `crashed`
     /// names the exporting process when it died: frames remote enclaves
-    /// still map are then quarantined out of it and lent to the
-    /// attachers until the last reap. Quarantine stays between the lease
-    /// revocation and the segment's: moving it would shift when the
-    /// revocation notices contend for the IPI calendar. Returns the
-    /// completion time.
+    /// still map are then quarantined out of it, so its exit cannot free
+    /// them, and go back to its enclave's allocator once the round has
+    /// reaped every site. Quarantine stays between the lease revocation
+    /// and the segment's: moving it would shift when the revocation
+    /// notices contend for the IPI calendar. Returns the completion time.
     fn withdraw_export(
         &mut self,
         slot_idx: usize,
@@ -623,7 +615,7 @@ impl System {
         let Some(seg) = self.slots[slot_idx].segs.remove(&segid) else {
             return t;
         };
-        let mut loan = None;
+        let mut quarantined = None;
         if let (Some(pid), false) = (crashed, seg.sites.is_empty()) {
             let kernel = self.slots[slot_idx].kind.kernel_mut();
             if let Ok(c) = kernel.retain_frames(pid, seg.va, seg.len) {
@@ -631,38 +623,41 @@ impl System {
                 t = self.tracer.charge(SpanKind::Quarantine, t, c.cost, ctx);
                 self.tracer
                     .count(Counter::FramesQuarantined, c.value.pages());
-                loan = Some(c.value);
+                quarantined = Some(c.value);
             }
         }
-        self.revoke_segment(slot_idx, segid, seg.sites, loan, t)
+        let t = self.revoke_segment(slot_idx, segid, seg.sites, t);
+        if let Some(frames) = quarantined {
+            // Every site is reaped, so nothing maps these frames any more.
+            // The owner lent them and nothing else holds them: a refusal
+            // means the quarantine lent a frame twice or one the owner
+            // still maps. The owner's allocator takes them back off the
+            // revocation's critical path, so the return charges nothing.
+            let kernel = self.slots[slot_idx].kind.kernel_mut();
+            let returned = kernel.return_frames(&frames);
+            debug_assert!(
+                returned.is_ok(),
+                "quarantine of {segid} refused: {returned:?}"
+            );
+            match returned {
+                Ok(()) => self.tracer.count(Counter::FramesReturned, frames.pages()),
+                Err(_) => self.refused_returns += 1,
+            }
+        }
+        t
     }
 
     /// Owner-side revocation of one segment: notify every attaching
     /// enclave in `sites` (charged Revoke/RevokeAck hops through the
-    /// routing fabric), run their reapers, and drain the loan refcounts.
-    /// `loan_frames` carries quarantined frames when the exporter died;
-    /// `None` when the exporter lives on (`xpmem_remove`) and keeps its
-    /// own frames.
+    /// routing fabric) and run their reapers, one site at a time, so
+    /// every site is unmapped when this returns.
     fn revoke_segment(
         &mut self,
         owner_slot: usize,
         segid: Segid,
         sites: Vec<AttachSite>,
-        loan_frames: Option<PfnList>,
         mut at: SimTime,
     ) -> SimTime {
-        if let Some(frames) = loan_frames {
-            self.loans.push(Loan {
-                owner_slot,
-                segid,
-                frames,
-                refs: sites.len(),
-            });
-        }
-        if sites.is_empty() {
-            self.settle_loan(owner_slot, segid);
-            return at;
-        }
         // A dead owner cannot send; the segment's shard leader (which
         // observed the death when the registration was withdrawn)
         // notifies instead.
@@ -696,7 +691,6 @@ impl System {
                 }
             }
             at = t;
-            self.drop_loan_ref(owner_slot, segid);
         }
         at
     }
@@ -708,14 +702,11 @@ impl System {
         let reap_ns = self.cost.reap_unmap_ns;
         let slot = &mut self.slots[site.slot];
         if let Some(rec) = slot.attachments.get_mut(&(site.pid, site.va)) {
-            rec.state = AttachState::Revoking;
+            rec.state = AttachState::Reaped;
         }
         if !slot.alive {
             // The attacher died first; its partition is already retired,
             // so there is nothing left to unmap.
-            if let Some(rec) = slot.attachments.get_mut(&(site.pid, site.va)) {
-                rec.state = AttachState::Reaped;
-            }
             return at;
         }
         let unmap = match &mut slot.kind {
@@ -725,9 +716,6 @@ impl System {
                 .map(|c| c.cost),
         }
         .unwrap_or(SimDuration::ZERO); // process already gone: nothing mapped
-        if let Some(rec) = slot.attachments.get_mut(&(site.pid, site.va)) {
-            rec.state = AttachState::Reaped;
-        }
         let reap = unmap + SimDuration::from_nanos(reap_ns);
         let ctx = Ctx::proc(site.slot, site.pid.0);
         let end = self.tracer.charge(SpanKind::ReapUnmap, at, reap, ctx);
@@ -735,63 +723,13 @@ impl System {
         end
     }
 
-    /// Drop one reference to the loan on `(owner_slot, segid)`, if there
-    /// is one, and settle it once the last reference is gone.
-    fn drop_loan_ref(&mut self, owner_slot: usize, segid: Segid) {
-        if let Some(loan) = self
-            .loans
-            .iter_mut()
-            .find(|l| l.owner_slot == owner_slot && l.segid == segid)
-        {
-            loan.refs = loan.refs.saturating_sub(1);
-        }
-        self.settle_loan(owner_slot, segid);
-    }
-
-    /// Resolve a loan whose refcount drained: hand the quarantined frames
-    /// back to the owner's allocator, or retire them with the owner's
-    /// partition when the owner enclave itself is gone.
-    fn settle_loan(&mut self, owner_slot: usize, segid: Segid) {
-        let Some(pos) = self
-            .loans
-            .iter()
-            .position(|l| l.owner_slot == owner_slot && l.segid == segid && l.refs == 0)
-        else {
-            return;
-        };
-        let loan = self.loans.swap_remove(pos);
-        if self.slots[owner_slot].alive {
-            let returned = self.slots[owner_slot]
-                .kind
-                .kernel_mut()
-                .return_frames(&loan.frames);
-            // The owner lent these frames and nothing else holds them: a
-            // refusal means the quarantine lent a frame twice or one the
-            // owner still maps.
-            debug_assert!(returned.is_ok(), "loan of {segid} refused: {returned:?}");
-            if returned.is_ok() {
-                // return_frames' cost is deliberately not charged (the
-                // owner's allocator absorbs it asynchronously), so this
-                // records a counter only — adding a time leaf here would
-                // break bit-identical virtual time with tracing off.
-                self.tracer
-                    .count(Counter::FramesReturned, loan.frames.pages());
-            }
-        } else {
-            self.tracer
-                .count(Counter::FramesRetired, loan.frames.pages());
-        }
-    }
-
-    /// Remove one attachment site from its export's record and drop its
-    /// loan refcount (attacher-side teardown: detach, exit, crash).
+    /// Remove one attachment site from its export's record
+    /// (attacher-side teardown: detach, exit, crash).
     fn drop_site(&mut self, slot_idx: usize, pid: Pid, va: u64, rec: AttachRecord) {
-        if let Some(&owner_slot) = self.id_to_slot.get(&rec.owner) {
-            if let Some(seg) = self.slots[owner_slot].segs.get_mut(&rec.segid) {
-                seg.sites
-                    .retain(|s| (s.slot, s.pid, s.va) != (slot_idx, pid, va));
-            }
-            self.drop_loan_ref(owner_slot, rec.segid);
+        let owner = self.id_to_slot.get(&rec.owner).copied();
+        if let Some(seg) = owner.and_then(|o| self.slots[o].segs.get_mut(&rec.segid)) {
+            seg.sites
+                .retain(|s| (s.slot, s.pid, s.va) != (slot_idx, pid, va));
         }
         self.slots[slot_idx].attachments.remove(&(pid, va));
         self.slots[slot_idx].detached.insert((pid, va));
@@ -818,17 +756,16 @@ impl System {
         })
     }
 
-    /// Destroy a process gracefully: detach its live attachments
-    /// (dropping any loan refcounts they held), release its permits,
-    /// withdraw its exported segments — [`Self::remove_at`] drives the
-    /// revocation protocol, so remote attachments are reaped and
-    /// subsequent access through them fails with `SourceGone` — and free
-    /// its memory.
+    /// Destroy a process gracefully: detach its live attachments, release
+    /// its permits, withdraw its exported segments — [`Self::remove_at`]
+    /// drives the revocation protocol, so remote attachments are reaped
+    /// and subsequent access through them fails with `SourceGone` — and
+    /// free its memory.
     pub fn exit_process(&mut self, p: ProcessRef) -> Result<(), XememError> {
         self.process_faults(self.clock.now());
         let slot_idx = p.enclave.0;
         live_slot(self.slots.get_mut(slot_idx), p.enclave)?;
-        // Tear down attachments (local unmap; drops loan refcounts).
+        // Tear down attachments (local unmap).
         // Sorted for deterministic teardown order (map iteration is not).
         let mut attached: Vec<u64> = self.slots[slot_idx]
             .attachments
@@ -1973,8 +1910,7 @@ impl System {
     }
 
     /// Unmap an attachment (`xpmem_detach`). Purely local (paper §4.2),
-    /// except for dropping the exporter-side loan refcount when the
-    /// segment's frames are on loan from a dead exporter. A second
+    /// apart from dropping the site from the export's record. A second
     /// detach of the same base fails cleanly with `AlreadyDetached`;
     /// detaching an attachment the reaper already unmapped is free
     /// bookkeeping.
@@ -2977,7 +2913,7 @@ impl SystemBuilder {
             last_vm_breakdown: None,
             zones,
             injector,
-            loans: Vec::new(),
+            refused_returns: 0,
             crash_notices: Vec::new(),
             tier_policy: self.tier_policy,
             tracer,

@@ -297,8 +297,8 @@ impl MappingKernel for Kitten {
         Ok(self.mem.retain(&mut proc.asp, va, len))
     }
 
-    fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
-        self.mem.return_frames(frames)
+    fn return_frames(&mut self, frames: &PfnList) -> Result<(), KernelError> {
+        self.mem.release(frames)
     }
 
     fn migrate_region(

@@ -176,9 +176,9 @@ pub trait MappingKernel: Send {
     /// the teardown protocol to quarantine frames that remote enclaves
     /// still map: after retention, a later `exit` of the process will no
     /// longer free them, and the caller becomes responsible for handing
-    /// them back through [`MappingKernel::return_frames`] once the last
-    /// remote reference drops. The parts of the range in an attachment or
-    /// a SMARTMAP window map frames another process owns, and lend none.
+    /// them back through [`MappingKernel::return_frames`] once no remote
+    /// enclave maps them. The parts of the range in an attachment or a
+    /// SMARTMAP window map frames another process owns, and lend none.
     fn retain_frames(
         &mut self,
         pid: Pid,
@@ -188,7 +188,7 @@ pub trait MappingKernel: Send {
 
     /// Hand frames previously taken out of process ownership by
     /// [`MappingKernel::retain_frames`] back to this kernel's allocator.
-    fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError>;
+    fn return_frames(&mut self, frames: &PfnList) -> Result<(), KernelError>;
 
     /// Move the resident pages of `[va, va + len)` onto frames from
     /// `dst_tier`, remapping the process's own page tables in place. The
@@ -261,12 +261,6 @@ impl KernelMemory {
     pub fn retain(&self, asp: &mut AddressSpace, va: VirtAddr, len: u64) -> Costed<PfnList> {
         let (first, pages) = va.page_span(len);
         Costed::new(asp.unmap_own(first, pages), self.cost.walk(pages))
-    }
-
-    /// [`MappingKernel::return_frames`].
-    pub fn return_frames(&mut self, frames: &PfnList) -> Result<Costed<()>, KernelError> {
-        self.release(frames)?;
-        Ok(Costed::new((), self.cost.frame_return(frames.pages())))
     }
 
     /// [`MappingKernel::migrate_region`]. `find(first, pages)` and

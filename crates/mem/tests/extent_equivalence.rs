@@ -532,10 +532,6 @@ proptest! {
             m.pin_and_walk(pages),
             sum(SimDuration::from_nanos(m.fwk_pin_page_ns + m.walk_pte_ns), pages)
         );
-        prop_assert_eq!(
-            m.frame_return(pages),
-            sum(SimDuration::from_nanos(m.frame_alloc_ns), pages)
-        );
         let per_frame = SimDuration::from_nanos(
             m.vmm_translate_floor_ns + m.rb_level_ns * visits as u64,
         );

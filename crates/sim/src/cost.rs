@@ -473,11 +473,6 @@ impl CostModel {
         SimDuration::from_nanos(self.fwk_pin_page_ns + self.walk_pte_ns).times(pages)
     }
 
-    /// Returning quarantined frames to an allocator, per frame.
-    pub fn frame_return(&self, pages: u64) -> SimDuration {
-        SimDuration::from_nanos(self.frame_alloc_ns).times(pages)
-    }
-
     /// Host-side GPA→HPA translation of `covered` consecutive guest
     /// frames resolved by one memory-map entry: every frame in the entry
     /// shares the same search path (`visits` node visits), so the batch

@@ -152,7 +152,7 @@ pub enum SpanKind {
     Quarantine,
     /// Owner-side revocation bookkeeping per remote attachment site.
     RevokeBookkeeping,
-    /// Attacher-side reap: unmap + loan-return bookkeeping.
+    /// Attacher-side reap: unmap + reaper bookkeeping.
     ReapUnmap,
     /// Kernel process-creation cost.
     KernelSpawn,
@@ -556,11 +556,9 @@ pub enum Counter {
     NsLeaseServes,
     /// Exported frames moved to quarantine on owner crash.
     FramesQuarantined,
-    /// Quarantined frames returned to their allocator after the last
-    /// remote reference dropped.
+    /// Quarantined frames returned to their allocator once the
+    /// revocation round reaped every remote attachment.
     FramesReturned,
-    /// Quarantined frames retired (owner kernel already gone).
-    FramesRetired,
     /// Bytes read through live cross-enclave attachments.
     BytesReadAttached,
     /// Bytes written through live cross-enclave attachments.
@@ -608,7 +606,6 @@ impl Counter {
         Counter::NsLeaseServes,
         Counter::FramesQuarantined,
         Counter::FramesReturned,
-        Counter::FramesRetired,
         Counter::BytesReadAttached,
         Counter::BytesWrittenAttached,
         Counter::FaultsServed,
@@ -635,7 +632,6 @@ impl Counter {
             Counter::NsLeaseServes => "ns_lease_serves",
             Counter::FramesQuarantined => "frames_quarantined",
             Counter::FramesReturned => "frames_returned",
-            Counter::FramesRetired => "frames_retired",
             Counter::BytesReadAttached => "bytes_read_attached",
             Counter::BytesWrittenAttached => "bytes_written_attached",
             Counter::FaultsServed => "faults_served",

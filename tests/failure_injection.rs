@@ -6,8 +6,8 @@
 
 use xemem::trace_layer::{Counter, EdgeKind, ShardCounter, SpanKind};
 use xemem::{
-    CostModel, FaultPlan, GuestOs, MemoryMapKind, SimDuration, SimTime, SystemBuilder, TraceHandle,
-    VirtAddr, XememError,
+    CostModel, FaultPlan, GuestOs, MemoryMapKind, Pid, ProcessRef, SimDuration, SimTime,
+    SystemBuilder, TraceHandle, VirtAddr, XememError,
 };
 use xemem_mem::KernelError;
 
@@ -169,7 +169,7 @@ fn reads_through_detached_mapping_fault() {
 }
 
 // ---------------------------------------------------------------------
-// Crash-consistent teardown: revocation, reaper, loans and grants
+// Crash-consistent teardown: revocation, reaper, quarantine and grants
 // ---------------------------------------------------------------------
 
 #[test]
@@ -207,7 +207,7 @@ fn exporter_crash_revokes_attachment_and_reader_gets_source_gone() {
     assert_eq!(tracer.counter(Counter::FramesQuarantined), 256);
     assert_eq!(tracer.counter(Counter::RevokeNotices), 1);
     assert_eq!(tracer.counter(Counter::Reaps), 1);
-    // ...the loan drained, and the quarantined frames went home: no leak.
+    // ...the quarantined frames went home, and none was refused: no leak.
     assert_eq!(sys.outstanding_loans(), 0);
     assert_eq!(tracer.counter(Counter::FramesReturned), 256);
     assert_eq!(sys.free_frames_of(kitten).unwrap(), baseline);
@@ -243,7 +243,7 @@ fn remove_revokes_remote_attachments_but_exporter_keeps_frames() {
     ));
     assert_eq!(sys.tracer().counter(Counter::RevokeNotices), 1);
     assert_eq!(sys.tracer().counter(Counter::Reaps), 1);
-    // The exporter is alive and keeps its frames — no loan was needed.
+    // The exporter is alive and keeps its frames — nothing was quarantined.
     assert_eq!(sys.outstanding_loans(), 0);
     assert_eq!(sys.tracer().counter(Counter::FramesQuarantined), 0);
     sys.read(exporter, buf, &mut b).unwrap();
@@ -284,11 +284,66 @@ fn exporter_graceful_exit_drives_revocation() {
     ));
 }
 
+/// One export attached from three sites — a second process in the
+/// exporter's own Kitten enclave, a Linux process and a Palacios guest —
+/// loses its exporter. The one revocation round reaps every site, and
+/// its quarantine goes home once, whole, after the last reap.
+#[test]
+fn exporter_crash_reaps_every_site_and_returns_the_quarantine_once() {
+    let mut sys = SystemBuilder::new()
+        .linux_management("linux", 4, 256 * MIB)
+        .kitten_cokernel("kitten", 1, 128 * MIB)
+        .palacios_vm("vm", "linux", 64 * MIB, MemoryMapKind::RbTree, GuestOs::Fwk)
+        .with_tracer(TraceHandle::enabled())
+        .build()
+        .unwrap();
+    let kitten = sys.enclave_by_name("kitten").unwrap();
+    let linux = sys.enclave_by_name("linux").unwrap();
+    let vm = sys.enclave_by_name("vm").unwrap();
+    let neighbour = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let baseline = sys.free_frames_of(kitten).unwrap();
+    let exporter = sys.spawn_process(kitten, 16 * MIB).unwrap();
+    let buf = sys.alloc_buffer(exporter, MIB).unwrap();
+    sys.write(exporter, buf, b"shared three ways").unwrap();
+    let segid = sys.xpmem_make(exporter, buf, MIB, None).unwrap();
+    let readers = [
+        neighbour,
+        sys.spawn_process(linux, 16 * MIB).unwrap(),
+        sys.spawn_process(vm, 8 * MIB).unwrap(),
+    ];
+    let mut sites = Vec::new();
+    for p in readers {
+        let apid = sys.xpmem_get(p, segid).unwrap();
+        let va = sys.xpmem_attach(p, apid, 0, MIB).unwrap();
+        let mut got = [0u8; 17];
+        sys.read(p, va, &mut got).unwrap();
+        assert_eq!(&got, b"shared three ways");
+        sites.push((p, va));
+    }
+
+    sys.crash_process(exporter).unwrap();
+
+    let tracer = sys.tracer();
+    assert_eq!(tracer.counter(Counter::RevokeNotices), 3);
+    assert_eq!(tracer.counter(Counter::Reaps), 3);
+    assert_eq!(tracer.counter(Counter::FramesQuarantined), 256);
+    assert_eq!(tracer.counter(Counter::FramesReturned), 256);
+    assert_eq!(sys.outstanding_loans(), 0);
+    assert_eq!(sys.free_frames_of(kitten), Some(baseline));
+    for (p, va) in sites {
+        let mut got = [0u8; 1];
+        assert!(
+            matches!(sys.read(p, va, &mut got), Err(XememError::SourceGone)),
+            "{p:?}"
+        );
+    }
+}
+
 /// An exporter with two exports over one buffer, each attached from the
 /// other enclave, crashes. Quarantine lends each frame once, to the
-/// first export that reaches it, so every loan returns whole and the
-/// exporter's enclave gets every frame back: with the same window twice,
-/// and with two windows that overlap by half, from either kernel.
+/// first export that reaches it, so every quarantine returns whole and
+/// the exporter's enclave gets every frame back: with the same window
+/// twice, and with two windows that overlap by half, from either kernel.
 #[test]
 fn exporter_crash_with_overlapping_exports_returns_every_frame() {
     for kitten_exports in [true, false] {
@@ -667,8 +722,9 @@ fn injected_crash_of_the_sole_name_server_slot_is_skipped() {
 }
 
 /// An injected kill of a pid that does not exist is a no-op: no
-/// teardown op commits, and live processes, attachments and frame books
-/// are untouched.
+/// teardown op commits, live processes, attachments and frame books are
+/// untouched, and no crash notice is queued; nor is one by a public
+/// `crash_process` of that pid.
 #[test]
 fn injected_kill_of_a_missing_pid_disturbs_nothing() {
     const T: u64 = 1_000_000;
@@ -704,6 +760,16 @@ fn injected_kill_of_a_missing_pid_disturbs_nothing() {
     let mut got = [0u8; 6];
     sys.read(attacher, va, &mut got).unwrap();
     assert_eq!(&got, b"intact");
+    assert!(sys.drain_crash_notices().is_empty());
+    let missing = ProcessRef {
+        enclave: kitten,
+        pid: Pid(99),
+    };
+    assert!(matches!(
+        sys.crash_process(missing),
+        Err(XememError::Kernel(KernelError::NoSuchProcess(_)))
+    ));
+    assert!(sys.drain_crash_notices().is_empty());
 }
 
 #[test]
@@ -1177,6 +1243,60 @@ fn pool_consumer_crash_sweeps_outstanding_slots_exactly_once() {
     let _ = t;
     pool.leak_check().unwrap();
     tracer.audit().expect("conservation");
+}
+
+/// A kill of a pid that does not exist yet is no crash: the consumer
+/// that later gets the pid joins a pool and consumes a slot, and the
+/// pool's sweep leaves it be. Tried with an injected kill and with a
+/// public `crash_process`.
+#[test]
+fn pool_sweep_spares_a_consumer_whose_pid_was_killed_before_it_existed() {
+    use xemem_pool::{BufferPool, Holder};
+
+    const T: u64 = 1_000;
+    for injected in [false, true] {
+        let mut builder = SystemBuilder::new()
+            .linux_management("linux", 4, 256 * MIB)
+            .kitten_cokernel("kitten", 1, 128 * MIB)
+            .with_tracer(TraceHandle::enabled());
+        if injected {
+            let plan = FaultPlan::new().kill_process(SimTime::from_nanos(T), 1, 1);
+            builder = builder.with_fault_plan(plan, 7);
+        }
+        let mut sys = builder.build().unwrap();
+        let linux = sys.enclave_by_name("linux").unwrap();
+        let kitten = sys.enclave_by_name("kitten").unwrap();
+        assert_eq!(kitten.0, 1, "plan targets the kitten slot");
+        let unborn = ProcessRef {
+            enclave: kitten,
+            pid: Pid(1),
+        };
+        if injected {
+            sys.clock().advance_to(SimTime::from_nanos(T + 1));
+            sys.deliver_pending_faults();
+        } else {
+            assert!(matches!(
+                sys.crash_process(unborn),
+                Err(XememError::Kernel(KernelError::NoSuchProcess(_)))
+            ));
+        }
+        let producer = sys.spawn_process(linux, 32 * MIB).unwrap();
+        let consumer = sys.spawn_process(kitten, 2 * MIB).unwrap();
+        assert_eq!(consumer, unborn);
+        let t = sys.clock().now();
+        let (mut pool, t) = BufferPool::create_at(&mut sys, producer, 4, 4096, None, 4, t).unwrap();
+        let (c, t) = pool.join_at(&mut sys, consumer, t).unwrap();
+        let (g, t) = pool.acquire_at(t).unwrap();
+        let t = pool.publish_at(c, g, t).unwrap();
+        let (held, t) = pool.consume_at(c, t).unwrap();
+
+        let (swept, t) = pool.sweep_at(&mut sys, t);
+        assert_eq!(swept, 0, "injected: {injected}");
+        assert!(pool.consumer_alive(c), "injected: {injected}");
+        pool.release_at(Holder::Consumer(c.0), held.unwrap(), t)
+            .unwrap();
+        pool.leak_check().unwrap();
+    }
 }
 
 /// Pool fault-plan validation mirrors the shard-validation precedent:

@@ -250,8 +250,8 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
     }
 
     // The invariant: live enclaves are back at their pre-workload frame
-    // counts — nothing leaked, nothing returned twice — and every frame
-    // loan opened by a crash has drained.
+    // counts — nothing leaked, nothing returned twice — and the owner's
+    // allocator took back every crash quarantine.
     let free_frames: Vec<Option<u64>> = encs
         .iter()
         .map(|&e| {
@@ -274,7 +274,7 @@ fn run_schedule_with(seed: u64, sharded: bool) -> Outcome {
     assert_eq!(
         sys.outstanding_loans(),
         0,
-        "unsettled frame loans under seed {seed}"
+        "refused quarantine returns under seed {seed}"
     );
 
     Outcome {
